@@ -56,7 +56,6 @@ _FIELD_CASTS = {
     "radii": _float_tuple,
     "grids": _int_tuple,
     "out": str,
-    "parallel": lambda v: str(v).lower() in ("1", "true", "yes", "on"),
     "fmt": str,
     "table_path": str,
     "starts": int,
@@ -70,7 +69,6 @@ _FLAG_FIELDS = {
     "radius": "radii",
     "grid": "grids",
     "out": "out",
-    "parallel": "parallel",
     "format": "fmt",
     "mul_table": "table_path",
     "starts": "starts",
@@ -89,7 +87,7 @@ def build_config(args: argparse.Namespace) -> suites.RunConfig:
             setattr(cfg, field, _FIELD_CASTS[field](raw))
     for flag, field in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
-        if value is not None and value is not False:
+        if value is not None:
             setattr(cfg, field, _FIELD_CASTS[field](value) if isinstance(value, str) else value)
     cfg.validate()
     return cfg
@@ -101,7 +99,6 @@ def config_echo(cfg: suites.RunConfig) -> dict:
         "trials": cfg.trials,
         "radii": list(cfg.radii),
         "grids": list(cfg.grids),
-        "parallel": cfg.parallel,
         "table": cfg.table_path or "builtin",
         "starts": cfg.starts,
         "steps": cfg.steps,
@@ -290,8 +287,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--starts", type=int, help="search starts for the pinch run")
     sub.add_argument("--steps", type=int, help="iteration cap for the pinch run")
     sub.add_argument("--out", help="output directory for artifacts")
-    sub.add_argument("--parallel", action="store_true", default=None,
-                     help="run suites on a thread pool")
     sub.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
     sub.add_argument("--config", help="key=value config file; flags take precedence")
     sub.add_argument("--mul-table", dest="mul_table",

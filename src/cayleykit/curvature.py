@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .octonion import DEFAULT_TABLE
+from . import octonion
 
 N = 16
 ALPHA = -4.0
@@ -54,13 +54,21 @@ def bivector_matrix(w) -> np.ndarray:
     return mat
 
 
-def _octmul(a, b):
-    c = DEFAULT_TABLE.structure_tensor()
-    return np.einsum("ijk,...i,...j->...k", c, a, b)
-
-
 def _dot(a, b):
     return np.sum(a * b, axis=-1)
+
+
+def _gram(x, y, threshold: float = DEGENERATE_GRAM):
+    """|x|^2, the Gram determinant |x ^ y|^2 and the mask of pairs spanning a plane.
+
+    A pair counts as degenerate when the Gram determinant falls below
+    ``threshold`` relative to |x|^2 |y|^2.
+    """
+    nx2 = _dot(x, x)
+    ny2 = _dot(y, y)
+    gram = nx2 * ny2 - _dot(x, y) ** 2
+    scale = np.where(nx2 * ny2 > 0.0, nx2 * ny2, 1.0)
+    return nx2, gram, gram > threshold * scale
 
 
 @dataclass(frozen=True)
@@ -82,11 +90,11 @@ class SectionalCurvature:
         a, b = u[..., :8], u[..., 8:]
         c, d = v[..., :8], v[..., 8:]
         if self.swap_products:
-            ab, cd = _octmul(b, a), _octmul(d, c)
-            ad, cb = _octmul(d, a), _octmul(b, c)
+            ab, cd = octonion.mul_arrays(b, a), octonion.mul_arrays(d, c)
+            ad, cb = octonion.mul_arrays(d, a), octonion.mul_arrays(b, c)
         else:
-            ab, cd = _octmul(a, b), _octmul(c, d)
-            ad, cb = _octmul(a, d), _octmul(c, b)
+            ab, cd = octonion.mul_arrays(a, b), octonion.mul_arrays(c, d)
+            ad, cb = octonion.mul_arrays(a, d), octonion.mul_arrays(c, b)
         wedge_ac = _dot(a, a) * _dot(c, c) - _dot(a, c) ** 2
         wedge_bd = _dot(b, b) * _dot(d, d) - _dot(b, d) ** 2
         value = (
@@ -99,58 +107,26 @@ class SectionalCurvature:
         )
         return self.alpha * value
 
-    def plane_value(self, x, y):
-        """Sectional curvature of span(x, y); NaN for a degenerate plane."""
+    def _frame_value(self, x, y, threshold: float):
+        """Curvature of span(x, y) at its Gram-Schmidt frame, with Gram data."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        nx2 = _dot(x, x)
-        ny2 = _dot(y, y)
-        xy = _dot(x, y)
-        gram = nx2 * ny2 - xy**2
-        scale = np.where(nx2 * ny2 > 0.0, nx2 * ny2, 1.0)
-        good = gram > DEGENERATE_GRAM * scale
+        nx2, gram, good = _gram(x, y, threshold)
         u = x / np.sqrt(np.where(nx2 > 0, nx2, 1.0))[..., None]
         yproj = y - _dot(y, u)[..., None] * u
         np2 = _dot(yproj, yproj)
         v = yproj / np.sqrt(np.where(np2 > 0, np2, 1.0))[..., None]
-        k = self.orthonormal_value(u, v)
+        return self.orthonormal_value(u, v), gram, good
+
+    def plane_value(self, x, y):
+        """Sectional curvature of span(x, y); NaN for a degenerate plane."""
+        k, _, good = self._frame_value(x, y, DEGENERATE_GRAM)
         return np.where(good, k, np.nan)
 
     def biquadratic(self, x, y):
         """B(x, y) = K(span) * Gram(x, y), continuously 0 on degenerate pairs."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        nx2 = _dot(x, x)
-        ny2 = _dot(y, y)
-        xy = _dot(x, y)
-        gram = nx2 * ny2 - xy**2
-        scale = np.where(nx2 * ny2 > 0.0, nx2 * ny2, 1.0)
-        good = gram > 1e-14 * scale
-        u = x / np.sqrt(np.where(nx2 > 0, nx2, 1.0))[..., None]
-        yproj = y - _dot(y, u)[..., None] * u
-        np2 = _dot(yproj, yproj)
-        v = yproj / np.sqrt(np.where(np2 > 0, np2, 1.0))[..., None]
-        k = self.orthonormal_value(u, v)
+        k, gram, good = self._frame_value(x, y, 1e-14)
         return np.where(good, k * gram, 0.0)
-
-
-@dataclass(frozen=True)
-class TwoPlane:
-    """A nondegenerate 2-plane in R^16 given by a spanning pair."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(N)
-        y = np.asarray(self.y, dtype=float).reshape(N)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if not self.gram() > DEGENERATE_GRAM * float(_dot(x, x) * _dot(y, y)):
-            raise ValueError("degenerate spanning pair")
-
-    def gram(self) -> float:
-        return float(_dot(self.x, self.x) * _dot(self.y, self.y) - _dot(self.x, self.y) ** 2)
 
 
 def polarized_tensor(formula: SectionalCurvature, x, y, z, w) -> np.ndarray:
@@ -191,11 +167,7 @@ class CurvatureOperator:
         return np.einsum("...i,ij,...j->...", v, self.matrix, v)
 
     def sectional(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gram = _dot(x, x) * _dot(y, y) - _dot(x, y) ** 2
-        scale = np.where(_dot(x, x) * _dot(y, y) > 0, _dot(x, x) * _dot(y, y), 1.0)
-        good = gram > DEGENERATE_GRAM * scale
+        _, gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return np.where(good, self.quadratic(x, y) / np.where(good, gram, 1.0), np.nan)
 
     def ricci(self) -> np.ndarray:

@@ -272,6 +272,29 @@ def _coeff_matrix(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def action_terms(m: int, n: int):
+    """Nonzero terms of eps(theta^i) l(e_j) applied to the monomial ``m`` of R^n.
+
+    Yields ``(i, j, sign, out)`` with eps(theta^i) l(e_j) theta^m =
+    sign * theta^out: j runs over the indices of ``m`` and, for each j,
+    i over the indices missing from ``m`` once j is removed, both ascending.
+    """
+    full = (1 << n) - 1
+    mj = m
+    while mj:
+        lowj = mj & -mj
+        j = lowj.bit_length() - 1
+        mj ^= lowj
+        sj = _below_parity(m, j)
+        m1 = m ^ lowj
+        rest = full ^ m1
+        while rest:
+            lowi = rest & -rest
+            i = lowi.bit_length() - 1
+            rest ^= lowi
+            yield i, j, _below_parity(m1, i) * sj, m1 | lowi
+
+
 def hessian_action(a, eta: Form) -> Form:
     """Apply ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w``."""
     mat = _coeff_matrix(a)
@@ -280,24 +303,11 @@ def hessian_action(a, eta: Form) -> Form:
     if eta.grade == 0:
         return Form.zero(eta.n, 0)
     out: dict[int, float] = {}
-    full = (1 << eta.n) - 1
     for m, c in eta.coeffs.items():
-        mj = m
-        while mj:
-            lowj = mj & -mj
-            j = lowj.bit_length() - 1
-            mj ^= lowj
-            sj = _below_parity(m, j)
-            m1 = m ^ lowj
-            rest = full ^ m1
-            while rest:
-                lowi = rest & -rest
-                i = lowi.bit_length() - 1
-                rest ^= lowi
-                val = mat[i, j] * c
-                if val != 0.0:
-                    mo = m1 | lowi
-                    out[mo] = out.get(mo, 0.0) + _below_parity(m1, i) * sj * val
+        for i, j, sign, mo in action_terms(m, eta.n):
+            val = mat[i, j] * c
+            if val != 0.0:
+                out[mo] = out.get(mo, 0.0) + sign * val
     return Form(eta.n, eta.grade, out)
 
 
@@ -314,35 +324,24 @@ def random_form(n: int, grade: int, rng: np.random.Generator, terms: int = 8) ->
     return Form(n, grade, coeffs)
 
 
-def _pairing_direct(a_mat: np.ndarray, omega: Form) -> Form:
-    """*d*(alpha ^ w) at symbol level, evaluated with wedge and star only."""
+def _star_chain(a_mat: np.ndarray, omega: Form) -> Form:
+    """sum_ij a_ji eps(theta^i) *(eps(theta^j) w), evaluated with wedge and star only.
+
+    ``hodge(_star_chain(a, w))`` is the symbol of *d*(alpha ^ w) and
+    ``_star_chain(a, hodge(w))`` the symbol of d*(alpha ^ *w).
+    """
     n = omega.n
-    acc = Form.zero(n, omega.grade)
+    acc: dict[int, float] = {}
     for j in range(n):
         inner_form = hodge(epsilon(j, omega))
         if inner_form.is_zero():
             continue
         for i in range(n):
-            c = a_mat[j, i]
+            c = float(a_mat[j, i])
             if c != 0.0:
-                acc = acc + c * epsilon(i, inner_form)
-    return hodge(acc)
-
-
-def _codifferential_direct(a_mat: np.ndarray, omega: Form) -> Form:
-    """d*(alpha ^ *w) at symbol level, same evaluation strategy."""
-    n = omega.n
-    star = hodge(omega)
-    acc = Form.zero(n, omega.grade)
-    for j in range(n):
-        inner_form = hodge(epsilon(j, star))
-        if inner_form.is_zero():
-            continue
-        for i in range(n):
-            c = a_mat[j, i]
-            if c != 0.0:
-                acc = acc + c * epsilon(i, inner_form)
-    return acc
+                for m, v in epsilon(i, inner_form).coeffs.items():
+                    acc[m] = acc.get(m, 0.0) + v * c
+    return Form(n, n - omega.grade, acc)
 
 
 def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms: int = 8) -> dict:
@@ -362,8 +361,8 @@ def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms:
         a = random_trace_free(n, rng).matrix
         omega = random_form(n, p, rng, terms=terms)
         t_form = hessian_action(a, omega)
-        e_direct = _pairing_direct(a, omega)
-        e_codiff = _codifferential_direct(a, omega)
+        e_direct = hodge(_star_chain(a, omega))
+        e_codiff = _star_chain(a, hodge(omega))
         res["direct_vs_T"] = max(res["direct_vs_T"], (e_direct - sign_direct * t_form).sup_norm())
         res["codiff_vs_T"] = max(res["codiff_vs_T"], (e_codiff - sign_codiff * t_form).sup_norm())
         res["direct_vs_codiff"] = max(res["direct_vs_codiff"], (e_direct - sign_link * e_codiff).sup_norm())

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Form, hessian_action, indices_of, mask_of, wedge
+from .exterior import Form, action_terms, mask_of, wedge
 
 SPIN9_DIM = 16
 V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
@@ -212,27 +212,12 @@ def monomial_functionals(omega: Form) -> dict[int, dict[tuple[int, int], float]]
     Functionals are expressed over the free entries (i, j) with i <= j of
     a symmetric matrix; off-diagonal entries collect both index orders.
     """
-    n = omega.n
-    full = (1 << n) - 1
     table: dict[int, dict[tuple[int, int], float]] = {}
     for m, c in omega.coeffs.items():
-        mj = m
-        while mj:
-            lowj = mj & -mj
-            j = lowj.bit_length() - 1
-            mj ^= lowj
-            sj = -1.0 if (m & (lowj - 1)).bit_count() & 1 else 1.0
-            m1 = m ^ lowj
-            rest = full ^ m1
-            while rest:
-                lowi = rest & -rest
-                i = lowi.bit_length() - 1
-                rest ^= lowi
-                si = -1.0 if (m1 & (lowi - 1)).bit_count() & 1 else 1.0
-                mo = m1 | lowi
-                key = (i, j) if i <= j else (j, i)
-                row = table.setdefault(mo, {})
-                row[key] = row.get(key, 0.0) + si * sj * c
+        for i, j, sign, mo in action_terms(m, omega.n):
+            key = (i, j) if i <= j else (j, i)
+            row = table.setdefault(mo, {})
+            row[key] = row.get(key, 0.0) + sign * c
     for mo in list(table):
         table[mo] = {k: v for k, v in table[mo].items() if v != 0.0}
         if not table[mo]:
@@ -271,25 +256,6 @@ class ConstraintSet:
 
     def __repr__(self):
         return f"ConstraintSet(n={self.n}, rows={len(self.rows)})"
-
-    def coordinates(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i, self.n)]
-
-    def dense(self) -> np.ndarray:
-        coords = {c: k for k, c in enumerate(self.coordinates())}
-        mat = np.zeros((len(self.rows), len(coords)))
-        for r, row in enumerate(self.rows):
-            for key, val in row:
-                mat[r, coords[key]] = val
-        return mat
-
-    def evaluate(self, a: np.ndarray) -> np.ndarray:
-        """Residual of each functional on a symmetric matrix."""
-        a = np.asarray(a, dtype=float)
-        out = np.zeros(len(self.rows))
-        for r, row in enumerate(self.rows):
-            out[r] = sum(val * (a[i, j] if i == j else a[i, j] + a[j, i]) for (i, j), val in row)
-        return out
 
     @classmethod
     def from_functionals(cls, n: int, functionals, tol: float = 1e-9) -> "ConstraintSet":
@@ -378,29 +344,3 @@ def standard_constraints(kind: str, n: int | None = None, spec: FSpec | None = N
     if kind == "spin9":
         return extract_constraints(spin9_form(spec), spin9_targets())
     raise ValueError(f"unknown geometry kind: {kind}")
-
-
-def verify_hessian_checks(omega: Form, constraints: ConstraintSet, rng: np.random.Generator,
-                          trials: int = 50) -> float:
-    """Sanity pairing: matrices satisfying the constraints keep the
-    designated coefficients of T(a, omega) at zero."""
-    worst = 0.0
-    dense = constraints.dense()
-    if dense.size == 0:
-        return 0.0
-    coords = constraints.coordinates()
-    q, _ = np.linalg.qr(dense.T)
-    for _ in range(trials):
-        a = rng.uniform(-1.0, 1.0, (omega.n, omega.n))
-        a = 0.5 * (a + a.T)
-        vec = np.array([a[i, j] if i == j else a[i, j] + a[j, i] for (i, j) in coords])
-        # project onto the null space of the constraint rows
-        vec = vec - q @ (q.T @ vec)
-        b = np.zeros_like(a)
-        for k, (i, j) in enumerate(coords):
-            if i == j:
-                b[i, i] = vec[k]
-            else:
-                b[i, j] = b[j, i] = vec[k] / 2.0
-        worst = max(worst, float(np.abs(constraints.evaluate(b)).max()))
-    return worst

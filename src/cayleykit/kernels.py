@@ -57,7 +57,7 @@ class RatioProblem:
             return rows
         iterable = source.rows if isinstance(source, ConstraintSet) else source
         for row in iterable:
-            rows.append(dict(row) if not isinstance(row, dict) else dict(row))
+            rows.append(dict(row))
         return rows
 
     def quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,27 +237,6 @@ def canonical_minimizer(minimizer: np.ndarray, problem: RatioProblem,
     return a
 
 
-def equality_diagnostics(result: KernelResult, problem: RatioProblem) -> dict:
-    """Inspect the minimizing matrix and the flatness of the minimum."""
-    a = result.minimizer
-    d = problem.distinguished
-    off = a - np.diag(np.diag(a))
-    attained = problem.objective(a)
-    canon = canonical_minimizer(a, problem)
-    # dimension of the minimal eigenspace: how flat the equality case is
-    basis = problem.nullspace()
-    p, q = problem.quadratic_forms()
-    mu, _ = scipy.linalg.eigh(basis.T @ q @ basis, basis.T @ p @ basis)
-    flat = int(np.sum(mu > mu[-1] - 1e-9))
-    return {
-        "attained_ratio": attained,
-        "off_diagonal_max": float(np.abs(off).max()),
-        "distinguished_value": float(a[d, d]),
-        "canonical_diagonal": np.diag(canon).tolist(),
-        "minimal_eigenspace_dim": flat,
-    }
-
-
 def vanishing_threshold(b: float, lam1: float = MODEL_LAMBDA1) -> float:
     """Ricci threshold -(b + 1) lam1 below which the argument closes."""
     if not b > -1.0:
@@ -312,30 +291,11 @@ def kato_transform(ratio: float, ricci: float = MODEL_RICCI) -> KatoTransform:
                          gradient_coefficient=grad_coeff)
 
 
-@dataclass(frozen=True)
-class SpectralBound:
-    """The two routes from the sharp 16-dimensional ratio to a spectral gap."""
-
-    drift_route: float = 216.0 / 7.0          # |Ric| (1 - b) with b = 1/7
-    threshold_route: float = 7.0 / 8.0 * 36.0  # lam1 > |Ric| / (1 + b)
-
-    def consistency(self) -> float:
-        """Residual of drift = |Ric| * 6/7 in exact arithmetic."""
-        return abs(self.drift_route - 36.0 * 6.0 / 7.0)
-
-
-def spin9_spectral_bound() -> SpectralBound:
-    return SpectralBound()
-
-
 def sharpness_sample(problem: RatioProblem, result: KernelResult,
                      rng: np.random.Generator, samples: int = 100000) -> dict:
     """Empirical check that no feasible matrix beats the minimal ratio."""
     basis = problem.nullspace()
-    coords = problem.coordinate_list()
-    weights_p = np.array([1.0 if i == j else 2.0 for (i, j) in coords])
-    d = problem.distinguished
-    weights_q = np.array([1.0 if (i == d or j == d) else 0.0 for (i, j) in coords])
+    weights_p, weights_q = (np.diag(form) for form in problem.quadratic_forms())
     z = rng.standard_normal((samples, basis.shape[1]))
     vecs = z @ basis.T
     num = (vecs * vecs) @ weights_p

@@ -130,114 +130,3 @@ def inner_arrays(a, b) -> np.ndarray:
 
 def norm_arrays(a) -> np.ndarray:
     return np.sqrt(inner_arrays(a, a))
-
-
-class Octonion:
-    """A single Cayley number with coefficients ordered (1, e_0, ..., e_6)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        arr = np.array(coeffs, dtype=float)
-        if arr.shape != (DIM,):
-            raise ValueError("octonion needs 8 coefficients")
-        self.coeffs = arr
-
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return cls(np.zeros(DIM))
-
-    @classmethod
-    def unit(cls) -> "Octonion":
-        c = np.zeros(DIM)
-        c[0] = 1.0
-        return cls(c)
-
-    @classmethod
-    def e(cls, i: int) -> "Octonion":
-        """Imaginary basis unit e_i, 0 <= i <= 6."""
-        if not 0 <= i <= 6:
-            raise ValueError("imaginary index out of range")
-        c = np.zeros(DIM)
-        c[i + 1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "Octonion":
-        return cls(rng.uniform(-1.0, 1.0, DIM))
-
-    @property
-    def real(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def imag(self) -> np.ndarray:
-        return self.coeffs[1:].copy()
-
-    def conjugate(self) -> "Octonion":
-        return Octonion(conj_arrays(self.coeffs))
-
-    def inner(self, other: "Octonion") -> float:
-        return float(inner_arrays(self.coeffs, other.coeffs))
-
-    def norm(self) -> float:
-        return float(norm_arrays(self.coeffs))
-
-    def __add__(self, other):
-        return Octonion(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return Octonion(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return Octonion(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(mul_arrays(self.coeffs, other.coeffs))
-        return Octonion(self.coeffs * float(other))
-
-    def __rmul__(self, scalar):
-        return Octonion(self.coeffs * float(scalar))
-
-    def __eq__(self, other):
-        return isinstance(other, Octonion) and bool(np.all(self.coeffs == other.coeffs))
-
-    def __repr__(self):
-        return f"Octonion({self.coeffs.tolist()})"
-
-
-class OctPair:
-    """Point of R^16 = O^2, the tangent model used by the curvature module.
-
-    Coordinates 0..7 are the first octonion slot, 8..15 the second one.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Octonion, y: Octonion):
-        self.x = x
-        self.y = y
-
-    @classmethod
-    def from_vector(cls, v) -> "OctPair":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2 * DIM,):
-            raise ValueError("pair vector needs 16 components")
-        return cls(Octonion(v[:DIM]), Octonion(v[DIM:]))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "OctPair":
-        return cls(Octonion.random(rng), Octonion.random(rng))
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.x.coeffs, self.y.coeffs])
-
-    def inner(self, other: "OctPair") -> float:
-        return self.x.inner(other.x) + self.y.inner(other.y)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.inner(self)))
-
-    def __repr__(self):
-        return f"OctPair({self.x!r}, {self.y!r})"

@@ -1,8 +1,10 @@
-"""Dense alternating-tensor reference implementations.
+"""Reference implementations for the tests.
 
-Everything here works on full n^p component arrays with explicit
-permutation sums, so it shares no code path with the sparse bitmask
-algebra it is used to check.  Only practical for small n.
+The alternating-tensor helpers work on full n^p component arrays with
+explicit permutation sums, so they share no code path with the sparse
+bitmask algebra they are used to check.  Only practical for small n.
+The constraint helpers evaluate and satisfy ``ConstraintSet`` rows
+directly in matrix entries.
 """
 
 import itertools
@@ -105,3 +107,32 @@ def hessian_dense(a, t, p: int):
     for s in range(p):
         out += np.moveaxis(np.tensordot(a, t, axes=([1], [s])), 0, s)
     return out
+
+
+def evaluate(constraints, a):
+    """Value of each constraint row on a symmetric matrix.
+
+    An off-diagonal coordinate (i, j) acts on the collected entry a_ij + a_ji.
+    """
+    a = np.asarray(a, dtype=float)
+    return np.array([sum(val * (a[i, j] if i == j else a[i, j] + a[j, i]) for (i, j), val in row)
+                     for row in constraints.rows])
+
+
+def project_feasible(constraints, a):
+    """Orthogonal projection of symmetric a, in collected coordinates, onto
+    the null space of the constraint rows."""
+    n = constraints.n
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {c: k for k, c in enumerate(coords)}
+    dense = np.zeros((len(constraints.rows), len(coords)))
+    for r, row in enumerate(constraints.rows):
+        for key, val in row:
+            dense[r, index[key]] = val
+    q, _ = np.linalg.qr(dense.T)
+    vec = np.array([a[i, j] if i == j else a[i, j] + a[j, i] for (i, j) in coords])
+    vec = vec - q @ (q.T @ vec)
+    b = np.zeros_like(a)
+    for k, (i, j) in enumerate(coords):
+        b[i, j] = b[j, i] = vec[k] if i == j else vec[k] / 2.0
+    return b

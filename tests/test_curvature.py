@@ -5,9 +5,7 @@ from cayleykit.curvature import (
     ALPHA,
     N,
     PAIRS,
-    CurvatureOperator,
     SectionalCurvature,
-    TwoPlane,
     assemble_operator,
     bianchi_residual,
     bivector,
@@ -80,8 +78,6 @@ def test_degenerate_pairs():
     x = RNG.standard_normal(N)
     assert np.isnan(FORMULA.plane_value(x, 2.0 * x))
     assert FORMULA.biquadratic(x, 2.0 * x) == 0.0
-    with pytest.raises(ValueError):
-        TwoPlane(x, 2.0 * x)
 
 
 def test_biquadratic_scales_with_gram():

@@ -137,7 +137,10 @@ def test_sturm_solver_against_lapack():
     for radius, cells in ((4.0, 1000), (8.0, 2000), (10.0, 3000)):
         d, e = SturmLiouvilleProblem(radius, cells).tridiagonal()
         own = smallest_eigenvalue(d, e)
-        ref = float(scipy.linalg.eigh_tridiagonal(d, e)[0][0])
+        # bisection to full accuracy: the default driver only reaches ~eps * |T|
+        ref = float(scipy.linalg.eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(0, 0),
+            lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)[0])
         assert own == pytest.approx(ref, abs=1e-9)
 
 
