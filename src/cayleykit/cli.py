@@ -42,55 +42,42 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _int_tuple(text) -> tuple[int, ...]:
-    return tuple(int(x) for x in str(text).replace(",", " ").split())
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.replace(",", " ").split())
 
 
-def _float_tuple(text) -> tuple[float, ...]:
-    return tuple(float(x) for x in str(text).replace(",", " ").split())
+def _float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-_FIELD_CASTS = {
-    "seed": int,
-    "trials": int,
-    "radii": _float_tuple,
-    "grids": _int_tuple,
-    "out": str,
-    "fmt": str,
-    "table_path": str,
-    "starts": int,
-    "steps": int,
-}
-
-# command line spelling -> RunConfig field
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "trials": "trials",
-    "radius": "radii",
-    "grid": "grids",
-    "out": "out",
-    "format": "fmt",
-    "mul_table": "table_path",
-    "starts": "starts",
-    "steps": "steps",
+# flag (also the config-file key) -> (RunConfig field, parser, help)
+_OPTIONS = {
+    "seed": ("seed", int, "master RNG seed (default 0)"),
+    "trials": ("trials", int, "sampling budget (default 100000)"),
+    "radius": ("radii", _float_tuple, "comma separated domain radii, each at least 1"),
+    "grid": ("grids", _int_tuple, "comma separated cell counts, each at least 200"),
+    "starts": ("starts", int, "search starts for the pinch run"),
+    "steps": ("steps", int, "iteration cap for the pinch run"),
+    "out": ("out", str, "output directory for artifacts"),
+    "format": ("fmt", str, "report format: json (default) or csv"),
+    "mul_table": ("table_path", str, "CSV multiplication table to verify instead of the builtin"),
 }
 
 
 def build_config(args: argparse.Namespace) -> suites.RunConfig:
     """Defaults, overridden by --config file entries, overridden by flags."""
-    cfg = suites.RunConfig()
-    if getattr(args, "config", None):
+    values = {}
+    if args.config:
         for key, raw in load_config(args.config).items():
-            field = _FLAG_FIELDS.get(key, key)
-            if field not in _FIELD_CASTS:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, field, _FIELD_CASTS[field](raw))
-    for flag, field in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
+            field, parse, _ = _OPTIONS[key]
+            values[field] = parse(raw)
+    for flag, (field, _, _) in _OPTIONS.items():
+        value = getattr(args, flag)
         if value is not None:
-            setattr(cfg, field, _FIELD_CASTS[field](value) if isinstance(value, str) else value)
-    cfg.validate()
-    return cfg
+            values[field] = value
+    return suites.RunConfig(**values)
 
 
 def config_echo(cfg: suites.RunConfig) -> dict:
@@ -250,22 +237,22 @@ def write_spectrum_artifacts(cfg: suites.RunConfig, out: Path) -> list:
                    "radius R", "lowest eigenvalue", hline=121.0)
 
     rs = np.linspace(0.2, max(cfg.radii), 240)
+    lap = geodesy.distance_laplacian(rs).tolist()
     svg_line_chart(out / "laplacian.svg",
-                   [("14 coth 2r + 8 coth r", list(rs),
-                     [geodesy.distance_laplacian(r) for r in rs])],
+                   [("14 coth 2r + 8 coth r", list(rs), lap)],
                    "Radial Laplacian of the distance function",
                    "r", "Laplacian", hline=22.0)
     with open(out / "laplacian.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "laplacian"])
-        for r in rs:
-            writer.writerow([repr(float(r)), repr(geodesy.distance_laplacian(float(r)))])
+        for r, value in zip(rs, lap):
+            writer.writerow([repr(float(r)), repr(value)])
     return estimates
 
 
-def write_pinch_artifacts(cfg: suites.RunConfig, out: Path) -> curvature.PinchResult:
+def write_pinch_artifacts(cfg: suites.RunConfig, out: Path,
+                          op: curvature.CurvatureOperator) -> curvature.PinchResult:
     out.mkdir(parents=True, exist_ok=True)
-    op = curvature.assemble_operator()
     result = curvature.pinch_extremes(op, starts=cfg.starts, max_steps=cfg.steps, seed=cfg.seed)
     with open(out / "pinch.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -280,17 +267,9 @@ def write_pinch_artifacts(cfg: suites.RunConfig, out: Path) -> curvature.PinchRe
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="master RNG seed (default 0)")
-    sub.add_argument("--trials", type=int, help="sampling budget (default 100000)")
-    sub.add_argument("--radius", help="comma separated domain radii")
-    sub.add_argument("--grid", help="comma separated cell counts")
-    sub.add_argument("--starts", type=int, help="search starts for the pinch run")
-    sub.add_argument("--steps", type=int, help="iteration cap for the pinch run")
-    sub.add_argument("--out", help="output directory for artifacts")
-    sub.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
+    for flag, (_, parse, help_text) in _OPTIONS.items():
+        sub.add_argument("--" + flag.replace("_", "-"), dest=flag, type=parse, help=help_text)
     sub.add_argument("--config", help="key=value config file; flags take precedence")
-    sub.add_argument("--mul-table", dest="mul_table",
-                     help="CSV multiplication table to verify instead of the builtin")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -351,7 +330,7 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
 
 def cmd_pinch(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out)
-    result = write_pinch_artifacts(cfg, out)
+    result = write_pinch_artifacts(cfg, out, curvature.assemble_operator())
     print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")
     print(f"model bounds are [-4, -1]; per-start values in {out / 'pinch.csv'}")
     return 0
@@ -362,9 +341,10 @@ def cmd_report(args, cfg: suites.RunConfig) -> int:
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
     write_spectrum_artifacts(cfg, out)
-    write_pinch_artifacts(cfg, out)
-    if getattr(args, "export_operator", False):
-        curvature.assemble_operator().export_csv(out / "operator.csv")
+    op = curvature.assemble_operator()
+    write_pinch_artifacts(cfg, out, op)
+    if args.export_operator:
+        op.export_csv(out / "operator.csv")
     path = write_report(build_report(results, cfg, timings), out, cfg.fmt)
     print(f"report written to {path}")
     return 0 if all(r.passed for r in results) else 1

@@ -31,7 +31,6 @@ ALPHA = -4.0
 
 # bitmask-free index bookkeeping for the 120 bivector monomials
 PAIRS = [(a, b) for a in range(N) for b in range(a + 1, N)]
-PAIR_INDEX = {ab: k for k, ab in enumerate(PAIRS)}
 _ROWS = np.array([a for a, _ in PAIRS])
 _COLS = np.array([b for _, b in PAIRS])
 
@@ -153,7 +152,6 @@ class CurvatureOperator:
     """Symmetric operator on bivector monomial coordinates (120 x 120)."""
 
     matrix: np.ndarray
-    alpha: float = ALPHA
     assembly_asymmetry: float = 0.0
 
     def tensor(self, x, y, z, w):
@@ -178,9 +176,6 @@ class CurvatureOperator:
             vecs = bivector(eye, np.broadcast_to(eye[a], (N, N)))
             ric += np.einsum("ui,ij,vj->uv", vecs, self.matrix, vecs)
         return ric
-
-    def scalar(self) -> float:
-        return float(np.trace(self.ricci()))
 
     def jacobi_matrix(self, u) -> np.ndarray:
         """Radial curvature operator X -> <R(X, u, Y, u)> in the basis."""
@@ -217,7 +212,7 @@ def assemble_operator(formula: SectionalCurvature | None = None) -> CurvatureOpe
     values = polarized_tensor(formula, x, y, z, w).reshape(m, m)
     asym = float(np.abs(values - values.T).max())
     sym = 0.5 * (values + values.T)
-    return CurvatureOperator(matrix=sym, alpha=formula.alpha, assembly_asymmetry=asym)
+    return CurvatureOperator(matrix=sym, assembly_asymmetry=asym)
 
 
 def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int = 200) -> float:

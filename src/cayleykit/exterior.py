@@ -21,8 +21,6 @@ identities that reduce such pairings to T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_DIM = 16
@@ -92,16 +90,8 @@ class Form:
         return cls(n, grade)
 
     @classmethod
-    def monomial(cls, n: int, indices, coeff: float = 1.0) -> "Form":
-        m = mask_of(indices)
-        return cls(n, len(tuple(indices)), {m: coeff})
-
-    @classmethod
     def volume(cls, n: int) -> "Form":
         return cls(n, n, {(1 << n) - 1: 1.0})
-
-    def copy(self) -> "Form":
-        return Form(self.n, self.grade, dict(self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -232,44 +222,12 @@ def hodge(eta: Form) -> Form:
     return Form(eta.n, eta.n - eta.grade, out)
 
 
-@dataclass(frozen=True)
-class HessianSurrogate:
-    """Symmetric coefficient matrix standing in for a covariant Hessian.
-
-    ``trace_free`` additionally enforces a vanishing trace, the harmonic
-    case in the duality identities.
-    """
-
-    matrix: np.ndarray
-    trace_free: bool = False
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        scale = max(1.0, float(np.abs(a).max()))
-        if np.abs(a - a.T).max() > 1e-12 * scale:
-            raise ValueError("matrix must be symmetric")
-        if self.trace_free and abs(np.trace(a)) > 1e-12 * scale:
-            raise ValueError("trace does not vanish")
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-def random_trace_free(n: int, rng: np.random.Generator) -> HessianSurrogate:
+def random_trace_free(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric trace-free n x n matrix, a Hessian surrogate in the harmonic case."""
     a = rng.uniform(-1.0, 1.0, (n, n))
     a = 0.5 * (a + a.T)
     a -= np.eye(n) * (np.trace(a) / n)
-    return HessianSurrogate(a, trace_free=True)
-
-
-def _coeff_matrix(a) -> np.ndarray:
-    if isinstance(a, HessianSurrogate):
-        return a.matrix
-    return np.asarray(a, dtype=float)
+    return a
 
 
 def action_terms(m: int, n: int):
@@ -297,7 +255,7 @@ def action_terms(m: int, n: int):
 
 def hessian_action(a, eta: Form) -> Form:
     """Apply ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w``."""
-    mat = _coeff_matrix(a)
+    mat = np.asarray(a, dtype=float)
     if mat.shape != (eta.n, eta.n):
         raise ValueError("coefficient matrix does not match the dimension")
     if eta.grade == 0:
@@ -358,7 +316,7 @@ def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms:
     sign_link = -1 if (n - 1) % 2 else 1
     res = {"direct_vs_T": 0.0, "codiff_vs_T": 0.0, "direct_vs_codiff": 0.0}
     for _ in range(trials):
-        a = random_trace_free(n, rng).matrix
+        a = random_trace_free(n, rng)
         omega = random_form(n, p, rng, terms=terms)
         t_form = hessian_action(a, omega)
         e_direct = hodge(_star_chain(a, omega))

@@ -35,15 +35,6 @@ class RadialModel:
 
     classes: tuple[tuple[float, int], ...] = ((2.0, 7), (1.0, 8))
 
-    @property
-    def growth_rate(self) -> float:
-        """Sum of c * multiplicity; the volume entropy of the model."""
-        return sum(c * m for c, m in self.classes)
-
-    @property
-    def dimension(self) -> int:
-        return 1 + sum(m for _, m in self.classes)
-
 
 CAYLEY = RadialModel()
 
@@ -237,18 +228,6 @@ class SpectrumEstimate:
         """Measured excess of the extrapolated value over the model constant."""
         return self.richardson - self.target
 
-    def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "cells": self.cells,
-            "value": self.value,
-            "coarse_value": self.coarse_value,
-            "richardson": self.richardson,
-            "error_estimate": self.error_estimate,
-            "converged": bool(self.converged),
-            "gap": self.gap,
-        }
-
 
 def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY,
                       rel_tol: float = 0.005) -> SpectrumEstimate:
@@ -283,79 +262,55 @@ def spectrum_sweep(radii, grids, model: RadialModel = CAYLEY) -> list[SpectrumEs
 # Warped-product cross-check
 
 
-@dataclass(frozen=True)
-class WarpedMetric:
-    """dt^2 + sum_A f_A(t)^2 omega_A^2 with f_A = e^{-c_A t} per class."""
-
-    classes: tuple[tuple[float, int], ...] = ((2.0, 7), (1.0, 8))
-
-    def warp(self, c: float, t: float) -> float:
-        return math.exp(-c * t)
-
-
 @dataclass
 class WarpedReport:
     sectional_exact: dict
-    sectional_fd: dict
     fd_residual: float
     mean_curvature: float
-    laplacian_height: float
     hessian_diagonal: tuple
     hessian_norm_sq: float
     cauchy_schwarz_lhs: float
-    ricci_radial: float
     jacobi_residual: float
 
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["sectional_exact"] = {str(k): v for k, v in self.sectional_exact.items()}
-        d["sectional_fd"] = {str(k): v for k, v in self.sectional_fd.items()}
-        d["hessian_diagonal"] = list(self.hessian_diagonal)
-        return d
 
-
-def warped_report(metric: WarpedMetric = WarpedMetric(), t0: float = 0.7,
-                  h: float = 1e-4) -> WarpedReport:
+def warped_report(model: RadialModel = CAYLEY, t0: float = 0.7, h: float = 1e-4) -> WarpedReport:
     """Evaluate the warped-metric identities at height t0.
 
-    Radial curvatures are computed both in closed form (-f''/f = -c^2) and
-    by a second central difference of the warp function with one
-    Richardson refinement, so an error in either route is visible.
+    The metric is dt^2 + sum over the classes (c, m) of the model of
+    e^{-2 c t} on m directions.  Radial curvatures are computed both in
+    closed form (-f''/f = -c^2 for f = e^{-c t}) and by a second central
+    difference of f with one Richardson refinement, so an error in either
+    route is visible.
     """
     exact = {}
-    fd = {}
     worst = 0.0
-    for c, _ in metric.classes:
-        f = lambda t: metric.warp(c, t)
+    for c, _ in model.classes:
+        f = lambda t: math.exp(-c * t)
         exact[c] = -c * c
 
         def second(hh):
             return (f(t0 + hh) - 2.0 * f(t0) + f(t0 - hh)) / hh**2
 
         d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
-        fd[c] = -d2 / f(t0)
-        worst = max(worst, abs(fd[c] - exact[c]))
+        worst = max(worst, abs(-d2 / f(t0) - exact[c]))
 
-    mean_curv = sum(-c * m for c, m in metric.classes)
-    hess_diag = tuple(-c for c, m in metric.classes for _ in range(m))
-    hess_sq = sum(c * c * m for c, m in metric.classes)
+    mean_curv = sum(-c * m for c, m in model.classes)
+    hess_diag = tuple(-c for c, m in model.classes for _ in range(m))
+    hess_sq = sum(c * c * m for c, m in model.classes)
     # block Cauchy-Schwarz applied to the two warp classes, sharp here
-    cs = sum((sum(-c for _ in range(m))) ** 2 / m for c, m in metric.classes)
+    cs = sum((sum(-c for _ in range(m))) ** 2 / m for c, m in model.classes)
     # transported Jacobi basis V_A = e^{-c_A t} e_A satisfies V'' = c^2 V
     jac = 0.0
-    for c, _ in metric.classes:
-        f = lambda t: metric.warp(c, t)
+    for c, _ in model.classes:
+        f = lambda t: math.exp(-c * t)
         d2 = (f(t0 + h) - 2.0 * f(t0) + f(t0 - h)) / h**2
         jac = max(jac, abs(d2 - c * c * f(t0)) / f(t0))
     return WarpedReport(
         sectional_exact=exact,
-        sectional_fd=fd,
         fd_residual=worst,
         mean_curvature=mean_curv,
-        laplacian_height=mean_curv,
         hessian_diagonal=hess_diag,
         hessian_norm_sq=hess_sq,
         cauchy_schwarz_lhs=cs,
-        ricci_radial=-hess_sq,
         jacobi_residual=jac,
     )

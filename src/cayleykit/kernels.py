@@ -15,9 +15,10 @@ extracted from a parallel form.  The minimum is computed twice:
   forms restricted to the constraint subspace.
 
 A disagreement beyond 1e-8 raises; nothing is averaged away.  The sharp
-ratio 1 + b feeds the Kato-type transform g = h^{1-b}, which eliminates
-the gradient term of the Bochner inequality and leaves the drift constant
-|Ric| (1 - b); for the 16-dimensional model that is 36 * 6/7 = 216/7.
+ratio 1 + b sets the exponent of the Kato-type transform g = h^{1-b}, the
+one exponent for which the gradient term of the Bochner inequality
+vanishes identically; what remains is the drift constant |Ric| (1 - b),
+for the 16-dimensional model 36 * 6/7 = 216/7.
 """
 
 from __future__ import annotations
@@ -104,22 +105,10 @@ class KernelResult:
     ratio: float
     rational: Fraction
     minimizer: np.ndarray
-    kato_b: float
     exponent: float
     drift: float
     eigen_ratio: float
     closed_ratio: float
-
-    def as_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "rational": [self.rational.numerator, self.rational.denominator],
-            "kato_b": self.kato_b,
-            "exponent": self.exponent,
-            "drift": self.drift,
-            "eigen_ratio": self.eigen_ratio,
-            "closed_ratio": self.closed_ratio,
-        }
 
 
 def _closed_form(problem: RatioProblem) -> tuple[float, np.ndarray]:
@@ -202,13 +191,11 @@ def min_bochner_ratio(problem: RatioProblem, ricci: float = MODEL_RICCI) -> Kern
     if abs(float(rational) - eigen_ratio) > 1e-9:
         raise ArithmeticError(f"minimal ratio {eigen_ratio!r} is not a small rational")
     ratio = float(rational)
-    b = ratio - 1.0
     transform = kato_transform(ratio, ricci)
     return KernelResult(
         ratio=ratio,
         rational=rational,
         minimizer=minimizer,
-        kato_b=b,
         exponent=transform.exponent,
         drift=transform.drift,
         eigen_ratio=eigen_ratio,
@@ -251,28 +238,20 @@ class KatoTransform:
     exponent: float
     drift: float
     degenerate: bool
-    gradient_coefficient: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "drift": self.drift,
-            "degenerate": self.degenerate,
-            "gradient_coefficient": [self.gradient_coefficient.numerator,
-                                     self.gradient_coefficient.denominator],
-        }
 
 
 def kato_transform(ratio: float, ricci: float = MODEL_RICCI) -> KatoTransform:
-    """Exponent and drift of g = h^{1-b}, checked as an exact identity.
+    """Exponent and drift of g = h^{1-b} for the sharp ratio 1 + b.
 
     Substituting Delta h >= b |grad h|^2 / h - |Ric| h into
     Delta(h^k) = k h^{k-1} Delta h + k (k-1) h^{k-2} |grad h|^2 gives
 
         Delta g >= k (b + k - 1) h^{k-2} |grad h|^2 - k |Ric| g,
 
-    and k = 1 - b kills the gradient coefficient exactly (verified in
-    rational arithmetic).  ratio = 2 means k = 0: flagged degenerate.
+    and k = 1 - b makes the gradient coefficient vanish identically.  b
+    and |Ric| are taken as small rationals, so exponent and drift are the
+    exact fractions rounded once.  ratio = 2 means k = 0: flagged
+    degenerate.
     """
     if not 1.0 < ratio <= 2.0:
         raise ValueError("ratio must lie in (1, 2]")
@@ -280,15 +259,10 @@ def kato_transform(ratio: float, ricci: float = MODEL_RICCI) -> KatoTransform:
         raise ValueError("the transform targets negative Ricci")
     b = Fraction(ratio - 1.0).limit_denominator(64)
     k = 1 - b
-    grad_coeff = k * (b + k - 1)  # exact zero by construction
-    if grad_coeff != 0:
-        raise ArithmeticError("gradient term failed to cancel")
     if k == 0:
-        return KatoTransform(exponent=0.0, drift=0.0, degenerate=True,
-                             gradient_coefficient=grad_coeff)
+        return KatoTransform(exponent=0.0, drift=0.0, degenerate=True)
     drift = float(k * Fraction(abs(ricci)).limit_denominator(64))
-    return KatoTransform(exponent=float(k), drift=drift, degenerate=False,
-                         gradient_coefficient=grad_coeff)
+    return KatoTransform(exponent=float(k), drift=drift, degenerate=False)
 
 
 def sharpness_sample(problem: RatioProblem, result: KernelResult,

@@ -21,13 +21,23 @@ from . import curvature, exterior, forms, geodesy, kernels, octonion
 SUITE_ORDER = ("octonion", "exterior", "curvature", "geodesy", "forms", "kernels")
 
 
-@dataclass
+# pinned tolerances, one per kind of residual
+TOL_IDENTITY = 1e-12
+TOL_ALGEBRA = 1e-10
+TOL_MODEL = 1e-9
+TOL_NUMERIC = 1e-8
+TOL_SEARCH = 1e-6
+TOL_SPECTRAL = 0.005
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the suites and the CLI.
+    """The settings of one run; each field is set by one command line flag.
 
     ``trials`` is the master sampling budget; suites derive their own
     counts from it (document: forms specs = trials / 1000, random planes
-    = trials / 10, sparse forms = trials / 100, all at least 1).
+    = trials / 10, sparse forms = trials / 100, all at least 1).  Every
+    value is checked here, before any suite runs.
     """
 
     seed: int = 0
@@ -39,28 +49,20 @@ class RunConfig:
     table_path: str | None = None
     starts: int = 64
     steps: int = 10000
-    tol_identity: float = 1e-12
-    tol_algebra: float = 1e-10
-    tol_model: float = 1e-9
-    tol_numeric: float = 1e-8
-    tol_search: float = 1e-6
-    tol_spectral: float = 0.005
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Config fields can be assigned after construction; callers that
-        mutate should re-validate."""
         for name in ("trials", "starts", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("tol_identity", "tol_algebra", "tol_model",
-                     "tol_numeric", "tol_search", "tol_spectral"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.fmt not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {self.fmt!r}")
         if not self.radii or not self.grids:
             raise ValueError("radii and grids must be nonempty")
+        # the smallest problem any spectrum estimate solves: its coarse half grid
+        for radius in self.radii:
+            geodesy.SturmLiouvilleProblem(radius, min(self.grids) // 2)
 
     def suite_rng(self, name: str) -> np.random.Generator:
         key = SUITE_ORDER.index(name)
@@ -149,27 +151,27 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     right = octonion.mul_arrays(ab, b, table) - octonion.mul_arrays(a, octonion.mul_arrays(b, b, table), table)
     out.add("octonion.alternative-laws",
             max(_relative(left.max(axis=-1), scale), _relative(right.max(axis=-1), scale)),
-            cfg.tol_identity)
+            TOL_IDENTITY)
 
     conj_prod = octonion.conj_arrays(ab)
     rev = octonion.mul_arrays(octonion.conj_arrays(b), octonion.conj_arrays(a), table)
     out.add("octonion.conjugation-reversal", _relative((conj_prod - rev).max(axis=-1), scale),
-            cfg.tol_identity)
+            TOL_IDENTITY)
 
     na = octonion.norm_arrays(a)
     nb = octonion.norm_arrays(b)
     out.add("octonion.norm-multiplicativity",
-            _relative(octonion.norm_arrays(ab) - na * nb, na * nb), cfg.tol_identity)
+            _relative(octonion.norm_arrays(ab) - na * nb, na * nb), TOL_IDENTITY)
 
     sq = octonion.mul_arrays(a, octonion.conj_arrays(a), table)
     dev = np.abs(sq[:, 1:]).max(axis=-1) + np.abs(sq[:, 0] - na**2)
-    out.add("octonion.conjugate-square-norm", _relative(dev, na**2), cfg.tol_identity)
+    out.add("octonion.conjugate-square-norm", _relative(dev, na**2), TOL_IDENTITY)
 
     e = np.eye(8)[1:]  # imaginary units e_0 .. e_6
     fro1 = octonion.mul_arrays(octonion.mul_arrays(e[0], e[1], table), e[2], table)
     fro2 = octonion.mul_arrays(e[0], octonion.mul_arrays(e[1], e[2], table), table)
     wit = max(np.abs(fro1 + e[5]).max(), np.abs(fro2 - e[5]).max())
-    out.add("octonion.association-witness", wit, cfg.tol_identity,
+    out.add("octonion.association-witness", wit, TOL_IDENTITY,
             "(e0 e1) e2 = -e5 while e0 (e1 e2) = +e5")
     return out
 
@@ -224,19 +226,19 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
         adj = abs(ex.inner(ex.epsilon(k, xi), eta) - ex.inner(xi, ex.interior(k, eta)))
         worst["adjoint"] = max(worst["adjoint"], adj)
 
-    out.add("exterior.star-involution", worst["involution"], cfg.tol_identity)
-    out.add("exterior.star-after-epsilon", worst["push"], cfg.tol_identity)
-    out.add("exterior.epsilon-after-star", worst["pull"], cfg.tol_identity)
-    out.add("exterior.star-epsilon-star", worst["double"], cfg.tol_identity)
-    out.add("exterior.contraction-anticommutator", worst["anticommute"], cfg.tol_identity)
-    out.add("exterior.epsilon-interior-adjoint", worst["adjoint"], cfg.tol_identity)
+    out.add("exterior.star-involution", worst["involution"], TOL_IDENTITY)
+    out.add("exterior.star-after-epsilon", worst["push"], TOL_IDENTITY)
+    out.add("exterior.epsilon-after-star", worst["pull"], TOL_IDENTITY)
+    out.add("exterior.star-epsilon-star", worst["double"], TOL_IDENTITY)
+    out.add("exterior.contraction-anticommutator", worst["anticommute"], TOL_IDENTITY)
+    out.add("exterior.epsilon-interior-adjoint", worst["adjoint"], TOL_IDENTITY)
 
     trials = 100
     chain = 0.0
     for n, p in ((4, 2), (8, 4), (16, 8)):
         rep = ex.duality_report(n, p, trials, rng)
         chain = max(chain, rep["max"])
-    out.add("exterior.duality-chain", chain, cfg.tol_identity,
+    out.add("exterior.duality-chain", chain, TOL_IDENTITY,
             "grades (4,2), (8,4), (16,8)")
 
     ser = 0.0
@@ -261,36 +263,36 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     same = formula.plane_value(np.concatenate([a, zero], axis=1), np.concatenate([c, zero], axis=1))
     mixed = formula.plane_value(np.concatenate([a, zero], axis=1), np.concatenate([zero, c], axis=1))
     res_adapted = max(np.abs(same + 4.0).max(), np.abs(mixed + 1.0).max())
-    out.add("curvature.adapted-sectional", res_adapted, cfg.tol_model)
+    out.add("curvature.adapted-sectional", res_adapted, TOL_MODEL)
 
     planes = max(1, cfg.trials // 10)
     x, y = rng.uniform(-1.0, 1.0, (2, planes, curvature.N))
     ks = formula.plane_value(x, y)
     ks = ks[~np.isnan(ks)]
     overshoot = max(0.0, float((-4.0 - ks.min())), float(ks.max() - (-1.0)))
-    out.add("curvature.pinch-range", overshoot, cfg.tol_model,
+    out.add("curvature.pinch-range", overshoot, TOL_MODEL,
             f"{ks.size} random planes in [-4, -1]")
 
     mirrored = curvature.SectionalCurvature(swap_products=True)
     km = mirrored.plane_value(x, y)
     km = km[~np.isnan(km)]
     mirror_overshoot = max(0.0, float((-4.0 - km.min())), float(km.max() - (-1.0)))
-    both = mirror_overshoot <= cfg.tol_model
-    out.add("curvature.product-order-reading", overshoot, cfg.tol_model,
+    both = mirror_overshoot <= TOL_MODEL
+    out.add("curvature.product-order-reading", overshoot, TOL_MODEL,
             "chosen reading <ab,cd> passes; mirrored reading "
             + ("also satisfies the bounds" if both else "fails the bounds"))
 
     op = curvature.assemble_operator(formula)
     sym = max(op.assembly_asymmetry, curvature.symmetry_residual(op, rng, trials=500))
-    out.add("curvature.operator-pair-symmetry", sym, cfg.tol_algebra)
-    out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), cfg.tol_algebra)
+    out.add("curvature.operator-pair-symmetry", sym, TOL_ALGEBRA)
+    out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), TOL_ALGEBRA)
     out.add("curvature.operator-roundtrip",
             curvature.roundtrip_residual(op, formula, rng, trials=max(1, cfg.trials // 10)),
-            cfg.tol_model)
+            TOL_MODEL)
 
     ric = op.ricci()
     out.add("curvature.einstein-constant", float(np.abs(ric + 36.0 * np.eye(curvature.N)).max()),
-            cfg.tol_model, "Ric = -36 I, scalar -576")
+            TOL_MODEL, "Ric = -36 I, scalar -576")
 
     target = np.array([-4.0] * 7 + [-1.0] * 8 + [0.0])
     jac = 0.0
@@ -299,13 +301,13 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
         u /= np.linalg.norm(u)
         spec = np.sort(op.jacobi_spectrum(u))
         jac = max(jac, float(np.abs(spec - np.sort(target)).max()))
-    out.add("curvature.radial-spectrum", jac, cfg.tol_numeric,
+    out.add("curvature.radial-spectrum", jac, TOL_NUMERIC,
             "eigenvalues {0, -4 x 7, -1 x 8} for every unit direction")
 
     pinch = curvature.pinch_extremes(op, starts=cfg.starts, max_steps=cfg.steps,
                                      seed=int(rng.integers(0, 2**32)))
     res_pinch = max(abs(pinch.minimum + 4.0), abs(pinch.maximum + 1.0))
-    out.add("curvature.pinch-search", res_pinch, cfg.tol_search,
+    out.add("curvature.pinch-search", res_pinch, TOL_SEARCH,
             f"extremes ({pinch.minimum:.8f}, {pinch.maximum:.8f}) from {cfg.starts} starts")
     return out
 
@@ -316,7 +318,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
 
     frozen = 25.026688374180324  # 14 coth 2 + 8 coth 1
     out.add("geodesy.distance-laplacian-value",
-            abs(g.distance_laplacian(1.0) - frozen), cfg.tol_model)
+            abs(g.distance_laplacian(1.0) - frozen), TOL_MODEL)
     limits = max(abs(g.distance_laplacian(20.0) - 22.0),
                  abs(1e-4 * g.distance_laplacian(1e-4) - 15.0))
     out.add("geodesy.distance-laplacian-limits", limits, 1e-6,
@@ -329,7 +331,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
         h = 1e-6
         route3 = (g.log_area(r + h) - g.log_area(r - h)) / (2.0 * h)
         tri = max(tri, abs(route1 - route2), abs(route1 - route3))
-    out.add("geodesy.consistency-triangle", tri, cfg.tol_numeric,
+    out.add("geodesy.consistency-triangle", tri, TOL_NUMERIC,
             "closed form vs index-form sum vs area derivative")
 
     quad = 0.0
@@ -339,7 +341,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
                 fp = c * np.cosh(c * t) / np.sinh(c * L)
                 return float(fp**2 + c**2 * g.jacobi_profile(c, L, t) ** 2)
             quad = max(quad, abs(g.adaptive_simpson(energy, 0.0, L) - g.hessian_eigenvalue(c, L)))
-    out.add("geodesy.jacobi-index-form", quad, cfg.tol_numeric)
+    out.add("geodesy.jacobi-index-form", quad, TOL_NUMERIC)
 
     grow = abs(g.log_area(50.0) / 50.0 - 22.0) / 22.0
     small = abs(g.area(1e-3) / (2.0**7 * (1e-3) ** 15) - 1.0)
@@ -354,9 +356,12 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     est = g.spectrum_estimate(10.0, grid)
     in_band = 121.0 <= est.value <= 123.0
     rel = abs(est.richardson - 121.0) / 121.0
-    out.add("geodesy.spectrum-bottom", rel if in_band else 1.0, cfg.tol_spectral,
-            f"R=10 N={grid}: value {est.value:.6f}, extrapolated {est.richardson:.6f} "
+    note = (f"R=10 N={grid}: value {est.value:.6f}, extrapolated {est.richardson:.6f} "
             f"(gap {est.gap:+.4f})")
+    if not est.converged:
+        note += ", unconverged"
+    out.add("geodesy.spectrum-bottom", rel if in_band and est.converged else 1.0, TOL_SPECTRAL,
+            note)
 
     lams = [g.spectrum_estimate(r, min(cfg.grids)).value for r in cfg.radii]
     monotone = all(lams[i] >= lams[i + 1] - 1e-9 for i in range(len(lams) - 1))
@@ -371,7 +376,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     lapack = float(scipy.linalg.eigh_tridiagonal(
         d, e, eigvals_only=True, select="i", select_range=(0, 0),
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)[0])
-    out.add("geodesy.sturm-crosscheck", abs(own - lapack), cfg.tol_model,
+    out.add("geodesy.sturm-crosscheck", abs(own - lapack), TOL_MODEL,
             "multisection bisection vs LAPACK")
 
     rep = g.warped_report()
@@ -382,9 +387,9 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
         abs(sum(rep.hessian_diagonal[:7]) + 14.0),
         abs(sum(rep.hessian_diagonal[7:]) + 8.0),
     )
-    out.add("geodesy.warped-constants", fixed, cfg.tol_identity,
+    out.add("geodesy.warped-constants", fixed, TOL_IDENTITY,
             "mean curvature -22, Hessian norm 36, Cauchy-Schwarz saturated")
-    out.add("geodesy.warped-curvature-fd", max(rep.fd_residual, rep.jacobi_residual), cfg.tol_search)
+    out.add("geodesy.warped-curvature-fd", max(rep.fd_residual, rep.jacobi_residual), TOL_SEARCH)
     return out
 
 
@@ -403,7 +408,7 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
 
     q1 = f.quaternionic_form(1)
     vol_dev = (q1 - 6.0 * exterior.Form.volume(4)).sup_norm()
-    out.add("forms.quaternionic-volume", vol_dev, cfg.tol_identity, "n = 1 form is 6 vol")
+    out.add("forms.quaternionic-volume", vol_dev, TOL_IDENTITY, "n = 1 form is 6 vol")
 
     got_q1 = f.standard_constraints("quaternionic", 1)
     exp_q1 = f.ConstraintSet(4, [tuple([((i, i), 1.0) for i in range(4)])])
@@ -430,7 +435,7 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
         keys = set(func) | set(expect)
         func_dev = max(func_dev, max(abs(func.get(k, 0.0) - expect.get(k, 0.0)) for k in keys))
         leak = max(leak, f.no_leak_report(f.build_correction(spec))["max_leak"])
-    out.add("forms.spin9-top-functional", func_dev, cfg.tol_identity,
+    out.add("forms.spin9-top-functional", func_dev, TOL_IDENTITY,
             f"-sum of the first eight diagonal entries, independent of F ({specs} corrections)")
     out.add("forms.spin9-no-leak", leak, 0.0,
             "all 256 index pairs leave both top coefficients untouched")
@@ -456,12 +461,12 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     prob9 = k.RatioProblem(16, f.standard_constraints("spin9"))
     r9 = k.min_bochner_ratio(prob9)
     cross = abs(r9.eigen_ratio - r9.closed_ratio)
-    out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, cfg.tol_model,
+    out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, TOL_MODEL,
             f"minimal ratio 8/7, routes agree to {cross:.2e}")
 
     canon = k.canonical_minimizer(r9.minimizer, prob9)
     want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
-    out.add("kernels.spin9-minimizer", float(np.abs(canon - want).max()), cfg.tol_model,
+    out.add("kernels.spin9-minimizer", float(np.abs(canon - want).max()), TOL_MODEL,
             "diag(-7 mu, mu I7, 0_8) up to scale")
 
     res = 0.0
@@ -471,17 +476,17 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
         deg = k.kato_transform(rk.ratio)
         if not deg.degenerate:
             res = max(res, 1.0)
-    out.add("kernels.ratio-kahler", res, cfg.tol_model, "ratio 2, transform degenerate")
+    out.add("kernels.ratio-kahler", res, TOL_MODEL, "ratio 2, transform degenerate")
 
     res = 0.0
     for n in (1, 2):
         rq = k.min_bochner_ratio(k.RatioProblem(4 * n, f.standard_constraints("quaternionic", n)))
         res = max(res, abs(rq.ratio - 4.0 / 3.0), abs(rq.drift - 24.0))
-    out.add("kernels.ratio-quaternionic", res, cfg.tol_model)
+    out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
 
     sample = k.sharpness_sample(prob9, r9, rng, samples=cfg.trials)
     attained = abs(prob9.objective(r9.minimizer) - r9.ratio)
-    out.add("kernels.sharpness", float(sample["violations"]) + min(attained, 1.0), cfg.tol_model,
+    out.add("kernels.sharpness", float(sample["violations"]) + min(attained, 1.0), TOL_MODEL,
             f"{sample['samples']} feasible samples, none below 8/7; minimizer attains")
 
     extra = list(f.standard_constraints("spin9").rows) + [(((1, 1), 1.0), ((9, 9), 1.0))]
@@ -491,14 +496,12 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
             f"extra constraint moves the ratio to {tightened:.6f}")
 
     kt = k.kato_transform(8.0 / 7.0)
-    trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0),
-                float(kt.gradient_coefficient != 0))
-    out.add("kernels.kato-transform", trans, cfg.tol_identity,
-            "exponent 6/7, drift 216/7, gradient term cancels exactly")
+    trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0))
+    out.add("kernels.kato-transform", trans, TOL_IDENTITY, "exponent 6/7, drift 216/7")
 
     thr = max(abs(k.vanishing_threshold(1.0) + 242.0),
               abs(k.vanishing_threshold(1.0 / 7.0) + 8.0 / 7.0 * 121.0))
-    out.add("kernels.vanishing-thresholds", thr, cfg.tol_identity,
+    out.add("kernels.vanishing-thresholds", thr, TOL_IDENTITY,
             "threshold -(1 + b) 121: -242 at b = 1, -968/7 at b = 1/7")
     return out
 

@@ -128,10 +128,13 @@ def test_pinch_artifacts(tmp_path):
 
 
 def test_report_command_with_operator_export(tmp_path):
+    search = ("--starts", 8, "--steps", 4000, "--seed", 5)
     proc = run_cli("report", "--trials", 2000, "--radius", "4,6", "--grid", "400,800",
-                   "--starts", 8, "--steps", 4000, "--seed", 5, "--out", tmp_path,
-                   "--export-operator")
+                   *search, "--out", tmp_path, "--export-operator")
     assert proc.returncode == 0
+    # report shares one operator between pinch.csv and operator.csv; same search as pinch
+    assert run_cli("pinch", *search, "--out", tmp_path / "pinch").returncode == 0
+    assert (tmp_path / "pinch.csv").read_bytes() == (tmp_path / "pinch" / "pinch.csv").read_bytes()
     for name in ("report.json", "spectrum.csv", "spectrum.svg", "laplacian.csv",
                  "laplacian.svg", "pinch.csv", "operator.csv"):
         assert (tmp_path / name).exists()
@@ -156,10 +159,14 @@ def test_config_file_with_flag_precedence(tmp_path):
 
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seed 3\n")
-    proc = run_cli("verify", "octonion", "--config", cfg)
-    assert proc.returncode == 2
-    assert "bad.cfg:1" in proc.stderr
+    # a line without "=", a value only the flag would have rejected, a field name as key
+    for text, message in (("seed 3\n", "bad.cfg:1"), ("format = xml\n", "format"),
+                          ("radii = 4\n", "unknown config key 'radii'")):
+        cfg.write_text(text)
+        proc = run_cli("verify", "octonion", "--config", cfg, "--out", tmp_path)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_csv_report_format(tmp_path):

@@ -138,7 +138,7 @@ def test_sectional_from_operator_matches_formula():
 def test_ricci_einstein_and_scalar():
     ric = OP.ricci()
     assert np.abs(ric + 36.0 * np.eye(N)).max() <= 1e-9
-    assert OP.scalar() == pytest.approx(-576.0, abs=1e-8)
+    assert np.trace(ric) == pytest.approx(-576.0, abs=1e-8)
 
 
 def test_jacobi_spectrum_structure():

@@ -4,7 +4,6 @@ import pytest
 import oracles
 from cayleykit.exterior import (
     Form,
-    HessianSurrogate,
     duality_report,
     epsilon,
     hessian_action,
@@ -123,7 +122,7 @@ def test_epsilon_interior_adjoint():
 def test_inner_is_monomial_orthonormal():
     eta = Form(6, 2, {0b11: 2.0, 0b101: -3.0})
     assert inner(eta, eta) == pytest.approx(13.0)
-    assert inner(Form.monomial(6, (0, 1)), Form.monomial(6, (0, 2))) == 0.0
+    assert inner(Form(6, 2, {0b11: 1.0}), Form(6, 2, {0b101: 1.0})) == 0.0
 
 
 def test_hessian_action_identity_and_trace():
@@ -199,15 +198,15 @@ def test_form_validation_and_algebra():
         Form(40, 1, {})
     with pytest.raises(ValueError):
         Form(4, 1, {0b11: 1.0})  # wrong popcount for the grade
-    a = Form.monomial(4, (0, 1), 2.0)
-    b = Form.monomial(4, (1, 2), 1.0)
+    a = Form(4, 2, {mask_of((0, 1)): 2.0})
+    b = Form(4, 2, {mask_of((1, 2)): 1.0})
     assert (a + b).coefficient((0, 1)) == 2.0
     assert (a - a).is_zero()
     assert (3.0 * a).coefficient((0, 1)) == 6.0
     with pytest.raises(ValueError):
-        a + Form.monomial(4, (0,), 1.0)
+        a + Form(4, 1, {mask_of((0,)): 1.0})
     with pytest.raises(ValueError):
-        a + Form.monomial(5, (0, 1), 1.0)
+        a + Form(5, 2, {mask_of((0, 1)): 1.0})
 
 
 def test_wedge_associativity_and_sign_rule():
@@ -221,21 +220,7 @@ def test_wedge_associativity_and_sign_rule():
 
 
 def test_random_trace_free_shape():
-    sur = random_trace_free(16, RNG)
-    a = sur.matrix
+    a = random_trace_free(16, RNG)
     assert a.shape == (16, 16)
     assert abs(np.trace(a)) <= 1e-12
     assert np.abs(a - a.T).max() <= 1e-15
-
-
-def test_hessian_surrogate_validation():
-    good = random_trace_free(8, RNG).matrix
-    sur = HessianSurrogate(good, trace_free=True)
-    assert sur.matrix.shape == (8, 8)
-    bad = good.copy()
-    bad[0, 1] += 1.0
-    with pytest.raises(ValueError):
-        HessianSurrogate(bad)
-    shifted = good + np.eye(8)
-    with pytest.raises(ValueError):
-        HessianSurrogate(shifted, trace_free=True)

@@ -9,7 +9,6 @@ from cayleykit.geodesy import (
     CAYLEY,
     RadialModel,
     SturmLiouvilleProblem,
-    WarpedMetric,
     adaptive_simpson,
     area,
     area_volume,
@@ -27,9 +26,10 @@ from cayleykit.geodesy import (
 
 
 def test_model_constants():
-    assert CAYLEY.dimension == 16
-    assert CAYLEY.growth_rate == 22.0
-    assert RadialModel(((1.0, 3),)).dimension == 4
+    # dimension 1 + 15 and volume entropy 22 = sum of c * multiplicity
+    assert CAYLEY.classes == ((2.0, 7), (1.0, 8))
+    assert 1 + sum(m for _, m in CAYLEY.classes) == 16
+    assert sum(c * m for c, m in CAYLEY.classes) == 22.0
 
 
 def test_laplacian_frozen_value():
@@ -169,8 +169,7 @@ def test_spectrum_estimate_richardson_hits_target():
     assert abs(est.richardson - 121.0) / 121.0 <= 0.005
     assert est.converged
     assert est.gap == pytest.approx(est.richardson - 121.0)
-    d = est.as_dict()
-    assert d["radius"] == 10.0 and d["cells"] == 8000
+    assert est.radius == 10.0 and est.cells == 8000
 
 
 def test_spectrum_monotone_in_domain():
@@ -193,10 +192,8 @@ def test_spectrum_unconverged_flag_on_coarse_grid():
 def test_warped_metric_constants():
     rep = warped_report()
     assert rep.mean_curvature == pytest.approx(-22.0, abs=1e-12)
-    assert rep.laplacian_height == pytest.approx(-22.0, abs=1e-12)
     assert rep.hessian_norm_sq == pytest.approx(36.0, abs=1e-12)
     assert rep.cauchy_schwarz_lhs == pytest.approx(36.0, abs=1e-12)
-    assert rep.ricci_radial == pytest.approx(-36.0, abs=1e-12)
     assert tuple(rep.hessian_diagonal) == (-2.0,) * 7 + (-1.0,) * 8
     assert rep.fd_residual <= 1e-6
     assert rep.jacobi_residual <= 1e-6
@@ -206,16 +203,8 @@ def test_warped_metric_constants():
 
 
 def test_warped_metric_custom_classes():
-    metric = WarpedMetric(((3.0, 2),))
-    assert metric.warp(3.0, 0.0) == 1.0
-    rep = warped_report(metric)
+    rep = warped_report(RadialModel(((3.0, 2),)))
+    assert rep.sectional_exact == {3.0: -9.0}
+    assert rep.fd_residual <= 1e-6
     assert rep.mean_curvature == pytest.approx(-6.0)
     assert rep.hessian_norm_sq == pytest.approx(18.0)
-
-
-def test_as_dict_round_trips_to_json():
-    import json
-
-    rep = warped_report()
-    text = json.dumps(rep.as_dict())
-    assert "mean_curvature" in json.loads(text)

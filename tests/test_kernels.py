@@ -112,7 +112,6 @@ def test_kato_transform_values():
     assert t.exponent == pytest.approx(6.0 / 7.0, abs=1e-15)
     assert float(t.drift) == pytest.approx(216.0 / 7.0, abs=1e-12)
     assert not t.degenerate
-    assert t.gradient_coefficient == 0
 
     q = kato_transform(4.0 / 3.0)
     assert q.exponent == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -166,11 +165,3 @@ def test_constraint_convention_matches_evaluate():
         mat = prob.matrix_from_coordinates(basis[:, k])
         assert np.abs(oracles.evaluate(cs, mat)).max() <= 1e-9
         assert abs(np.trace(mat)) <= 1e-9
-
-
-def test_result_as_dict_serializable():
-    import json
-
-    d = SPIN9_RESULT.as_dict()
-    text = json.dumps(d)
-    assert json.loads(text)["ratio"] == pytest.approx(8.0 / 7.0)

@@ -1,5 +1,6 @@
 """Unit checks for the suite layer: substreams, ordering, config contract."""
 
+import dataclasses
 import itertools
 from functools import partial
 
@@ -25,16 +26,12 @@ def test_suite_registry_matches_order():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(trials=0)
-    with pytest.raises(ValueError):
-        RunConfig(tol_model=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(radii=())
-    cfg = RunConfig()
-    cfg.steps = 0  # mutation after construction needs an explicit re-check
-    with pytest.raises(ValueError):
-        cfg.validate()
+    for bad in (dict(trials=0), dict(steps=0), dict(radii=()), dict(radii=(0.5,)),
+                dict(grids=(150,)), dict(seed=-1), dict(fmt="xml")):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        RunConfig().steps = 0  # construction is the only place values are checked
 
 
 def test_suite_rng_substreams_are_stable_and_distinct():
@@ -69,6 +66,16 @@ def test_geodesy_results_ignore_wall_clock(monkeypatch):
         monkeypatch.setattr(suites.time, "monotonic", partial(next, itertools.count(0.0, step)))
         runs.append(SUITES["geodesy"](RunConfig(**FAST)).as_dict())
     assert runs[0] == runs[1]
+
+
+def test_unconverged_spectrum_fails(monkeypatch):
+    real = suites.geodesy.spectrum_estimate
+    monkeypatch.setattr(suites.geodesy, "spectrum_estimate",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False))
+    result = SUITES["geodesy"](RunConfig(**FAST))
+    check = next(c for c in result.checks if c.check == "geodesy.spectrum-bottom")
+    assert not check.passed and check.residual == 1.0
+    assert "unconverged" in check.note
 
 
 def test_check_bookkeeping():
