@@ -309,14 +309,14 @@ def cmd_verify(args, cfg: suites.RunConfig) -> int:
         names = [n for n in suites.SUITE_ORDER if n in wanted]
     results, timings = suites.run_suites(names, cfg)
     print_results(results)
-    if args.out is not None:
+    if cfg.out is not None:
         path = write_report(build_report(results, cfg, timings), Path(cfg.out), cfg.fmt)
         print(f"report written to {path}")
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out)
+    out = Path(cfg.out or ".")
     estimates = write_spectrum_artifacts(cfg, out)
     print(f"{'radius':>8} {'cells':>7} {'value':>14} {'extrapolated':>14} {'gap':>10}")
     for est in estimates:
@@ -329,7 +329,7 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
 
 
 def cmd_pinch(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out)
+    out = Path(cfg.out or ".")
     result = write_pinch_artifacts(cfg, out, curvature.assemble_operator())
     print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")
     print(f"model bounds are [-4, -1]; per-start values in {out / 'pinch.csv'}")
@@ -337,7 +337,7 @@ def cmd_pinch(args, cfg: suites.RunConfig) -> int:
 
 
 def cmd_report(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out)
+    out = Path(cfg.out or ".")
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
     write_spectrum_artifacts(cfg, out)

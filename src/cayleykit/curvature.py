@@ -248,8 +248,6 @@ def roundtrip_residual(op: CurvatureOperator, formula: SectionalCurvature, rng: 
 class PinchResult:
     minimum: float
     maximum: float
-    min_plane: tuple[np.ndarray, np.ndarray]
-    max_plane: tuple[np.ndarray, np.ndarray]
     final_values: np.ndarray = field(repr=False)
 
 
@@ -288,20 +286,17 @@ def _pinch_direction(op: CurvatureOperator, rng, starts, max_steps, step0, maxim
         step = np.where(better, step, step * 0.5)
         if np.all(step < 1e-14):
             break
-    best = int(np.argmax(value))
-    return sign * value, (x[best], y[best])
+    return sign * value
 
 
 def pinch_extremes(op: CurvatureOperator, starts: int = 64, max_steps: int = 10000,
                    step: float = 1e-2, seed: int = 0) -> PinchResult:
     """Projected-gradient search for extreme sectional values on G(2, 16)."""
     rng = np.random.default_rng(seed)
-    min_vals, min_plane = _pinch_direction(op, rng, starts, max_steps, step, maximize=False)
-    max_vals, max_plane = _pinch_direction(op, rng, starts, max_steps, step, maximize=True)
+    min_vals = _pinch_direction(op, rng, starts, max_steps, step, maximize=False)
+    max_vals = _pinch_direction(op, rng, starts, max_steps, step, maximize=True)
     return PinchResult(
         minimum=float(min_vals.min()),
         maximum=float(max_vals.max()),
-        min_plane=min_plane,
-        max_plane=max_plane,
         final_values=np.concatenate([min_vals, max_vals]),
     )

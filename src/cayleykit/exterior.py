@@ -325,7 +325,4 @@ def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms:
         res["codiff_vs_T"] = max(res["codiff_vs_T"], (e_codiff - sign_codiff * t_form).sup_norm())
         res["direct_vs_codiff"] = max(res["direct_vs_codiff"], (e_direct - sign_link * e_codiff).sup_norm())
     res["max"] = max(res.values())
-    res["sign_direct"] = sign_direct
-    res["sign_codiff"] = sign_codiff
-    res["sign_link"] = sign_link
     return res

@@ -179,7 +179,7 @@ def spin9_targets() -> tuple[int, int]:
     return V_TOP, W_TOP
 
 
-def no_leak_report(correction: Form) -> dict:
+def no_leak_report(correction: Form) -> float:
     """Max coefficient the correction contributes to either top monomial.
 
     Applies eps(theta^i) l(e_j) for all 256 index pairs and reads the two
@@ -188,7 +188,6 @@ def no_leak_report(correction: Form) -> dict:
     from .exterior import epsilon, interior
 
     worst = 0.0
-    worst_pair = None
     for j in range(SPIN9_DIM):
         lowered = interior(j, correction)
         if lowered.is_zero():
@@ -196,10 +195,8 @@ def no_leak_report(correction: Form) -> dict:
         for i in range(SPIN9_DIM):
             raised = epsilon(i, lowered)
             leak = max(abs(raised.coefficient(V_TOP)), abs(raised.coefficient(W_TOP)))
-            if leak > worst:
-                worst = leak
-                worst_pair = (i, j)
-    return {"max_leak": worst, "worst_pair": worst_pair, "pairs_checked": SPIN9_DIM**2}
+            worst = max(worst, leak)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +244,6 @@ class ConstraintSet:
     def __init__(self, n: int, rows):
         self.n = n
         self.rows = [tuple(sorted(r.items())) if isinstance(r, dict) else tuple(r) for r in rows]
-
-    def __len__(self):
-        return len(self.rows)
 
     def __eq__(self, other):
         return isinstance(other, ConstraintSet) and self.n == other.n and self.rows == other.rows

@@ -105,7 +105,6 @@ class KernelResult:
     ratio: float
     rational: Fraction
     minimizer: np.ndarray
-    exponent: float
     drift: float
     eigen_ratio: float
     closed_ratio: float
@@ -196,7 +195,6 @@ def min_bochner_ratio(problem: RatioProblem, ricci: float = MODEL_RICCI) -> Kern
         ratio=ratio,
         rational=rational,
         minimizer=minimizer,
-        exponent=transform.exponent,
         drift=transform.drift,
         eigen_ratio=eigen_ratio,
         closed_ratio=closed_ratio,
@@ -278,6 +276,5 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
     ratios = num[good] / den[good]
     return {
         "samples": int(np.sum(good)),
-        "min_ratio_observed": float(ratios.min()),
         "violations": int(np.sum(ratios < result.ratio - 1e-12)),
     }

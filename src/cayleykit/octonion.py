@@ -98,7 +98,7 @@ class MultiplicationTable:
 
     @classmethod
     def load(cls, path) -> "MultiplicationTable":
-        """Read a table written by :meth:`save` (used by CLI fixtures)."""
+        """Read a table written by :meth:`save` (the ``--mul-table`` file)."""
         with open(path, newline="") as fh:
             rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
         if len(rows) != DIM or any(len(r) != DIM for r in rows):

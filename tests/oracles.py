@@ -4,7 +4,8 @@ The alternating-tensor helpers work on full n^p component arrays with
 explicit permutation sums, so they share no code path with the sparse
 bitmask algebra they are used to check.  Only practical for small n.
 The constraint helpers evaluate and satisfy ``ConstraintSet`` rows
-directly in matrix entries.
+directly in matrix entries.  ``sturm_count`` counts tridiagonal
+eigenvalues by the Sturm sequence in plain numpy, independent of LAPACK.
 """
 
 import itertools
@@ -136,3 +137,17 @@ def project_feasible(constraints, a):
     for k, (i, j) in enumerate(coords):
         b[i, j] = b[j, i] = vec[k] if i == j else vec[k] / 2.0
     return b
+
+
+def sturm_count(diag, off, shifts):
+    """Number of eigenvalues of the symmetric tridiagonal (diag, off) below each shift."""
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    q = diag[0] - shifts
+    count = (q < 0.0).astype(int)
+    tiny = 1e-300
+    off2 = off * off
+    for k in range(1, diag.size):
+        q = np.where(np.abs(q) < tiny, -tiny, q)
+        q = diag[k] - shifts - off2[k - 1] / q
+        count += q < 0.0
+    return count

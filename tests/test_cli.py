@@ -75,9 +75,16 @@ def test_corrupted_table_fails_named_check(tmp_path):
 def test_malformed_table_is_usage_error(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("this,is,not,a,table\n")
-    proc = run_cli("verify", "octonion", "--mul-table", path)
-    assert proc.returncode == 2
-    assert "error" in proc.stderr
+    missing = tmp_path / "missing.csv"
+    # the table is read before any suite runs, whether or not octonion is selected
+    for args in (("verify", "octonion", "--mul-table", path),
+                 ("verify", "forms", "--mul-table", path),
+                 ("verify", "forms", "--mul-table", missing),
+                 ("pinch", "--mul-table", missing)):
+        proc = run_cli(*args, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "error" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_suite_is_usage_error():
@@ -148,10 +155,11 @@ def test_report_command_with_operator_export(tmp_path):
 
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 3\ntrials = 1500\n# comment line\nradius = 4\ngrid = 400, 800\n")
-    proc = run_cli("verify", "octonion", "--config", cfg, "--seed", 5, "--out", tmp_path)
+    cfg.write_text("seed = 3\ntrials = 1500\n# comment line\nradius = 4\ngrid = 400, 800\n"
+                   f"out = {tmp_path}\n")
+    proc = run_cli("verify", "octonion", "--config", cfg, "--seed", 5)
     assert proc.returncode == 0
-    report = read_report(tmp_path)
+    report = read_report(tmp_path)             # verify honours out from the file
     assert report["config"]["seed"] == 5       # explicit flag wins
     assert report["config"]["trials"] == 1500  # file overrides the default
     assert report["config"]["radii"] == [4.0]

@@ -120,9 +120,7 @@ def test_correction_words_have_eight_letters_after_wedge():
 def test_no_leak_on_random_corrections():
     for _ in range(100):
         spec = random_f_spec(RNG)
-        rep = no_leak_report(build_correction(spec))
-        assert rep["pairs_checked"] == 256
-        assert rep["max_leak"] == 0.0
+        assert no_leak_report(build_correction(spec)) == 0.0
 
 
 def test_top_functional_independent_of_correction():

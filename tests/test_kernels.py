@@ -66,7 +66,6 @@ def test_quaternionic_ratio():
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(4, 3)
         assert res.drift == pytest.approx(24.0, abs=1e-12)
-        assert res.exponent == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_objective_matches_definition():
@@ -87,7 +86,6 @@ def test_sharpness_sampling_never_beats_minimum():
     sample = sharpness_sample(SPIN9, SPIN9_RESULT, RNG, samples=100000)
     assert sample["samples"] == 100000
     assert sample["violations"] == 0
-    assert sample["min_ratio_observed"] >= 8.0 / 7.0 - 1e-12
 
 
 def test_ratio_monotone_under_extra_constraints():

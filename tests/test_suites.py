@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cayleykit import suites
 from cayleykit.octonion import DEFAULT_TABLE
@@ -76,6 +77,17 @@ def test_unconverged_spectrum_fails(monkeypatch):
     check = next(c for c in result.checks if c.check == "geodesy.spectrum-bottom")
     assert not check.passed and check.residual == 1.0
     assert "unconverged" in check.note
+
+
+def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
+    real = suites.geodesy.smallest_eigenvalue
+    faults = ((suites.geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6),
+              (scipy.linalg.lapack, "dpteqr", lambda d, e, z, compute_z: (d, e, z, 3)))
+    for owner, name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            result = SUITES["geodesy"](RunConfig(**FAST))
+        assert [c.check for c in result.checks if not c.passed] == ["geodesy.sturm-crosscheck"]
 
 
 def test_check_bookkeeping():
