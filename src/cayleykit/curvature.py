@@ -156,13 +156,11 @@ class CurvatureOperator:
 
     def tensor(self, x, y, z, w):
         """<R(x ^ y), z ^ w> (batched)."""
-        wxy = bivector(x, y)
-        wzw = bivector(z, w)
-        return np.einsum("...i,ij,...j->...", wxy, self.matrix, wzw)
+        return _dot(bivector(x, y) @ self.matrix, bivector(z, w))
 
     def quadratic(self, x, y):
         v = bivector(x, y)
-        return np.einsum("...i,ij,...j->...", v, self.matrix, v)
+        return _dot(v @ self.matrix, v)
 
     def sectional(self, x, y):
         _, gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -174,7 +172,7 @@ class CurvatureOperator:
         eye = np.eye(N)
         for a in range(N):
             vecs = bivector(eye, np.broadcast_to(eye[a], (N, N)))
-            ric += np.einsum("ui,ij,vj->uv", vecs, self.matrix, vecs)
+            ric += vecs @ self.matrix @ vecs.T
         return ric
 
     def jacobi_matrix(self, u) -> np.ndarray:
@@ -182,7 +180,7 @@ class CurvatureOperator:
         u = np.asarray(u, dtype=float)
         eye = np.eye(N)
         vecs = bivector(eye, np.broadcast_to(u, (N, N)))
-        return np.einsum("ai,ij,bj->ab", vecs, self.matrix, vecs)
+        return vecs @ self.matrix @ vecs.T
 
     def jacobi_spectrum(self, u) -> np.ndarray:
         return np.linalg.eigvalsh(self.jacobi_matrix(u))

@@ -39,6 +39,10 @@ class RadialModel:
 
 CAYLEY = RadialModel()
 
+# relative Richardson error above which a spectrum estimate is unconverged;
+# also the tolerance of the ``geodesy.spectrum-bottom`` check
+TOL_SPECTRAL = 0.005
+
 
 def distance_laplacian(r, model: RadialModel = CAYLEY):
     """Laplacian of the distance function, sum of c coth(c r) over classes."""
@@ -200,13 +204,12 @@ class SpectrumEstimate:
         return self.richardson - self.target
 
 
-def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY,
-                      rel_tol: float = 0.005) -> SpectrumEstimate:
+def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY) -> SpectrumEstimate:
     """Dirichlet ground value at (R, N) plus an N/2 run and Richardson step.
 
     Both values come from ``smallest_eigenvalue``, so their difference is
     discretization error, not solver error.  That difference / 3 is
-    reported as the error estimate; if it exceeds ``rel_tol`` relative to
+    reported as the error estimate; if it exceeds ``TOL_SPECTRAL`` relative to
     the extrapolated value the result is flagged unconverged rather than
     silently accepted.
     """
@@ -223,7 +226,7 @@ def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY,
         coarse_value=lam_c,
         richardson=rich,
         error_estimate=err,
-        converged=bool(err <= rel_tol * abs(rich)),
+        converged=bool(err <= TOL_SPECTRAL * abs(rich)),
     )
 
 
@@ -237,7 +240,6 @@ def spectrum_sweep(radii, grids, model: RadialModel = CAYLEY) -> list[SpectrumEs
 
 @dataclass
 class WarpedReport:
-    sectional_exact: dict
     fd_residual: float
     mean_curvature: float
     hessian_diagonal: tuple
@@ -255,17 +257,15 @@ def warped_report(model: RadialModel = CAYLEY, t0: float = 0.7, h: float = 1e-4)
     difference of f with one Richardson refinement, so an error in either
     route is visible.
     """
-    exact = {}
     worst = 0.0
     for c, _ in model.classes:
         f = lambda t: math.exp(-c * t)
-        exact[c] = -c * c
 
         def second(hh):
             return (f(t0 + hh) - 2.0 * f(t0) + f(t0 - hh)) / hh**2
 
         d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
-        worst = max(worst, abs(-d2 / f(t0) - exact[c]))
+        worst = max(worst, abs(c * c - d2 / f(t0)))  # -f''/f against -c^2
 
     mean_curv = sum(-c * m for c, m in model.classes)
     hess_diag = tuple(-c for c, m in model.classes for _ in range(m))
@@ -279,7 +279,6 @@ def warped_report(model: RadialModel = CAYLEY, t0: float = 0.7, h: float = 1e-4)
         d2 = (f(t0 + h) - 2.0 * f(t0) + f(t0 - h)) / h**2
         jac = max(jac, abs(d2 - c * c * f(t0)) / f(t0))
     return WarpedReport(
-        sectional_exact=exact,
         fd_residual=worst,
         mean_curvature=mean_curv,
         hessian_diagonal=hess_diag,

@@ -112,10 +112,32 @@ class MultiplicationTable:
 DEFAULT_TABLE = MultiplicationTable.generate()
 
 
+# rows per GEMM block: keeps the (rows, 64) table of pairwise products near 2 MB
+MUL_BLOCK_ROWS = 4096
+
+
 def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
-    """Batched octonion product on trailing axes of length 8."""
-    c = (table or DEFAULT_TABLE).structure_tensor()
-    return np.einsum("ijk,...i,...j->...k", c, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    """Batched octonion product on trailing axes of length 8.
+
+    Leading axes broadcast.  Each block of rows forms the 64 products
+    a_i b_j and scatters them with one GEMM against the +-1/0 structure
+    tensor reshaped to (64, 8); every output sums the same eight nonzero
+    terms as the contraction sum_ij C_ijk a_i b_j.
+    """
+    scatter = (table or DEFAULT_TABLE).structure_tensor().reshape(DIM * DIM, DIM)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1:] != (DIM,) or b.shape[-1:] != (DIM,):
+        raise ValueError(f"octonion arrays need a trailing axis of 8, got {a.shape} and {b.shape}")
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.broadcast_to(a, shape).reshape(-1, DIM)
+    b = np.broadcast_to(b, shape).reshape(-1, DIM)
+    out = np.empty(a.shape)
+    for start in range(0, len(out), MUL_BLOCK_ROWS):
+        rows = slice(start, start + MUL_BLOCK_ROWS)
+        pairs = a[rows, :, None] * b[rows, None, :]
+        np.matmul(pairs.reshape(-1, DIM * DIM), scatter, out=out[rows])
+    return out.reshape(shape)
 
 
 def conj_arrays(a) -> np.ndarray:

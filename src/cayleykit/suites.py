@@ -27,7 +27,6 @@ TOL_ALGEBRA = 1e-10
 TOL_MODEL = 1e-9
 TOL_NUMERIC = 1e-8
 TOL_SEARCH = 1e-6
-TOL_SPECTRAL = 0.005
 
 
 @dataclass(frozen=True)
@@ -362,7 +361,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
             f"(gap {est.gap:+.4f})")
     if not est.converged:
         note += ", unconverged"
-    out.add("geodesy.spectrum-bottom", rel if in_band and est.converged else 1.0, TOL_SPECTRAL,
+    out.add("geodesy.spectrum-bottom", rel if in_band and est.converged else 1.0, g.TOL_SPECTRAL,
             note)
 
     lams = [g.spectrum_estimate(r, min(cfg.grids)).value for r in cfg.radii]

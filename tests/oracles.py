@@ -6,6 +6,9 @@ bitmask algebra they are used to check.  Only practical for small n.
 The constraint helpers evaluate and satisfy ``ConstraintSet`` rows
 directly in matrix entries.  ``sturm_count`` counts tridiagonal
 eigenvalues by the Sturm sequence in plain numpy, independent of LAPACK.
+The batched kernels (octonion product, curvature operator forms, the
+sharpness sampler) are restated as single three-operand ``einsum``
+contractions and one unblocked draw, with no BLAS call and no blocking.
 """
 
 import itertools
@@ -14,6 +17,7 @@ import math
 import numpy as np
 
 from cayleykit.exterior import Form, indices_of, mask_of
+from cayleykit.octonion import DEFAULT_TABLE
 
 
 def perm_sign(perm) -> int:
@@ -151,3 +155,35 @@ def sturm_count(diag, off, shifts):
         q = diag[k] - shifts - off2[k - 1] / q
         count += q < 0.0
     return count
+
+
+def mul_einsum(a, b, table=None):
+    """Octonion product sum_ij C_ijk a_i b_j as one contraction with the structure tensor."""
+    c = (table or DEFAULT_TABLE).structure_tensor()
+    return np.einsum("ijk,...i,...j->...k", c, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def operator_pairing(matrix, v, w):
+    """<v, M w> for batched bivector coordinates v and w."""
+    return np.einsum("...i,ij,...j->...", v, matrix, w)
+
+
+def frame_matrix(matrix, vecs):
+    """The matrix (<v_a, M v_b>)_ab of a stack of bivector coordinates."""
+    return np.einsum("ai,ij,bj->ab", vecs, matrix, vecs)
+
+
+def sharpness_one_shot(problem, result, rng, samples):
+    """``kernels.sharpness_sample`` as one (samples, dim) draw, unblocked."""
+    basis = problem.nullspace()
+    weights_p, weights_q = (np.diag(form) for form in problem.quadratic_forms())
+    z = rng.standard_normal((samples, basis.shape[1]))
+    vecs = z @ basis.T
+    num = (vecs * vecs) @ weights_p
+    den = (vecs * vecs) @ weights_q
+    good = den > 1e-12 * num
+    ratios = num[good] / den[good]
+    return {
+        "samples": int(np.sum(good)),
+        "violations": int(np.sum(ratios < result.ratio - 1e-12)),
+    }

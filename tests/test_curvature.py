@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cayleykit.curvature import (
     ALPHA,
     N,
@@ -133,6 +134,22 @@ def test_sectional_from_operator_matches_formula():
     direct = FORMULA.plane_value(x, y)
     via_op = OP.sectional(x, y)
     assert np.nanmax(np.abs(direct - via_op)) <= 1e-9
+
+
+def test_operator_forms_match_einsum_oracle():
+    x, y, z, w = RNG.standard_normal((4, 300, N))
+    x, y, z, w = (t / np.linalg.norm(t, axis=-1, keepdims=True) for t in (x, y, z, w))
+    m = OP.matrix
+    assert np.abs(OP.tensor(x, y, z, w)
+                  - oracles.operator_pairing(m, bivector(x, y), bivector(z, w))).max() <= 1e-12
+    assert np.abs(OP.quadratic(x, y)
+                  - oracles.operator_pairing(m, bivector(x, y), bivector(x, y))).max() <= 1e-12
+    eye = np.eye(N)
+    u = x[0]
+    jac = oracles.frame_matrix(m, bivector(eye, np.broadcast_to(u, (N, N))))
+    assert np.abs(OP.jacobi_matrix(u) - jac).max() <= 1e-12
+    ric = sum(oracles.frame_matrix(m, bivector(eye, np.broadcast_to(eye[a], (N, N)))) for a in range(N))
+    assert np.abs(OP.ricci() - ric).max() <= 1e-12
 
 
 def test_ricci_einstein_and_scalar():

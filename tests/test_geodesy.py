@@ -6,6 +6,7 @@ import scipy.integrate
 import scipy.linalg
 
 import oracles
+from cayleykit import geodesy
 from cayleykit.geodesy import (
     CAYLEY,
     RadialModel,
@@ -179,8 +180,9 @@ def test_spectrum_sweep_grid():
     assert [(e.radius, e.cells) for e in ests] == [(4.0, 500), (4.0, 1000), (6.0, 500), (6.0, 1000)]
 
 
-def test_spectrum_unconverged_flag_on_coarse_grid():
-    est = spectrum_estimate(10.0, 256, rel_tol=1e-9)
+def test_spectrum_unconverged_flag_on_coarse_grid(monkeypatch):
+    monkeypatch.setattr(geodesy, "TOL_SPECTRAL", 1e-9)
+    est = spectrum_estimate(10.0, 256)
     assert not est.converged
 
 
@@ -190,16 +192,14 @@ def test_warped_metric_constants():
     assert rep.hessian_norm_sq == pytest.approx(36.0, abs=1e-12)
     assert rep.cauchy_schwarz_lhs == pytest.approx(36.0, abs=1e-12)
     assert tuple(rep.hessian_diagonal) == (-2.0,) * 7 + (-1.0,) * 8
+    # finite-difference radial curvature against -c^2 for c = 2 and 1
     assert rep.fd_residual <= 1e-6
     assert rep.jacobi_residual <= 1e-6
-    assert set(rep.sectional_exact) == {1.0, 2.0}
-    assert rep.sectional_exact[2.0] == pytest.approx(-4.0)
-    assert rep.sectional_exact[1.0] == pytest.approx(-1.0)
 
 
 def test_warped_metric_custom_classes():
     rep = warped_report(RadialModel(((3.0, 2),)))
-    assert rep.sectional_exact == {3.0: -9.0}
+    assert rep.hessian_diagonal == (-3.0, -3.0)
     assert rep.fd_residual <= 1e-6
     assert rep.mean_curvature == pytest.approx(-6.0)
     assert rep.hessian_norm_sq == pytest.approx(18.0)

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import oracles
 from cayleykit.forms import ConstraintSet, standard_constraints
 from cayleykit.kernels import (
     MODEL_LAMBDA1,
+    SAMPLE_BLOCK_ROWS,
     RatioProblem,
     canonical_minimizer,
     kato_transform,
@@ -16,6 +19,7 @@ from cayleykit.kernels import (
     sharpness_sample,
     vanishing_threshold,
 )
+from cayleykit.octonion import mul_arrays
 
 RNG = np.random.default_rng(57721566)
 
@@ -86,6 +90,38 @@ def test_sharpness_sampling_never_beats_minimum():
     sample = sharpness_sample(SPIN9, SPIN9_RESULT, RNG, samples=100000)
     assert sample["samples"] == 100000
     assert sample["violations"] == 0
+
+
+def test_blocked_sharpness_matches_one_shot_draw():
+    samples = 2 * SAMPLE_BLOCK_ROWS + 7
+    # random feasible ratios centre near 16: a claimed minimum there makes
+    # about half the samples violations, so both counts are exercised
+    for result in (SPIN9_RESULT, dataclasses.replace(SPIN9_RESULT, ratio=16.0)):
+        blocked_rng, one_shot_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = sharpness_sample(SPIN9, result, blocked_rng, samples=samples)
+        assert got == oracles.sharpness_one_shot(SPIN9, result, one_shot_rng, samples)
+        assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
+        assert np.array_equal(blocked_rng.standard_normal(5), one_shot_rng.standard_normal(5))
+    assert 0 < got["violations"] < samples
+
+
+def test_batched_kernels_peak_memory():
+    """Traced peaks follow the block sizes, not the number of rows."""
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-1.0, 1.0, (2, 200_000, 8))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        sharpness_sample(SPIN9, SPIN9_RESULT, rng, samples=200_000)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = mul_arrays(a, b)
+        mul_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < 32 * 2**20
+    assert mul_peak < 4 * out.nbytes
 
 
 def test_ratio_monotone_under_extra_constraints():

@@ -4,10 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from cayleykit.octonion import (
     DEFAULT_TABLE,
     DIM,
     FANO_TRIPLES,
+    MUL_BLOCK_ROWS,
     MultiplicationTable,
     conj_arrays,
     inner_arrays,
@@ -149,6 +151,54 @@ def test_structure_tensor_frozen():
         t[0, 0, 0] = 2.0
     # cached object is reused
     assert DEFAULT_TABLE.structure_tensor() is t
+
+
+def _reorder_bound(a, b):
+    """Rounding bound for summing the eight a_i b_j terms of a component in
+    another order: 8 eps times sum_ij |a_i b_j|, per row."""
+    scale = np.abs(a).sum(-1) * np.abs(b).sum(-1)
+    return 8.0 * np.finfo(float).eps * np.asarray(scale)[..., None]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((8,), (8,)),
+    ((8,), (37, 8)),
+    ((37, 8), (8,)),
+    ((2, 3, 8), (3, 8)),
+    ((0, 8), (0, 8)),
+    ((MUL_BLOCK_ROWS + 1, 8), (MUL_BLOCK_ROWS + 1, 8)),
+])
+def test_mul_arrays_matches_einsum_oracle(shape_a, shape_b):
+    a = RNG.uniform(-1.0, 1.0, shape_a)
+    b = RNG.uniform(-1.0, 1.0, shape_b)
+    got, want = mul_arrays(a, b), oracles.mul_einsum(a, b)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= _reorder_bound(a, b))
+    # multiples of 1/8 in [-1, 1]: every product and partial sum is exact, so
+    # any summation order gives the same bits
+    a, b = (RNG.integers(-8, 9, shape) / 8.0 for shape in (shape_a, shape_b))
+    assert np.array_equal(mul_arrays(a, b), oracles.mul_einsum(a, b))
+
+
+def test_mul_arrays_uses_the_given_table(tmp_path):
+    sign = DEFAULT_TABLE.sign.copy()
+    sign[3, 5] = -sign[3, 5]
+    path = tmp_path / "flipped.csv"
+    MultiplicationTable(sign, DEFAULT_TABLE.index).save(path)
+    flipped = MultiplicationTable.load(path)
+    a, b = RNG.uniform(-1.0, 1.0, (2, MUL_BLOCK_ROWS + 1, 8))
+    got = mul_arrays(a, b, flipped)
+    assert np.all(np.abs(got - oracles.mul_einsum(a, b, flipped)) <= _reorder_bound(a, b))
+    assert np.abs(got - mul_arrays(a, b)).max() > 0.1
+
+
+def test_mul_arrays_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        mul_arrays(np.ones((8, 7)), np.ones((8, 7)))
+    with pytest.raises(ValueError):
+        mul_arrays(np.ones((5, 7)), np.ones((5, 8)))
+    with pytest.raises(ValueError):
+        mul_arrays(np.ones((2, 8)), np.ones((3, 8)))
 
 
 def test_table_save_load_roundtrip(tmp_path):
