@@ -3,10 +3,10 @@
 Tangent vectors are elements of O^2 = R^16.  For an orthonormal pair
 (a, b), (c, d) the sectional curvature is
 
-    K = alpha * ( |a ^ c|^2 + |b ^ d|^2 + |a|^2 |d|^2 / 4 + |b|^2 |c|^2 / 4
+    K = ALPHA * ( |a ^ c|^2 + |b ^ d|^2 + |a|^2 |d|^2 / 4 + |b|^2 |c|^2 / 4
                   + <ab, cd> / 2 - <ad, cb> )
 
-with alpha = -4, products taken in the octonion algebra and |x ^ y|^2 the
+with ALPHA = -4, products taken in the octonion algebra and |x ^ y|^2 the
 Gram determinant.  Extended by the Gram factor this is the biquadratic
 form B(x, y) = <R(x ^ y), x ^ y>, and a four-point polarization stencil
 recovers the full (4, 0) tensor exactly because B is polynomial of
@@ -16,6 +16,9 @@ bidegree (2, 2).
 bivectors e_A ^ e_B (A < B); everything downstream (Ricci, the radial
 Jacobi operator, pinching searches) is linear algebra against that
 matrix.
+
+``ALPHA`` is the model's curvature scale, not a setting: the formula reads
+it when it is evaluated, so a test injects a scale fault by patching it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ _ROWS = np.array([a for a, _ in PAIRS])
 _COLS = np.array([b for _, b in PAIRS])
 
 DEGENERATE_GRAM = 1e-10
+PINCH_STEP = 1e-2  # initial step of each pinch search start, halved on every rejection
 
 
 def bivector(x, y) -> np.ndarray:
@@ -70,16 +74,24 @@ def _gram(x, y, threshold: float = DEGENERATE_GRAM):
     return nx2, gram, gram > threshold * scale
 
 
+def _orthonormalize(x, y):
+    """Gram-Schmidt frame of (x, y), batched; a vector of zero norm is left as it is."""
+    nx = np.linalg.norm(x, axis=-1, keepdims=True)
+    x = x / np.where(nx > 0, nx, 1.0)
+    y = y - np.sum(y * x, axis=-1, keepdims=True) * x
+    ny = np.linalg.norm(y, axis=-1, keepdims=True)
+    return x, y / np.where(ny > 0, ny, 1.0)
+
+
 @dataclass(frozen=True)
 class SectionalCurvature:
-    """The orthonormal-pair curvature formula with scale ``alpha``.
+    """The orthonormal-pair curvature formula with scale ``ALPHA``.
 
     ``swap_products`` evaluates the mirrored product order
     (<ba, dc>, <da, bc>) instead; the verification suite uses it to report
     which of the two readings satisfies the pinching bounds.
     """
 
-    alpha: float = ALPHA
     swap_products: bool = False
 
     def orthonormal_value(self, u, v) -> np.ndarray:
@@ -104,18 +116,14 @@ class SectionalCurvature:
             + 0.5 * _dot(ab, cd)
             - _dot(ad, cb)
         )
-        return self.alpha * value
+        return ALPHA * value
 
     def _frame_value(self, x, y, threshold: float):
         """Curvature of span(x, y) at its Gram-Schmidt frame, with Gram data."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        nx2, gram, good = _gram(x, y, threshold)
-        u = x / np.sqrt(np.where(nx2 > 0, nx2, 1.0))[..., None]
-        yproj = y - _dot(y, u)[..., None] * u
-        np2 = _dot(yproj, yproj)
-        v = yproj / np.sqrt(np.where(np2 > 0, np2, 1.0))[..., None]
-        return self.orthonormal_value(u, v), gram, good
+        _, gram, good = _gram(x, y, threshold)
+        return self.orthonormal_value(*_orthonormalize(x, y)), gram, good
 
     def plane_value(self, x, y):
         """Sectional curvature of span(x, y); NaN for a degenerate plane."""
@@ -168,12 +176,7 @@ class CurvatureOperator:
 
     def ricci(self) -> np.ndarray:
         """Ric(u, v) = sum_A R(u, e_A, v, e_A) as a 16 x 16 matrix."""
-        ric = np.zeros((N, N))
-        eye = np.eye(N)
-        for a in range(N):
-            vecs = bivector(eye, np.broadcast_to(eye[a], (N, N)))
-            ric += vecs @ self.matrix @ vecs.T
-        return ric
+        return sum(self.jacobi_matrix(e) for e in np.eye(N))
 
     def jacobi_matrix(self, u) -> np.ndarray:
         """Radial curvature operator X -> <R(X, u, Y, u)> in the basis."""
@@ -213,7 +216,7 @@ def assemble_operator(formula: SectionalCurvature | None = None) -> CurvatureOpe
     return CurvatureOperator(matrix=sym, assembly_asymmetry=asym)
 
 
-def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int = 200) -> float:
+def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int) -> float:
     """Max norm of the cyclic sum R(x,y)z + R(z,x)y + R(y,z)x."""
     worst = 0.0
     for _ in range(trials):
@@ -226,14 +229,14 @@ def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: in
     return worst
 
 
-def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int = 500) -> float:
+def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int) -> float:
     """Residual of the pair symmetry R(x,y,z,w) = R(z,w,x,y) on random data."""
     x, y, z, w = rng.uniform(-1.0, 1.0, (4, trials, N))
     return float(np.abs(op.tensor(x, y, z, w) - op.tensor(z, w, x, y)).max())
 
 
 def roundtrip_residual(op: CurvatureOperator, formula: SectionalCurvature, rng: np.random.Generator,
-                       trials: int = 10000) -> float:
+                       trials: int) -> float:
     """Assembled operator against the direct formula on random planes."""
     x, y = rng.uniform(-1.0, 1.0, (2, trials, N))
     direct = formula.plane_value(x, y)
@@ -249,20 +252,12 @@ class PinchResult:
     final_values: np.ndarray = field(repr=False)
 
 
-def _orthonormalize(x, y):
-    nx = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), 1e-300)
-    x = x / nx
-    y = y - np.sum(y * x, axis=-1, keepdims=True) * x
-    ny = np.maximum(np.linalg.norm(y, axis=-1, keepdims=True), 1e-300)
-    return x, y / ny
-
-
-def _pinch_direction(op: CurvatureOperator, rng, starts, max_steps, step0, maximize):
+def _pinch_direction(op: CurvatureOperator, rng, starts, max_steps, maximize):
     x = rng.standard_normal((starts, N))
     y = rng.standard_normal((starts, N))
     x, y = _orthonormalize(x, y)
     sign = 1.0 if maximize else -1.0
-    step = np.full(starts, step0)
+    step = np.full(starts, PINCH_STEP)
     value = sign * op.sectional(x, y)
     for _ in range(max_steps):
         omega = bivector(x, y) @ op.matrix
@@ -287,12 +282,11 @@ def _pinch_direction(op: CurvatureOperator, rng, starts, max_steps, step0, maxim
     return sign * value
 
 
-def pinch_extremes(op: CurvatureOperator, starts: int = 64, max_steps: int = 10000,
-                   step: float = 1e-2, seed: int = 0) -> PinchResult:
+def pinch_extremes(op: CurvatureOperator, starts: int, max_steps: int, seed: int) -> PinchResult:
     """Projected-gradient search for extreme sectional values on G(2, 16)."""
     rng = np.random.default_rng(seed)
-    min_vals = _pinch_direction(op, rng, starts, max_steps, step, maximize=False)
-    max_vals = _pinch_direction(op, rng, starts, max_steps, step, maximize=True)
+    min_vals = _pinch_direction(op, rng, starts, max_steps, maximize=False)
+    max_vals = _pinch_direction(op, rng, starts, max_steps, maximize=True)
     return PinchResult(
         minimum=float(min_vals.min()),
         maximum=float(max_vals.max()),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 MAX_DIM = 16
+RANDOM_FORM_TERMS = 8  # monomials of a random sparse form, if the grade has that many
 
 
 def mask_of(indices) -> int:
@@ -98,10 +99,6 @@ class Form:
 
     def sup_norm(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def coefficient(self, indices_or_mask) -> float:
-        m = indices_or_mask if isinstance(indices_or_mask, int) else mask_of(indices_or_mask)
-        return self.coeffs.get(m, 0.0)
 
     def terms(self):
         """Monomials as (ascending index tuple, coefficient), sorted."""
@@ -269,11 +266,11 @@ def hessian_action(a, eta: Form) -> Form:
     return Form(eta.n, eta.grade, out)
 
 
-def random_form(n: int, grade: int, rng: np.random.Generator, terms: int = 8) -> Form:
+def random_form(n: int, grade: int, rng: np.random.Generator) -> Form:
     """Random sparse form with coefficients in [-1, 1]."""
     from math import comb
 
-    count = min(terms, comb(n, grade))
+    count = min(RANDOM_FORM_TERMS, comb(n, grade))
     coeffs: dict[int, float] = {}
     while len(coeffs) < count:
         idx = rng.choice(n, size=grade, replace=False)
@@ -302,7 +299,7 @@ def _star_chain(a_mat: np.ndarray, omega: Form) -> Form:
     return Form(n, n - omega.grade, acc)
 
 
-def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms: int = 8) -> dict:
+def duality_report(n: int, p: int, trials: int, rng: np.random.Generator) -> dict:
     """Check the three sign identities tying the two star chains to T(a, w).
 
     Returns the maximal absolute residual of each identity over random
@@ -317,7 +314,7 @@ def duality_report(n: int, p: int, trials: int, rng: np.random.Generator, terms:
     res = {"direct_vs_T": 0.0, "codiff_vs_T": 0.0, "direct_vs_codiff": 0.0}
     for _ in range(trials):
         a = random_trace_free(n, rng)
-        omega = random_form(n, p, rng, terms=terms)
+        omega = random_form(n, p, rng)
         t_form = hessian_action(a, omega)
         e_direct = hodge(_star_chain(a, omega))
         e_codiff = _star_chain(a, hodge(omega))

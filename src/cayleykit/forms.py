@@ -36,6 +36,11 @@ from .exterior import Form, action_terms, mask_of, wedge
 SPIN9_DIM = 16
 V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
 W_TOP = ((1 << 8) - 1) << 8       # w_0 ^ ... ^ w_7
+F_SPEC_WORDS = 3                  # words of a random admissible correction
+# canonical rows: entries below ROUND_TOL are zero, and an entry within
+# ROUND_TOL of a fraction with denominator <= MAX_DENOMINATOR snaps to it
+ROUND_TOL = 1e-9
+MAX_DENOMINATOR = 64
 
 
 def kahler_form(n: int) -> Form:
@@ -118,8 +123,8 @@ class FSpec:
     """Admissible correction: words over letters routed through injective maps."""
 
     words: tuple[FWord, ...]
-    sigma: tuple[int, ...] = tuple(range(8))
-    tau: tuple[int, ...] = tuple(range(8))
+    sigma: tuple[int, ...]
+    tau: tuple[int, ...]
 
     def __post_init__(self):
         for name, perm in (("sigma", self.sigma), ("tau", self.tau)):
@@ -146,12 +151,12 @@ def build_correction(spec: FSpec) -> Form:
     return total
 
 
-def random_f_spec(rng: np.random.Generator, n_words: int = 3) -> FSpec:
+def random_f_spec(rng: np.random.Generator) -> FSpec:
     """Random admissible correction with random injective index maps."""
     sigma = tuple(int(i) for i in rng.permutation(8))
     tau = tuple(int(i) for i in rng.permutation(8))
     words = []
-    for _ in range(n_words):
+    for _ in range(F_SPEC_WORDS):
         n_v = int(rng.integers(1, 4))  # 1..3 v-letters, rest w-letters
         v_syms = rng.choice(8, size=2 * n_v, replace=False)
         w_syms = rng.choice(8, size=2 * (4 - n_v), replace=False)
@@ -182,21 +187,16 @@ def spin9_targets() -> tuple[int, int]:
 def no_leak_report(correction: Form) -> float:
     """Max coefficient the correction contributes to either top monomial.
 
-    Applies eps(theta^i) l(e_j) for all 256 index pairs and reads the two
-    top coefficients; an admissible correction must leave both at zero.
+    Sums the terms of eps(theta^i) l(e_j) that land on a top monomial, per
+    index pair (i, j) and top, over all 256 pairs; an admissible correction
+    must leave every sum at zero.
     """
-    from .exterior import epsilon, interior
-
-    worst = 0.0
-    for j in range(SPIN9_DIM):
-        lowered = interior(j, correction)
-        if lowered.is_zero():
-            continue
-        for i in range(SPIN9_DIM):
-            raised = epsilon(i, lowered)
-            leak = max(abs(raised.coefficient(V_TOP)), abs(raised.coefficient(W_TOP)))
-            worst = max(worst, leak)
-    return worst
+    leaks: dict[tuple[int, int, int], float] = {}
+    for m, c in correction.coeffs.items():
+        for i, j, sign, mo in action_terms(m, correction.n):
+            if mo in (V_TOP, W_TOP):
+                leaks[i, j, mo] = leaks.get((i, j, mo), 0.0) + sign * c
+    return max((abs(v) for v in leaks.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +222,14 @@ def monomial_functionals(omega: Form) -> dict[int, dict[tuple[int, int], float]]
     return table
 
 
-def coefficient_functional(omega: Form, monomial) -> dict[tuple[int, int], float]:
-    """Functional of a single output monomial (mask or index tuple)."""
-    m = monomial if isinstance(monomial, int) else mask_of(monomial)
-    return monomial_functionals(omega).get(m, {})
+def coefficient_functional(omega: Form, mask: int) -> dict[tuple[int, int], float]:
+    """Functional of a single output monomial."""
+    return monomial_functionals(omega).get(mask, {})
 
 
-def _rationalize(x: float, max_den: int = 64, tol: float = 1e-9) -> float:
-    frac = Fraction(x).limit_denominator(max_den)
-    return float(frac) if abs(float(frac) - x) <= tol else x
+def _rationalize(x: float) -> float:
+    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    return float(frac) if abs(float(frac) - x) <= ROUND_TOL else x
 
 
 class ConstraintSet:
@@ -243,7 +242,7 @@ class ConstraintSet:
 
     def __init__(self, n: int, rows):
         self.n = n
-        self.rows = [tuple(sorted(r.items())) if isinstance(r, dict) else tuple(r) for r in rows]
+        self.rows = [tuple(r) for r in rows]
 
     def __eq__(self, other):
         return isinstance(other, ConstraintSet) and self.n == other.n and self.rows == other.rows
@@ -252,16 +251,16 @@ class ConstraintSet:
         return f"ConstraintSet(n={self.n}, rows={len(self.rows)})"
 
     @classmethod
-    def from_functionals(cls, n: int, functionals, tol: float = 1e-9) -> "ConstraintSet":
+    def from_functionals(cls, n: int, functionals) -> "ConstraintSet":
         """Canonicalize raw functionals by row reduction."""
         coords = [(i, j) for i in range(n) for j in range(i, n)]
         index = {c: k for k, c in enumerate(coords)}
         raw = []
         for func in functionals:
             vec = np.zeros(len(coords))
-            for key, val in (func.items() if isinstance(func, dict) else func):
-                vec[index[tuple(key)]] += val
-            if np.abs(vec).max() > tol:
+            for key, val in func.items():
+                vec[index[key]] += val
+            if np.abs(vec).max() > ROUND_TOL:
                 raw.append(vec)
         if not raw:
             return cls(n, [])
@@ -270,7 +269,7 @@ class ConstraintSet:
         r = 0
         for c in range(mat.shape[1]):
             piv = r + int(np.argmax(np.abs(mat[r:, c]))) if r < mat.shape[0] else r
-            if r >= mat.shape[0] or abs(mat[piv, c]) <= tol:
+            if r >= mat.shape[0] or abs(mat[piv, c]) <= ROUND_TOL:
                 continue
             mat[[r, piv]] = mat[[piv, r]]
             mat[r] = mat[r] / mat[r, c]
@@ -284,7 +283,7 @@ class ConstraintSet:
         for vec in mat[:r]:
             row = {}
             for k, val in enumerate(vec):
-                if abs(val) > tol:
+                if abs(val) > ROUND_TOL:
                     row[coords[k]] = _rationalize(float(val))
             rows.append(tuple(sorted(row.items())))
         rows.sort()
@@ -310,31 +309,23 @@ class ConstraintSet:
         return cls(int(payload["n"]), rows)
 
 
-def extract_constraints(omega: Form, targets=None) -> ConstraintSet:
+def extract_constraints(omega: Form, targets) -> ConstraintSet:
     """Constraints on symmetric a implied by the designated monomials.
 
-    ``targets`` lists output monomials (masks or index tuples); ``None``
-    collects every monomial with a nonvanishing functional.  The result
-    is canonicalized, so it is invariant under rescaling of omega.
+    ``targets`` lists output monomial masks.  The result is canonicalized,
+    so it is invariant under rescaling of omega.
     """
     table = monomial_functionals(omega)
-    if targets is None:
-        funcs = list(table.values())
-    else:
-        funcs = []
-        for t in targets:
-            m = t if isinstance(t, int) else mask_of(t)
-            if m in table:
-                funcs.append(table[m])
+    funcs = [table[m] for m in targets if m in table]
     return ConstraintSet.from_functionals(omega.n, funcs)
 
 
-def standard_constraints(kind: str, n: int | None = None, spec: FSpec | None = None) -> ConstraintSet:
+def standard_constraints(kind: str, n: int | None = None) -> ConstraintSet:
     """Extraction with the designated targets for each geometry."""
     if kind == "kahler":
         return extract_constraints(kahler_form(n), kahler_targets(n))
     if kind == "quaternionic":
         return extract_constraints(quaternionic_form(n), quaternionic_targets(n))
     if kind == "spin9":
-        return extract_constraints(spin9_form(spec), spin9_targets())
+        return extract_constraints(spin9_form(), spin9_targets())
     raise ValueError(f"unknown geometry kind: {kind}")

@@ -17,8 +17,11 @@ error by Richardson extrapolation.
 
 ``warped_report`` runs the same constants through an explicit warped
 metric dt^2 + e^{-4t} (7 dirs) + e^{-2t} (8 dirs): curvatures -f''/f,
-level-set mean curvature, the Hessian of the height function and its
-Cauchy-Schwarz saturation.
+level-set mean curvature and the Hessian of the height function.
+
+The radial classes are the model, not a setting: every function reads the
+module constant ``CLASSES`` when it is called, so a test can inject a model
+fault (say multiplicity 7 -> 6) by patching that one name.
 """
 
 from __future__ import annotations
@@ -30,27 +33,27 @@ import numpy as np
 import scipy.linalg
 
 
-@dataclass(frozen=True)
-class RadialModel:
-    """Radial curvature data: (c, multiplicity) with K = -c^2 per class."""
-
-    classes: tuple[tuple[float, int], ...] = ((2.0, 7), (1.0, 8))
-
-
-CAYLEY = RadialModel()
+# radial curvature classes (c, multiplicity), K = -c^2 on each
+CLASSES = ((2.0, 7), (1.0, 8))
 
 # relative Richardson error above which a spectrum estimate is unconverged;
 # also the tolerance of the ``geodesy.spectrum-bottom`` check
 TOL_SPECTRAL = 0.005
+# relative accuracy and recursion cap of ``adaptive_simpson``
+SIMPSON_TOL = 1e-10
+SIMPSON_MAX_DEPTH = 48
+# height and finite-difference step of the warped-metric evaluation
+WARP_HEIGHT = 0.7
+WARP_STEP = 1e-4
 
 
-def distance_laplacian(r, model: RadialModel = CAYLEY):
+def distance_laplacian(r):
     """Laplacian of the distance function, sum of c coth(c r) over classes."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
     total = np.zeros_like(r)
-    for c, mult in model.classes:
+    for c, mult in CLASSES:
         total = total + mult * c / np.tanh(c * r)
     return total if total.shape else float(total)
 
@@ -86,26 +89,26 @@ def log_sinh(x):
     return out if out.shape else float(out)
 
 
-def log_area(r, model: RadialModel = CAYLEY):
+def log_area(r):
     """log A(r) = sum mult * log sinh(c r); stable for large r."""
     r = np.asarray(r, dtype=float)
     total = np.zeros_like(r, dtype=float)
-    for c, mult in model.classes:
+    for c, mult in CLASSES:
         total = total + mult * log_sinh(c * r)
     return total if total.shape else float(total)
 
 
-def area(r, model: RadialModel = CAYLEY):
-    return np.exp(log_area(r, model))
+def area(r):
+    return np.exp(log_area(r))
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float) -> float:
     """Recursive adaptive Simpson quadrature.
 
     The acceptance test scales the tolerance by the local magnitude, so
     integrands spanning many orders (the area element grows like e^{22r})
-    terminate at roughly relative accuracy ``tol`` instead of chasing an
-    unreachable absolute target.
+    terminate at roughly relative accuracy ``SIMPSON_TOL`` instead of
+    chasing an unreachable absolute target.
     """
 
     def simpson(x0, x2, f0, f1, f2):
@@ -127,7 +130,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
 
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, SIMPSON_TOL, SIMPSON_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,6 @@ class SturmLiouvilleProblem:
 
     radius: float
     cells: int
-    model: RadialModel = CAYLEY
 
     def __post_init__(self):
         if self.radius < 1.0:
@@ -158,10 +160,10 @@ class SturmLiouvilleProblem:
         h = R / n
         centers = (np.arange(n) + 0.5) * h
         faces = np.arange(n + 1) * h
-        log_c = log_area(centers, self.model)
+        log_c = log_area(centers)
         log_f = np.empty(n + 1)
         log_f[0] = -np.inf  # A(0) = 0: natural boundary carries no flux
-        log_f[1:] = log_area(faces[1:], self.model)
+        log_f[1:] = log_area(faces[1:])
         # diag: (A(f_k) + A(f_{k+1})) / (h^2 A(c_k));   Dirichlet face doubled
         left = np.exp(log_f[:-1] - log_c)
         right = np.exp(log_f[1:] - log_c)
@@ -204,7 +206,7 @@ class SpectrumEstimate:
         return self.richardson - self.target
 
 
-def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY) -> SpectrumEstimate:
+def spectrum_estimate(radius: float, cells: int) -> SpectrumEstimate:
     """Dirichlet ground value at (R, N) plus an N/2 run and Richardson step.
 
     Both values come from ``smallest_eigenvalue``, so their difference is
@@ -213,8 +215,8 @@ def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY) ->
     the extrapolated value the result is flagged unconverged rather than
     silently accepted.
     """
-    fine = SturmLiouvilleProblem(radius, cells, model)
-    coarse = SturmLiouvilleProblem(radius, cells // 2, model)
+    fine = SturmLiouvilleProblem(radius, cells)
+    coarse = SturmLiouvilleProblem(radius, cells // 2)
     lam_f = smallest_eigenvalue(*fine.tridiagonal())
     lam_c = smallest_eigenvalue(*coarse.tridiagonal())
     rich = (4.0 * lam_f - lam_c) / 3.0
@@ -230,8 +232,8 @@ def spectrum_estimate(radius: float, cells: int, model: RadialModel = CAYLEY) ->
     )
 
 
-def spectrum_sweep(radii, grids, model: RadialModel = CAYLEY) -> list[SpectrumEstimate]:
-    return [spectrum_estimate(float(r), int(n), model) for r in radii for n in grids]
+def spectrum_sweep(radii, grids) -> list[SpectrumEstimate]:
+    return [spectrum_estimate(float(r), int(n)) for r in radii for n in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +246,20 @@ class WarpedReport:
     mean_curvature: float
     hessian_diagonal: tuple
     hessian_norm_sq: float
-    cauchy_schwarz_lhs: float
-    jacobi_residual: float
 
 
-def warped_report(model: RadialModel = CAYLEY, t0: float = 0.7, h: float = 1e-4) -> WarpedReport:
-    """Evaluate the warped-metric identities at height t0.
+def warped_report() -> WarpedReport:
+    """Evaluate the warped-metric identities at height ``WARP_HEIGHT``.
 
-    The metric is dt^2 + sum over the classes (c, m) of the model of
-    e^{-2 c t} on m directions.  Radial curvatures are computed both in
-    closed form (-f''/f = -c^2 for f = e^{-c t}) and by a second central
-    difference of f with one Richardson refinement, so an error in either
-    route is visible.
+    The metric is dt^2 + sum over the classes (c, m) of e^{-2 c t} on m
+    directions.  Radial curvatures are computed both in closed form
+    (-f''/f = -c^2 for f = e^{-c t}) and by a second central difference of
+    f with one Richardson refinement, so an error in either route is
+    visible.
     """
+    t0, h = WARP_HEIGHT, WARP_STEP
     worst = 0.0
-    for c, _ in model.classes:
+    for c, _ in CLASSES:
         f = lambda t: math.exp(-c * t)
 
         def second(hh):
@@ -267,22 +268,12 @@ def warped_report(model: RadialModel = CAYLEY, t0: float = 0.7, h: float = 1e-4)
         d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
         worst = max(worst, abs(c * c - d2 / f(t0)))  # -f''/f against -c^2
 
-    mean_curv = sum(-c * m for c, m in model.classes)
-    hess_diag = tuple(-c for c, m in model.classes for _ in range(m))
-    hess_sq = sum(c * c * m for c, m in model.classes)
-    # block Cauchy-Schwarz applied to the two warp classes, sharp here
-    cs = sum((sum(-c for _ in range(m))) ** 2 / m for c, m in model.classes)
-    # transported Jacobi basis V_A = e^{-c_A t} e_A satisfies V'' = c^2 V
-    jac = 0.0
-    for c, _ in model.classes:
-        f = lambda t: math.exp(-c * t)
-        d2 = (f(t0 + h) - 2.0 * f(t0) + f(t0 - h)) / h**2
-        jac = max(jac, abs(d2 - c * c * f(t0)) / f(t0))
+    mean_curv = sum(-c * m for c, m in CLASSES)
+    hess_diag = tuple(-c for c, m in CLASSES for _ in range(m))
+    hess_sq = sum(c * c * m for c, m in CLASSES)
     return WarpedReport(
         fd_residual=worst,
         mean_curvature=mean_curv,
         hessian_diagonal=hess_diag,
         hessian_norm_sq=hess_sq,
-        cauchy_schwarz_lhs=cs,
-        jacobi_residual=jac,
     )

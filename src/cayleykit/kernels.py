@@ -29,50 +29,39 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .forms import ConstraintSet
-
 MODEL_RICCI = -36.0
 MODEL_LAMBDA1 = 121.0
+# entries of a scaled minimizer below this are noise
+CANONICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class RatioProblem:
     """Minimize ratio(a) over constrained trace-free symmetric matrices.
 
-    ``constraints`` may be a ConstraintSet or a bare list of functional
-    rows; the trace functional is always appended.  ``distinguished`` is
-    the index of the gradient direction (the denominator row).
+    ``rows`` are functional rows as in ``ConstraintSet.rows``, each a tuple
+    of ((i, j), coefficient) pairs; the trace functional is always
+    prepended.  The gradient direction (the denominator row) is the first
+    basis vector.
     """
 
     n: int
-    constraints: object = None
-    distinguished: int = 0
+    rows: tuple
 
     def coordinate_list(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in range(i, self.n)]
 
     def constraint_rows(self) -> list[dict]:
-        rows: list[dict] = [{(i, i): 1.0 for i in range(self.n)}]  # trace free
-        source = self.constraints
-        if source is None:
-            return rows
-        iterable = source.rows if isinstance(source, ConstraintSet) else source
-        for row in iterable:
-            rows.append(dict(row))
-        return rows
+        trace_free = {(i, i): 1.0 for i in range(self.n)}
+        return [trace_free] + [dict(row) for row in self.rows]
 
     def quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal quadratic forms (numerator P, denominator Q) in
         collected coordinates a_ij, i <= j."""
         coords = self.coordinate_list()
         p = np.array([1.0 if i == j else 2.0 for (i, j) in coords])
-        q = np.zeros(len(coords))
-        d = self.distinguished
-        for k, (i, j) in enumerate(coords):
-            if i == d and j == d:
-                q[k] = 1.0
-            elif i == d or j == d:
-                q[k] = 1.0  # a_dj appears once in the gradient row
+        # each a_1j (row index 0) appears once in the gradient row, off the diagonal too
+        q = np.array([1.0 if i == 0 else 0.0 for (i, j) in coords])
         return np.diag(p), np.diag(q)
 
     def nullspace(self) -> np.ndarray:
@@ -94,9 +83,9 @@ class RatioProblem:
 
     def objective(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=float)
-        denom = float(np.sum(a[self.distinguished] ** 2))
+        denom = float(np.sum(a[0] ** 2))
         if denom == 0.0:
-            raise ZeroDivisionError("distinguished row vanishes")
+            raise ZeroDivisionError("gradient row vanishes")
         return float(np.sum(a * a) / denom)
 
 
@@ -113,25 +102,24 @@ class KernelResult:
 def _closed_form(problem: RatioProblem) -> tuple[float, np.ndarray]:
     """Best Cauchy-Schwarz block bound over constraints containing a_11.
 
-    Scans diagonal-only constraint rows through the distinguished entry;
-    the row with the fewest partners gives the largest bound 1 + 1/k, and
-    its structured minimizer must satisfy every other constraint.
+    Scans diagonal-only constraint rows through a_11; the row with the
+    fewest partners gives the largest bound 1 + 1/k, and its structured
+    minimizer must satisfy every other constraint.
     """
-    d = problem.distinguished
     rows = problem.constraint_rows()
     best = None
     for row in rows:
         if any(i != j for (i, j) in row):
             continue
-        pivot = row.get((d, d), 0.0)
+        pivot = row.get((0, 0), 0.0)
         if pivot == 0.0:
             continue
-        partners = [(i, val / pivot) for (i, i2), val in row.items() if i == i2 and i != d]
+        partners = [(i, val / pivot) for (i, i2), val in row.items() if i == i2 and i != 0]
         if not partners or any(w <= 0 for _, w in partners):
             continue
         k = len(partners)
         cand = np.zeros((problem.n, problem.n))
-        cand[d, d] = -float(k)
+        cand[0, 0] = -float(k)
         for i, w in partners:
             cand[i, i] = 1.0 / w
         # equal weights are required for the Schwarz step to be sharp
@@ -147,7 +135,7 @@ def _closed_form(problem: RatioProblem) -> tuple[float, np.ndarray]:
         if best is None or bound > best[0]:
             best = (bound, cand)
     if best is None:
-        raise ValueError("no diagonal constraint through the distinguished entry")
+        raise ValueError("no diagonal constraint through a_11")
     return best
 
 
@@ -164,7 +152,7 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
     pp = basis.T @ p @ basis
     qq = basis.T @ q @ basis
     if np.abs(qq).max() < 1e-14:
-        raise ValueError("constraints force the distinguished row to vanish")
+        raise ValueError("constraints force the gradient row to vanish")
     # largest mu of Q v = mu P v; the minimal ratio is 1 / mu
     mu, vecs = scipy.linalg.eigh(qq, pp)
     mu_max = float(mu[-1])
@@ -174,7 +162,7 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
     return 1.0 / mu_max, minimizer
 
 
-def min_bochner_ratio(problem: RatioProblem, ricci: float = MODEL_RICCI) -> KernelResult:
+def min_bochner_ratio(problem: RatioProblem) -> KernelResult:
     """Sharp minimal ratio with the dual-route cross-check.
 
     Raises if the eigenvalue route and the closed form disagree beyond
@@ -190,7 +178,7 @@ def min_bochner_ratio(problem: RatioProblem, ricci: float = MODEL_RICCI) -> Kern
     if abs(float(rational) - eigen_ratio) > 1e-9:
         raise ArithmeticError(f"minimal ratio {eigen_ratio!r} is not a small rational")
     ratio = float(rational)
-    transform = kato_transform(ratio, ricci)
+    transform = kato_transform(ratio)
     return KernelResult(
         ratio=ratio,
         rational=rational,
@@ -201,22 +189,20 @@ def min_bochner_ratio(problem: RatioProblem, ricci: float = MODEL_RICCI) -> Kern
     )
 
 
-def canonical_minimizer(minimizer: np.ndarray, problem: RatioProblem,
-                        tol: float = 1e-9) -> np.ndarray:
-    """Scale/sign normal form of a minimizer: distinguished entry negative,
-    largest positive diagonal value one, off-diagonal noise zeroed."""
+def canonical_minimizer(minimizer: np.ndarray) -> np.ndarray:
+    """Scale/sign normal form of a minimizer: a_11 negative, largest
+    positive diagonal value one, off-diagonal noise zeroed."""
     a = np.array(minimizer, dtype=float)
     scale = float(np.abs(a).max())
     if scale == 0.0:
         return a
     a /= scale
     off = a - np.diag(np.diag(a))
-    if np.abs(off).max() < tol:
+    if np.abs(off).max() < CANONICAL_TOL:
         a = np.diag(np.diag(a))
-    d = problem.distinguished
-    if a[d, d] > 0:
+    if a[0, 0] > 0:
         a = -a
-    positive = np.diag(a)[np.diag(a) > tol]
+    positive = np.diag(a)[np.diag(a) > CANONICAL_TOL]
     if positive.size:
         a = a / positive.max()
     return a
@@ -238,7 +224,7 @@ class KatoTransform:
     degenerate: bool
 
 
-def kato_transform(ratio: float, ricci: float = MODEL_RICCI) -> KatoTransform:
+def kato_transform(ratio: float) -> KatoTransform:
     """Exponent and drift of g = h^{1-b} for the sharp ratio 1 + b.
 
     Substituting Delta h >= b |grad h|^2 / h - |Ric| h into
@@ -247,19 +233,17 @@ def kato_transform(ratio: float, ricci: float = MODEL_RICCI) -> KatoTransform:
         Delta g >= k (b + k - 1) h^{k-2} |grad h|^2 - k |Ric| g,
 
     and k = 1 - b makes the gradient coefficient vanish identically.  b
-    and |Ric| are taken as small rationals, so exponent and drift are the
-    exact fractions rounded once.  ratio = 2 means k = 0: flagged
-    degenerate.
+    and |Ric| = |MODEL_RICCI| are taken as small rationals, so exponent and
+    drift are the exact fractions rounded once.  ratio = 2 means k = 0:
+    flagged degenerate.
     """
     if not 1.0 < ratio <= 2.0:
         raise ValueError("ratio must lie in (1, 2]")
-    if ricci >= 0:
-        raise ValueError("the transform targets negative Ricci")
     b = Fraction(ratio - 1.0).limit_denominator(64)
     k = 1 - b
     if k == 0:
         return KatoTransform(exponent=0.0, drift=0.0, degenerate=True)
-    drift = float(k * Fraction(abs(ricci)).limit_denominator(64))
+    drift = float(k * Fraction(abs(MODEL_RICCI)).limit_denominator(64))
     return KatoTransform(exponent=float(k), drift=drift, degenerate=False)
 
 
@@ -268,7 +252,7 @@ SAMPLE_BLOCK_ROWS = 8192
 
 
 def sharpness_sample(problem: RatioProblem, result: KernelResult,
-                     rng: np.random.Generator, samples: int = 100000) -> dict:
+                     rng: np.random.Generator, samples: int) -> dict:
     """Empirical check that no feasible matrix beats the minimal ratio.
 
     The normal draws come from ``rng`` in blocks of rows; consecutive

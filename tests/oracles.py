@@ -34,7 +34,7 @@ def perm_sign(perm) -> int:
 def dense_from_form(form: Form):
     n, p = form.n, form.grade
     if p == 0:
-        return np.float64(form.coefficient(()))
+        return np.float64(form.coeffs.get(0, 0.0))
     t = np.zeros((n,) * p)
     for mask, c in form.coeffs.items():
         idx = indices_of(mask)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cayleykit import curvature
 from cayleykit.curvature import (
     ALPHA,
     N,
@@ -171,8 +172,9 @@ def test_jacobi_spectrum_structure():
         assert np.abs(jac @ u).max() <= 1e-9
 
 
-def test_alpha_scaling_linearity():
-    doubled = assemble_operator(SectionalCurvature(alpha=2.0 * ALPHA))
+def test_alpha_scaling_linearity(monkeypatch):
+    monkeypatch.setattr(curvature, "ALPHA", 2.0 * ALPHA)
+    doubled = assemble_operator(SectionalCurvature())
     assert np.abs(doubled.matrix - 2.0 * OP.matrix).max() <= 1e-9
 
 

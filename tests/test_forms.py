@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cayleykit.exterior import Form, hessian_action
+from cayleykit.exterior import Form, hessian_action, mask_of
 from cayleykit.forms import (
     SPIN9_DIM,
     V_TOP,
@@ -37,7 +37,7 @@ def test_kahler_form_structure():
         assert omega.grade == 2
         assert len(omega.coeffs) == n
         for i in range(n):
-            assert omega.coefficient((i, i + n)) == -1.0
+            assert omega.coeffs.get(mask_of((i, i + n)), 0.0) == -1.0
         assert kahler_targets(n) == tuple(1 << i | 1 << (i + n) for i in range(n))
 
 
@@ -67,7 +67,7 @@ def test_quaternionic_form_n1_is_volume_multiple():
 def test_quaternionic_line_coefficients():
     omega = quaternionic_form(2)
     for target in quaternionic_targets(2):
-        assert omega.coefficient(target) == pytest.approx(6.0)
+        assert omega.coeffs.get(target, 0.0) == pytest.approx(6.0)
 
 
 def test_quaternionic_constraints_exact():
@@ -147,7 +147,7 @@ def test_extracted_constraints_match_targets():
     assert cs.rows == [tuple([((i, i), 1.0) for i in range(8)]),
                        tuple([((i, i), 1.0) for i in range(8, 16)])]
     spec = random_f_spec(RNG)
-    assert standard_constraints("spin9", spec=spec) == cs
+    assert extract_constraints(spin9_form(spec), spin9_targets()) == cs
 
 
 def test_extraction_rescale_invariant():
@@ -191,7 +191,7 @@ def test_feasible_matrices_annihilate_targets():
             b = oracles.project_feasible(cs, 0.5 * (a + a.T))
             assert np.abs(oracles.evaluate(cs, b)).max() <= 1e-10
             t_form = hessian_action(b, omega)
-            assert max(abs(t_form.coefficient(m)) for m in targets) <= 1e-10
+            assert max(abs(t_form.coeffs.get(m, 0.0)) for m in targets) <= 1e-10
 
 
 def test_functional_rescale_consistency():

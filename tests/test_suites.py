@@ -90,6 +90,26 @@ def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
         assert [c.check for c in result.checks if not c.passed] == ["geodesy.sturm-crosscheck"]
 
 
+def test_model_faults_fail_named_checks(monkeypatch):
+    # each model fault is one patched constant and must fail exactly these checks
+    faults = (
+        (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), "geodesy",
+         ("distance-laplacian-value", "distance-laplacian-limits", "area-volume",
+          "volume-growth-rate", "spectrum-bottom", "spectrum-domain-monotone",
+          "warped-constants")),
+        (suites.curvature, "ALPHA", -3.0, "curvature",
+         ("adapted-sectional", "pinch-range", "product-order-reading", "einstein-constant",
+          "radial-spectrum", "pinch-search")),
+        (suites.kernels, "MODEL_RICCI", -30.0, "kernels", ("ratio-quaternionic", "kato-transform")),
+    )
+    for owner, name, value, suite, expected in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            result = SUITES[suite](RunConfig(**FAST))
+        failed = [c.check for c in result.checks if not c.passed]
+        assert failed == [f"{suite}.{check}" for check in expected], name
+
+
 def test_check_bookkeeping():
     suite = SuiteResult("demo")
     at_tolerance = suite.add("demo.on-the-line", 1e-10, 1e-10)
