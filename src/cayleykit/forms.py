@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Form, action_terms, mask_of, wedge
+from .exterior import Form, epsilon, mask_of, pair_action, sum_terms, wedge
 
 SPIN9_DIM = 16
 V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
@@ -133,22 +133,24 @@ class FSpec:
 
 
 def build_correction(spec: FSpec) -> Form:
-    """Evaluate an FSpec into a concrete 8-form on R^16."""
-    total = Form.zero(SPIN9_DIM, 8)
+    """Evaluate an FSpec into a concrete 8-form on R^16.
+
+    A word is its coefficient times theta^{i_1} ^ ... ^ theta^{i_8} with the
+    routed indices in letter order, that is eight left multiplications
+    applied to the unit, which also supply every reordering sign; all words
+    take each step together.
+    """
+    indices = []
     for word in spec.words:
-        acc = Form(SPIN9_DIM, 0, {0: word.coefficient})
         for kind, p, q in word.letters:
-            if kind == "v":
-                a, b = spec.sigma[p], spec.sigma[q]
-                offset = 0
-            else:
-                a, b = spec.tau[p], spec.tau[q]
-                offset = 8
-            sign = 1.0 if a < b else -1.0
-            lo, hi = min(a, b) + offset, max(a, b) + offset
-            acc = wedge(acc, Form(SPIN9_DIM, 2, {mask_of((lo, hi)): sign}))
-        total = total + acc
-    return total
+            perm, offset = (spec.sigma, 0) if kind == "v" else (spec.tau, 8)
+            indices += [perm[p] + offset, perm[q] + offset]
+    indices = np.array(indices, dtype=np.int64).reshape(-1, 8)
+    masks = np.zeros(len(indices), dtype=np.int64)
+    coeffs = np.array([word.coefficient for word in spec.words])
+    for step in reversed(range(8)):
+        masks, coeffs = epsilon(indices[:, step], masks, coeffs)
+    return Form.from_terms(SPIN9_DIM, 8, masks, coeffs)
 
 
 def random_f_spec(rng: np.random.Generator) -> FSpec:
@@ -191,12 +193,13 @@ def no_leak_report(correction: Form) -> float:
     index pair (i, j) and top, over all 256 pairs; an admissible correction
     must leave every sum at zero.
     """
-    leaks: dict[tuple[int, int, int], float] = {}
-    for m, c in correction.coeffs.items():
-        for i, j, sign, mo in action_terms(m, correction.n):
-            if mo in (V_TOP, W_TOP):
-                leaks[i, j, mo] = leaks.get((i, j, mo), 0.0) + sign * c
-    return max((abs(v) for v in leaks.values()), default=0.0)
+    n = correction.n
+    masks, coeffs = pair_action(n, *correction.batch())
+    pairs = np.arange(n * n).reshape(n, n)
+    top = ((masks == V_TOP) | (masks == W_TOP)) & (coeffs != 0.0)
+    keys = (masks == W_TOP) * n * n + pairs
+    _, leaks = sum_terms(keys[top], coeffs[top])
+    return float(np.abs(leaks).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +212,17 @@ def monomial_functionals(omega: Form) -> dict[int, dict[tuple[int, int], float]]
     Functionals are expressed over the free entries (i, j) with i <= j of
     a symmetric matrix; off-diagonal entries collect both index orders.
     """
+    n = omega.n
+    masks, coeffs = pair_action(n, *omega.batch())
+    i, j = np.indices((n, n))
+    live = coeffs != 0.0
+    # key bits: output monomial, then the smaller and the larger index, 4 bits each
+    keys = masks << 8 | np.minimum(i, j) << 4 | np.maximum(i, j)
+    keys, sums = sum_terms(keys[live], coeffs[live])
     table: dict[int, dict[tuple[int, int], float]] = {}
-    for m, c in omega.coeffs.items():
-        for i, j, sign, mo in action_terms(m, omega.n):
-            key = (i, j) if i <= j else (j, i)
-            row = table.setdefault(mo, {})
-            row[key] = row.get(key, 0.0) + sign * c
-    for mo in list(table):
-        table[mo] = {k: v for k, v in table[mo].items() if v != 0.0}
-        if not table[mo]:
-            del table[mo]
+    for key, val in zip(keys.tolist(), sums.tolist()):
+        if val != 0.0:
+            table.setdefault(key >> 8, {})[key >> 4 & 15, key & 15] = val
     return table
 
 

@@ -102,13 +102,15 @@ def area(r):
     return np.exp(log_area(r))
 
 
-def adaptive_simpson(f, a: float, b: float) -> float:
-    """Recursive adaptive Simpson quadrature.
+def adaptive_simpson(f, a: float, b: float) -> tuple[float, int]:
+    """Recursive adaptive Simpson quadrature: the integral and the unmet count.
 
     The acceptance test scales the tolerance by the local magnitude, so
     integrands spanning many orders (the area element grows like e^{22r})
     terminate at roughly relative accuracy ``SIMPSON_TOL`` instead of
-    chasing an unreachable absolute target.
+    chasing an unreachable absolute target.  The unmet count is the number
+    of intervals accepted at ``SIMPSON_MAX_DEPTH`` without meeting that
+    test; a caller fails on any.
     """
 
     def simpson(x0, x2, f0, f1, f2):
@@ -123,10 +125,12 @@ def adaptive_simpson(f, a: float, b: float) -> float:
         left = simpson(x0, xm, f0, flm, f1)
         right = simpson(xm, x2, f1, frm, f2)
         delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps * (1.0 + abs(left + right)):
-            return left + right + delta / 15.0
-        return (recurse(x0, xm, f0, flm, f1, left, eps / 2.0, depth - 1)
-                + recurse(xm, x2, f1, frm, f2, right, eps / 2.0, depth - 1))
+        met = abs(delta) <= 15.0 * eps * (1.0 + abs(left + right))
+        if met or depth <= 0:
+            return left + right + delta / 15.0, int(not met)
+        lval, lunmet = recurse(x0, xm, f0, flm, f1, left, eps / 2.0, depth - 1)
+        rval, runmet = recurse(xm, x2, f1, frm, f2, right, eps / 2.0, depth - 1)
+        return lval + rval, lunmet + runmet
 
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = simpson(a, b, fa, fm, fb)

@@ -180,62 +180,59 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     return out
 
 
+def _minus(exponent, batch):
+    """The batch times -(-1) ** exponent, elementwise: the subtracted side of an identity."""
+    return batch[0], (2.0 * (np.asarray(exponent) % 2) - 1.0) * batch[1]
+
+
+def _identity_residuals(n, p, k, m, eta) -> dict[str, float]:
+    """Worst residual of each single-form identity; ``n``, ``p``, ``k``, ``m`` are per-row columns."""
+    ex = exterior
+    star = ex.hodge(n, *eta)
+    contracted = ex.interior(k, *eta)
+    return {
+        "involution": ex.residual(ex.hodge(n, *star), _minus(p * (n - p), eta)),
+        "push": ex.residual(ex.hodge(n, *ex.epsilon(k, *eta)), _minus(p, ex.interior(k, *star))),
+        "pull": ex.residual(ex.epsilon(k, *star), _minus(p - 1, ex.hodge(n, *contracted))),
+        "double": ex.residual(ex.hodge(n, *ex.epsilon(k, *star)), _minus((p - 1) * (n - p), contracted)),
+        "anticommute": ex.residual(ex.interior(k, *ex.epsilon(m, *eta)), ex.epsilon(m, *contracted),
+                                   (eta[0], np.where(k == m, -eta[1], 0.0))),
+    }
+
+
 def suite_exterior(cfg: RunConfig) -> SuiteResult:
+    """Hodge and contraction identities in three batches of cases.
+
+    Every monomial of every n <= 6 against every index pair (k, m);
+    ``trials / 100`` random sparse forms of mixed grades at n = 16; and the
+    duality chain at grades (4, 2), (8, 4), (16, 8).  Serialization runs on
+    single forms.
+    """
     rng = cfg.suite_rng("exterior")
     out = SuiteResult("exterior")
     ex = exterior
 
-    worst = {name: 0.0 for name in ("involution", "push", "pull", "double", "anticommute", "adjoint")}
+    cases = np.array([(n, mask, k, m) for n in range(1, 7) for mask in range(1 << n)
+                      for k in range(n) for m in range(n)])
+    n, mask, k, m = cases.T[:, :, None]
+    p = np.bitwise_count(mask).astype(np.int64)
+    worst = _identity_residuals(n, p, k, m, (mask, np.ones(mask.shape)))
 
-    def run_case(eta, k, m):
-        n, p = eta.n, eta.grade
-        worst["involution"] = max(worst["involution"],
-                                  (ex.hodge(ex.hodge(eta)) - (-1) ** (p * (n - p)) * eta).sup_norm())
-        if p < n:
-            worst["push"] = max(worst["push"],
-                                (ex.hodge(ex.epsilon(k, eta)) - (-1) ** p * ex.interior(k, ex.hodge(eta))).sup_norm())
-        if p >= 1:
-            worst["pull"] = max(worst["pull"],
-                                (ex.epsilon(k, ex.hodge(eta)) - (-1) ** (p - 1) * ex.hodge(ex.interior(k, eta))).sup_norm())
-            worst["double"] = max(worst["double"],
-                                  (ex.hodge(ex.epsilon(k, ex.hodge(eta)))
-                                   - (-1) ** ((p - 1) * (n - p)) * ex.interior(k, eta)).sup_norm())
-        # at the grade edges one side of the anticommutator vanishes identically
-        if p == n:
-            anti = ex.epsilon(m, ex.interior(k, eta))
-        elif p == 0:
-            anti = ex.interior(k, ex.epsilon(m, eta))
-        else:
-            anti = ex.interior(k, ex.epsilon(m, eta)) + ex.epsilon(m, ex.interior(k, eta))
-        target = eta if k == m else ex.Form.zero(n, p)
-        worst["anticommute"] = max(worst["anticommute"], (anti - target).sup_norm())
-
-    # exhaustive over small dimensions, every monomial and index pair
-    for n in range(1, 7):
-        for p in range(0, n + 1):
-            for mask in range(1 << n):
-                if mask.bit_count() != p:
-                    continue
-                eta = ex.Form(n, p, {mask: 1.0})
-                for k in range(n):
-                    for m in range(n):
-                        run_case(eta, k, m)
-    # random sparse forms at full dimension
-    for _ in range(max(1, cfg.trials // 100)):
-        p = int(rng.integers(1, 16))
-        eta = ex.random_form(16, p, rng)
-        run_case(eta, int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-        xi = ex.random_form(16, p - 1, rng)
-        k = int(rng.integers(0, 16))
-        adj = abs(ex.inner(ex.epsilon(k, xi), eta) - ex.inner(xi, ex.interior(k, eta)))
-        worst["adjoint"] = max(worst["adjoint"], adj)
+    rows = max(1, cfg.trials // 100)
+    p = rng.integers(1, 16, rows)
+    k, m, j = rng.integers(0, 16, (3, rows, 1))
+    eta = ex.random_forms(16, p, rng)
+    xi = ex.random_forms(16, p - 1, rng)
+    sampled = _identity_residuals(16, p[:, None], k, m, eta)
+    worst = {name: max(worst[name], sampled[name]) for name in worst}
+    adjoint = np.abs(ex.inner(*ex.epsilon(j, *xi), *eta) - ex.inner(*xi, *ex.interior(j, *eta)))
 
     out.add("exterior.star-involution", worst["involution"], TOL_IDENTITY)
     out.add("exterior.star-after-epsilon", worst["push"], TOL_IDENTITY)
     out.add("exterior.epsilon-after-star", worst["pull"], TOL_IDENTITY)
     out.add("exterior.star-epsilon-star", worst["double"], TOL_IDENTITY)
     out.add("exterior.contraction-anticommutator", worst["anticommute"], TOL_IDENTITY)
-    out.add("exterior.epsilon-interior-adjoint", worst["adjoint"], TOL_IDENTITY)
+    out.add("exterior.epsilon-interior-adjoint", adjoint.max(), TOL_IDENTITY)
 
     trials = 100
     chain = 0.0
@@ -245,10 +242,10 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
     out.add("exterior.duality-chain", chain, TOL_IDENTITY,
             "grades (4,2), (8,4), (16,8)")
 
+    grades = rng.integers(0, 17, 50)
     ser = 0.0
-    for _ in range(50):
-        p = int(rng.integers(0, 17))
-        eta = ex.random_form(16, p, rng)
+    for p, masks, coeffs in zip(grades.tolist(), *ex.random_forms(16, grades, rng)):
+        eta = ex.Form.from_terms(16, p, masks, coeffs)
         back = ex.Form.from_text(eta.to_text(), 16, p)
         ser = max(ser, (eta - back).sup_norm())
     out.add("exterior.serialization-roundtrip", ser, 0.0)
@@ -281,10 +278,8 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     km = mirrored.plane_value(x, y)
     km = km[~np.isnan(km)]
     mirror_overshoot = max(0.0, float((-4.0 - km.min())), float(km.max() - (-1.0)))
-    both = mirror_overshoot <= TOL_MODEL
-    out.add("curvature.product-order-reading", overshoot, TOL_MODEL,
-            "chosen reading <ab,cd> passes; mirrored reading "
-            + ("also satisfies the bounds" if both else "fails the bounds"))
+    out.add("curvature.product-order-reading", mirror_overshoot, TOL_MODEL,
+            "mirrored reading <ba,dc> on the same planes")
 
     op = curvature.assemble_operator(formula)
     sym = max(op.assembly_asymmetry, curvature.symmetry_residual(op, rng, trials=500))
@@ -339,13 +334,17 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
             "closed form vs index-form sum vs area derivative")
 
     quad = 0.0
+    capped = 0
     for c, _ in g.CLASSES:
         for L in (1.0, 2.0):
             def energy(t, c=c, L=L):
                 fp = c * np.cosh(c * t) / np.sinh(c * L)
                 return float(fp**2 + c**2 * g.jacobi_profile(c, L, t) ** 2)
-            quad = max(quad, abs(g.adaptive_simpson(energy, 0.0, L) - g.hessian_eigenvalue(c, L)))
-    out.add("geodesy.jacobi-index-form", quad, TOL_NUMERIC)
+            value, unmet = g.adaptive_simpson(energy, 0.0, L)
+            quad = max(quad, abs(value - g.hessian_eigenvalue(c, L)))
+            capped += unmet
+    out.add("geodesy.jacobi-index-form", quad if capped == 0 else 1.0, TOL_NUMERIC,
+            f"{capped} intervals accepted at the depth cap above tolerance")
 
     grow = abs(g.log_area(50.0) / 50.0 - 22.0) / 22.0
     small = abs(g.area(1e-3) / (2.0**7 * (1e-3) ** 15) - 1.0)
@@ -498,7 +497,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     out.add("kernels.constraint-monotonicity", mono, 0.5,
             f"extra constraint moves the ratio to {tightened:.6f}")
 
-    kt = k.kato_transform(8.0 / 7.0)
+    kt = k.kato_transform(r9.ratio)
     trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0))
     out.add("kernels.kato-transform", trans, TOL_IDENTITY, "exponent 6/7, drift 216/7")
 

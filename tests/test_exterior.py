@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import oracles
 from cayleykit import exterior
 from cayleykit.exterior import (
     Form,
+    _star_chain,
+    below_sign,
     duality_report,
     epsilon,
     hessian_action,
@@ -13,13 +17,35 @@ from cayleykit.exterior import (
     inner,
     interior,
     mask_of,
-    merge_sign,
-    random_form,
+    random_forms,
     random_trace_free,
+    residual,
     wedge,
 )
 
 RNG = np.random.default_rng(414213562)
+
+
+# single forms through the batched kernels, as one-row batches
+def random_form(n, p, rng):
+    (masks,), (coeffs,) = random_forms(n, [p], rng)
+    return Form.from_terms(n, p, masks, coeffs)
+
+
+def eps(k, eta):
+    return Form.from_terms(eta.n, min(eta.grade + 1, eta.n), *epsilon(k, *eta.batch()))
+
+
+def contract(k, eta):
+    return Form.from_terms(eta.n, max(eta.grade - 1, 0), *interior(k, *eta.batch()))
+
+
+def star(eta):
+    return Form.from_terms(eta.n, eta.n - eta.grade, *hodge(eta.n, *eta.batch()))
+
+
+def inner1(xi, eta):
+    return float(inner(*xi.batch(), *eta.batch())[0])
 
 
 def test_mask_helpers():
@@ -38,7 +64,22 @@ def test_merge_sign_counts_transpositions():
         (0b10, 0b1, -1),
         (0b111, 0b1000, 1),
     ):
-        assert merge_sign(m1, m2) == expect
+        product = wedge(Form(4, m1.bit_count(), {m1: 1.0}), Form(4, m2.bit_count(), {m2: 1.0}))
+        assert product.coeffs == {m1 | m2: float(expect)}
+    # every sign kernel is the sign of the permutation sorting its indices
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for m in range(1 << n):
+            idx = indices_of(m)
+            _, signs = hodge(n, np.array([m]), np.ones(1))
+            assert signs[0] == oracles.perm_sign(idx + indices_of(full ^ m))
+            for k in range(n):
+                rest = tuple(i for i in idx if i != k)
+                assert below_sign(m, k) == oracles.perm_sign((k,) + rest)
+            for m2 in range(1 << n):
+                if not m & m2:
+                    product = wedge(Form(n, len(idx), {m: 1.0}), Form(n, m2.bit_count(), {m2: 1.0}))
+                    assert product.coeffs == {m | m2: float(oracles.perm_sign(idx + indices_of(m2)))}
 
 
 def test_wedge_against_dense_oracle(monkeypatch):
@@ -60,7 +101,7 @@ def test_wedge_against_dense_oracle(monkeypatch):
 def test_wedge_above_top_grade_vanishes():
     xi = random_form(4, 3, RNG)
     eta = random_form(4, 2, RNG)
-    assert wedge(xi, eta).is_zero()
+    assert not wedge(xi, eta).coeffs
 
 
 def test_interior_epsilon_hodge_against_dense_oracle(monkeypatch):
@@ -73,14 +114,14 @@ def test_interior_epsilon_hodge_against_dense_oracle(monkeypatch):
                 for k in range(n):
                     if p >= 1:
                         want = oracles.interior_dense(k, dense, p)
-                        got = interior(k, eta)
+                        got = contract(k, eta)
                         assert (got - oracles.form_from_dense(want, n, p - 1)).sup_norm() <= 1e-12
                     if p < n:
                         want = oracles.epsilon_dense(k, dense, n, p)
-                        got = epsilon(k, eta)
+                        got = eps(k, eta)
                         assert (got - oracles.form_from_dense(want, n, p + 1)).sup_norm() <= 1e-12
                 want = oracles.hodge_dense(dense, n, p)
-                assert (hodge(eta) - oracles.form_from_dense(want, n, n - p)).sup_norm() <= 1e-12
+                assert (star(eta) - oracles.form_from_dense(want, n, n - p)).sup_norm() <= 1e-12
 
 
 def test_star_identities_full_dimension():
@@ -89,15 +130,15 @@ def test_star_identities_full_dimension():
         p = int(RNG.integers(1, n))
         eta = random_form(n, p, RNG)
         k = int(RNG.integers(0, n))
-        assert (hodge(hodge(eta)) - (-1) ** (p * (n - p)) * eta).sup_norm() <= 1e-12
-        lhs = hodge(epsilon(k, eta))
-        rhs = (-1) ** p * interior(k, hodge(eta))
+        assert (star(star(eta)) - (-1) ** (p * (n - p)) * eta).sup_norm() <= 1e-12
+        lhs = star(eps(k, eta))
+        rhs = (-1) ** p * contract(k, star(eta))
         assert (lhs - rhs).sup_norm() <= 1e-12
-        lhs = epsilon(k, hodge(eta))
-        rhs = (-1) ** (p - 1) * hodge(interior(k, eta))
+        lhs = eps(k, star(eta))
+        rhs = (-1) ** (p - 1) * star(contract(k, eta))
         assert (lhs - rhs).sup_norm() <= 1e-12
-        lhs = hodge(epsilon(k, hodge(eta)))
-        rhs = (-1) ** ((p - 1) * (n - p)) * interior(k, eta)
+        lhs = star(eps(k, star(eta)))
+        rhs = (-1) ** ((p - 1) * (n - p)) * contract(k, eta)
         assert (lhs - rhs).sup_norm() <= 1e-12
 
 
@@ -107,8 +148,8 @@ def test_contraction_anticommutator_full_dimension():
         p = int(RNG.integers(1, n))
         eta = random_form(n, p, RNG)
         k, m = (int(v) for v in RNG.integers(0, n, 2))
-        got = interior(k, epsilon(m, eta)) + epsilon(m, interior(k, eta))
-        want = eta if k == m else Form.zero(n, p)
+        got = contract(k, eps(m, eta)) + eps(m, contract(k, eta))
+        want = eta if k == m else Form(n, p)
         assert (got - want).sup_norm() <= 1e-12
 
 
@@ -119,23 +160,27 @@ def test_epsilon_interior_adjoint():
         eta = random_form(n, p, RNG)
         xi = random_form(n, p - 1, RNG)
         k = int(RNG.integers(0, n))
-        assert abs(inner(epsilon(k, xi), eta) - inner(xi, interior(k, eta))) <= 1e-12
+        assert abs(inner1(eps(k, xi), eta) - inner1(xi, contract(k, eta))) <= 1e-12
 
 
 def test_inner_is_monomial_orthonormal():
     eta = Form(6, 2, {0b11: 2.0, 0b101: -3.0})
-    assert inner(eta, eta) == pytest.approx(13.0)
-    assert inner(Form(6, 2, {0b11: 1.0}), Form(6, 2, {0b101: 1.0})) == 0.0
+    assert inner1(eta, eta) == pytest.approx(13.0)
+    assert inner1(Form(6, 2, {0b11: 1.0}), Form(6, 2, {0b101: 1.0})) == 0.0
+
+
+def hessian1(a, eta):
+    return Form.from_terms(eta.n, eta.grade, *hessian_action(a, *eta.batch()))
 
 
 def test_hessian_action_identity_and_trace():
     n = 8
     for p in (1, 3, 5):
         eta = random_form(n, p, RNG)
-        ident = hessian_action(np.eye(n), eta)
+        ident = hessian1(np.eye(n), eta)
         assert (ident - float(p) * eta).sup_norm() <= 1e-12
-    a = random_trace_free(n, RNG)
-    assert hessian_action(a, Form.volume(n)).sup_norm() <= 1e-12
+    (a,) = random_trace_free(n, 1, RNG)
+    assert hessian1(a, Form.volume(n)).sup_norm() <= 1e-12
 
 
 def test_hessian_action_against_dense_oracle(monkeypatch):
@@ -146,7 +191,7 @@ def test_hessian_action_against_dense_oracle(monkeypatch):
             a = 0.5 * (a + a.T)
             eta = random_form(n, p, RNG)
             want = oracles.hessian_dense(a, oracles.dense_from_form(eta), p)
-            got = hessian_action(a, eta)
+            got = hessian1(a, eta)
             assert (got - oracles.form_from_dense(want, n, p)).sup_norm() <= 1e-10
 
 
@@ -159,21 +204,42 @@ def test_duality_chain_signs_and_residuals():
 def test_duality_chain_antisymmetric_matrix():
     # the chain never used symmetry of a, so the 2-form-symbol case
     # (antisymmetric coefficients) must satisfy the same identities
-    from cayleykit.exterior import _star_chain
-
     n, p = 8, 4
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a - a.T)
-        omega = random_form(n, p, rng)
-        t_form = hessian_action(a, omega)
-        sign_direct = (-1) ** (p * (n - p - 1) + 1)
-        sign_codiff = (-1) ** ((p - 1) * (n - p))
-        # the direct chain needs only trace freeness, which antisymmetry
-        # gives for free; the codifferential chain pairs through a^T
-        assert (hodge(_star_chain(a, omega)) - sign_direct * t_form).sup_norm() <= 1e-12
-        assert (_star_chain(a, hodge(omega)) + sign_codiff * t_form).sup_norm() <= 1e-12
+    a = rng.standard_normal((50, n, n))
+    a = 0.5 * (a - np.swapaxes(a, 1, 2))
+    masks, coeffs = random_forms(n, np.full(50, p), rng)
+    t_masks, t_coeffs = hessian_action(a, masks, coeffs)
+    sign_direct = (-1) ** (p * (n - p - 1) + 1)
+    sign_codiff = (-1) ** ((p - 1) * (n - p))
+    # the direct chain needs only trace freeness, which antisymmetry
+    # gives for free; the codifferential chain pairs through a^T
+    direct = hodge(n, *_star_chain(a, masks, coeffs))
+    assert residual(direct, (t_masks, -sign_direct * t_coeffs)) <= 1e-12
+    codiff = _star_chain(a, *hodge(n, masks, coeffs))
+    assert residual(codiff, (t_masks, sign_codiff * t_coeffs)) <= 1e-12
+
+
+def test_residual_keys_terms_by_row():
+    masks = np.array([[0b11, 0b101], [0b11, 0b110]])
+    # equal and opposite terms in two rows are two faults, not a cancellation
+    assert residual((masks, np.array([[1.0, 0.0], [-1.0, 0.0]]))) == 1.0
+    assert residual((masks, np.array([[1.0, 2.0], [0.5, 0.0]])),
+                    (masks, np.array([[-1.0, -2.0], [-0.5, 0.0]]))) == 0.0
+    assert residual((masks[:, :0], np.zeros((2, 0)))) == 0.0
+
+
+def test_random_forms_rows_are_distinct_monomials_of_their_grade():
+    grades = np.arange(17)
+    masks, coeffs = random_forms(16, grades, np.random.default_rng(3))
+    assert masks.shape == coeffs.shape == (17, exterior.RANDOM_FORM_TERMS)
+    for p, row_masks, row_coeffs in zip(grades, masks, coeffs):
+        count = min(exterior.RANDOM_FORM_TERMS, math.comb(16, int(p)))
+        live = row_masks[:count]
+        assert len(set(live.tolist())) == count
+        assert all(int(m).bit_count() == p for m in live)
+        assert np.all(np.abs(row_coeffs[:count]) <= 1.0) and np.all(row_coeffs[:count] != 0.0)
+        assert np.all(row_coeffs[count:] == 0.0)
 
 
 def test_serialization_roundtrip_and_rejects():
@@ -186,6 +252,10 @@ def test_serialization_roundtrip_and_rejects():
         Form.from_text("0,1:1.0\n0,2,3:2.0", 16)  # mixed grades
     with pytest.raises(ValueError):
         Form.from_text("0,99:1.0", 16)
+    with pytest.raises(ValueError):
+        Form.from_text("0,1:1.0\n0,2,3:0.0", 16)  # a zero term is still validated
+    with pytest.raises(ValueError):
+        Form.from_text("0,99:0.0", 16)
     with pytest.raises(ValueError):
         Form.from_text("1,1:1.0", 16)
     with pytest.raises(ValueError):
@@ -202,7 +272,7 @@ def test_form_validation_and_algebra():
     a = Form(4, 2, {mask_of((0, 1)): 2.0})
     b = Form(4, 2, {mask_of((1, 2)): 1.0})
     assert (a + b).coeffs.get(mask_of((0, 1)), 0.0) == 2.0
-    assert (a - a).is_zero()
+    assert not (a - a).coeffs
     assert (3.0 * a).coeffs.get(mask_of((0, 1)), 0.0) == 6.0
     with pytest.raises(ValueError):
         a + Form(4, 1, {mask_of((0,)): 1.0})
@@ -222,7 +292,7 @@ def test_wedge_associativity_and_sign_rule(monkeypatch):
 
 
 def test_random_trace_free_shape():
-    a = random_trace_free(16, RNG)
-    assert a.shape == (16, 16)
-    assert abs(np.trace(a)) <= 1e-12
-    assert np.abs(a - a.T).max() <= 1e-15
+    a = random_trace_free(16, 3, RNG)
+    assert a.shape == (3, 16, 16)
+    assert np.abs(np.trace(a, axis1=1, axis2=2)).max() <= 1e-12
+    assert np.abs(a - np.swapaxes(a, 1, 2)).max() <= 1e-15

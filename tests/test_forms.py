@@ -190,7 +190,7 @@ def test_feasible_matrices_annihilate_targets():
             a = rng.uniform(-1.0, 1.0, (omega.n, omega.n))
             b = oracles.project_feasible(cs, 0.5 * (a + a.T))
             assert np.abs(oracles.evaluate(cs, b)).max() <= 1e-10
-            t_form = hessian_action(b, omega)
+            t_form = Form.from_terms(omega.n, omega.grade, *hessian_action(b, *omega.batch()))
             assert max(abs(t_form.coeffs.get(m, 0.0)) for m in targets) <= 1e-10
 
 

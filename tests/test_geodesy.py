@@ -76,7 +76,8 @@ def test_index_form_quadrature_against_scipy():
             def energy(t):
                 fp = c * np.cosh(c * t) / np.sinh(c * L)
                 return fp**2 + c**2 * jacobi_profile(c, L, t) ** 2
-            own = adaptive_simpson(energy, 0.0, L)
+            own, unmet = adaptive_simpson(energy, 0.0, L)
+            assert unmet == 0
             ref = scipy.integrate.quad(energy, 0.0, L, epsabs=1e-13, epsrel=1e-13)[0]
             assert own == pytest.approx(ref, abs=1e-9)
             assert own == pytest.approx(hessian_eigenvalue(c, L), abs=1e-9)
@@ -112,7 +113,8 @@ def test_area_growth_rate_long_range():
 def test_volume_against_scipy_quad():
     # A spans ~30 orders of magnitude on (0, 2): the acceptance test must be relative
     for r in (1.0, 2.0):
-        vol = adaptive_simpson(lambda s: float(area(s)) if s > 0 else 0.0, 0.0, r)
+        vol, unmet = adaptive_simpson(lambda s: float(area(s)) if s > 0 else 0.0, 0.0, r)
+        assert unmet == 0
         ref = scipy.integrate.quad(lambda s: area(s), 0.0, r, epsabs=0.0, epsrel=1e-12)[0]
         assert vol == pytest.approx(ref, rel=1e-9)
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cayleykit import suites
+from cayleykit import exterior, suites
 from cayleykit.octonion import DEFAULT_TABLE
 from cayleykit.suites import (
     SUITE_ORDER,
@@ -108,6 +109,69 @@ def test_model_faults_fail_named_checks(monkeypatch):
             result = SUITES[suite](RunConfig(**FAST))
         failed = [c.check for c in result.checks if not c.passed]
         assert failed == [f"{suite}.{check}" for check in expected], name
+
+
+def test_exterior_faults_fail_named_checks(monkeypatch):
+    real_signs, real_epsilon = exterior._hodge_signs, exterior.epsilon
+
+    def signs_off_by_one_grade():
+        # the Hodge sign of grade p taken as that of grade p + 1: an extra (-1)^p
+        signs = real_signs()
+        return np.where(np.bitwise_count(np.arange(signs.size)) & 1, -signs, signs)
+
+    def epsilon_parity_flipped(k, masks, coeffs):
+        out_masks, out_coeffs = real_epsilon(k, masks, coeffs)
+        return out_masks, -out_coeffs
+
+    faults = (
+        ("_hodge_signs", signs_off_by_one_grade,
+         ("star-involution", "star-after-epsilon", "epsilon-after-star", "star-epsilon-star",
+          "duality-chain")),
+        ("epsilon", epsilon_parity_flipped,
+         ("star-after-epsilon", "epsilon-after-star", "star-epsilon-star",
+          "contraction-anticommutator", "epsilon-interior-adjoint", "duality-chain")),
+    )
+    for name, fault, expected in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(exterior, name, fault)
+            result = SUITES["exterior"](RunConfig(**FAST))
+        failed = [c.check for c in result.checks if not c.passed]
+        assert failed == [f"exterior.{check}" for check in expected], name
+
+
+def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch):
+    names = ("epsilon", "interior", "hodge", "inner", "residual", "sum_terms",
+             "hessian_action", "random_forms")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(exterior, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(exterior, name, counted)
+
+    def calls(cfg):
+        counts.update(dict.fromkeys(names, 0))
+        assert SUITES["exterior"](cfg).passed
+        return dict(counts)
+
+    small = calls(RunConfig(trials=1_000))
+    tracemalloc.start()
+    try:
+        default = calls(RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert RunConfig().trials == 100_000
+    assert small == default
+    assert peak < 32 * 2**20
+
+
+def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
+    monkeypatch.setattr(suites.geodesy, "SIMPSON_MAX_DEPTH", 2)
+    result = SUITES["geodesy"](RunConfig(**FAST))
+    failed = [c for c in result.checks if not c.passed]
+    assert [c.check for c in failed] == ["geodesy.jacobi-index-form"]
+    assert not failed[0].note.startswith("0 ")
 
 
 def test_check_bookkeeping():
