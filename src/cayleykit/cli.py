@@ -6,8 +6,9 @@ Subcommands
     pinch     gradient search for extreme sectional values
     report    everything above plus artifacts in one output directory
 
-Exit status: 0 all checks passed, 1 at least one check failed,
-2 usage error (bad flags, unreadable config or table file).
+Exit status: 0 all checks passed, 1 at least one check failed (a suite
+that raises fails its ``<suite>.crashed`` check), 2 usage error (bad
+flags, unreadable config or table file).
 
 Reports are deterministic for a fixed seed: rerunning with the same
 flags reproduces ``report.json`` byte for byte except for the isolated
@@ -154,14 +155,12 @@ _PALETTE = ("#1f6fb2", "#c0392b", "#1e8449", "#8e44ad", "#b7950b", "#34495e")
 
 
 def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
-                   hline: float | None = None) -> None:
+                   hline: float) -> None:
     """Hand-rolled 800 x 600 line chart; ``series`` is (label, xs, ys) triples."""
     width, height = 800, 600
     left, right, top, bottom = 80, 24, 48, 56
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if hline is not None:
-        ys_all = ys_all + [hline]
+    ys_all = [y for _, _, ys in series for y in ys] + [hline]
     x0, x1 = min(xs_all), max(xs_all)
     y0, y1 = min(ys_all), max(ys_all)
     if x1 == x0:
@@ -202,10 +201,9 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
     parts.append(f'<text x="22" y="{(top + height - bottom) / 2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="14" '
                  f'transform="rotate(-90 22 {(top + height - bottom) / 2:.0f})">{y_label}</text>')
-    if hline is not None:
-        parts.append(f'<line x1="{left}" y1="{py(hline):.2f}" x2="{width - right}" '
-                     f'y2="{py(hline):.2f}" stroke="#888" stroke-width="1" '
-                     f'stroke-dasharray="6 4"/>')
+    parts.append(f'<line x1="{left}" y1="{py(hline):.2f}" x2="{width - right}" '
+                 f'y2="{py(hline):.2f}" stroke="#888" stroke-width="1" '
+                 f'stroke-dasharray="6 4"/>')
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -234,7 +232,7 @@ def write_spectrum_artifacts(cfg: suites.RunConfig, out: Path) -> list:
               for cells, row in sorted(by_grid.items())]
     svg_line_chart(out / "spectrum.svg", series,
                    "Bottom of the Dirichlet spectrum vs domain radius",
-                   "radius R", "lowest eigenvalue", hline=121.0)
+                   "radius R", "lowest eigenvalue", hline=geodesy.SPECTRUM_BOTTOM)
 
     rs = np.linspace(0.2, max(cfg.radii), 240)
     lap = geodesy.distance_laplacian(rs).tolist()
@@ -323,7 +321,8 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
         print(f"{est.radius:8.2f} {est.cells:7d} {est.value:14.8f} "
               f"{est.richardson:14.8f} {est.gap:+10.6f}")
     best = min(estimates, key=lambda e: abs(e.gap))
-    print(f"closest approach to 121: {best.richardson:.8f} at R={best.radius:g}, N={best.cells}")
+    print(f"closest approach to {geodesy.SPECTRUM_BOTTOM:g}: {best.richardson:.8f} "
+          f"at R={best.radius:g}, N={best.cells}")
     print(f"artifacts in {out}: spectrum.csv spectrum.svg laplacian.csv laplacian.svg")
     return 0
 
@@ -362,12 +361,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, build_config(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

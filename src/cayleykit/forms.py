@@ -13,6 +13,9 @@ This module builds the three candidates
 
 and extracts the constraint functionals of designated target monomials
 (the diagonal pair, quaternionic line and top monomials respectively).
+A functional is a float row over the coordinates a[np.triu_indices(n)] of
+a symmetric a; an off-diagonal coordinate collects both index orders, so
+the row's value on a is ``row @ a[np.triu_indices(n)]``.
 
 For the 8-form, every admissible correction word is a wedge of grade-2
 letters v_{s(i)} ^ v_{s(j)} / w_{t(k)} ^ w_{t(l)} with injective index
@@ -206,29 +209,35 @@ def no_leak_report(correction: Form) -> float:
 # Constraint extraction
 
 
-def monomial_functionals(omega: Form) -> dict[int, dict[tuple[int, int], float]]:
-    """For each output monomial of T(a, omega), its functional in a.
+def _columns(n: int) -> np.ndarray:
+    """(n, n) map from an entry (i, j), in either order, to its coordinate."""
+    cols = np.zeros((n, n), dtype=np.int64)
+    cols[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return cols + np.triu(cols, 1).T
 
-    Functionals are expressed over the free entries (i, j) with i <= j of
-    a symmetric matrix; off-diagonal entries collect both index orders.
+
+def diagonal_rows(n: int, groups) -> np.ndarray:
+    """One row per index group: the sum of the group's diagonal entries."""
+    rows = np.zeros((len(groups), n * (n + 1) // 2))
+    for row, group in zip(rows, groups):
+        row[np.diag(_columns(n))[list(group)]] = 1.0
+    return rows
+
+
+def monomial_functionals(omega: Form, targets) -> np.ndarray:
+    """The functional in a of each target output monomial of T(a, omega).
+
+    Returns one row per target.  The coefficient of the coordinate (i, j)
+    sums the terms of both a_ij and a_ji.
     """
     n = omega.n
     masks, coeffs = pair_action(n, *omega.batch())
-    i, j = np.indices((n, n))
-    live = coeffs != 0.0
-    # key bits: output monomial, then the smaller and the larger index, 4 bits each
-    keys = masks << 8 | np.minimum(i, j) << 4 | np.maximum(i, j)
-    keys, sums = sum_terms(keys[live], coeffs[live])
-    table: dict[int, dict[tuple[int, int], float]] = {}
-    for key, val in zip(keys.tolist(), sums.tolist()):
-        if val != 0.0:
-            table.setdefault(key >> 8, {})[key >> 4 & 15, key & 15] = val
-    return table
-
-
-def coefficient_functional(omega: Form, mask: int) -> dict[tuple[int, int], float]:
-    """Functional of a single output monomial."""
-    return monomial_functionals(omega).get(mask, {})
+    cols = np.broadcast_to(_columns(n), masks.shape)
+    rows = np.zeros((len(targets), n * (n + 1) // 2))
+    for row, target in zip(rows, targets):
+        hit = masks == target
+        row[:] = np.bincount(cols[hit], weights=coeffs[hit], minlength=row.size)
+    return rows
 
 
 def _rationalize(x: float) -> float:
@@ -237,38 +246,29 @@ def _rationalize(x: float) -> float:
 
 
 class ConstraintSet:
-    """Canonical list of linear functionals on symmetric n x n matrices.
+    """Canonical set of linear functionals on symmetric n x n matrices.
 
-    Rows are reduced (ordered echelon pivots, unit pivot coefficient,
-    near-rational entries snapped to denominators <= 64), so two
-    extractions of the same constraint space compare equal.
+    ``rows`` is an (r, n(n+1)/2) array in reduced row echelon form
+    (ascending pivots, unit pivot coefficient, near-rational entries
+    snapped to denominators <= 64), so two extractions of the same
+    constraint space compare equal.
     """
 
-    def __init__(self, n: int, rows):
+    def __init__(self, n: int, rows: np.ndarray):
         self.n = n
-        self.rows = [tuple(r) for r in rows]
+        self.rows = rows
 
     def __eq__(self, other):
-        return isinstance(other, ConstraintSet) and self.n == other.n and self.rows == other.rows
+        return (isinstance(other, ConstraintSet) and self.n == other.n
+                and np.array_equal(self.rows, other.rows))
 
     def __repr__(self):
         return f"ConstraintSet(n={self.n}, rows={len(self.rows)})"
 
     @classmethod
-    def from_functionals(cls, n: int, functionals) -> "ConstraintSet":
-        """Canonicalize raw functionals by row reduction."""
-        coords = [(i, j) for i in range(n) for j in range(i, n)]
-        index = {c: k for k, c in enumerate(coords)}
-        raw = []
-        for func in functionals:
-            vec = np.zeros(len(coords))
-            for key, val in func.items():
-                vec[index[key]] += val
-            if np.abs(vec).max() > ROUND_TOL:
-                raw.append(vec)
-        if not raw:
-            return cls(n, [])
-        mat = np.array(raw)
+    def from_functionals(cls, n: int, functionals: np.ndarray) -> "ConstraintSet":
+        """Canonicalize raw functional rows by row reduction."""
+        mat = functionals[np.abs(functionals).max(axis=1) > ROUND_TOL]
         # row echelon with partial pivoting
         r = 0
         for c in range(mat.shape[1]):
@@ -283,34 +283,27 @@ class ConstraintSet:
             r += 1
             if r == mat.shape[0]:
                 break
-        rows = []
-        for vec in mat[:r]:
-            row = {}
-            for k, val in enumerate(vec):
-                if abs(val) > ROUND_TOL:
-                    row[coords[k]] = _rationalize(float(val))
-            rows.append(tuple(sorted(row.items())))
-        rows.sort()
-        return cls(n, rows)
+        # entries within ROUND_TOL of zero snap to it too
+        return cls(n, np.vectorize(_rationalize, otypes=[float])(mat[:r]))
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "constraints": [
-                {"indices": [list(k) for k, _ in row], "coeffs": [v for _, v in row]}
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
+        upper = np.triu_indices(self.n)
+        constraints = []
+        for row in self.rows:
+            live = np.flatnonzero(row)
+            constraints.append({"indices": [[int(upper[0][k]), int(upper[1][k])] for k in live],
+                                "coeffs": row[live].tolist()})
+        return json.dumps({"n": self.n, "constraints": constraints}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ConstraintSet":
         payload = json.loads(text)
-        rows = []
-        for entry in payload["constraints"]:
-            rows.append(tuple(((int(i), int(j)), float(c))
-                              for (i, j), c in zip(entry["indices"], entry["coeffs"])))
-        return cls(int(payload["n"]), rows)
+        n = int(payload["n"])
+        rows = np.zeros((len(payload["constraints"]), n * (n + 1) // 2))
+        for row, entry in zip(rows, payload["constraints"]):
+            i, j = np.array(entry["indices"], dtype=np.int64).reshape(-1, 2).T
+            row[_columns(n)[i, j]] = entry["coeffs"]
+        return cls(n, rows)
 
 
 def extract_constraints(omega: Form, targets) -> ConstraintSet:
@@ -319,9 +312,7 @@ def extract_constraints(omega: Form, targets) -> ConstraintSet:
     ``targets`` lists output monomial masks.  The result is canonicalized,
     so it is invariant under rescaling of omega.
     """
-    table = monomial_functionals(omega)
-    funcs = [table[m] for m in targets if m in table]
-    return ConstraintSet.from_functionals(omega.n, funcs)
+    return ConstraintSet.from_functionals(omega.n, monomial_functionals(omega, targets))
 
 
 def standard_constraints(kind: str, n: int | None = None) -> ConstraintSet:

@@ -35,6 +35,8 @@ import scipy.linalg
 
 # radial curvature classes (c, multiplicity), K = -c^2 on each
 CLASSES = ((2.0, 7), (1.0, 8))
+# the model's bottom of the spectrum (22/2)^2, which the estimates approach
+SPECTRUM_BOTTOM = 121.0
 
 # relative Richardson error above which a spectrum estimate is unconverged;
 # also the tolerance of the ``geodesy.spectrum-bottom`` check
@@ -202,12 +204,11 @@ class SpectrumEstimate:
     richardson: float
     error_estimate: float
     converged: bool
-    target: float = 121.0
 
     @property
     def gap(self) -> float:
-        """Measured excess of the extrapolated value over the model constant."""
-        return self.richardson - self.target
+        """Measured excess of the extrapolated value over ``SPECTRUM_BOTTOM``."""
+        return self.richardson - SPECTRUM_BOTTOM
 
 
 def spectrum_estimate(radius: float, cells: int) -> SpectrumEstimate:

@@ -14,7 +14,8 @@ extracted from a parallel form.  The minimum is computed twice:
 * numerically, as the extreme generalized eigenvalue of the two quadratic
   forms restricted to the constraint subspace.
 
-A disagreement beyond 1e-8 raises; nothing is averaged away.  The sharp
+A disagreement beyond 1e-8 raises, and a run reports it as the failed
+check ``kernels.crashed``; nothing is averaged away.  The sharp
 ratio 1 + b sets the exponent of the Kato-type transform g = h^{1-b}, the
 one exponent for which the gradient term of the Bochner inequality
 vanishes identically; what remains is the drift constant |Ric| (1 - b),
@@ -30,7 +31,6 @@ import numpy as np
 import scipy.linalg
 
 MODEL_RICCI = -36.0
-MODEL_LAMBDA1 = 121.0
 # entries of a scaled minimizer below this are noise
 CANONICAL_TOL = 1e-9
 
@@ -39,46 +39,35 @@ CANONICAL_TOL = 1e-9
 class RatioProblem:
     """Minimize ratio(a) over constrained trace-free symmetric matrices.
 
-    ``rows`` are functional rows as in ``ConstraintSet.rows``, each a tuple
-    of ((i, j), coefficient) pairs; the trace functional is always
+    ``rows`` is an (r, n(n+1)/2) array of functionals over the coordinates
+    a[np.triu_indices(n)], as in ``ConstraintSet.rows``: a row's value on a
+    is ``row @ a[np.triu_indices(n)]``.  The trace functional is always
     prepended.  The gradient direction (the denominator row) is the first
     basis vector.
     """
 
     n: int
-    rows: tuple
+    rows: np.ndarray
 
-    def coordinate_list(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n) for j in range(i, self.n)]
+    def constraint_rows(self) -> np.ndarray:
+        # the trace is the functional whose row holds the identity's coordinates
+        return np.vstack([np.eye(self.n)[np.triu_indices(self.n)], self.rows])
 
-    def constraint_rows(self) -> list[dict]:
-        trace_free = {(i, i): 1.0 for i in range(self.n)}
-        return [trace_free] + [dict(row) for row in self.rows]
-
-    def quadratic_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal quadratic forms (numerator P, denominator Q) in
-        collected coordinates a_ij, i <= j."""
-        coords = self.coordinate_list()
-        p = np.array([1.0 if i == j else 2.0 for (i, j) in coords])
-        # each a_1j (row index 0) appears once in the gradient row, off the diagonal too
-        q = np.array([1.0 if i == 0 else 0.0 for (i, j) in coords])
-        return np.diag(p), np.diag(q)
+    def quadratic_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of the diagonal quadratic forms (numerator P, denominator Q)
+        on the coordinates: sum_ij a_ij^2 counts an off-diagonal entry twice,
+        and each a_1j (row index 0) appears once in the gradient row."""
+        upper = np.triu_indices(self.n)
+        return np.where(upper[0] == upper[1], 1.0, 2.0), (upper[0] == 0).astype(float)
 
     def nullspace(self) -> np.ndarray:
-        coords = {c: k for k, c in enumerate(self.coordinate_list())}
-        rows = self.constraint_rows()
-        mat = np.zeros((len(rows), len(coords)))
-        for r, row in enumerate(rows):
-            for (i, j), val in row.items():
-                # off-diagonal functional coefficients act on a_ij + a_ji
-                mat[r, coords[(i, j)]] += val if i == j else 2.0 * val
-        return scipy.linalg.null_space(mat)
+        return scipy.linalg.null_space(self.constraint_rows())
 
     def matrix_from_coordinates(self, vec: np.ndarray) -> np.ndarray:
+        upper = np.triu_indices(self.n)
         a = np.zeros((self.n, self.n))
-        for k, (i, j) in enumerate(self.coordinate_list()):
-            a[i, j] = vec[k]
-            a[j, i] = vec[k]
+        a[upper] = vec
+        a.T[upper] = vec
         return a
 
     def objective(self, a: np.ndarray) -> float:
@@ -107,31 +96,24 @@ def _closed_form(problem: RatioProblem) -> tuple[float, np.ndarray]:
     minimizer must satisfy every other constraint.
     """
     rows = problem.constraint_rows()
+    upper = np.triu_indices(problem.n)
+    on_diagonal = upper[0] == upper[1]
     best = None
-    for row in rows:
-        if any(i != j for (i, j) in row):
+    for row in rows[~rows[:, ~on_diagonal].any(axis=1)]:
+        diagonal = row[on_diagonal]
+        if diagonal[0] == 0.0:
             continue
-        pivot = row.get((0, 0), 0.0)
-        if pivot == 0.0:
-            continue
-        partners = [(i, val / pivot) for (i, i2), val in row.items() if i == i2 and i != 0]
-        if not partners or any(w <= 0 for _, w in partners):
-            continue
-        k = len(partners)
-        cand = np.zeros((problem.n, problem.n))
-        cand[0, 0] = -float(k)
-        for i, w in partners:
-            cand[i, i] = 1.0 / w
+        partners = np.flatnonzero(diagonal[1:]) + 1
+        weights = diagonal[partners] / diagonal[0]
         # equal weights are required for the Schwarz step to be sharp
-        if any(abs(w - 1.0) > 1e-12 for _, w in partners):
+        if not partners.size or np.abs(weights - 1.0).max() > 1e-12:
             continue
-        feasible = all(
-            abs(sum(val * (cand[i, j] if i == j else 2.0 * cand[i, j]) for (i, j), val in r.items())) < 1e-9
-            for r in rows
-        )
-        if not feasible:
+        cand = np.zeros((problem.n, problem.n))
+        cand[0, 0] = -float(partners.size)
+        cand[partners, partners] = 1.0 / weights
+        if np.abs(rows @ cand[upper]).max() >= 1e-9:
             continue
-        bound = 1.0 + 1.0 / k
+        bound = 1.0 + 1.0 / partners.size
         if best is None or bound > best[0]:
             best = (bound, cand)
     if best is None:
@@ -148,9 +130,9 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
     basis = problem.nullspace()
     if basis.shape[1] == 0:
         raise ValueError("constraints leave no feasible matrix")
-    p, q = problem.quadratic_forms()
-    pp = basis.T @ p @ basis
-    qq = basis.T @ q @ basis
+    p, q = problem.quadratic_weights()
+    pp = (basis.T * p) @ basis
+    qq = (basis.T * q) @ basis
     if np.abs(qq).max() < 1e-14:
         raise ValueError("constraints force the gradient row to vanish")
     # largest mu of Q v = mu P v; the minimal ratio is 1 / mu
@@ -208,7 +190,7 @@ def canonical_minimizer(minimizer: np.ndarray) -> np.ndarray:
     return a
 
 
-def vanishing_threshold(b: float, lam1: float = MODEL_LAMBDA1) -> float:
+def vanishing_threshold(b: float, lam1: float) -> float:
     """Ricci threshold -(b + 1) lam1 below which the argument closes."""
     if not b > -1.0:
         raise ValueError("b must exceed -1")
@@ -260,7 +242,7 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
     (samples, dim) draw and memory stays bounded by the block size.
     """
     basis = problem.nullspace()
-    weights_p, weights_q = (np.diag(form) for form in problem.quadratic_forms())
+    weights_p, weights_q = problem.quadratic_weights()
     feasible = violations = 0
     for start in range(0, samples, SAMPLE_BLOCK_ROWS):
         z = rng.standard_normal((min(SAMPLE_BLOCK_ROWS, samples - start), basis.shape[1]))

@@ -354,8 +354,8 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
 
     grid = max(cfg.grids)
     est = g.spectrum_estimate(10.0, grid)
-    in_band = 121.0 <= est.value <= 123.0
-    rel = abs(est.richardson - 121.0) / 121.0
+    in_band = g.SPECTRUM_BOTTOM <= est.value <= 123.0
+    rel = abs(est.gap) / g.SPECTRUM_BOTTOM
     note = (f"R=10 N={grid}: value {est.value:.6f}, extrapolated {est.richardson:.6f} "
             f"(gap {est.gap:+.4f})")
     if not est.converged:
@@ -365,9 +365,9 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
 
     lams = [g.spectrum_estimate(r, min(cfg.grids)).value for r in cfg.radii]
     monotone = all(lams[i] >= lams[i + 1] - 1e-9 for i in range(len(lams) - 1))
-    floor = min(lams) >= 121.0 - 1e-6
+    floor = min(lams) >= g.SPECTRUM_BOTTOM - 1e-6
     out.add("geodesy.spectrum-domain-monotone", 0.0 if (monotone and floor) else 1.0, 0.5,
-            "Dirichlet values decrease with R and stay above 121")
+            f"Dirichlet values decrease with R and stay above {g.SPECTRUM_BOTTOM:g}")
 
     d, e = g.SturmLiouvilleProblem(8.0, 2000).tridiagonal()
     # Cholesky + bidiagonal QR: relatively accurate too (Demmel & Kahan 1990),
@@ -398,9 +398,9 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
     out = SuiteResult("forms")
     f = forms
 
-    expected2 = f.ConstraintSet(4, [(((0, 0), 1.0), ((2, 2), 1.0)), (((1, 1), 1.0), ((3, 3), 1.0))])
+    expected2 = f.ConstraintSet(4, f.diagonal_rows(4, [(0, 2), (1, 3)]))
     got2 = f.standard_constraints("kahler", 2)
-    expected4 = f.ConstraintSet(8, [tuple([((i, i), 1.0), ((i + 4, i + 4), 1.0)]) for i in range(4)])
+    expected4 = f.ConstraintSet(8, f.diagonal_rows(8, [(i, i + 4) for i in range(4)]))
     got4 = f.standard_constraints("kahler", 4)
     out.add("forms.kahler-constraints",
             0.0 if (got2 == expected2 and got4 == expected4) else 1.0, 0.5,
@@ -411,11 +411,9 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
     out.add("forms.quaternionic-volume", vol_dev, TOL_IDENTITY, "n = 1 form is 6 vol")
 
     got_q1 = f.standard_constraints("quaternionic", 1)
-    exp_q1 = f.ConstraintSet(4, [tuple([((i, i), 1.0) for i in range(4)])])
+    exp_q1 = f.ConstraintSet(4, f.diagonal_rows(4, [range(4)]))
     got_q2 = f.standard_constraints("quaternionic", 2)
-    exp_q2 = f.ConstraintSet(8, [tuple([((i, i), 1.0), ((i + 2, i + 2), 1.0),
-                                        ((i + 4, i + 4), 1.0), ((i + 6, i + 6), 1.0)])
-                                 for i in range(2)])
+    exp_q2 = f.ConstraintSet(8, f.diagonal_rows(8, [range(i, 8, 2) for i in range(2)]))
     out.add("forms.quaternionic-constraints",
             0.0 if (got_q1 == exp_q1 and got_q2 == exp_q2) else 1.0, 0.5,
             "the n four-term diagonal functionals")
@@ -426,14 +424,13 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
             "two top monomials with coefficients -1 and +1")
 
     specs = max(1, cfg.trials // 1000)
+    expect = -f.diagonal_rows(f.SPIN9_DIM, [range(8)])
     func_dev = 0.0
     leak = 0.0
     for _ in range(specs):
         spec = f.random_f_spec(rng)
-        func = f.coefficient_functional(f.spin9_form(spec), f.V_TOP)
-        expect = {(i, i): -1.0 for i in range(8)}
-        keys = set(func) | set(expect)
-        func_dev = max(func_dev, max(abs(func.get(k, 0.0) - expect.get(k, 0.0)) for k in keys))
+        func = f.monomial_functionals(f.spin9_form(spec), [f.V_TOP])
+        func_dev = max(func_dev, float(np.abs(func - expect).max()))
         leak = max(leak, f.no_leak_report(f.build_correction(spec)))
     out.add("forms.spin9-top-functional", func_dev, TOL_IDENTITY,
             f"-sum of the first eight diagonal entries, independent of F ({specs} corrections)")
@@ -458,7 +455,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     k = kernels
     f = forms
 
-    prob9 = k.RatioProblem(16, tuple(f.standard_constraints("spin9").rows))
+    prob9 = k.RatioProblem(16, f.standard_constraints("spin9").rows)
     r9 = k.min_bochner_ratio(prob9)
     cross = abs(r9.eigen_ratio - r9.closed_ratio)
     out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, TOL_MODEL,
@@ -472,7 +469,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     res = 0.0
     for n in (2, 4):
         cs = f.standard_constraints("kahler", n)
-        rk = k.min_bochner_ratio(k.RatioProblem(cs.n, tuple(cs.rows)))
+        rk = k.min_bochner_ratio(k.RatioProblem(cs.n, cs.rows))
         res = max(res, abs(rk.ratio - 2.0))
         deg = k.kato_transform(rk.ratio)
         if not deg.degenerate:
@@ -482,7 +479,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     res = 0.0
     for n in (1, 2):
         cs = f.standard_constraints("quaternionic", n)
-        rq = k.min_bochner_ratio(k.RatioProblem(cs.n, tuple(cs.rows)))
+        rq = k.min_bochner_ratio(k.RatioProblem(cs.n, cs.rows))
         res = max(res, abs(rq.ratio - 4.0 / 3.0), abs(rq.drift - 24.0))
     out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
 
@@ -491,7 +488,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     out.add("kernels.sharpness", float(sample["violations"]) + min(attained, 1.0), TOL_MODEL,
             f"{sample['samples']} feasible samples, none below 8/7; minimizer attains")
 
-    extra = prob9.rows + ((((1, 1), 1.0), ((9, 9), 1.0)),)
+    extra = np.vstack([prob9.rows, f.diagonal_rows(16, [(1, 9)])])
     tightened, _ = k.rayleigh_ratio(k.RatioProblem(16, extra))
     mono = 0.0 if tightened >= r9.ratio - 1e-12 else 1.0
     out.add("kernels.constraint-monotonicity", mono, 0.5,
@@ -501,10 +498,11 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0))
     out.add("kernels.kato-transform", trans, TOL_IDENTITY, "exponent 6/7, drift 216/7")
 
-    thr = max(abs(k.vanishing_threshold(1.0) + 242.0),
-              abs(k.vanishing_threshold(1.0 / 7.0) + 8.0 / 7.0 * 121.0))
+    lam1 = geodesy.SPECTRUM_BOTTOM
+    thr = max(abs(k.vanishing_threshold(1.0, lam1) + 242.0),
+              abs(k.vanishing_threshold(1.0 / 7.0, lam1) + 8.0 / 7.0 * lam1))
     out.add("kernels.vanishing-thresholds", thr, TOL_IDENTITY,
-            "threshold -(1 + b) 121: -242 at b = 1, -968/7 at b = 1/7")
+            f"threshold -(1 + b) {lam1:g}: -242 at b = 1, -968/7 at b = 1/7")
     return out
 
 
@@ -519,12 +517,18 @@ SUITES = {
 
 
 def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, float]]:
-    """Run the named suites in ``SUITE_ORDER``, timing each one."""
+    """Run the named suites in ``SUITE_ORDER``, timing each one; a suite that
+    raises is one failed check ``<suite>.crashed``, and the others still run."""
     results: list[SuiteResult] = []
     timings: dict[str, float] = {}
     for name in SUITE_ORDER:
         if name in names:
             start = time.monotonic()
-            results.append(SUITES[name](cfg))
+            try:
+                result = SUITES[name](cfg)
+            except Exception as exc:
+                result = SuiteResult(name)
+                result.add(f"{name}.crashed", 1.0, 0.5, f"{type(exc).__name__}: {exc}")
+            results.append(result)
             timings[name] = time.monotonic() - start
     return results, timings

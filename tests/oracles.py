@@ -3,8 +3,10 @@
 The alternating-tensor helpers work on full n^p component arrays with
 explicit permutation sums, so they share no code path with the sparse
 bitmask algebra they are used to check.  Only practical for small n.
-The constraint helpers evaluate and satisfy ``ConstraintSet`` rows
-directly in matrix entries.  ``sturm_count`` counts tridiagonal
+The constraint helpers evaluate and satisfy ``ConstraintSet`` rows by
+explicit loops over the coordinates (i, j), i <= j, of a symmetric matrix,
+where the coefficient of an off-diagonal coordinate multiplies a_ij once
+(it already collects both index orders).  ``sturm_count`` counts tridiagonal
 eigenvalues by the Sturm sequence in plain numpy, independent of LAPACK.
 The batched kernels (octonion product, curvature operator forms, the
 sharpness sampler) are restated as single three-operand ``einsum``
@@ -115,31 +117,24 @@ def hessian_dense(a, t, p: int):
 
 
 def evaluate(constraints, a):
-    """Value of each constraint row on a symmetric matrix.
-
-    An off-diagonal coordinate (i, j) acts on the collected entry a_ij + a_ji.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.array([sum(val * (a[i, j] if i == j else a[i, j] + a[j, i]) for (i, j), val in row)
+    """Value of each constraint row on a symmetric matrix."""
+    n = constraints.n
+    coords = [(i, j) for i in range(n) for j in range(i, n)]
+    return np.array([sum(row[k] * a[i, j] for k, (i, j) in enumerate(coords))
                      for row in constraints.rows])
 
 
 def project_feasible(constraints, a):
-    """Orthogonal projection of symmetric a, in collected coordinates, onto
-    the null space of the constraint rows."""
+    """Orthogonal projection of symmetric a, in its coordinates (i, j), i <= j,
+    onto the null space of the constraint rows."""
     n = constraints.n
     coords = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {c: k for k, c in enumerate(coords)}
-    dense = np.zeros((len(constraints.rows), len(coords)))
-    for r, row in enumerate(constraints.rows):
-        for key, val in row:
-            dense[r, index[key]] = val
-    q, _ = np.linalg.qr(dense.T)
-    vec = np.array([a[i, j] if i == j else a[i, j] + a[j, i] for (i, j) in coords])
+    q, _ = np.linalg.qr(constraints.rows.T)
+    vec = np.array([a[i, j] for (i, j) in coords])
     vec = vec - q @ (q.T @ vec)
     b = np.zeros_like(a)
     for k, (i, j) in enumerate(coords):
-        b[i, j] = b[j, i] = vec[k] if i == j else vec[k] / 2.0
+        b[i, j] = b[j, i] = vec[k]
     return b
 
 
@@ -176,7 +171,7 @@ def frame_matrix(matrix, vecs):
 def sharpness_one_shot(problem, result, rng, samples):
     """``kernels.sharpness_sample`` as one (samples, dim) draw, unblocked."""
     basis = problem.nullspace()
-    weights_p, weights_q = (np.diag(form) for form in problem.quadratic_forms())
+    weights_p, weights_q = problem.quadratic_weights()
     z = rng.standard_normal((samples, basis.shape[1]))
     vecs = z @ basis.T
     num = (vecs * vecs) @ weights_p

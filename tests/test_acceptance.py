@@ -204,21 +204,21 @@ def test_splitting_metric():
 def test_parallel_form_constraint_extraction():
     for n in (2, 4):
         got = forms.standard_constraints("kahler", n)
-        assert got.rows == [tuple([((i, i), 1.0), ((i + n, i + n), 1.0)]) for i in range(n)]
+        want = forms.diagonal_rows(2 * n, [(i, i + n) for i in range(n)])
+        assert np.array_equal(got.rows, want)
     for n in (1, 2):
         got = forms.standard_constraints("quaternionic", n)
-        assert got.rows == [tuple([((i, i), 1.0), ((i + n, i + n), 1.0),
-                                   ((i + 2 * n, i + 2 * n), 1.0),
-                                   ((i + 3 * n, i + 3 * n), 1.0)]) for i in range(n)]
+        want = forms.diagonal_rows(4 * n, [range(i, 4 * n, n) for i in range(n)])
+        assert np.array_equal(got.rows, want)
 
     rng = np.random.default_rng(505)
-    expect = {(i, i): -1.0 for i in range(8)}
+    expect = -forms.diagonal_rows(forms.SPIN9_DIM, [range(8)])[0]
     leak = 0.0
     for _ in range(100):
         spec = forms.random_f_spec(rng)
-        func = forms.coefficient_functional(forms.spin9_form(spec), forms.V_TOP)
-        assert set(func) == set(expect)
-        assert max(abs(func[key] - val) for key, val in expect.items()) <= 1e-12
+        func = forms.monomial_functionals(forms.spin9_form(spec), [forms.V_TOP])[0]
+        assert np.array_equal(np.flatnonzero(func), np.flatnonzero(expect))
+        assert np.abs(func - expect).max() <= 1e-12
         leak = max(leak, forms.no_leak_report(forms.build_correction(spec)))
     assert leak == 0.0
     print(f"PASS constraint extraction: Kahler and quaternionic functionals "
@@ -228,10 +228,10 @@ def test_parallel_form_constraint_extraction():
 
 def test_bochner_kernel_ratios():
     expected = (
-        (kernels.RatioProblem(8, tuple(forms.standard_constraints("kahler", 4).rows)), Fraction(2, 1)),
-        (kernels.RatioProblem(8, tuple(forms.standard_constraints("quaternionic", 2).rows)),
+        (kernels.RatioProblem(8, forms.standard_constraints("kahler", 4).rows), Fraction(2, 1)),
+        (kernels.RatioProblem(8, forms.standard_constraints("quaternionic", 2).rows),
          Fraction(4, 3)),
-        (kernels.RatioProblem(16, tuple(forms.standard_constraints("spin9").rows)), Fraction(8, 7)),
+        (kernels.RatioProblem(16, forms.standard_constraints("spin9").rows), Fraction(8, 7)),
     )
     gap = 0.0
     for prob, want in expected:

@@ -1,4 +1,5 @@
-"""End-to-end command line checks, each through a real subprocess."""
+"""End-to-end command line checks, each through a real subprocess unless a
+fault is patched into the package, which needs ``cli.main`` in process."""
 
 import csv
 import json
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from cayleykit import cli, suites
 from cayleykit.octonion import DEFAULT_TABLE
 
 FAST = ("--trials", "2000")
@@ -96,6 +98,23 @@ def test_unknown_suite_is_usage_error():
 def test_unknown_flag_and_command_are_usage_errors():
     assert run_cli("verify", "--bogus").returncode == 2
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
+    # the input is valid, so neither exception may read as a usage error
+    for error in (ArithmeticError("routes disagree"), ValueError("no feasible matrix")):
+        def crash(problem, error=error):
+            raise error
+        monkeypatch.setattr(suites.kernels, "min_bochner_ratio", crash)
+        out = tmp_path / type(error).__name__
+        assert cli.main(["verify", "forms", "kernels", "--trials", "2000", "--out", str(out)]) == 1
+        report = read_report(out)
+        assert report["summary"]["failed"] == ["kernels.crashed"]
+        forms_suite, kernels_suite = report["suites"]
+        assert len(forms_suite["checks"]) == 7 and forms_suite["passed"]
+        assert kernels_suite["checks"] == [{
+            "check": "kernels.crashed", "residual": 1.0, "tolerance": 0.5, "passed": False,
+            "note": f"{type(error).__name__}: {error}"}]
 
 
 def test_spectrum_artifacts(tmp_path):

@@ -13,7 +13,7 @@ from cayleykit.forms import (
     FSpec,
     FWord,
     build_correction,
-    coefficient_functional,
+    diagonal_rows,
     extract_constraints,
     kahler_form,
     kahler_targets,
@@ -44,9 +44,9 @@ def test_kahler_form_structure():
 def test_kahler_constraints_exact():
     got = standard_constraints("kahler", 2)
     assert got.n == 4
-    assert got.rows == [(((0, 0), 1.0), ((2, 2), 1.0)), (((1, 1), 1.0), ((3, 3), 1.0))]
+    assert np.array_equal(got.rows, diagonal_rows(4, [(0, 2), (1, 3)]))
     got8 = standard_constraints("kahler", 4)
-    assert got8.rows == [tuple([((i, i), 1.0), ((i + 4, i + 4), 1.0)]) for i in range(4)]
+    assert np.array_equal(got8.rows, diagonal_rows(8, [(i, i + 4) for i in range(4)]))
 
 
 def test_quaternionic_two_forms_are_orthogonal_complex_structures():
@@ -73,9 +73,8 @@ def test_quaternionic_line_coefficients():
 def test_quaternionic_constraints_exact():
     got = standard_constraints("quaternionic", 2)
     assert got.n == 8
-    want = [tuple([((i, i), 1.0), ((i + 2, i + 2), 1.0),
-                   ((i + 4, i + 4), 1.0), ((i + 6, i + 6), 1.0)]) for i in range(2)]
-    assert got.rows == want
+    want = diagonal_rows(8, [(i, i + 2, i + 4, i + 6) for i in range(2)])
+    assert np.array_equal(got.rows, want)
 
 
 def test_spin9_base_form():
@@ -124,28 +123,27 @@ def test_no_leak_on_random_corrections():
 
 
 def test_top_functional_independent_of_correction():
-    expect = {(i, i): -1.0 for i in range(8)}
+    expect = -diagonal_rows(SPIN9_DIM, [range(8)])[0]
     for _ in range(100):
         omega = spin9_form(random_f_spec(RNG))
-        func = coefficient_functional(omega, V_TOP)
-        assert set(func) == set(expect)
-        for key, val in expect.items():
-            assert func[key] == pytest.approx(val, abs=1e-12)
+        func = monomial_functionals(omega, [V_TOP])[0]
+        assert np.array_equal(np.flatnonzero(func), np.flatnonzero(expect))
+        assert np.abs(func - expect).max() <= 1e-12
 
 
 def test_monomial_functionals_single_pass_table():
     omega = spin9_form(random_f_spec(RNG))
-    table = monomial_functionals(omega)
-    assert table[V_TOP] == coefficient_functional(omega, V_TOP)
-    assert table[W_TOP] == coefficient_functional(omega, W_TOP)
+    table = monomial_functionals(omega, [V_TOP, W_TOP])
+    assert np.array_equal(table[0], monomial_functionals(omega, [V_TOP])[0])
+    assert np.array_equal(table[1], monomial_functionals(omega, [W_TOP])[0])
+    assert np.array_equal(table, diagonal_rows(SPIN9_DIM, [range(8), range(8, 16)]) * [[-1.0], [1.0]])
 
 
 def test_extracted_constraints_match_targets():
     cs = standard_constraints("spin9")
     assert cs.n == 16
     # both top coefficients pin a diagonal block sum
-    assert cs.rows == [tuple([((i, i), 1.0) for i in range(8)]),
-                       tuple([((i, i), 1.0) for i in range(8, 16)])]
+    assert np.array_equal(cs.rows, diagonal_rows(16, [range(8), range(8, 16)]))
     spec = random_f_spec(RNG)
     assert extract_constraints(spin9_form(spec), spin9_targets()) == cs
 
@@ -157,10 +155,12 @@ def test_extraction_rescale_invariant():
 
 
 def test_constraint_set_evaluate_collects_transpose():
-    cs = ConstraintSet(2, [(((0, 1), 1.0),)])
-    a = np.array([[0.0, 2.0], [3.0, 0.0]])
-    # off-diagonal coordinate (0, 1) means the collected entry a01 + a10
-    assert oracles.evaluate(cs, a)[0] == pytest.approx(5.0)
+    # coordinates (0, 0), (0, 1), (1, 1); the coefficient of (0, 1) already
+    # collects a01 and a10, so it multiplies the symmetric entry once
+    cs = ConstraintSet(2, np.array([[0.0, 1.0, 0.0]]))
+    a = np.array([[0.0, 2.5], [2.5, 0.0]])
+    assert oracles.evaluate(cs, a)[0] == pytest.approx(2.5)
+    assert oracles.evaluate(cs, a)[0] == cs.rows[0] @ a[np.triu_indices(2)]
 
 
 def test_constraint_set_json_roundtrip_and_rejects():
@@ -198,7 +198,6 @@ def test_functional_rescale_consistency():
     # doubling the form doubles every functional but fixes the same space
     spec = random_f_spec(RNG)
     omega = spin9_form(spec)
-    f1 = coefficient_functional(omega, V_TOP)
-    f2 = coefficient_functional(2.0 * omega, V_TOP)
-    for key in f1:
-        assert f2[key] == pytest.approx(2.0 * f1[key])
+    f1 = monomial_functionals(omega, [V_TOP])
+    f2 = monomial_functionals(2.0 * omega, [V_TOP])
+    assert f2 == pytest.approx(2.0 * f1)

@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg
 
 import oracles
-from cayleykit.forms import ConstraintSet, standard_constraints
+from cayleykit.exterior import Form, hessian_action, mask_of
+from cayleykit.forms import ConstraintSet, diagonal_rows, extract_constraints, standard_constraints
+from cayleykit.geodesy import SPECTRUM_BOTTOM
 from cayleykit.kernels import (
-    MODEL_LAMBDA1,
     SAMPLE_BLOCK_ROWS,
     RatioProblem,
     canonical_minimizer,
@@ -23,7 +24,7 @@ from cayleykit.octonion import mul_arrays
 
 RNG = np.random.default_rng(57721566)
 
-SPIN9 = RatioProblem(16, tuple(standard_constraints("spin9").rows))
+SPIN9 = RatioProblem(16, standard_constraints("spin9").rows)
 SPIN9_RESULT = min_bochner_ratio(SPIN9)
 
 
@@ -44,8 +45,8 @@ def test_spin9_minimizer_canonical_form():
 def minimal_eigenspace_dim(problem):
     """Dimension of the minimizing eigenspace: how flat the equality case is."""
     basis = problem.nullspace()
-    p, q = problem.quadratic_forms()
-    mu = scipy.linalg.eigh(basis.T @ q @ basis, basis.T @ p @ basis, eigvals_only=True)
+    p, q = problem.quadratic_weights()
+    mu = scipy.linalg.eigh((basis.T * q) @ basis, (basis.T * p) @ basis, eigvals_only=True)
     return int(np.sum(mu > mu[-1] - 1e-9))
 
 
@@ -58,7 +59,7 @@ def test_spin9_equality_diagnostics():
 
 def test_kahler_ratio_and_flat_directions():
     for n in (2, 4):
-        prob = RatioProblem(2 * n, tuple(standard_constraints("kahler", n).rows))
+        prob = RatioProblem(2 * n, standard_constraints("kahler", n).rows)
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(2, 1)
         assert minimal_eigenspace_dim(prob) == 2 * n
@@ -66,7 +67,7 @@ def test_kahler_ratio_and_flat_directions():
 
 def test_quaternionic_ratio():
     for n in (1, 2):
-        prob = RatioProblem(4 * n, tuple(standard_constraints("quaternionic", n).rows))
+        prob = RatioProblem(4 * n, standard_constraints("quaternionic", n).rows)
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(4, 3)
         assert res.drift == pytest.approx(24.0, abs=1e-12)
@@ -126,7 +127,7 @@ def test_batched_kernels_peak_memory():
 
 def test_ratio_monotone_under_extra_constraints():
     base, _ = rayleigh_ratio(SPIN9)
-    extra = SPIN9.rows + ((((1, 1), 1.0), ((9, 9), 1.0)),)
+    extra = np.vstack([SPIN9.rows, diagonal_rows(16, [(1, 9)])])
     tightened, _ = rayleigh_ratio(RatioProblem(16, extra))
     assert tightened >= base - 1e-12
     assert tightened > base + 1e-3  # this particular row genuinely bites
@@ -134,7 +135,7 @@ def test_ratio_monotone_under_extra_constraints():
 
 def test_trace_only_problem_hits_closed_form():
     # trace freeness alone is the k = n - 1 partner case: ratio 1 + 1/(n-1)
-    prob = RatioProblem(4, ())
+    prob = RatioProblem(4, np.zeros((0, 10)))
     res = min_bochner_ratio(prob)
     assert res.rational == Fraction(4, 3)
     canon = canonical_minimizer(res.minimizer)
@@ -165,35 +166,55 @@ def test_kato_transform_validation():
 
 
 def test_vanishing_thresholds():
-    assert vanishing_threshold(1.0) == pytest.approx(-242.0)
-    assert vanishing_threshold(1.0 / 7.0) == pytest.approx(-8.0 / 7.0 * MODEL_LAMBDA1)
+    assert vanishing_threshold(1.0, SPECTRUM_BOTTOM) == pytest.approx(-242.0)
+    assert vanishing_threshold(1.0 / 7.0, SPECTRUM_BOTTOM) == pytest.approx(-8.0 / 7.0 * 121.0)
     assert vanishing_threshold(1.0, lam1=100.0) == pytest.approx(-200.0)
     with pytest.raises(ValueError):
-        vanishing_threshold(-1.0)
+        vanishing_threshold(-1.0, SPECTRUM_BOTTOM)
     with pytest.raises(ValueError):
         vanishing_threshold(1.0, lam1=0.0)
 
 
 def test_degenerate_constraints_rejected():
     # forcing the whole gradient row to zero kills the denominator
-    rows = [tuple([((0, j), 1.0)]) for j in range(16)]
+    # the coordinates (0, j) of the gradient row are the first 16 of the 136
+    rows = np.eye(136)[:16]
     with pytest.raises(ValueError):
         min_bochner_ratio(RatioProblem(16, rows))
 
 
 def test_overconstrained_problem_rejected():
-    full = [tuple([((i, j), 1.0)]) for i in range(4) for j in range(i, 4)]
+    full = np.eye(10)
     with pytest.raises(ValueError):
         rayleigh_ratio(RatioProblem(4, full))
 
 
 def test_constraint_convention_matches_evaluate():
-    # the nullspace honors the collected off-diagonal convention
-    row = (((0, 1), 1.0),)
-    prob = RatioProblem(3, [row])
+    # a_00 + a_01 = 0, the coefficient of (0, 1) multiplying a_01 once: a
+    # factor on the off-diagonal coordinate would tilt the nullspace
+    cs = ConstraintSet(3, np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]))
+    prob = RatioProblem(3, cs.rows)
     basis = prob.nullspace()
-    cs = ConstraintSet(3, [row])
+    assert basis.shape[1] == 4
     for k in range(basis.shape[1]):
         mat = prob.matrix_from_coordinates(basis[:, k])
         assert np.abs(oracles.evaluate(cs, mat)).max() <= 1e-9
         assert abs(np.trace(mat)) <= 1e-9
+
+
+def test_feasible_set_annihilates_off_diagonal_targets():
+    # a generic 2-form on R^4: every target functional has off-diagonal entries,
+    # so forms and kernels must read an off-diagonal coordinate the same way
+    omega = Form(4, 2, {mask_of((0, 1)): 1.0, mask_of((0, 2)): 0.7,
+                        mask_of((1, 3)): -0.4, mask_of((2, 3)): 0.3})
+    targets = [mask_of((0, 1)), mask_of((0, 2)), mask_of((1, 3))]
+    cs = extract_constraints(omega, targets)
+    upper = np.triu_indices(4)
+    assert cs.rows[:, upper[0] != upper[1]].any(axis=1).all()
+    prob = RatioProblem(4, cs.rows)
+    basis = prob.nullspace()
+    assert basis.shape[1] > 0
+    for column in basis.T:
+        a = prob.matrix_from_coordinates(column)
+        t_form = Form.from_terms(4, 2, *hessian_action(a, *omega.batch()))
+        assert max(abs(t_form.coeffs.get(m, 0.0)) for m in targets) <= 1e-12
