@@ -60,6 +60,11 @@ class RatioProblem:
         upper = np.triu_indices(self.n)
         return np.where(upper[0] == upper[1], 1.0, 2.0), (upper[0] == 0).astype(float)
 
+    def free_coordinates(self) -> np.ndarray:
+        """Mask of the coordinates that no constraint row touches and the
+        denominator does not weigh: on the feasible set each is a free axis."""
+        return ~self.constraint_rows().any(axis=0) & (self.quadratic_weights()[1] == 0.0)
+
     def nullspace(self) -> np.ndarray:
         return scipy.linalg.null_space(self.constraint_rows())
 
@@ -229,7 +234,7 @@ def kato_transform(ratio: float) -> KatoTransform:
     return KatoTransform(exponent=float(k), drift=drift, degenerate=False)
 
 
-# rows drawn per block: keeps each (rows, coordinates) array near 9 MB for n = 16
+# rows drawn per block: keeps each (rows, coordinates) array near 2 MB for n = 16
 SAMPLE_BLOCK_ROWS = 8192
 
 
@@ -237,18 +242,27 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
                      rng: np.random.Generator, samples: int) -> dict:
     """Empirical check that no feasible matrix beats the minimal ratio.
 
-    The normal draws come from ``rng`` in blocks of rows; consecutive
-    blocks continue one stream, so the samples are those of a single
-    (samples, dim) draw and memory stays bounded by the block size.
+    Samples are isotropic Gaussians on the feasible space.  That space is
+    null(C[:, ~F]) x R^F for the free coordinates F, so the free part is an
+    independent standard normal vector; it adds nothing to the denominator
+    and w * chi^2(|F_w|) to the numerator for each distinct weight w.  The
+    normals of the constrained part and the chi-square variates come from
+    two streams spawned off ``rng``, drawn in blocks of rows that continue
+    each stream, so the counts do not depend on the block size.
     """
-    basis = problem.nullspace()
+    free = problem.free_coordinates()
+    basis = scipy.linalg.null_space(problem.constraint_rows()[:, ~free])
     weights_p, weights_q = problem.quadratic_weights()
+    free_weights, free_counts = np.unique(weights_p[free], return_counts=True)
+    weights_p, weights_q = weights_p[~free], weights_q[~free]
+    normal_rng, chi_rng = rng.spawn(2)
     feasible = violations = 0
     for start in range(0, samples, SAMPLE_BLOCK_ROWS):
-        z = rng.standard_normal((min(SAMPLE_BLOCK_ROWS, samples - start), basis.shape[1]))
-        squares = z @ basis.T
+        rows = min(SAMPLE_BLOCK_ROWS, samples - start)
+        squares = normal_rng.standard_normal((rows, basis.shape[1])) @ basis.T
         np.square(squares, out=squares)  # in place: one block-sized array fewer at the peak
-        num = squares @ weights_p
+        chi = chi_rng.chisquare(free_counts, (rows, free_counts.size))
+        num = squares @ weights_p + chi @ free_weights
         den = squares @ weights_q
         good = den > 1e-12 * num
         feasible += int(np.sum(good))

@@ -112,19 +112,19 @@ class MultiplicationTable:
 DEFAULT_TABLE = MultiplicationTable.generate()
 
 
-# rows per GEMM block: keeps the (rows, 64) table of pairwise products near 2 MB
+# rows per block: keeps the (rows, 8, 8) right-multiplication matrices near 2 MB
 MUL_BLOCK_ROWS = 4096
 
 
 def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     """Batched octonion product on trailing axes of length 8.
 
-    Leading axes broadcast.  Each block of rows forms the 64 products
-    a_i b_j and scatters them with one GEMM against the +-1/0 structure
-    tensor reshaped to (64, 8); every output sums the same eight nonzero
-    terms as the contraction sum_ij C_ijk a_i b_j.
+    Leading axes broadcast.  Each block of rows builds the matrices of
+    x -> x b with one GEMM against ``left[j, 8i + k] = C[i, j, k]``; every
+    entry is a signed copy of one b_j, so exact.  The products are then
+    one batched (1, 8) @ (8, 8) matmul per block.
     """
-    scatter = (table or DEFAULT_TABLE).structure_tensor().reshape(DIM * DIM, DIM)
+    left = (table or DEFAULT_TABLE).structure_tensor().transpose(1, 0, 2).reshape(DIM, DIM * DIM)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1:] != (DIM,) or b.shape[-1:] != (DIM,):
@@ -135,8 +135,8 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     out = np.empty(a.shape)
     for start in range(0, len(out), MUL_BLOCK_ROWS):
         rows = slice(start, start + MUL_BLOCK_ROWS)
-        pairs = a[rows, :, None] * b[rows, None, :]
-        np.matmul(pairs.reshape(-1, DIM * DIM), scatter, out=out[rows])
+        by_b = (b[rows] @ left).reshape(-1, DIM, DIM)
+        np.matmul(a[rows, None, :], by_b, out=out[rows, None, :])
     return out.reshape(shape)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -122,6 +123,26 @@ def _relative(delta, scale) -> float:
     return float(np.max(np.abs(delta) / np.maximum(scale, 1e-30)))
 
 
+def _octonion_residuals(a, b, table) -> dict[str, float]:
+    """Worst relative residual of each sampled octonion identity on one block of rows."""
+    mul, conj = partial(octonion.mul_arrays, table=table), octonion.conj_arrays
+    ab = mul(a, b)
+    scale = np.abs(ab).max(axis=-1) + 1.0
+    left = mul(a, ab) - mul(mul(a, a), b)
+    right = mul(ab, b) - mul(a, mul(b, b))
+    na = octonion.norm_arrays(a)
+    nb = octonion.norm_arrays(b)
+    sq = mul(a, conj(a))
+    return {
+        "alternative-laws": max(_relative(left.max(axis=-1), scale),
+                                _relative(right.max(axis=-1), scale)),
+        "conjugation-reversal": _relative((conj(ab) - mul(conj(b), conj(a))).max(axis=-1), scale),
+        "norm-multiplicativity": _relative(octonion.norm_arrays(ab) - na * nb, na * nb),
+        "conjugate-square-norm": _relative(np.abs(sq[:, 1:]).max(axis=-1)
+                                           + np.abs(sq[:, 0] - na**2), na**2),
+    }
+
+
 def suite_octonion(cfg: RunConfig) -> SuiteResult:
     rng = cfg.suite_rng("octonion")
     out = SuiteResult("octonion")
@@ -149,27 +170,11 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
 
     a = rng.uniform(-1.0, 1.0, (cfg.trials, 8))
     b = rng.uniform(-1.0, 1.0, (cfg.trials, 8))
-    ab = octonion.mul_arrays(a, b, table)
-    scale = np.abs(ab).max(axis=-1) + 1.0
-    left = octonion.mul_arrays(a, ab, table) - octonion.mul_arrays(octonion.mul_arrays(a, a, table), b, table)
-    right = octonion.mul_arrays(ab, b, table) - octonion.mul_arrays(a, octonion.mul_arrays(b, b, table), table)
-    out.add("octonion.alternative-laws",
-            max(_relative(left.max(axis=-1), scale), _relative(right.max(axis=-1), scale)),
-            TOL_IDENTITY)
-
-    conj_prod = octonion.conj_arrays(ab)
-    rev = octonion.mul_arrays(octonion.conj_arrays(b), octonion.conj_arrays(a), table)
-    out.add("octonion.conjugation-reversal", _relative((conj_prod - rev).max(axis=-1), scale),
-            TOL_IDENTITY)
-
-    na = octonion.norm_arrays(a)
-    nb = octonion.norm_arrays(b)
-    out.add("octonion.norm-multiplicativity",
-            _relative(octonion.norm_arrays(ab) - na * nb, na * nb), TOL_IDENTITY)
-
-    sq = octonion.mul_arrays(a, octonion.conj_arrays(a), table)
-    dev = np.abs(sq[:, 1:]).max(axis=-1) + np.abs(sq[:, 0] - na**2)
-    out.add("octonion.conjugate-square-norm", _relative(dev, na**2), TOL_IDENTITY)
+    step = octonion.MUL_BLOCK_ROWS
+    blocks = [_octonion_residuals(a[start:start + step], b[start:start + step], table)
+              for start in range(0, cfg.trials, step)]
+    for name in blocks[0]:
+        out.add(f"octonion.{name}", max(block[name] for block in blocks), TOL_IDENTITY)
 
     e = np.eye(8)[1:]  # imaginary units e_0 .. e_6
     fro1 = octonion.mul_arrays(octonion.mul_arrays(e[0], e[1], table), e[2], table)

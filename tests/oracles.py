@@ -8,15 +8,18 @@ explicit loops over the coordinates (i, j), i <= j, of a symmetric matrix,
 where the coefficient of an off-diagonal coordinate multiplies a_ij once
 (it already collects both index orders).  ``sturm_count`` counts tridiagonal
 eigenvalues by the Sturm sequence in plain numpy, independent of LAPACK.
-The batched kernels (octonion product, curvature operator forms, the
-sharpness sampler) are restated as single three-operand ``einsum``
-contractions and one unblocked draw, with no BLAS call and no blocking.
+The batched kernels (octonion product, curvature operator forms) are
+restated as single three-operand ``einsum`` contractions with no BLAS call
+and no blocking.  The sharpness sampler has two oracles: its reduced scheme
+as one unblocked draw, and the full draw of one normal per feasible
+dimension, the independent route for the chi-square reduction.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from cayleykit.exterior import Form, indices_of, mask_of
 from cayleykit.octonion import DEFAULT_TABLE
@@ -168,17 +171,33 @@ def frame_matrix(matrix, vecs):
     return np.einsum("ai,ij,bj->ab", vecs, matrix, vecs)
 
 
-def sharpness_one_shot(problem, result, rng, samples):
-    """``kernels.sharpness_sample`` as one (samples, dim) draw, unblocked."""
-    basis = problem.nullspace()
-    weights_p, weights_q = problem.quadratic_weights()
-    z = rng.standard_normal((samples, basis.shape[1]))
-    vecs = z @ basis.T
-    num = (vecs * vecs) @ weights_p
-    den = (vecs * vecs) @ weights_q
+def _sharpness_counts(num, den, ratio):
     good = den > 1e-12 * num
-    ratios = num[good] / den[good]
     return {
         "samples": int(np.sum(good)),
-        "violations": int(np.sum(ratios < result.ratio - 1e-12)),
+        "violations": int(np.sum(num[good] / den[good] < ratio - 1e-12)),
     }
+
+
+def sharpness_one_shot(problem, result, rng, samples):
+    """``kernels.sharpness_sample`` as one unblocked draw of its reduced scheme:
+    normals on the constrained coordinates, chi-square variates for the free ones."""
+    rows = problem.constraint_rows()
+    weights_p, weights_q = problem.quadratic_weights()
+    free = ~rows.any(axis=0) & (weights_q == 0.0)
+    basis = scipy.linalg.null_space(rows[:, ~free])
+    free_weights, free_counts = np.unique(weights_p[free], return_counts=True)
+    normal_rng, chi_rng = rng.spawn(2)
+    vecs = normal_rng.standard_normal((samples, basis.shape[1])) @ basis.T
+    chi = chi_rng.chisquare(free_counts, (samples, free_counts.size))
+    num = (vecs * vecs) @ weights_p[~free] + chi @ free_weights
+    return _sharpness_counts(num, (vecs * vecs) @ weights_q[~free], result.ratio)
+
+
+def sharpness_full_draw(problem, result, rng, samples):
+    """The sharpness sample without the reduction: one standard normal per
+    dimension of the whole feasible space, mapped through its basis."""
+    basis = problem.nullspace()
+    weights_p, weights_q = problem.quadratic_weights()
+    vecs = rng.standard_normal((samples, basis.shape[1])) @ basis.T
+    return _sharpness_counts((vecs * vecs) @ weights_p, (vecs * vecs) @ weights_q, result.ratio)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from cayleykit import curvature
+from cayleykit import curvature, octonion
 from cayleykit.curvature import (
     ALPHA,
     N,
@@ -128,6 +130,31 @@ def test_operator_tensor_symmetry_and_bianchi():
 
 def test_operator_roundtrip_against_formula():
     assert roundtrip_residual(OP, FORMULA, RNG, trials=10000) <= 1e-9
+
+
+def test_roundtrip_blocks_do_not_change_the_residual(monkeypatch):
+    trials = 3 * 16384 + 7
+    residuals = []
+    for rows in (1000, trials + 1):
+        monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
+        residuals.append(roundtrip_residual(OP, FORMULA, np.random.default_rng(3), trials))
+    assert residuals[0] == residuals[1] > 0.0
+
+
+def test_roundtrip_skips_degenerate_blocks(monkeypatch):
+    # no Gram determinant exceeds |x|^2 |y|^2: every plane counts as degenerate
+    monkeypatch.setattr(curvature, "DEGENERATE_GRAM", 2.0)
+    assert roundtrip_residual(OP, FORMULA, RNG, trials=100) == 0.0
+
+
+def test_roundtrip_peak_memory():
+    tracemalloc.start()
+    try:
+        roundtrip_residual(OP, FORMULA, np.random.default_rng(4), trials=40_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_sectional_from_operator_matches_formula():

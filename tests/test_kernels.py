@@ -106,6 +106,30 @@ def test_blocked_sharpness_matches_one_shot_draw():
     assert 0 < got["violations"] < samples
 
 
+def test_spin9_free_coordinates_are_the_off_gradient_entries():
+    # a_ij with 1 <= i < j: off the diagonal, which the trace row touches,
+    # and off the gradient row, which the denominator weighs
+    upper = np.triu_indices(16)
+    free = SPIN9.free_coordinates()
+    assert np.array_equal(free, (upper[0] >= 1) & (upper[0] < upper[1]))
+    assert free.sum() == 105
+    assert np.all(SPIN9.quadratic_weights()[0][free] == 2.0)
+
+
+@pytest.mark.parametrize("ratio", [12.0, 16.0, 24.0])
+def test_reduced_sharpness_matches_full_draw_in_distribution(ratio):
+    samples = 50_000
+    result = dataclasses.replace(SPIN9_RESULT, ratio=ratio)
+    reduced = sharpness_sample(SPIN9, result, np.random.default_rng(21), samples)
+    full = oracles.sharpness_full_draw(SPIN9, result, np.random.default_rng(22), samples)
+    assert reduced["samples"] == full["samples"] == samples
+    fractions = [count["violations"] / samples for count in (reduced, full)]
+    pooled = sum(fractions) / 2.0
+    sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / samples)
+    assert 0.0 < pooled < 1.0
+    assert abs(fractions[0] - fractions[1]) <= 5.0 * sigma
+
+
 def test_batched_kernels_peak_memory():
     """Traced peaks follow the block sizes, not the number of rows."""
     rng = np.random.default_rng(5)

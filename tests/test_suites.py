@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cayleykit import exterior, suites
+from cayleykit import exterior, octonion, suites
 from cayleykit.octonion import DEFAULT_TABLE
 from cayleykit.suites import (
     SUITE_ORDER,
@@ -192,6 +192,31 @@ def test_table_path_failure_is_localized(tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()]
     rows[4][1] = str(-int(rows[4][1]))
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-    result = SUITES["octonion"](RunConfig(table_path=str(path), **FAST))
+    # three full row blocks and a partial one, so the faulty table goes through the blocked loop
+    trials = 3 * octonion.MUL_BLOCK_ROWS + 7
+    result = SUITES["octonion"](RunConfig(table_path=str(path), **dict(FAST, trials=trials)))
     failed = [c.check for c in result.checks if not c.passed]
-    assert "octonion.table-closure" in failed
+    assert failed == [f"octonion.{check}" for check in
+                      ("table-closure", "alternative-laws", "conjugation-reversal",
+                       "norm-multiplicativity", "conjugate-square-norm")]
+
+
+def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
+    trials = 3 * 16384 + 7
+    runs = []
+    for rows in (1000, trials + 1):
+        monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
+        runs.append(SUITES["octonion"](RunConfig(trials=trials)).as_dict())
+    assert runs[0] == runs[1]
+
+
+def test_octonion_suite_peak_is_its_draws_plus_blocks():
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        assert SUITES["octonion"](RunConfig(trials=trials)).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = 2 * trials * 8 * np.dtype(float).itemsize
+    assert peak < draws + 16 * 2**20
