@@ -214,9 +214,8 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
     path.write_text("\n".join(parts) + "\n")
 
 
-def write_spectrum_artifacts(cfg: suites.RunConfig, out: Path) -> list:
+def write_spectrum_artifacts(out: Path, estimates) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    estimates = geodesy.spectrum_sweep(cfg.radii, cfg.grids)
     with open(out / "spectrum.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["radius", "cells", "value", "coarse_value", "richardson",
@@ -234,7 +233,7 @@ def write_spectrum_artifacts(cfg: suites.RunConfig, out: Path) -> list:
                    "Bottom of the Dirichlet spectrum vs domain radius",
                    "radius R", "lowest eigenvalue", hline=geodesy.SPECTRUM_BOTTOM)
 
-    rs = np.linspace(0.2, max(cfg.radii), 240)
+    rs = np.linspace(0.2, max(e.radius for e in estimates), 240)
     lap = geodesy.distance_laplacian(rs).tolist()
     svg_line_chart(out / "laplacian.svg",
                    [("14 coth 2r + 8 coth r", list(rs), lap)],
@@ -245,20 +244,16 @@ def write_spectrum_artifacts(cfg: suites.RunConfig, out: Path) -> list:
         writer.writerow(["r", "laplacian"])
         for r, value in zip(rs, lap):
             writer.writerow([repr(float(r)), repr(value)])
-    return estimates
 
 
-def write_pinch_artifacts(cfg: suites.RunConfig, out: Path,
-                          op: curvature.CurvatureOperator) -> curvature.PinchResult:
+def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    result = curvature.pinch_extremes(op, starts=cfg.starts, max_steps=cfg.steps, seed=cfg.seed)
     with open(out / "pinch.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["start", "direction", "sectional"])
         half = len(result.final_values) // 2
         for i, val in enumerate(result.final_values):
             writer.writerow([i % half, "min" if i < half else "max", repr(float(val))])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +310,8 @@ def cmd_verify(args, cfg: suites.RunConfig) -> int:
 
 def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
-    estimates = write_spectrum_artifacts(cfg, out)
+    estimates = geodesy.spectrum_sweep(cfg.radii, cfg.grids)
+    write_spectrum_artifacts(out, estimates)
     print(f"{'radius':>8} {'cells':>7} {'value':>14} {'extrapolated':>14} {'gap':>10}")
     for est in estimates:
         print(f"{est.radius:8.2f} {est.cells:7d} {est.value:14.8f} "
@@ -329,7 +325,9 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
 
 def cmd_pinch(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
-    result = write_pinch_artifacts(cfg, out, curvature.assemble_operator())
+    result = curvature.pinch_extremes(curvature.assemble_operator(), starts=cfg.starts,
+                                      max_steps=cfg.steps, seed=cfg.seed)
+    write_pinch_artifacts(out, result)
     print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")
     print(f"model bounds are [-4, -1]; per-start values in {out / 'pinch.csv'}")
     return 0
@@ -339,11 +337,13 @@ def cmd_report(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
-    write_spectrum_artifacts(cfg, out)
-    op = curvature.assemble_operator()
-    write_pinch_artifacts(cfg, out, op)
-    if args.export_operator:
-        op.export_csv(out / "operator.csv")
+    write_spectrum_artifacts(out, geodesy.spectrum_sweep(cfg.radii, cfg.grids))
+    # the curvature suite's own operator and search; a crashed suite holds neither
+    held = next(r.artifacts for r in results if r.suite == "curvature")
+    if held:
+        write_pinch_artifacts(out, held["pinch"])
+        if args.export_operator:
+            held["operator"].export_csv(out / "operator.csv")
     path = write_report(build_report(results, cfg, timings), out, cfg.fmt)
     print(f"report written to {path}")
     return 0 if all(r.passed for r in results) else 1

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cayleykit import cli, suites
+from cayleykit import cli, curvature, suites
 from cayleykit.octonion import DEFAULT_TABLE
 
 FAST = ("--trials", "2000")
@@ -170,6 +170,45 @@ def test_report_command_with_operator_export(tmp_path):
     operator = (tmp_path / "operator.csv").read_text().splitlines()
     assert len(operator) == 120
     assert all(len(line.split(",")) == 120 for line in operator)
+
+
+REPORT_FAST = ("--trials", "2000", "--radius", "4", "--grid", "400,800",
+               "--starts", "8", "--steps", "4000")
+
+
+def test_report_assembles_once_and_searches_once(tmp_path, monkeypatch):
+    calls = {"assemble_operator": 0, "pinch_extremes": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(curvature, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(curvature, name, counted)
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path), "--export-operator"]) == 0
+    assert calls == {"assemble_operator": 1, "pinch_extremes": 1}
+
+
+def test_report_pinch_note_describes_pinch_csv(tmp_path):
+    # a search cut short stops at seed-dependent values, so the note tells which search ran
+    proc = run_cli("report", *REPORT_FAST, "--starts", 2, "--steps", 3, "--out", tmp_path)
+    assert proc.returncode == 1
+    report = read_report(tmp_path)
+    assert report["summary"]["failed"] == ["curvature.pinch-search"]
+    curv = next(s for s in report["suites"] if s["suite"] == "curvature")
+    note = next(c["note"] for c in curv["checks"] if c["check"] == "curvature.pinch-search")
+    with open(tmp_path / "pinch.csv", newline="") as fh:
+        values = [float(r["sectional"]) for r in csv.DictReader(fh)]
+    assert note == f"extremes ({min(values):.8f}, {max(values):.8f}) from 2 starts"
+
+
+def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
+    def crash(formula=None):
+        raise ArithmeticError("assembly diverged")
+    monkeypatch.setattr(curvature, "assemble_operator", crash)
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path), "--export-operator"]) == 1
+    assert read_report(tmp_path)["summary"]["failed"] == ["curvature.crashed"]
+    assert (tmp_path / "spectrum.csv").exists()
+    assert not (tmp_path / "pinch.csv").exists()
+    assert not (tmp_path / "operator.csv").exists()
 
 
 def test_config_file_with_flag_precedence(tmp_path):

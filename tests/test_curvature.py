@@ -128,6 +128,13 @@ def test_operator_tensor_symmetry_and_bianchi():
     assert bianchi_residual(OP, RNG, trials=300) <= 1e-10
 
 
+def test_bianchi_residual_sees_a_non_curvature_operator():
+    # a random symmetric matrix has the pair symmetry but not the first Bianchi identity
+    noise = RNG.standard_normal(OP.matrix.shape)
+    fake = curvature.CurvatureOperator(OP.matrix + 1e-3 * (noise + noise.T))
+    assert bianchi_residual(fake, RNG, trials=50) > 1e-5
+
+
 def test_operator_roundtrip_against_formula():
     assert roundtrip_residual(OP, FORMULA, RNG, trials=10000) <= 1e-9
 
@@ -197,6 +204,14 @@ def test_jacobi_spectrum_structure():
         # the zero eigenvalue belongs to the direction itself
         jac = OP.jacobi_matrix(u)
         assert np.abs(jac @ u).max() <= 1e-9
+
+
+def test_jacobi_matrix_batches_over_directions():
+    u = RNG.standard_normal((5, N))
+    stacked = OP.jacobi_matrix(u)
+    assert stacked.shape == (5, N, N)
+    for row, mat in zip(u, stacked):
+        assert np.abs(mat - OP.jacobi_matrix(row)).max() <= 1e-13
 
 
 def test_alpha_scaling_linearity(monkeypatch):

@@ -220,3 +220,14 @@ def test_octonion_suite_peak_is_its_draws_plus_blocks():
         tracemalloc.stop()
     draws = 2 * trials * 8 * np.dtype(float).itemsize
     assert peak < draws + 16 * 2**20
+
+
+def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
+    # a product off by a constant e: on zero rows conj(ab) - conj(b) conj(a) = conj(e) - e,
+    # here (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
+    offset = np.array([0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0])
+    real = octonion.mul_arrays
+    monkeypatch.setattr(octonion, "mul_arrays", lambda a, b, table=None: real(a, b, table) + offset)
+    zero = np.zeros((3, 8))
+    scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE)
+    assert scores["conjugation-reversal"] == 0.5 / (1.0 + 0.25)
