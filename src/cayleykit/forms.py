@@ -8,8 +8,7 @@ This module builds the three candidates
 * ``kahler_form(n)``        -- -sum_i theta^i ^ theta^{n+i} on R^{2n};
 * ``quaternionic_form(n)``  -- om1^om1 + om2^om2 + om3^om3 on R^{4n} for
   the three almost-complex structures of the block frame (e, Ie, Je, Ke);
-* ``spin9_form(fspec)``     -- -v_0^...^v_7 + w_0^...^w_7 plus an
-  arbitrary admissible mixed correction F on R^16,
+* ``spin9_form()``          -- the Cayley 8-form Phi on R^16 = O^2,
 
 and extracts the constraint functionals of designated target monomials
 (the diagonal pair, quaternionic line and top monomials respectively).
@@ -17,29 +16,29 @@ A functional is a float row over the coordinates a[np.triu_indices(n)] of
 a symmetric a; an off-diagonal coordinate collects both index orders, so
 the row's value on a is ``row @ a[np.triu_indices(n)]``.
 
-For the 8-form, every admissible correction word is a wedge of grade-2
-letters v_{s(i)} ^ v_{s(j)} / w_{t(k)} ^ w_{t(l)} with injective index
-maps, mixing both letter kinds.  Removing one letter factor and adding
-one basis covector can then never complete a pure v- or w-top monomial,
-so the coefficient functionals of the two tops do not depend on F; the
-``no_leak_report`` check verifies that cancellation for every one of the
-256 index pairs.
+Phi is Parton and Piccinni's tau_4(psi) (Ann. Global Anal. Geom. 2012):
+the sum over i<j<k<l of (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2,
+with om_ij = <I_i I_j ., .> for ``octonion.clifford_involutions``.  It has
+no (7,1) or (1,7) terms, so the top functionals read the tops alone.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Form, epsilon, mask_of, pair_action, sum_terms, wedge
+from .exterior import Form, below_sign, epsilon, mask_of, pair_action, sum_terms, wedge
+from .octonion import clifford_involutions
 
 SPIN9_DIM = 16
 V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
 W_TOP = ((1 << 8) - 1) << 8       # w_0 ^ ... ^ w_7
-F_SPEC_WORDS = 3                  # words of a random admissible correction
+CAYLEY_SCALE = -5040.0            # Phi / CAYLEY_SCALE has tops -v_0^...^v_7 + w_0^...^w_7
+PSI_SIGNS = (1.0, -1.0, 1.0)      # psi_ijkl = om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk
 # canonical rows: entries below ROUND_TOL are zero, and an entry within
 # ROUND_TOL of a fraction with denominator <= MAX_DENOMINATOR snaps to it
 ROUND_TOL = 1e-9
@@ -92,112 +91,80 @@ def quaternionic_targets(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The 8-form and its admissible corrections
+# The Cayley 8-form
 
 
-@dataclass(frozen=True)
-class FWord:
-    """One wedge word: coefficient times four grade-2 letters.
+@functools.cache
+def _cayley_terms():
+    """Phi / CAYLEY_SCALE as read-only (masks, coeffs), built once per process.
 
-    Each letter is (kind, p, q) with kind 'v' or 'w' and symbol indices
-    p < q; a word must use both kinds so that it can never reduce to a
-    pure top monomial.
+    A wedge in psi has 8 x 8 terms, signed by four epsilon sweeps.  A 4-form
+    commutes with itself, so psi ^ psi is twice the sum over the disjoint term
+    pairs s < t of psi, each signed as in ``wedge``; one psi at a time.
     """
-
-    coefficient: float
-    letters: tuple[tuple[str, int, int], ...]
-
-    def __post_init__(self):
-        if len(self.letters) != 4:
-            raise ValueError("a correction word needs total grade 8, i.e. 4 letters")
-        kinds = set()
-        for kind, p, q in self.letters:
-            if kind not in ("v", "w"):
-                raise ValueError("letter kind must be 'v' or 'w'")
-            if not (0 <= p < q <= 7):
-                raise ValueError("symbol indices must satisfy 0 <= p < q <= 7")
-            kinds.add(kind)
-        if kinds != {"v", "w"}:
-            raise ValueError("word must mix v- and w-letters")
-
-
-@dataclass(frozen=True)
-class FSpec:
-    """Admissible correction: words over letters routed through injective maps."""
-
-    words: tuple[FWord, ...]
-    sigma: tuple[int, ...]
-    tau: tuple[int, ...]
-
-    def __post_init__(self):
-        for name, perm in (("sigma", self.sigma), ("tau", self.tau)):
-            if sorted(perm) != list(range(8)):
-                raise ValueError(f"{name} must be an injective map on eight symbols")
+    inv = clifford_involutions()
+    p, q = np.triu_indices(SPIN9_DIM, 1)
+    omega = (inv[:, None] @ inv)[..., q, p]  # omega_ij(e_p, e_q) = <I_i I_j e_p, e_q>
+    # the eight terms of each omega_ij, i != j (I_i I_j is a signed permutation)
+    terms = np.argsort(omega == 0.0, axis=-1, kind="stable")[..., :8]
+    om_p, om_q, om_c = p[terms], q[terms], np.take_along_axis(omega, terms, axis=-1)
+    a, b, c, d = np.array(list(itertools.combinations(range(9), 4))).T
+    left = np.stack([a, a, a], axis=-1), np.stack([b, c, d], axis=-1)
+    right = np.stack([c, b, b], axis=-1), np.stack([d, d, c], axis=-1)
+    coeffs = np.array(PSI_SIGNS)[:, None, None] * om_c[left][..., :, None] * om_c[right][..., None, :]
+    masks = np.zeros(coeffs.shape, dtype=np.int64)  # (126, 3, 8, 8)
+    for letter in (om_q[right][..., None, :], om_p[right][..., None, :],
+                   om_q[left][..., :, None], om_p[left][..., :, None]):
+        masks, coeffs = epsilon(letter, masks, coeffs)
+    keys, sums = sum_terms(np.arange(a.size)[:, None, None, None] << SPIN9_DIM | masks, coeffs)
+    keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+    bounds = np.searchsorted(keys >> SPIN9_DIM, np.arange(1, a.size))
+    phi = np.zeros(1 << SPIN9_DIM)
+    for m, w in zip(np.split(keys & phi.size - 1, bounds), np.split(sums, bounds)):
+        idx = np.nonzero(m[:, None] >> np.arange(SPIN9_DIM) & 1)[1].reshape(-1, 4)
+        s, t = np.nonzero(np.triu(m[:, None] & m == 0, 1))
+        signs = below_sign(m[t, None], idx[s]).prod(axis=-1)
+        phi += np.bincount(m[s] | m[t], weights=2.0 * w[s] * w[t] * signs, minlength=phi.size)
+    masks = np.flatnonzero(phi)
+    coeffs = phi[masks] / CAYLEY_SCALE
+    masks.flags.writeable = coeffs.flags.writeable = False
+    return masks, coeffs
 
 
-def build_correction(spec: FSpec) -> Form:
-    """Evaluate an FSpec into a concrete 8-form on R^16.
-
-    A word is its coefficient times theta^{i_1} ^ ... ^ theta^{i_8} with the
-    routed indices in letter order, that is eight left multiplications
-    applied to the unit, which also supply every reordering sign; all words
-    take each step together.
-    """
-    indices = []
-    for word in spec.words:
-        for kind, p, q in word.letters:
-            perm, offset = (spec.sigma, 0) if kind == "v" else (spec.tau, 8)
-            indices += [perm[p] + offset, perm[q] + offset]
-    indices = np.array(indices, dtype=np.int64).reshape(-1, 8)
-    masks = np.zeros(len(indices), dtype=np.int64)
-    coeffs = np.array([word.coefficient for word in spec.words])
-    for step in reversed(range(8)):
-        masks, coeffs = epsilon(indices[:, step], masks, coeffs)
-    return Form.from_terms(SPIN9_DIM, 8, masks, coeffs)
+def spin9_form() -> Form:
+    """The Cayley form Phi / CAYLEY_SCALE: top coefficients -1 (v) and +1 (w)."""
+    return Form.from_terms(SPIN9_DIM, 8, *_cayley_terms())
 
 
-def random_f_spec(rng: np.random.Generator) -> FSpec:
-    """Random admissible correction with random injective index maps."""
-    sigma = tuple(int(i) for i in rng.permutation(8))
-    tau = tuple(int(i) for i in rng.permutation(8))
-    words = []
-    for _ in range(F_SPEC_WORDS):
-        n_v = int(rng.integers(1, 4))  # 1..3 v-letters, rest w-letters
-        v_syms = rng.choice(8, size=2 * n_v, replace=False)
-        w_syms = rng.choice(8, size=2 * (4 - n_v), replace=False)
-        letters = []
-        for k in range(n_v):
-            p, q = sorted(int(s) for s in v_syms[2 * k: 2 * k + 2])
-            letters.append(("v", p, q))
-        for k in range(4 - n_v):
-            p, q = sorted(int(s) for s in w_syms[2 * k: 2 * k + 2])
-            letters.append(("w", p, q))
-        coeff = float(rng.uniform(-2.0, 2.0))
-        words.append(FWord(coeff, tuple(letters)))
-    return FSpec(tuple(words), sigma, tau)
+def so_action(form: Form):
+    """The sparse matrix of a -> T(a, form) on so(n): one row per basis element
+    e_p e_q^T - e_q e_p^T (p < q), one column per monomial it can produce."""
+    import scipy.sparse  # imported here: 1.5 MiB that only this check needs
 
-
-def spin9_form(spec: FSpec | None = None) -> Form:
-    """-v_0^...^v_7 + w_0^...^w_7 plus the optional admissible correction."""
-    base = Form(SPIN9_DIM, 8, {V_TOP: -1.0, W_TOP: 1.0})
-    if spec is None:
-        return base
-    return base + build_correction(spec)
+    p, q = np.triu_indices(form.n, 1)
+    (masks,), (coeffs,) = pair_action(form.n, *form.batch())
+    masks = np.stack([masks[:, p, q], masks[:, q, p]])
+    coeffs = np.stack([coeffs[:, p, q], -coeffs[:, q, p]])
+    live = coeffs != 0.0
+    cols, inverse = np.unique(masks[live], return_inverse=True)
+    rows = np.broadcast_to(np.arange(p.size), masks.shape)[live]
+    return scipy.sparse.csr_array((coeffs[live], (rows, inverse)), shape=(p.size, cols.size))
 
 
 def spin9_targets() -> tuple[int, int]:
     return V_TOP, W_TOP
 
 
-def no_leak_report(correction: Form) -> float:
-    """Max coefficient the correction contributes to either top monomial.
+def no_leak_report(omega: Form) -> float:
+    """Max coefficient the non-top terms of omega contribute to either top monomial.
 
     Sums the terms of eps(theta^i) l(e_j) that land on a top monomial, per
-    index pair (i, j) and top, over all 256 pairs; an admissible correction
-    must leave every sum at zero.
+    index pair (i, j) and top, over all 256 pairs; without (7,1) or (1,7)
+    terms every sum is zero.
     """
-    n = correction.n
-    masks, coeffs = pair_action(n, *correction.batch())
+    n = omega.n
+    masks, coeffs = omega.batch()
+    masks, coeffs = pair_action(n, masks, np.where(np.isin(masks, spin9_targets()), 0.0, coeffs))
     pairs = np.arange(n * n).reshape(n, n)
     top = ((masks == V_TOP) | (masks == W_TOP)) & (coeffs != 0.0)
     keys = (masks == W_TOP) * n * n + pairs

@@ -140,6 +140,18 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     return out.reshape(shape)
 
 
+def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarray:
+    """The Spin(9) Clifford system on O^2: I_u(x, y) = (u y*, x* u) for u in the basis
+    (1, e_0, ..., e_6) and I_9 = diag(1_8, -1_8), with I_i I_j + I_j I_i = 2 delta_ij."""
+    c = table.structure_tensor()
+    conj = conj_arrays(np.ones(DIM))
+    out = np.zeros((DIM + 1, 2 * DIM, 2 * DIM))
+    out[:DIM, :DIM, DIM:] = c.transpose(0, 2, 1) * conj  # (u y*)_k = sum_j C[u, j, k] y*_j
+    out[:DIM, DIM:, :DIM] = c.transpose(1, 2, 0) * conj  # (x* u)_k = sum_i C[i, u, k] x*_i
+    out[DIM] = np.diag(np.repeat([1.0, -1.0], DIM))
+    return out
+
+
 def conj_arrays(a) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0

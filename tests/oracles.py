@@ -12,7 +12,9 @@ The batched kernels (octonion product, curvature operator forms) are
 restated as single three-operand ``einsum`` contractions with no BLAS call
 and no blocking.  The sharpness sampler has two oracles: its reduced scheme
 as one unblocked draw, and the full draw of one normal per feasible
-dimension, the independent route for the chi-square reduction.
+dimension, the independent route for the chi-square reduction.  The Clifford
+involutions come from octonion products of the basis vectors, and the
+Cayley form Phi from them through ``Form`` dicts and ``wedge``.
 """
 
 import itertools
@@ -21,8 +23,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from cayleykit.exterior import Form, indices_of, mask_of
-from cayleykit.octonion import DEFAULT_TABLE
+from cayleykit.exterior import Form, indices_of, mask_of, wedge
+from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
 
 
 def perm_sign(perm) -> int:
@@ -159,6 +161,31 @@ def mul_einsum(a, b, table=None):
     """Octonion product sum_ij C_ijk a_i b_j as one contraction with the structure tensor."""
     c = (table or DEFAULT_TABLE).structure_tensor()
     return np.einsum("ijk,...i,...j->...k", c, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def clifford_by_products(table=None):
+    """I_u(x, y) = (u y*, x* u) for u in the basis, and diag(1_8, -1_8), column by column."""
+    x, y = np.eye(16)[:, :8], np.eye(16)[:, 8:]  # the basis of R^16 = O^2 split into (x, y)
+    out = [np.concatenate([mul_einsum(u, conj_arrays(y), table),
+                           mul_einsum(conj_arrays(x), u, table)], axis=1).T for u in np.eye(8)]
+    return np.array(out + [np.diag([1.0] * 8 + [-1.0] * 8)])
+
+
+def cayley_form_by_wedge():
+    """sum_{i<j<k<l} (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2 / -5040
+    through ``Form`` dicts and ``wedge``, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
+    inv = clifford_by_products()
+    omega = {}
+    for i, j in itertools.combinations(range(9), 2):
+        m = inv[i] @ inv[j]
+        omega[i, j] = Form(16, 2, {mask_of((p, q)): m[q, p]
+                                   for p, q in itertools.combinations(range(16), 2)})
+    phi = Form(16, 8)
+    for i, j, k, l in itertools.combinations(range(9), 4):
+        psi = (wedge(omega[i, j], omega[k, l]) - wedge(omega[i, k], omega[j, l])
+               + wedge(omega[i, l], omega[j, k]))
+        phi = phi + wedge(psi, psi)
+    return Form(16, 8, {m: c / -5040.0 for m, c in phi.coeffs.items()})
 
 
 def operator_pairing(matrix, v, w):

@@ -11,6 +11,7 @@ from cayleykit.octonion import (
     FANO_TRIPLES,
     MUL_BLOCK_ROWS,
     MultiplicationTable,
+    clifford_involutions,
     conj_arrays,
     inner_arrays,
     mul_arrays,
@@ -190,6 +191,27 @@ def test_mul_arrays_uses_the_given_table(tmp_path):
     got = mul_arrays(a, b, flipped)
     assert np.all(np.abs(got - oracles.mul_einsum(a, b, flipped)) <= _reorder_bound(a, b))
     assert np.abs(got - mul_arrays(a, b)).max() > 0.1
+
+
+def _anticommutators(inv):
+    pairs = np.einsum("iab,jbc->ijac", inv, inv)
+    return pairs + pairs.transpose(1, 0, 2, 3)
+
+
+def test_clifford_involutions():
+    inv = clifford_involutions()
+    assert np.array_equal(inv, oracles.clifford_by_products())
+    assert np.array_equal(inv, inv.transpose(0, 2, 1))
+    # I_i I_j + I_j I_i = 2 delta_ij, exactly: every entry is a signed 0 or 1
+    want = 2.0 * np.eye(9)[:, :, None, None] * np.eye(16)
+    assert np.abs(_anticommutators(inv) - want).max() == 0.0
+    # a flipped table sign breaks the relations
+    sign = DEFAULT_TABLE.sign.copy()
+    sign[3, 5] = -sign[3, 5]
+    table = MultiplicationTable(sign, DEFAULT_TABLE.index)
+    flipped = clifford_involutions(table)
+    assert np.array_equal(flipped, oracles.clifford_by_products(table))
+    assert np.abs(_anticommutators(flipped) - want).max() >= 2.0
 
 
 def test_mul_arrays_rejects_bad_shapes():

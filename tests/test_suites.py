@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cayleykit import exterior, octonion, suites
+from cayleykit import exterior, forms, octonion, suites
 from cayleykit.octonion import DEFAULT_TABLE
 from cayleykit.suites import (
     SUITE_ORDER,
@@ -111,6 +111,26 @@ def test_model_faults_fail_named_checks(monkeypatch):
         assert failed == [f"{suite}.{check}" for check in expected], name
 
 
+def test_cayley_sign_fault_fails_named_checks(monkeypatch):
+    # psi_ijkl with +om_ik ^ om_jl: 822 terms, tops +-560 / 5040, and no Spin(9) invariance
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "PSI_SIGNS", (1.0, 1.0, 1.0))
+        forms._cayley_terms.cache_clear()
+        try:
+            assert len(forms.spin9_form().coeffs) == 822
+            result = SUITES["forms"](RunConfig(**FAST))
+        finally:
+            forms._cayley_terms.cache_clear()
+    failed = [c.check for c in result.checks if not c.passed]
+    assert failed == ["forms.spin9-base-form", "forms.spin9-top-functional"]
+
+
+def test_forms_suite_ignores_seed_and_trials():
+    # the forms suite draws nothing: Phi and its checks are deterministic
+    default = SUITES["forms"](RunConfig(seed=0)).as_dict()
+    assert SUITES["forms"](RunConfig(seed=7, trials=1000)).as_dict() == default
+
+
 def test_exterior_faults_fail_named_checks(monkeypatch):
     real_signs, real_epsilon = exterior._hodge_signs, exterior.epsilon
 
@@ -187,18 +207,23 @@ def test_check_bookkeeping():
 
 
 def test_table_path_failure_is_localized(tmp_path):
-    path = tmp_path / "table.csv"
-    DEFAULT_TABLE.save(path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[4][1] = str(-int(rows[4][1]))
-    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-    # three full row blocks and a partial one, so the faulty table goes through the blocked loop
-    trials = 3 * octonion.MUL_BLOCK_ROWS + 7
-    result = SUITES["octonion"](RunConfig(table_path=str(path), **dict(FAST, trials=trials)))
-    failed = [c.check for c in result.checks if not c.passed]
-    assert failed == [f"octonion.{check}" for check in
-                      ("table-closure", "alternative-laws", "conjugation-reversal",
-                       "norm-multiplicativity", "conjugate-square-norm")]
+    # the closure note names the first breakage in (i, j) order, not the last
+    sampled = ("alternative-laws", "conjugation-reversal", "norm-multiplicativity",
+               "conjugate-square-norm")
+    for (i, j), first, witness in (((4, 1), "antisymmetry at (1, 4)", ()),
+                                   ((1, 2), "antisymmetry at (1, 2)", ("association-witness",))):
+        path = tmp_path / f"table-{i}{j}.csv"
+        DEFAULT_TABLE.save(path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[i][j] = str(-int(rows[i][j]))
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        # three full row blocks and a partial one, so the faulty table goes through the blocked loop
+        trials = 3 * octonion.MUL_BLOCK_ROWS + 7
+        result = SUITES["octonion"](RunConfig(table_path=str(path), **dict(FAST, trials=trials)))
+        failed = [c for c in result.checks if not c.passed]
+        assert [c.check for c in failed] == [f"octonion.{check}" for check in
+                                             ("table-closure", *sampled, *witness)]
+        assert failed[0].note == first
 
 
 def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
