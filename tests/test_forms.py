@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from cayleykit import forms
-from cayleykit.exterior import Form, hessian_action, mask_of, random_forms
+from cayleykit.exterior import Form, hessian_action, mask_of, random_forms, wedge
 from cayleykit.forms import (
     SPIN9_DIM,
     V_TOP,
@@ -89,6 +89,22 @@ def test_spin9_base_form():
 def test_cayley_form_matches_wedge_oracle():
     # the batched build and the Form/wedge route sum the same integers, then divide once
     assert sorted(spin9_form().coeffs.items()) == sorted(oracles.cayley_form_by_wedge().coeffs.items())
+
+
+def test_correction_words_have_eight_letters_after_wedge():
+    # Phi minus its two tops is the correction: 700 words, each of eight distinct letters
+    corr = spin9_form() - Form(SPIN9_DIM, 8, {V_TOP: -1.0, W_TOP: 1.0})
+    assert corr.grade == 8
+    assert len(corr.coeffs) == 700
+    assert V_TOP not in corr.coeffs and W_TOP not in corr.coeffs
+    for mask in corr.coeffs:
+        assert bin(mask).count("1") == 8
+    # and the wedge of two 4-forms, as in (psi ^ psi), only ever yields eight-letter words
+    (ma, mb), (ca, cb) = random_forms(SPIN9_DIM, np.array([4, 4]), np.random.default_rng(8))
+    square = wedge(Form.from_terms(SPIN9_DIM, 4, ma, ca), Form.from_terms(SPIN9_DIM, 4, mb, cb))
+    assert square.grade == 8 and square.coeffs
+    for mask in square.coeffs:
+        assert bin(mask).count("1") == 8
 
 
 def test_cayley_form_is_built_once():
