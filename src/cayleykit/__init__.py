@@ -4,7 +4,7 @@ Submodules:
 
 * ``octonion``  -- Cayley-number arithmetic from the seven cyclic triples
 * ``exterior``  -- sparse exterior algebra, Hodge star, Hessian surrogate
-* ``curvature`` -- sectional formula on O^2, polarized operator, pinching
+* ``curvature`` -- sectional formula on O^2, spin(9) operator, pinching
 * ``geodesy``   -- radial comparison geometry and the bottom of the spectrum
 * ``forms``     -- parallel-form candidates and linear constraint extraction
 * ``kernels``   -- sharp Bochner ratio problems and the Kato-type transform

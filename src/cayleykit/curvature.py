@@ -7,18 +7,18 @@ Tangent vectors are elements of O^2 = R^16.  For an orthonormal pair
                   + <ab, cd> / 2 - <ad, cb> )
 
 with ALPHA = -4, products taken in the octonion algebra and |x ^ y|^2 the
-Gram determinant.  Extended by the Gram factor this is the biquadratic
-form B(x, y) = <R(x ^ y), x ^ y>, and a four-point polarization stencil
-recovers the full (4, 0) tensor exactly because B is polynomial of
-bidegree (2, 2).
+Gram determinant.
 
-``assemble_operator`` produces the symmetric operator on the 120 monomial
-bivectors e_A ^ e_B (A < B); everything downstream (Ricci, the radial
-Jacobi operator, pinching searches) is linear algebra against that
-matrix.
+``assemble_operator`` builds the symmetric operator on the 120 monomial
+bivectors e_A ^ e_B (A < B) in closed form: (ALPHA / 4) sum_{i<j} c_ij c_ij^T,
+with c_ij the bivector coordinates of I_i I_j for the Clifford involutions
+of ``octonion``, that is -8 times the projector onto spin(9).  The formula
+is the independent route it is checked against.  Ricci, the radial Jacobi
+operator and the pinching searches are linear algebra against that matrix.
 
-``ALPHA`` is the model's curvature scale, not a setting: the formula reads
-it when it is evaluated, so a test injects a scale fault by patching it.
+``ALPHA`` is the model's curvature scale, not a setting: the formula and
+the operator read it at call time, so a test injects a scale fault by
+patching it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ ALPHA = -4.0
 PAIRS = [(a, b) for a in range(N) for b in range(a + 1, N)]
 _ROWS = np.array([a for a, _ in PAIRS])
 _COLS = np.array([b for _, b in PAIRS])
+
+# n^2 (n^2 - 1) / 12: the dimension of the curvature-type tensors on R^n
+CURVATURE_TENSOR_DIM = N * N * (N * N - 1) // 12
 
 DEGENERATE_GRAM = 1e-10
 PINCH_STEP = 1e-2  # initial step of each pinch search start, halved on every rejection
@@ -61,17 +64,15 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _gram(x, y, threshold: float = DEGENERATE_GRAM):
-    """|x|^2, the Gram determinant |x ^ y|^2 and the mask of pairs spanning a plane.
+def _gram(x, y):
+    """The Gram determinant |x ^ y|^2 and the mask of pairs spanning a plane.
 
     A pair counts as degenerate when the Gram determinant falls below
-    ``threshold`` relative to |x|^2 |y|^2.
+    ``DEGENERATE_GRAM`` relative to |x|^2 |y|^2.
     """
-    nx2 = _dot(x, x)
-    ny2 = _dot(y, y)
-    gram = nx2 * ny2 - _dot(x, y) ** 2
-    scale = np.where(nx2 * ny2 > 0.0, nx2 * ny2, 1.0)
-    return nx2, gram, gram > threshold * scale
+    norms = _dot(x, x) * _dot(y, y)
+    gram = norms - _dot(x, y) ** 2
+    return gram, gram > DEGENERATE_GRAM * norms
 
 
 def _orthonormalize(x, y):
@@ -118,41 +119,12 @@ class SectionalCurvature:
         )
         return ALPHA * value
 
-    def _frame_value(self, x, y, threshold: float):
-        """Curvature of span(x, y) at its Gram-Schmidt frame, with Gram data."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        _, gram, good = _gram(x, y, threshold)
-        return self.orthonormal_value(*_orthonormalize(x, y)), gram, good
-
     def plane_value(self, x, y):
         """Sectional curvature of span(x, y); NaN for a degenerate plane."""
-        k, _, good = self._frame_value(x, y, DEGENERATE_GRAM)
-        return np.where(good, k, np.nan)
-
-    def biquadratic(self, x, y):
-        """B(x, y) = K(span) * Gram(x, y), continuously 0 on degenerate pairs."""
-        k, gram, good = self._frame_value(x, y, 1e-14)
-        return np.where(good, k * gram, 0.0)
-
-
-def polarized_tensor(formula: SectionalCurvature, x, y, z, w) -> np.ndarray:
-    """R(x, y, z, w) from the exact bidegree-(2,2) difference stencil.
-
-    Normalized so that R(x, y, x, y) equals the biquadratic B(x, y).
-    """
-    x, y, z, w = (np.asarray(t, dtype=float) for t in (x, y, z, w))
-
-    def mixed(p, q):
-        # exact d^2/ds dt at 0 for a polynomial of degree <= 2 in each slot
-        return (
-            formula.biquadratic(x + p, y + q)
-            - formula.biquadratic(x + p, y - q)
-            - formula.biquadratic(x - p, y + q)
-            + formula.biquadratic(x - p, y - q)
-        ) / 4.0
-
-    return (mixed(z, w) - mixed(w, z)) / 6.0
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        _, good = _gram(x, y)
+        return np.where(good, self.orthonormal_value(*_orthonormalize(x, y)), np.nan)
 
 
 @dataclass
@@ -160,7 +132,6 @@ class CurvatureOperator:
     """Symmetric operator on bivector monomial coordinates (120 x 120)."""
 
     matrix: np.ndarray
-    assembly_asymmetry: float = 0.0
 
     def tensor(self, x, y, z, w):
         """<R(x ^ y), z ^ w> (batched)."""
@@ -171,7 +142,7 @@ class CurvatureOperator:
         return _dot(v @ self.matrix, v)
 
     def sectional(self, x, y):
-        _, gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return np.where(good, self.quadratic(x, y) / np.where(good, gram, 1.0), np.nan)
 
     def ricci(self) -> np.ndarray:
@@ -190,28 +161,13 @@ class CurvatureOperator:
         np.savetxt(path, self.matrix, delimiter=",", fmt="%.17g")
 
 
-def assemble_operator(formula: SectionalCurvature | None = None) -> CurvatureOperator:
-    """Polarize the sectional formula over all monomial bivector pairs.
-
-    The full 120 x 120 array is computed entry by entry without imposing
-    symmetry; the measured asymmetry is kept as a self-check and the
-    stored matrix is the symmetrized average.
-    """
-    formula = formula or SectionalCurvature()
-    eye = np.eye(N)
-    m = len(PAIRS)
-    idx = np.arange(m)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    x = eye[_ROWS[ii]]
-    y = eye[_COLS[ii]]
-    z = eye[_ROWS[jj]]
-    w = eye[_COLS[jj]]
-    values = polarized_tensor(formula, x, y, z, w).reshape(m, m)
-    asym = float(np.abs(values - values.T).max())
-    sym = 0.5 * (values + values.T)
-    return CurvatureOperator(matrix=sym, assembly_asymmetry=asym)
+def assemble_operator() -> CurvatureOperator:
+    """(ALPHA / 4) sum_{i<j} c_ij c_ij^T over the bivectors c_ij of I_i I_j; at ALPHA = -4,
+    -8 times the projector onto spin(9), spectrum {-8 x 36, 0 x 84}."""
+    inv = octonion.clifford_involutions()
+    i, j = np.triu_indices(len(inv), 1)
+    c = (inv[i] @ inv[j])[:, _ROWS, _COLS]
+    return CurvatureOperator(ALPHA / 4.0 * (c.T @ c))
 
 
 def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int) -> float:

@@ -250,8 +250,10 @@ class ConstraintSet:
             r += 1
             if r == mat.shape[0]:
                 break
-        # entries within ROUND_TOL of zero snap to it too
-        return cls(n, np.vectorize(_rationalize, otypes=[float])(mat[:r]))
+        # entries within ROUND_TOL of zero snap to it too; exact zeros need no snap (+ 0.0: -0 -> 0)
+        rows, live = mat[:r] + 0.0, mat[:r] != 0.0
+        rows[live] = np.vectorize(_rationalize, otypes=[float])(rows[live])
+        return cls(n, rows)
 
     def to_json(self) -> str:
         upper = np.triu_indices(self.n)

@@ -14,7 +14,10 @@ and no blocking.  The sharpness sampler has two oracles: its reduced scheme
 as one unblocked draw, and the full draw of one normal per feasible
 dimension, the independent route for the chi-square reduction.  The Clifford
 involutions come from octonion products of the basis vectors, and the
-Cayley form Phi from them through ``Form`` dicts and ``wedge``.
+Cayley form Phi from them through ``Form`` dicts and ``wedge``.  The
+curvature operator is recovered from the sectional formula alone: its
+Gram-weighted biquadratic B(x, y) = <R(x ^ y), x ^ y> is polynomial of
+bidegree (2, 2), so a four-point difference stencil polarizes it exactly.
 """
 
 import itertools
@@ -23,6 +26,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from cayleykit.curvature import CurvatureOperator
 from cayleykit.exterior import Form, indices_of, mask_of, wedge
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
 
@@ -186,6 +190,38 @@ def cayley_form_by_wedge():
                + wedge(omega[i, l], omega[j, k]))
         phi = phi + wedge(psi, psi)
     return Form(16, 8, {m: c / -5040.0 for m, c in phi.coeffs.items()})
+
+
+def biquadratic(formula, x, y):
+    """B(x, y) = K(span(x, y)) |x ^ y|^2 at a QR frame of the span, 0 on degenerate pairs."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    frame = np.linalg.qr(np.stack([x, y], axis=-1))[0]
+    norms = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
+    gram = norms - np.sum(x * y, axis=-1) ** 2
+    k = formula.orthonormal_value(frame[..., 0], frame[..., 1])
+    return np.where(gram > 1e-14 * norms, k * gram, 0.0)
+
+
+def polarized_tensor(formula, x, y, z, w):
+    """R(x, y, z, w) from the exact bidegree-(2, 2) difference stencil on ``biquadratic``,
+    normalized so that R(x, y, x, y) = B(x, y)."""
+    def mixed(p, q):
+        # exact d^2/ds dt at 0 for a polynomial of degree <= 2 in each slot
+        return (biquadratic(formula, x + p, y + q) - biquadratic(formula, x + p, y - q)
+                - biquadratic(formula, x - p, y + q) + biquadratic(formula, x - p, y - q)) / 4.0
+
+    return (mixed(z, w) - mixed(w, z)) / 6.0
+
+
+def polarized_operator(formula):
+    """The operator on the 120 monomial bivectors by polarizing ``formula`` over all
+    14,400 pairs of them, symmetrized."""
+    eye = np.eye(16)
+    a, b = np.triu_indices(16, 1)
+    ii, jj = (t.ravel() for t in np.meshgrid(np.arange(a.size), np.arange(a.size), indexing="ij"))
+    values = polarized_tensor(formula, eye[a[ii]], eye[b[ii]], eye[a[jj]], eye[b[jj]])
+    values = values.reshape(a.size, a.size)
+    return CurvatureOperator(0.5 * (values + values.T))
 
 
 def operator_pairing(matrix, v, w):

@@ -106,7 +106,7 @@ def test_trace_free_duality_chain():
 def test_curvature_model():
     rng = np.random.default_rng(404)
     formula = curvature.SectionalCurvature()
-    op = curvature.assemble_operator(formula)
+    op = curvature.assemble_operator()
 
     sym = curvature.symmetry_residual(op, rng, trials=300)
     bianchi = curvature.bianchi_residual(op, rng, trials=300)

@@ -201,7 +201,7 @@ def test_report_pinch_note_describes_pinch_csv(tmp_path):
 
 
 def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
-    def crash(formula=None):
+    def crash():
         raise ArithmeticError("assembly diverged")
     monkeypatch.setattr(curvature, "assemble_operator", crash)
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path), "--export-operator"]) == 1

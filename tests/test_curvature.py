@@ -15,14 +15,19 @@ from cayleykit.curvature import (
     bivector,
     bivector_matrix,
     pinch_extremes,
-    polarized_tensor,
     roundtrip_residual,
     symmetry_residual,
 )
 
 RNG = np.random.default_rng(271828)
 FORMULA = SectionalCurvature()
-OP = assemble_operator(FORMULA)
+OP = assemble_operator()
+MIRRORED = SectionalCurvature(swap_products=True)
+
+
+@pytest.fixture(scope="module")
+def mirrored_oracle():
+    return oracles.polarized_operator(MIRRORED)
 
 
 def unit(i):
@@ -81,39 +86,38 @@ def test_plane_value_is_basis_invariant():
 def test_degenerate_pairs():
     x = RNG.standard_normal(N)
     assert np.isnan(FORMULA.plane_value(x, 2.0 * x))
-    assert FORMULA.biquadratic(x, 2.0 * x) == 0.0
+    assert oracles.biquadratic(FORMULA, x, 2.0 * x) == 0.0
 
 
 def test_biquadratic_scales_with_gram():
     x, y = RNG.standard_normal((2, N))
-    b1 = FORMULA.biquadratic(x, y)
-    b2 = FORMULA.biquadratic(3.0 * x, y)
+    b1 = oracles.biquadratic(FORMULA, x, y)
+    b2 = oracles.biquadratic(FORMULA, 3.0 * x, y)
     assert b2 == pytest.approx(9.0 * b1, rel=1e-12)
 
 
 def test_polarized_tensor_symmetries():
     for _ in range(20):
         x, y, z, w = RNG.standard_normal((4, N))
-        r = polarized_tensor(FORMULA, x, y, z, w)
-        assert polarized_tensor(FORMULA, y, x, z, w) == pytest.approx(-r, abs=1e-10)
-        assert polarized_tensor(FORMULA, x, y, w, z) == pytest.approx(-r, abs=1e-10)
-        assert polarized_tensor(FORMULA, z, w, x, y) == pytest.approx(r, abs=1e-10)
-        cyc = (r + polarized_tensor(FORMULA, x, z, w, y)
-               + polarized_tensor(FORMULA, x, w, y, z))
+        r = oracles.polarized_tensor(FORMULA, x, y, z, w)
+        assert oracles.polarized_tensor(FORMULA, y, x, z, w) == pytest.approx(-r, abs=1e-10)
+        assert oracles.polarized_tensor(FORMULA, x, y, w, z) == pytest.approx(-r, abs=1e-10)
+        assert oracles.polarized_tensor(FORMULA, z, w, x, y) == pytest.approx(r, abs=1e-10)
+        cyc = (r + oracles.polarized_tensor(FORMULA, x, z, w, y)
+               + oracles.polarized_tensor(FORMULA, x, w, y, z))
         assert cyc == pytest.approx(0.0, abs=1e-10)
 
 
 def test_polarization_recovers_biquadratic():
     for _ in range(50):
         x, y = RNG.standard_normal((2, N))
-        assert polarized_tensor(FORMULA, x, y, x, y) == pytest.approx(
-            FORMULA.biquadratic(x, y), rel=1e-10, abs=1e-10)
+        assert oracles.polarized_tensor(FORMULA, x, y, x, y) == pytest.approx(
+            oracles.biquadratic(FORMULA, x, y), rel=1e-10, abs=1e-10)
 
 
 def test_operator_matrix_properties():
     assert OP.matrix.shape == (120, 120)
     assert np.abs(OP.matrix - OP.matrix.T).max() == 0.0
-    assert OP.assembly_asymmetry <= 1e-12
     # adapted pair diagonals: first-slot pairs carry -4, split pairs -1
     for (a, b) in ((0, 1), (3, 6)):
         idx = PAIRS.index((a, b))
@@ -121,6 +125,15 @@ def test_operator_matrix_properties():
     for (a, b) in ((0, 8), (5, 15)):
         idx = PAIRS.index((a, b))
         assert OP.matrix[idx, idx] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_closed_form_matches_polarized_oracle(mirrored_oracle):
+    # -8 times the projector onto spin(9), and the polarized octonion formula
+    assert np.abs(oracles.polarized_operator(FORMULA).matrix - OP.matrix).max() <= 1e-14
+    spectrum = np.linalg.eigvalsh(OP.matrix)
+    assert np.abs(spectrum - np.repeat([-8.0, 0.0], [36, 84])).max() <= 1e-12
+    # the mirrored reading has the same spectrum but is another tensor
+    assert np.abs(mirrored_oracle.matrix - OP.matrix).max() > 1.0
 
 
 def test_operator_tensor_symmetry_and_bianchi():
@@ -216,22 +229,20 @@ def test_jacobi_matrix_batches_over_directions():
 
 def test_alpha_scaling_linearity(monkeypatch):
     monkeypatch.setattr(curvature, "ALPHA", 2.0 * ALPHA)
-    doubled = assemble_operator(SectionalCurvature())
+    doubled = assemble_operator()
     assert np.abs(doubled.matrix - 2.0 * OP.matrix).max() <= 1e-9
 
 
-def test_swapped_reading_is_isometric():
-    swapped = assemble_operator(SectionalCurvature(swap_products=True))
-    assert np.abs(swapped.ricci() - OP.ricci()).max() <= 1e-9
+def test_swapped_reading_is_isometric(mirrored_oracle):
+    assert np.abs(mirrored_oracle.ricci() - OP.ricci()).max() <= 1e-9
     u = RNG.standard_normal(N)
     u /= np.linalg.norm(u)
-    assert np.abs(np.sort(swapped.jacobi_spectrum(u)) - np.sort(OP.jacobi_spectrum(u))).max() <= 1e-8
-    assert bianchi_residual(swapped, RNG, trials=100) <= 1e-10
+    assert np.abs(np.sort(mirrored_oracle.jacobi_spectrum(u))
+                  - np.sort(OP.jacobi_spectrum(u))).max() <= 1e-8
+    assert bianchi_residual(mirrored_oracle, RNG, trials=100) <= 1e-10
     # yet the readings are genuinely different tensors
     x, y = RNG.standard_normal((2, 500, N))
-    gap = np.nanmax(np.abs(
-        SectionalCurvature().plane_value(x, y)
-        - SectionalCurvature(swap_products=True).plane_value(x, y)))
+    gap = np.nanmax(np.abs(FORMULA.plane_value(x, y) - MIRRORED.plane_value(x, y)))
     assert gap > 0.1
 
 

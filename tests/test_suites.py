@@ -92,7 +92,8 @@ def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
 
 
 def test_model_faults_fail_named_checks(monkeypatch):
-    # each model fault is one patched constant and must fail exactly these checks
+    # each model fault is one patched constant or function and must fail exactly these checks
+    real_mul = octonion.mul_arrays
     faults = (
         (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), "geodesy",
          ("distance-laplacian-value", "distance-laplacian-limits", "area-volume",
@@ -102,6 +103,9 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("adapted-sectional", "pinch-range", "product-order-reading", "einstein-constant",
           "radial-spectrum", "pinch-search")),
         (suites.kernels, "MODEL_RICCI", -30.0, "kernels", ("ratio-quaternionic", "kato-transform")),
+        # the mirrored product reading is pinched too; only the spin(9) closed form tells it apart
+        (octonion, "mul_arrays", lambda a, b, table=None: real_mul(b, a, table), "curvature",
+         ("operator-roundtrip",)),
     )
     for owner, name, value, suite, expected in faults:
         with monkeypatch.context() as patch:
@@ -109,6 +113,26 @@ def test_model_faults_fail_named_checks(monkeypatch):
             result = SUITES[suite](RunConfig(**FAST))
         failed = [c.check for c in result.checks if not c.passed]
         assert failed == [f"{suite}.{check}" for check in expected], name
+
+
+def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
+    # a curvature-type tensor on R^16 is fixed by its values on 5,440 generic planes
+    planes = []
+    real_roundtrip = suites.curvature.roundtrip_residual
+    real_plane_value = suites.curvature.SectionalCurvature.plane_value
+
+    def counted(self, x, y):
+        planes.append(len(x))
+        return real_plane_value(self, x, y)
+
+    def roundtrip(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(suites.curvature.SectionalCurvature, "plane_value", counted)
+            return real_roundtrip(*args)
+
+    monkeypatch.setattr(suites.curvature, "roundtrip_residual", roundtrip)
+    assert SUITES["curvature"](RunConfig(**dict(FAST, trials=10))).passed
+    assert sum(planes) >= suites.curvature.CURVATURE_TENSOR_DIM == 5440
 
 
 def test_cayley_sign_fault_fails_named_checks(monkeypatch):
