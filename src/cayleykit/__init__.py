@@ -11,6 +11,11 @@ Submodules:
 * ``cli``       -- command line front end producing reports and artifacts
 """
 
+import os
+
+# the BLAS calls here are small or skinny: a second OpenBLAS thread cost 1.7x the CPU for <7 % wall
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -37,12 +37,12 @@ class RunConfig:
     """The settings of one run; each field but ``table`` is set by one flag.
 
     ``trials`` is the master sampling budget; suites derive their own
-    counts from it (random planes = trials / 10, sparse forms = trials /
-    100, both at least 1, the operator roundtrip at least 5,440 planes);
-    the forms suite draws nothing.  Every value is checked here, before
-    any suite runs, and the multiplication table file is read here, once,
-    into ``table``.  ``out`` None means no report file for ``verify`` and
-    the current directory elsewhere.
+    counts from it (random planes = trials / 10 but at least 5,440,
+    sparse forms = trials / 100 but at least 1); the forms suite draws
+    nothing.  Every value is checked here, before any suite runs, and the
+    multiplication table file is read here, once, into ``table``.
+    ``out`` None means no report file for ``verify`` and the current
+    directory elsewhere.
     """
 
     seed: int = 0
@@ -276,7 +276,8 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     res_adapted = max(np.abs(same + 4.0).max(), np.abs(mixed + 1.0).max())
     out.add("curvature.adapted-sectional", res_adapted, TOL_MODEL)
 
-    planes = max(1, cfg.trials // 10)
+    # at least the 5,440 planes the operator roundtrip needs, so a small --trials still tests
+    planes = max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10)
     x, y = rng.uniform(-1.0, 1.0, (2, planes, curvature.N))
     ks = formula.plane_value(x, y)
     ks = ks[~np.isnan(ks)]
@@ -296,9 +297,8 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     out.add("curvature.operator-pair-symmetry", curvature.symmetry_residual(op, rng, trials=500),
             TOL_ALGEBRA)
     out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), TOL_ALGEBRA)
-    roundtrip_planes = max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10)
     out.add("curvature.operator-roundtrip",
-            curvature.roundtrip_residual(op, formula, rng, roundtrip_planes), TOL_MODEL)
+            curvature.roundtrip_residual(op, formula, rng, planes), TOL_MODEL)
 
     ric = op.ricci()
     out.add("curvature.einstein-constant", float(np.abs(ric + 36.0 * np.eye(curvature.N)).max()),

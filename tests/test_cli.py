@@ -3,6 +3,7 @@ fault is patched into the package, which needs ``cli.main`` in process."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -60,6 +61,44 @@ def test_report_determinism(tmp_path):
     # wall time and timestamp live in the single isolated entry
     ra.pop("timing"), rb.pop("timing")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_small_trials_still_sample_the_pinch_range(tmp_path):
+    proc = run_cli("verify", "curvature", "--trials", 10, "--out", tmp_path)
+    assert proc.returncode == 0
+    (curv,) = read_report(tmp_path)["suites"]
+    note = next(c["note"] for c in curv["checks"] if c["check"] == "curvature.pinch-range")
+    assert note.endswith(" random planes in [-4, -1]")
+    assert int(note.split()[0]) >= 5000  # the NaN rows of degenerate planes are not counted
+
+
+THREAD_PROBE = """
+import json, os, sys
+import cayleykit
+numpy_loaded = "numpy" in sys.modules
+import cayleykit.cli, numpy, scipy.linalg
+a = numpy.ones((300, 300))
+a @ a
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps([numpy_loaded, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc; one CPU starts no OpenBLAS workers")
+def test_openblas_runs_on_one_thread_unless_the_caller_sets_it():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def probe(**extra):
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env={**env, **extra},
+                              capture_output=True, text=True, timeout=60, check=True)
+        return json.loads(proc.stdout)
+
+    # the policy is set before numpy loads, so both OpenBLAS copies read it
+    assert probe() == [False, "1", 1]
+    _, value, threads = probe(OPENBLAS_NUM_THREADS="2")
+    assert value == "2"
+    assert threads > 1  # the count sees OpenBLAS workers when the caller asks for them
 
 
 def test_corrupted_table_fails_named_check(tmp_path):
