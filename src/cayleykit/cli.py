@@ -55,7 +55,7 @@ def _float_tuple(text: str) -> tuple[float, ...]:
 _OPTIONS = {
     "seed": ("seed", int, "master RNG seed (default 0)"),
     "trials": ("trials", int, "sampling budget (default 100000)"),
-    "radius": ("radii", _float_tuple, "comma separated domain radii, each at least 1"),
+    "radius": ("radii", _float_tuple, "comma separated domain radii, each finite and at least 1"),
     "grid": ("grids", _int_tuple, "comma separated cell counts, each at least 200"),
     "starts": ("starts", int, "search starts for the pinch run"),
     "steps": ("steps", int, "iteration cap for the pinch run"),

@@ -5,10 +5,15 @@ bits i_1 .. i_p set.  A batch of sparse forms is a pair of arrays of one
 shape (B, T), integer ``masks`` and float64 ``coeffs``, one form per row;
 a zero coefficient marks an absent term, so a term an operator annihilates
 needs no case at the grade edges.  Each kernel maps a batch to a batch in
-a few numpy calls; ``k`` and ``n`` are scalars or per-row columns.  Signs
-are parities of ``np.bitwise_count``, so sign arithmetic is exact and the
-error of any identity check is pure float roundoff.
+a few numpy calls; ``k`` and ``n`` are scalars or per-row columns.
 
+Every sign comes from one rule, ``wedge_sign(a, b)``: theta^a ^ theta^b
+is theta^(a | b) times (-1) to the number of index pairs i in a, j in b
+with j < i, the parity of ``np.bitwise_count(a & P(b))`` for the prefix
+parity P(b) of b.  Sign arithmetic is therefore exact and the error of
+any identity check is pure float roundoff.
+
+* ``wedge(...)`` multiplies two batches row by row, term by term.
 * ``interior(k, ...)`` contracts the basis vector e_k into the first slot.
 * ``epsilon(k, ...)`` is left exterior multiplication by theta^k.
 * ``hodge(n, ...)`` uses the orientation theta^0 ^ ... ^ theta^{n-1} and
@@ -24,7 +29,6 @@ candidate parallel forms.
 
 from __future__ import annotations
 
-import functools
 from math import comb
 
 import numpy as np
@@ -54,42 +58,46 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def below_sign(masks, k):
-    """(-1) to the number of bits of ``masks`` below bit ``k``, as floats."""
-    return np.where(np.bitwise_count(masks & (np.left_shift(1, k) - 1)) & 1, -1.0, 1.0)
+def wedge_sign(a, b):
+    """Sign of theta^a ^ theta^b as floats: the parity of the pairs i in a, j in b with j < i.
 
-
-@functools.cache
-def _hodge_signs() -> np.ndarray:
-    """Sign of theta^m ^ theta^(complement of m), for every mask m < 2^MAX_DIM.
-
-    Sorting the product moves each index of m past the complement's indices
-    below it.  That count does not depend on n, so one table serves every n.
+    Bit i of the prefix parity of b is the parity of the bits of b below i
+    (for i < MAX_DIM), so the pairs are the bits of a against it.
     """
-    masks = np.arange(1 << MAX_DIM)
-    signs = np.ones(masks.size)
-    for i in range(MAX_DIM):
-        signs = np.where(masks >> i & 1, signs * below_sign(~masks, i), signs)
-    signs = signs.astype(np.int8)
-    signs.flags.writeable = False
-    return signs
+    below = np.left_shift(b, 1)
+    for shift in (1, 2, 4, 8):
+        below = below ^ np.left_shift(below, shift)
+    return np.where(np.bitwise_count(a & below) & 1, -1.0, 1.0)
+
+
+def wedge(masks_a, coeffs_a, masks_b, coeffs_b):
+    """Row-wise exterior product of two batches; the Ta Tb terms of a row come back unsummed."""
+    ma, mb = masks_a[..., :, None], masks_b[..., None, :]
+    coeffs = wedge_sign(ma, mb) * coeffs_a[..., :, None] * coeffs_b[..., None, :]
+    masks, coeffs = ma | mb, np.where(ma & mb, 0.0, coeffs)
+    shape = (*masks.shape[:-2], -1)
+    return masks.reshape(shape), coeffs.reshape(shape)
 
 
 def epsilon(k, masks, coeffs):
     """Left exterior multiplication by theta^k; a term holding bit k drops out."""
     bit = np.left_shift(1, k)
-    return masks | bit, np.where(masks & bit, 0.0, coeffs * below_sign(masks, k))
+    return masks | bit, np.where(masks & bit, 0.0, coeffs * wedge_sign(bit, masks))
 
 
 def interior(k, masks, coeffs):
     """Contraction of e_k into the first slot; a term without bit k drops out."""
     bit = np.left_shift(1, k)
-    return masks & ~bit, np.where(masks & bit, coeffs * below_sign(masks, k), 0.0)
+    return masks & ~bit, np.where(masks & bit, coeffs * wedge_sign(bit, masks), 0.0)
 
 
 def hodge(n, masks, coeffs):
-    """Hodge star on R^n: theta^m goes to its sign times theta^(complement of m)."""
-    return masks ^ (np.left_shift(1, n) - 1), coeffs * _hodge_signs()[masks]
+    """Hodge star on R^n: theta^m goes to theta^c, c the complement of m, signed as theta^m ^ theta^c.
+
+    The sign counts the complement's indices below each index of m, so it
+    does not depend on n.
+    """
+    return masks ^ (np.left_shift(1, n) - 1), coeffs * wedge_sign(masks, ~masks)
 
 
 def inner(masks_a, coeffs_a, masks_b, coeffs_b):
@@ -206,22 +214,6 @@ class Form:
         if grade is None:
             raise ValueError("empty serialization needs an explicit grade")
         return cls(n, grade, coeffs)
-
-
-def wedge(xi: Form, eta: Form) -> Form:
-    """Exterior product; theta^a ^ theta^b carries the parity of the bits of b below each bit of a."""
-    if xi.n != eta.n:
-        raise ValueError("dimension mismatch")
-    grade = xi.grade + eta.grade
-    if grade > xi.n:
-        return Form(xi.n, xi.n)
-    idx = np.arange(xi.n)
-    (ma,), (ca,) = xi.batch()
-    (mb,), (cb,) = eta.batch()
-    ma, mb = ma[:, None], mb[None, :]
-    signs = np.where(ma[..., None] >> idx & 1, below_sign(mb[..., None], idx), 1.0).prod(axis=-1)
-    coeffs = np.where(ma & mb, 0.0, signs * ca[:, None] * cb[None, :])
-    return Form.from_terms(xi.n, grade, ma | mb, coeffs)
 
 
 def random_trace_free(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

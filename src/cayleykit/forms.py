@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Form, below_sign, epsilon, mask_of, pair_action, sum_terms, wedge
+from .exterior import Form, mask_of, pair_action, sum_terms, wedge, wedge_sign
 from .octonion import clifford_involutions
 
 SPIN9_DIM = 16
@@ -81,8 +80,9 @@ def quaternionic_kahler_forms(n: int) -> tuple[Form, Form, Form]:
 
 def quaternionic_form(n: int) -> Form:
     """The parallel 4-form om1^om1 + om2^om2 + om3^om3 on R^{4n}."""
-    om1, om2, om3 = quaternionic_kahler_forms(n)
-    return wedge(om1, om1) + wedge(om2, om2) + wedge(om3, om3)
+    batches = [om.batch() for om in quaternionic_kahler_forms(n)]
+    masks, coeffs = (np.concatenate(part) for part in zip(*batches))
+    return Form.from_terms(4 * n, 4, *wedge(masks, coeffs, masks, coeffs))
 
 
 def quaternionic_targets(n: int) -> tuple[int, ...]:
@@ -98,33 +98,30 @@ def quaternionic_targets(n: int) -> tuple[int, ...]:
 def _cayley_terms():
     """Phi / CAYLEY_SCALE as read-only (masks, coeffs), built once per process.
 
-    A wedge in psi has 8 x 8 terms, signed by four epsilon sweeps.  A 4-form
-    commutes with itself, so psi ^ psi is twice the sum over the disjoint term
-    pairs s < t of psi, each signed as in ``wedge``; one psi at a time.
+    One ``wedge`` call gives the 8 x 8 terms of each of the 126 x 3 products
+    in psi.  A 4-form commutes with itself, so psi ^ psi is twice the sum over
+    the disjoint term pairs s < t of psi, each signed by ``wedge_sign``; one
+    psi at a time.
     """
     inv = clifford_involutions()
     p, q = np.triu_indices(SPIN9_DIM, 1)
     omega = (inv[:, None] @ inv)[..., q, p]  # omega_ij(e_p, e_q) = <I_i I_j e_p, e_q>
     # the eight terms of each omega_ij, i != j (I_i I_j is a signed permutation)
     terms = np.argsort(omega == 0.0, axis=-1, kind="stable")[..., :8]
-    om_p, om_q, om_c = p[terms], q[terms], np.take_along_axis(omega, terms, axis=-1)
+    om_m, om_c = (1 << p | 1 << q)[terms], np.take_along_axis(omega, terms, axis=-1)
     a, b, c, d = np.array(list(itertools.combinations(range(9), 4))).T
     left = np.stack([a, a, a], axis=-1), np.stack([b, c, d], axis=-1)
     right = np.stack([c, b, b], axis=-1), np.stack([d, d, c], axis=-1)
-    coeffs = np.array(PSI_SIGNS)[:, None, None] * om_c[left][..., :, None] * om_c[right][..., None, :]
-    masks = np.zeros(coeffs.shape, dtype=np.int64)  # (126, 3, 8, 8)
-    for letter in (om_q[right][..., None, :], om_p[right][..., None, :],
-                   om_q[left][..., :, None], om_p[left][..., :, None]):
-        masks, coeffs = epsilon(letter, masks, coeffs)
-    keys, sums = sum_terms(np.arange(a.size)[:, None, None, None] << SPIN9_DIM | masks, coeffs)
+    masks, coeffs = wedge(om_m[left], om_c[left], om_m[right], om_c[right])  # (126, 3, 64)
+    keys, sums = sum_terms(np.arange(a.size)[:, None, None] << SPIN9_DIM | masks,
+                           np.array(PSI_SIGNS)[:, None] * coeffs)
     keys, sums = keys[sums != 0.0], sums[sums != 0.0]
     bounds = np.searchsorted(keys >> SPIN9_DIM, np.arange(1, a.size))
     phi = np.zeros(1 << SPIN9_DIM)
     for m, w in zip(np.split(keys & phi.size - 1, bounds), np.split(sums, bounds)):
-        idx = np.nonzero(m[:, None] >> np.arange(SPIN9_DIM) & 1)[1].reshape(-1, 4)
         s, t = np.nonzero(np.triu(m[:, None] & m == 0, 1))
-        signs = below_sign(m[t, None], idx[s]).prod(axis=-1)
-        phi += np.bincount(m[s] | m[t], weights=2.0 * w[s] * w[t] * signs, minlength=phi.size)
+        phi += np.bincount(m[s] | m[t], weights=2.0 * w[s] * w[t] * wedge_sign(m[s], m[t]),
+                           minlength=phi.size)
     masks = np.flatnonzero(phi)
     coeffs = phi[masks] / CAYLEY_SCALE
     masks.flags.writeable = coeffs.flags.writeable = False
@@ -253,25 +250,6 @@ class ConstraintSet:
         # entries within ROUND_TOL of zero snap to it too; exact zeros need no snap (+ 0.0: -0 -> 0)
         rows, live = mat[:r] + 0.0, mat[:r] != 0.0
         rows[live] = np.vectorize(_rationalize, otypes=[float])(rows[live])
-        return cls(n, rows)
-
-    def to_json(self) -> str:
-        upper = np.triu_indices(self.n)
-        constraints = []
-        for row in self.rows:
-            live = np.flatnonzero(row)
-            constraints.append({"indices": [[int(upper[0][k]), int(upper[1][k])] for k in live],
-                                "coeffs": row[live].tolist()})
-        return json.dumps({"n": self.n, "constraints": constraints}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstraintSet":
-        payload = json.loads(text)
-        n = int(payload["n"])
-        rows = np.zeros((len(payload["constraints"]), n * (n + 1) // 2))
-        for row, entry in zip(rows, payload["constraints"]):
-            i, j = np.array(entry["indices"], dtype=np.int64).reshape(-1, 2).T
-            row[_columns(n)[i, j]] = entry["coeffs"]
         return cls(n, rows)
 
 

@@ -151,8 +151,8 @@ class SturmLiouvilleProblem:
     cells: int
 
     def __post_init__(self):
-        if self.radius < 1.0:
-            raise ValueError("radius must be at least 1")
+        if not (math.isfinite(self.radius) and self.radius >= 1.0):
+            raise ValueError("radius must be finite and at least 1")
         if self.cells < 100:
             raise ValueError("grid too small for a meaningful estimate")
 

@@ -453,12 +453,7 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
 
     an = f.extract_constraints(3.7 * phi, f.spin9_targets())
     bn = f.extract_constraints(phi, f.spin9_targets())
-    ser_ok = all(
-        f.ConstraintSet.from_json(cs.to_json()) == cs
-        for cs in (got2, got_q2, bn)
-    )
-    out.add("forms.extraction-invariance", 0.0 if (an == bn and ser_ok) else 1.0, 0.5,
-            "rescaling invariance and JSON round trip")
+    out.add("forms.extraction-invariance", 0.0 if an == bn else 1.0, 0.5, "rescaling invariance")
     return out
 
 

@@ -14,10 +14,11 @@ and no blocking.  The sharpness sampler has two oracles: its reduced scheme
 as one unblocked draw, and the full draw of one normal per feasible
 dimension, the independent route for the chi-square reduction.  The Clifford
 involutions come from octonion products of the basis vectors, and the
-Cayley form Phi from them through ``Form`` dicts and ``wedge``.  The
-curvature operator is recovered from the sectional formula alone: its
-Gram-weighted biquadratic B(x, y) = <R(x ^ y), x ^ y> is polynomial of
-bidegree (2, 2), so a four-point difference stencil polarizes it exactly.
+Cayley form Phi from them through ``Form`` dicts and ``wedge`` on one-row
+batches, squaring each psi over all its term pairs.  The curvature operator
+is recovered from the sectional formula alone: its Gram-weighted
+biquadratic B(x, y) = <R(x ^ y), x ^ y> is polynomial of bidegree (2, 2),
+so a four-point difference stencil polarizes it exactly.
 """
 
 import itertools
@@ -63,6 +64,11 @@ def form_from_dense(t, n: int, p: int) -> Form:
         if v != 0.0:
             coeffs[mask_of(comb)] = v
     return Form(n, p, coeffs)
+
+
+def wedge1(xi: Form, eta: Form) -> Form:
+    """xi ^ eta through the batched ``wedge`` on one-row batches; 0 above the top grade."""
+    return Form.from_terms(xi.n, min(xi.grade + eta.grade, xi.n), *wedge(*xi.batch(), *eta.batch()))
 
 
 def wedge_dense(a, b, n: int, p: int, q: int):
@@ -177,7 +183,7 @@ def clifford_by_products(table=None):
 
 def cayley_form_by_wedge():
     """sum_{i<j<k<l} (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2 / -5040
-    through ``Form`` dicts and ``wedge``, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
+    through ``Form`` dicts and ``wedge1``, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
     inv = clifford_by_products()
     omega = {}
     for i, j in itertools.combinations(range(9), 2):
@@ -186,9 +192,9 @@ def cayley_form_by_wedge():
                                    for p, q in itertools.combinations(range(16), 2)})
     phi = Form(16, 8)
     for i, j, k, l in itertools.combinations(range(9), 4):
-        psi = (wedge(omega[i, j], omega[k, l]) - wedge(omega[i, k], omega[j, l])
-               + wedge(omega[i, l], omega[j, k]))
-        phi = phi + wedge(psi, psi)
+        psi = (wedge1(omega[i, j], omega[k, l]) - wedge1(omega[i, k], omega[j, l])
+               + wedge1(omega[i, l], omega[j, k]))
+        phi = phi + wedge1(psi, psi)
     return Form(16, 8, {m: c / -5040.0 for m, c in phi.coeffs.items()})
 
 

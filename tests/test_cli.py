@@ -128,6 +128,14 @@ def test_malformed_table_is_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_radius_is_usage_error(tmp_path):
+    # NaN passes "radius < 1"; it must be rejected before any suite runs
+    proc = run_cli("verify", "octonion", "--radius", "nan", "--out", tmp_path)
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_suite_is_usage_error():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

@@ -29,6 +29,7 @@ def test_suite_registry_matches_order():
 
 def test_config_validation():
     for bad in (dict(trials=0), dict(steps=0), dict(radii=()), dict(radii=(0.5,)),
+                dict(radii=(float("nan"),)), dict(radii=(float("inf"),)),
                 dict(grids=(150,)), dict(seed=-1), dict(fmt="xml")):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -156,24 +157,32 @@ def test_forms_suite_ignores_seed_and_trials():
 
 
 def test_exterior_faults_fail_named_checks(monkeypatch):
-    real_signs, real_epsilon = exterior._hodge_signs, exterior.epsilon
+    real_hodge, real_epsilon, real_sign = exterior.hodge, exterior.epsilon, exterior.wedge_sign
 
-    def signs_off_by_one_grade():
+    def hodge_off_by_one_grade(n, masks, coeffs):
         # the Hodge sign of grade p taken as that of grade p + 1: an extra (-1)^p
-        signs = real_signs()
-        return np.where(np.bitwise_count(np.arange(signs.size)) & 1, -signs, signs)
+        out_masks, out_coeffs = real_hodge(n, masks, coeffs)
+        return out_masks, np.where(np.bitwise_count(masks) & 1, -out_coeffs, out_coeffs)
 
     def epsilon_parity_flipped(k, masks, coeffs):
         out_masks, out_coeffs = real_epsilon(k, masks, coeffs)
         return out_masks, -out_coeffs
 
+    def sign_of_reversed_order(a, b):
+        # theta^b ^ theta^a in place of theta^a ^ theta^b
+        return real_sign(b, a)
+
     faults = (
-        ("_hodge_signs", signs_off_by_one_grade,
+        ("hodge", hodge_off_by_one_grade,
          ("star-involution", "star-after-epsilon", "epsilon-after-star", "star-epsilon-star",
           "duality-chain")),
         ("epsilon", epsilon_parity_flipped,
          ("star-after-epsilon", "epsilon-after-star", "star-epsilon-star",
           "contraction-anticommutator", "epsilon-interior-adjoint", "duality-chain")),
+        # epsilon and interior stay adjoint under the mirrored rule; the star does not
+        ("wedge_sign", sign_of_reversed_order,
+         ("star-involution", "star-after-epsilon", "epsilon-after-star", "star-epsilon-star",
+          "duality-chain")),
     )
     for name, fault, expected in faults:
         with monkeypatch.context() as patch:
