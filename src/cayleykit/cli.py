@@ -291,15 +291,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args, cfg: suites.RunConfig) -> int:
-    wanted = set(args.suites)
-    if "all" in wanted or not wanted:
-        names = list(suites.SUITE_ORDER)
-    else:
-        unknown = wanted - set(suites.SUITE_ORDER)
-        if unknown:
-            print(f"error: unknown suite: {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
-        names = [n for n in suites.SUITE_ORDER if n in wanted]
+    unknown = set(args.suites) - {"all", *suites.SUITE_ORDER}
+    if unknown:
+        print(f"error: unknown suite: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    names = [n for n in suites.SUITE_ORDER if n in args.suites or "all" in args.suites]
     results, timings = suites.run_suites(names, cfg)
     print_results(results)
     if cfg.out is not None:

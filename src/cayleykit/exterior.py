@@ -22,9 +22,9 @@ any identity check is pure float roundoff.
 ``hessian_action`` applies ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w``,
 the constant-coefficient surrogate for a covariant Hessian paired with a
 parallel form; ``duality_report`` checks the codifferential-style sign
-identities that reduce such pairings to T.  ``Form`` is one form (B = 1),
-a dict from bitmask to coefficient, for building and serializing the
-candidate parallel forms.
+identities that reduce such pairings to T.  A single form, such as a
+candidate parallel form, is a one-row batch (B = 1); ``collect`` sums the
+terms of a batch into one, and ``to_text`` / ``from_text`` serialize it.
 """
 
 from __future__ import annotations
@@ -127,93 +127,50 @@ def residual(*batches) -> float:
     return float(np.abs(sums).max(initial=0.0))
 
 
-class Form:
-    """Sparse alternating form of fixed grade on R^n."""
+def collect(masks, coeffs):
+    """The terms of a batch summed into one form: a one-row batch of distinct masks,
+    ascending, with the terms that sum to zero dropped."""
+    keys, sums = sum_terms(masks, coeffs)
+    keep = sums != 0.0
+    return keys[keep][None], sums[keep][None]
 
-    __slots__ = ("n", "grade", "coeffs")
 
-    def __init__(self, n: int, grade: int, coeffs: dict[int, float] | None = None):
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError("dimension out of range")
-        if not 0 <= grade <= n:
-            raise ValueError("grade out of range")
-        self.n = n
-        self.grade = grade
-        self.coeffs = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if m >> n:
-                    raise ValueError("monomial uses indices beyond the dimension")
-                if m.bit_count() != grade:
-                    raise ValueError("monomial grade mismatch")
-                if c != 0.0:
-                    self.coeffs[m] = float(c)
+def to_text(masks, coeffs) -> str:
+    """Serialize the collected terms of a batch as lines ``i1,i2,...:coefficient``."""
+    (masks,), (coeffs,) = collect(masks, coeffs)
+    return "".join(",".join(map(str, indices_of(m))) + f":{c!r}\n"
+                   for m, c in zip(masks.tolist(), coeffs.tolist()))
 
-    @classmethod
-    def volume(cls, n: int) -> "Form":
-        return cls(n, n, {(1 << n) - 1: 1.0})
 
-    @classmethod
-    def from_terms(cls, n: int, grade: int, masks, coeffs) -> "Form":
-        """The form summing the given terms; masks may repeat, and masks summing to zero drop out."""
-        keys, sums = sum_terms(masks, coeffs)
-        keep = sums != 0.0
-        return cls(n, grade, dict(zip(keys[keep].tolist(), sums[keep].tolist())))
+def from_text(text: str, n: int, grade: int | None = None):
+    """Parse ``to_text`` lines into a one-row batch; a repeated monomial sums.
 
-    def batch(self):
-        """This form as a one-row batch of shape (1, terms)."""
-        count = len(self.coeffs)
-        return (np.fromiter(self.coeffs, dtype=np.int64, count=count)[None],
-                np.fromiter(self.coeffs.values(), dtype=float, count=count)[None])
-
-    def sup_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def terms(self):
-        """Monomials as (ascending index tuple, coefficient), sorted."""
-        return [(indices_of(m), c) for m, c in sorted(self.coeffs.items())]
-
-    def __add__(self, other: "Form") -> "Form":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        if self.grade != other.grade:
-            raise ValueError("grade mismatch")
-        (ma,), (ca,) = self.batch()
-        (mb,), (cb,) = other.batch()
-        return Form.from_terms(self.n, self.grade, np.concatenate([ma, mb]), np.concatenate([ca, cb]))
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "Form":
-        s = float(scalar)
-        return Form(self.n, self.grade, {m: c * s for m, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def to_text(self) -> str:
-        """Serialize as lines ``i1,i2,...:coefficient`` (ascending indices)."""
-        lines = []
-        for idx, c in self.terms():
-            lines.append(",".join(str(i) for i in idx) + ":" + repr(c))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, n: int, grade: int | None = None) -> "Form":
-        coeffs = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            head, _, tail = line.partition(":")
-            idx = tuple(int(t) for t in head.split(",") if t.strip() != "")
-            m = mask_of(idx)
-            if grade is None:
-                grade = len(idx)
-            coeffs[m] = coeffs.get(m, 0.0) + float(tail)
+    ``grade`` None takes the grade of the first line.  Every line, a zero
+    term too, must name strictly ascending indices below n of that grade.
+    """
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError("dimension out of range")
+    masks, coeffs = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, _, tail = line.partition(":")
+        idx = tuple(int(t) for t in head.split(",") if t.strip() != "")
+        m = mask_of(idx)
         if grade is None:
-            raise ValueError("empty serialization needs an explicit grade")
-        return cls(n, grade, coeffs)
+            grade = len(idx)
+        if m >> n:
+            raise ValueError("monomial uses indices beyond the dimension")
+        if len(idx) != grade:
+            raise ValueError("monomial grade mismatch")
+        masks.append(m)
+        coeffs.append(float(tail))
+    if grade is None:
+        raise ValueError("empty serialization needs an explicit grade")
+    if not 0 <= grade <= n:
+        raise ValueError("grade out of range")
+    return collect(np.array(masks, dtype=np.int64), np.array(coeffs, dtype=float))
 
 
 def random_trace_free(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

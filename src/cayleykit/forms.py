@@ -10,8 +10,9 @@ This module builds the three candidates
   the three almost-complex structures of the block frame (e, Ie, Je, Ke);
 * ``spin9_form()``          -- the Cayley 8-form Phi on R^16 = O^2,
 
-and extracts the constraint functionals of designated target monomials
-(the diagonal pair, quaternionic line and top monomials respectively).
+each a one-row ``exterior`` batch (masks, coeffs), and extracts the
+constraint functionals of designated target monomials (the diagonal pair,
+quaternionic line and top monomials respectively).
 A functional is a float row over the coordinates a[np.triu_indices(n)] of
 a symmetric a; an off-diagonal coordinate collects both index orders, so
 the row's value on a is ``row @ a[np.triu_indices(n)]``.
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exterior import Form, mask_of, pair_action, sum_terms, wedge, wedge_sign
+from .exterior import collect, mask_of, pair_action, sum_terms, wedge, wedge_sign
 from .octonion import clifford_involutions
 
 SPIN9_DIM = 16
@@ -44,11 +45,11 @@ ROUND_TOL = 1e-9
 MAX_DENOMINATOR = 64
 
 
-def kahler_form(n: int) -> Form:
+def kahler_form(n: int):
     """The 2-form -sum theta^i ^ theta^{n+i} on R^{2n}."""
     if n < 1 or 2 * n > SPIN9_DIM:
         raise ValueError("complex dimension out of range")
-    return Form(2 * n, 2, {mask_of((i, n + i)): -1.0 for i in range(n)})
+    return np.array([kahler_targets(n)]), np.full((1, n), -1.0)
 
 
 def kahler_targets(n: int) -> tuple[int, ...]:
@@ -56,33 +57,24 @@ def kahler_targets(n: int) -> tuple[int, ...]:
     return tuple(mask_of((i, n + i)) for i in range(n))
 
 
-def quaternionic_kahler_forms(n: int) -> tuple[Form, Form, Form]:
-    """The three 2-forms g(., I .), g(., J .), g(., K .) of the block frame.
+def quaternionic_kahler_forms(n: int):
+    """The three 2-forms g(., I .), g(., J .), g(., K .) of the block frame, one row each.
 
     Blocks at offsets 0, n, 2n, 3n carry e, Ie, Je, Ke; the structures
     satisfy IJ = -JI = K and cyclic relations.
     """
     if n < 1 or 4 * n > SPIN9_DIM:
         raise ValueError("quaternionic dimension out of range")
-    dim = 4 * n
-    c1: dict[int, float] = {}
-    c2: dict[int, float] = {}
-    c3: dict[int, float] = {}
-    for k in range(n):
-        c1[mask_of((k, n + k))] = -1.0
-        c1[mask_of((2 * n + k, 3 * n + k))] = -1.0
-        c2[mask_of((k, 2 * n + k))] = -1.0
-        c2[mask_of((n + k, 3 * n + k))] = 1.0
-        c3[mask_of((k, 3 * n + k))] = -1.0
-        c3[mask_of((n + k, 2 * n + k))] = -1.0
-    return Form(dim, 2, c1), Form(dim, 2, c2), Form(dim, 2, c3)
+    e, i, j, k = (np.left_shift(1, np.arange(n) + block * n) for block in range(4))
+    masks = np.array([[e | i, j | k], [e | j, i | k], [e | k, i | j]])
+    coeffs = np.array([[-1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])[..., None].repeat(n, axis=-1)
+    return masks.reshape(3, -1), coeffs.reshape(3, -1)
 
 
-def quaternionic_form(n: int) -> Form:
+def quaternionic_form(n: int):
     """The parallel 4-form om1^om1 + om2^om2 + om3^om3 on R^{4n}."""
-    batches = [om.batch() for om in quaternionic_kahler_forms(n)]
-    masks, coeffs = (np.concatenate(part) for part in zip(*batches))
-    return Form.from_terms(4 * n, 4, *wedge(masks, coeffs, masks, coeffs))
+    masks, coeffs = (part.reshape(1, -1) for part in quaternionic_kahler_forms(n))
+    return collect(*wedge(masks, coeffs, masks, coeffs))
 
 
 def quaternionic_targets(n: int) -> tuple[int, ...]:
@@ -128,18 +120,19 @@ def _cayley_terms():
     return masks, coeffs
 
 
-def spin9_form() -> Form:
-    """The Cayley form Phi / CAYLEY_SCALE: top coefficients -1 (v) and +1 (w)."""
-    return Form.from_terms(SPIN9_DIM, 8, *_cayley_terms())
+def spin9_form():
+    """The Cayley form Phi / CAYLEY_SCALE, read-only: top coefficients -1 (v) and +1 (w)."""
+    masks, coeffs = _cayley_terms()
+    return masks[None], coeffs[None]
 
 
-def so_action(form: Form):
+def so_action(n: int, masks, coeffs):
     """The sparse matrix of a -> T(a, form) on so(n): one row per basis element
     e_p e_q^T - e_q e_p^T (p < q), one column per monomial it can produce."""
     import scipy.sparse  # imported here: 1.5 MiB that only this check needs
 
-    p, q = np.triu_indices(form.n, 1)
-    (masks,), (coeffs,) = pair_action(form.n, *form.batch())
+    p, q = np.triu_indices(n, 1)
+    (masks,), (coeffs,) = pair_action(n, masks, coeffs)
     masks = np.stack([masks[:, p, q], masks[:, q, p]])
     coeffs = np.stack([coeffs[:, p, q], -coeffs[:, q, p]])
     live = coeffs != 0.0
@@ -152,15 +145,14 @@ def spin9_targets() -> tuple[int, int]:
     return V_TOP, W_TOP
 
 
-def no_leak_report(omega: Form) -> float:
-    """Max coefficient the non-top terms of omega contribute to either top monomial.
+def no_leak_report(masks, coeffs) -> float:
+    """Max coefficient the non-top terms of an 8-form on R^16 contribute to either top monomial.
 
     Sums the terms of eps(theta^i) l(e_j) that land on a top monomial, per
     index pair (i, j) and top, over all 256 pairs; without (7,1) or (1,7)
     terms every sum is zero.
     """
-    n = omega.n
-    masks, coeffs = omega.batch()
+    n = SPIN9_DIM
     masks, coeffs = pair_action(n, masks, np.where(np.isin(masks, spin9_targets()), 0.0, coeffs))
     pairs = np.arange(n * n).reshape(n, n)
     top = ((masks == V_TOP) | (masks == W_TOP)) & (coeffs != 0.0)
@@ -188,14 +180,13 @@ def diagonal_rows(n: int, groups) -> np.ndarray:
     return rows
 
 
-def monomial_functionals(omega: Form, targets) -> np.ndarray:
-    """The functional in a of each target output monomial of T(a, omega).
+def monomial_functionals(n: int, masks, coeffs, targets) -> np.ndarray:
+    """The functional in a of each target output monomial of T(a, omega), omega on R^n.
 
     Returns one row per target.  The coefficient of the coordinate (i, j)
     sums the terms of both a_ij and a_ji.
     """
-    n = omega.n
-    masks, coeffs = pair_action(n, *omega.batch())
+    masks, coeffs = pair_action(n, masks, coeffs)
     cols = np.broadcast_to(_columns(n), masks.shape)
     rows = np.zeros((len(targets), n * (n + 1) // 2))
     for row, target in zip(rows, targets):
@@ -253,21 +244,21 @@ class ConstraintSet:
         return cls(n, rows)
 
 
-def extract_constraints(omega: Form, targets) -> ConstraintSet:
-    """Constraints on symmetric a implied by the designated monomials.
+def extract_constraints(n: int, masks, coeffs, targets) -> ConstraintSet:
+    """Constraints on symmetric a implied by the designated monomials of T(a, omega).
 
     ``targets`` lists output monomial masks.  The result is canonicalized,
-    so it is invariant under rescaling of omega.
+    so it is invariant under rescaling of omega = (masks, coeffs).
     """
-    return ConstraintSet.from_functionals(omega.n, monomial_functionals(omega, targets))
+    return ConstraintSet.from_functionals(n, monomial_functionals(n, masks, coeffs, targets))
 
 
 def standard_constraints(kind: str, n: int | None = None) -> ConstraintSet:
     """Extraction with the designated targets for each geometry."""
     if kind == "kahler":
-        return extract_constraints(kahler_form(n), kahler_targets(n))
+        return extract_constraints(2 * n, *kahler_form(n), kahler_targets(n))
     if kind == "quaternionic":
-        return extract_constraints(quaternionic_form(n), quaternionic_targets(n))
+        return extract_constraints(4 * n, *quaternionic_form(n), quaternionic_targets(n))
     if kind == "spin9":
-        return extract_constraints(spin9_form(), spin9_targets())
+        return extract_constraints(SPIN9_DIM, *spin9_form(), spin9_targets())
     raise ValueError(f"unknown geometry kind: {kind}")

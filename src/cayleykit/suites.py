@@ -11,6 +11,7 @@ wall time.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,6 +65,8 @@ class RunConfig:
             raise ValueError("seed must be nonnegative")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
+        if self.out is not None and os.path.exists(self.out) and not os.path.isdir(self.out):
+            raise ValueError(f"out {self.out!r} exists and is not a directory")
         if not self.radii or not self.grids:
             raise ValueError("radii and grids must be nonempty")
         # the smallest problem any spectrum estimate solves: its coarse half grid
@@ -216,7 +219,7 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
     Every monomial of every n <= 6 against every index pair (k, m);
     ``trials / 100`` random sparse forms of mixed grades at n = 16; and the
     duality chain at grades (4, 2), (8, 4), (16, 8).  Serialization runs on
-    single forms.
+    one row of a batch at a time.
     """
     rng = cfg.suite_rng("exterior")
     out = SuiteResult("exterior")
@@ -255,9 +258,8 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
     grades = rng.integers(0, 17, 50)
     ser = 0.0
     for p, masks, coeffs in zip(grades.tolist(), *ex.random_forms(16, grades, rng)):
-        eta = ex.Form.from_terms(16, p, masks, coeffs)
-        back = ex.Form.from_text(eta.to_text(), 16, p)
-        ser = max(ser, (eta - back).sup_norm())
+        masks_back, coeffs_back = ex.from_text(ex.to_text(masks, coeffs), 16, p)
+        ser = max(ser, ex.residual((masks[None], coeffs[None]), (masks_back, -coeffs_back)))
     out.add("exterior.serialization-roundtrip", ser, 0.0)
     return out
 
@@ -413,8 +415,7 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
             0.0 if (got2 == expected2 and got4 == expected4) else 1.0, 0.5,
             "exactly the n diagonal-pair functionals")
 
-    q1 = f.quaternionic_form(1)
-    vol_dev = (q1 - 6.0 * exterior.Form.volume(4)).sup_norm()
+    vol_dev = exterior.residual(f.quaternionic_form(1), (np.array([[0b1111]]), np.array([[-6.0]])))
     out.add("forms.quaternionic-volume", vol_dev, TOL_IDENTITY, "n = 1 form is 6 vol")
 
     got_q1 = f.standard_constraints("quaternionic", 1)
@@ -426,33 +427,36 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
             "the n four-term diagonal functionals")
 
     phi = f.spin9_form()
-    sizes = Counter(round(abs(c) * -f.CAYLEY_SCALE) for c in phi.coeffs.values())
-    types = Counter(((m & f.V_TOP).bit_count(), (m & f.W_TOP).bit_count()) for m in phi.coeffs)
-    action = f.so_action(phi)
+    (masks,), (coeffs,) = phi
+    tops = coeffs[np.isin(masks, f.spin9_targets())]
+    sizes = Counter(np.rint(np.abs(coeffs) * -f.CAYLEY_SCALE).astype(int).tolist())
+    types = Counter(zip(np.bitwise_count(masks & f.V_TOP).tolist(),
+                        np.bitwise_count(masks & f.W_TOP).tolist()))
+    action = f.so_action(f.SPIN9_DIM, *phi)
     stabilizer = action.shape[0] - np.linalg.matrix_rank((action @ action.T).toarray())
     inv = octonion.clifford_involutions()
     i, j = np.triu_indices(9, 1)
     p, q = np.triu_indices(f.SPIN9_DIM, 1)
     annihilated = float(np.abs(action.T @ (inv[i] @ inv[j])[:, p, q].T).max())
-    base_ok = ((phi.coeffs[f.V_TOP], phi.coeffs[f.W_TOP]) == (-1.0, 1.0)
+    base_ok = (tops.tolist() == [-1.0, 1.0]
                and sizes == {360: 448, 720: 252, 5040: 2}
                and types == {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1}
                and stabilizer == 36 and annihilated <= TOL_ALGEBRA)
     out.add("forms.spin9-base-form", 0.0 if base_ok else 1.0, 0.5,
-            f"Phi: {len(phi.coeffs)} terms, tops {phi.coeffs[f.V_TOP]:g}/{phi.coeffs[f.W_TOP]:+g}; "
+            f"Phi: {masks.size} terms, tops {tops[0]:g}/{tops[1]:+g}; "
             f"stabilizer in so(16) of dimension {stabilizer}, "
             f"every I_i I_j annihilates Phi to {annihilated:.1e}")
 
     expect = -f.diagonal_rows(f.SPIN9_DIM, [range(8)])
-    func_dev = float(np.abs(f.monomial_functionals(phi, [f.V_TOP]) - expect).max())
+    func_dev = float(np.abs(f.monomial_functionals(f.SPIN9_DIM, *phi, [f.V_TOP]) - expect).max())
     out.add("forms.spin9-top-functional", func_dev, TOL_IDENTITY,
             "-sum of the first eight diagonal entries")
-    out.add("forms.spin9-no-leak", f.no_leak_report(phi), 0.0,
-            f"the {len(phi.coeffs) - 2} non-top terms leave both top coefficients untouched "
+    out.add("forms.spin9-no-leak", f.no_leak_report(*phi), 0.0,
+            f"the {masks.size - 2} non-top terms leave both top coefficients untouched "
             f"at all 256 index pairs")
 
-    an = f.extract_constraints(3.7 * phi, f.spin9_targets())
-    bn = f.extract_constraints(phi, f.spin9_targets())
+    an = f.extract_constraints(f.SPIN9_DIM, masks, 3.7 * coeffs, f.spin9_targets())
+    bn = f.extract_constraints(f.SPIN9_DIM, *phi, f.spin9_targets())
     out.add("forms.extraction-invariance", 0.0 if an == bn else 1.0, 0.5, "rescaling invariance")
     return out
 

@@ -14,7 +14,7 @@ and no blocking.  The sharpness sampler has two oracles: its reduced scheme
 as one unblocked draw, and the full draw of one normal per feasible
 dimension, the independent route for the chi-square reduction.  The Clifford
 involutions come from octonion products of the basis vectors, and the
-Cayley form Phi from them through ``Form`` dicts and ``wedge`` on one-row
+Cayley form Phi from them through plain dicts and ``wedge`` on one-row
 batches, squaring each psi over all its term pairs.  The curvature operator
 is recovered from the sectional formula alone: its Gram-weighted
 biquadratic B(x, y) = <R(x ^ y), x ^ y> is polynomial of bidegree (2, 2),
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from cayleykit.curvature import CurvatureOperator
-from cayleykit.exterior import Form, indices_of, mask_of, wedge
+from cayleykit.exterior import indices_of, mask_of, residual, wedge
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
 
 
@@ -43,32 +43,32 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def dense_from_form(form: Form):
-    n, p = form.n, form.grade
-    if p == 0:
-        return np.float64(form.coeffs.get(0, 0.0))
+def dense_from_form(form, n: int, p: int):
+    """The n^p component array of a p-form batch, its terms summed (0-d at p = 0)."""
     t = np.zeros((n,) * p)
-    for mask, c in form.coeffs.items():
-        idx = indices_of(mask)
-        for perm in itertools.permutations(range(p)):
-            t[tuple(idx[k] for k in perm)] = perm_sign(perm) * c
+    for mask, c in zip(np.ravel(form[0]).tolist(), np.ravel(form[1]).tolist()):
+        if c:
+            idx = indices_of(mask)
+            for perm in itertools.permutations(range(p)):
+                t[tuple(idx[k] for k in perm)] += perm_sign(perm) * c
     return t
 
 
-def form_from_dense(t, n: int, p: int) -> Form:
-    if p == 0:
-        return Form(n, 0, {0: float(t)} if float(t) else {})
-    coeffs = {}
-    for comb in itertools.combinations(range(n), p):
-        v = float(t[comb])
-        if v != 0.0:
-            coeffs[mask_of(comb)] = v
-    return Form(n, p, coeffs)
+def form_from_dense(t, n: int, p: int):
+    """The one-row batch of the components t[i_1, ..., i_p], i_1 < ... < i_p."""
+    combs = list(itertools.combinations(range(n), p))
+    t = np.asarray(t, dtype=float)
+    return np.array([[mask_of(c) for c in combs]]), np.array([[t[c] for c in combs]])
 
 
-def wedge1(xi: Form, eta: Form) -> Form:
-    """xi ^ eta through the batched ``wedge`` on one-row batches; 0 above the top grade."""
-    return Form.from_terms(xi.n, min(xi.grade + eta.grade, xi.n), *wedge(*xi.batch(), *eta.batch()))
+def wedge1(xi, eta):
+    """xi ^ eta of two one-row batches through the batched ``wedge``, terms unsummed."""
+    return wedge(*xi, *eta)
+
+
+def deviation(a, b, scale=1.0) -> float:
+    """Largest |coefficient| of the batch a - scale * b, term by term, through ``residual``."""
+    return residual(a, (b[0], -scale * np.asarray(b[1])))
 
 
 def wedge_dense(a, b, n: int, p: int, q: int):
@@ -181,21 +181,35 @@ def clifford_by_products(table=None):
     return np.array(out + [np.diag([1.0] * 8 + [-1.0] * 8)])
 
 
+def _add_terms(total: dict, form, sign=1.0) -> None:
+    for mask, c in zip(np.ravel(form[0]).tolist(), np.ravel(form[1]).tolist()):
+        total[mask] = total.get(mask, 0.0) + sign * c
+
+
+def _one_row(terms: dict):
+    live = {m: c for m, c in terms.items() if c != 0.0}
+    return np.array([list(live)], dtype=np.int64), np.array([list(live.values())])
+
+
 def cayley_form_by_wedge():
     """sum_{i<j<k<l} (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2 / -5040
-    through ``Form`` dicts and ``wedge1``, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
+    as a one-row batch, ascending by mask, summed in plain dicts over ``wedge1``
+    of all term pairs, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
     inv = clifford_by_products()
     omega = {}
     for i, j in itertools.combinations(range(9), 2):
         m = inv[i] @ inv[j]
-        omega[i, j] = Form(16, 2, {mask_of((p, q)): m[q, p]
-                                   for p, q in itertools.combinations(range(16), 2)})
-    phi = Form(16, 8)
+        omega[i, j] = _one_row({mask_of((p, q)): m[q, p]
+                                for p, q in itertools.combinations(range(16), 2)})
+    phi = {}
     for i, j, k, l in itertools.combinations(range(9), 4):
-        psi = (wedge1(omega[i, j], omega[k, l]) - wedge1(omega[i, k], omega[j, l])
-               + wedge1(omega[i, l], omega[j, k]))
-        phi = phi + wedge1(psi, psi)
-    return Form(16, 8, {m: c / -5040.0 for m, c in phi.coeffs.items()})
+        psi = {}
+        for (a, b), (c, d), sign in (((i, j), (k, l), 1.0), ((i, k), (j, l), -1.0),
+                                     ((i, l), (j, k), 1.0)):
+            _add_terms(psi, wedge1(omega[a, b], omega[c, d]), sign)
+        psi = _one_row(psi)
+        _add_terms(phi, wedge1(psi, psi))
+    return _one_row({m: phi[m] / -5040.0 for m in sorted(phi)})
 
 
 def biquadratic(formula, x, y):

@@ -136,10 +136,25 @@ def test_non_finite_radius_is_usage_error(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_unknown_suite_is_usage_error():
+def test_unknown_suite_is_usage_error(capsys):
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2
     assert "unknown suite" in proc.stderr
+    # "all" next to an unknown name does not hide it, and nothing runs
+    assert cli.main(["verify", "forms", "all", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown suite: bogus" in captured.err and captured.out == ""
+
+
+def test_out_naming_an_existing_file_is_usage_error(tmp_path):
+    # rejected with the other inputs, before any check runs
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    proc = run_cli("verify", "octonion", "--out", taken, *FAST)
+    assert proc.returncode == 2
+    assert "not a directory" in proc.stderr
+    assert proc.stdout == ""
+    assert taken.read_text() == "keep me\n"
 
 
 def test_unknown_flag_and_command_are_usage_errors():

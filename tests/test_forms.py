@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from cayleykit import forms
-from cayleykit.exterior import Form, hessian_action, mask_of, random_forms
+from cayleykit.exterior import collect, hessian_action, inner, mask_of, random_forms
 from cayleykit.forms import (
     SPIN9_DIM,
     V_TOP,
@@ -24,15 +24,16 @@ from cayleykit.forms import (
     spin9_targets,
     standard_constraints,
 )
+from oracles import deviation
+
+TOPS = np.array([[V_TOP, W_TOP]]), np.array([[-1.0, 1.0]])  # Phi's two top terms
 
 
 def test_kahler_form_structure():
     for n in (1, 2, 4):
-        omega = kahler_form(n)
-        assert omega.grade == 2
-        assert len(omega.coeffs) == n
-        for i in range(n):
-            assert omega.coeffs.get(mask_of((i, i + n)), 0.0) == -1.0
+        masks, coeffs = kahler_form(n)
+        assert masks.tolist() == [[mask_of((i, i + n)) for i in range(n)]]
+        assert coeffs.tolist() == [[-1.0] * n]
         assert kahler_targets(n) == tuple(1 << i | 1 << (i + n) for i in range(n))
 
 
@@ -46,23 +47,21 @@ def test_kahler_constraints_exact():
 
 def test_quaternionic_two_forms_are_orthogonal_complex_structures():
     for n in (1, 2):
-        w1, w2, w3 = quaternionic_kahler_forms(n)
-        for w in (w1, w2, w3):
-            assert w.grade == 2
-            assert len(w.coeffs) == 2 * n
-        # pairwise disjoint monomials except none shared
-        assert not (set(w1.coeffs) & set(w2.coeffs))
-        assert not (set(w1.coeffs) & set(w3.coeffs))
+        masks, coeffs = quaternionic_kahler_forms(n)
+        assert masks.shape == coeffs.shape == (3, 2 * n)
+        assert np.all(np.bitwise_count(masks) == 2) and np.all(np.abs(coeffs) == 1.0)
+        # the three forms share no monomial, and none repeats within a form
+        assert len(set(masks.ravel().tolist())) == 6 * n
 
 
 def test_quaternionic_form_n1_is_volume_multiple():
-    assert (quaternionic_form(1) - 6.0 * Form.volume(4)).sup_norm() == 0.0
+    assert deviation(quaternionic_form(1), (np.array([[0b1111]]), np.array([[6.0]]))) == 0.0
 
 
 def test_quaternionic_line_coefficients():
-    omega = quaternionic_form(2)
+    (masks,), (coeffs,) = quaternionic_form(2)
     for target in quaternionic_targets(2):
-        assert omega.coeffs.get(target, 0.0) == pytest.approx(6.0)
+        assert coeffs[masks == target].tolist() == [pytest.approx(6.0)]
 
 
 def test_quaternionic_constraints_exact():
@@ -73,37 +72,33 @@ def test_quaternionic_constraints_exact():
 
 
 def test_spin9_base_form():
-    phi = spin9_form()
-    assert phi.n == SPIN9_DIM
-    assert phi.grade == 8
+    (masks,), (coeffs,) = spin9_form()
     assert spin9_targets() == (V_TOP, W_TOP)
-    assert (phi.coeffs[V_TOP], phi.coeffs[W_TOP]) == (-1.0, 1.0)
-    assert len(phi.coeffs) == 702
-    assert all(mask.bit_count() == 8 for mask in phi.coeffs)
-    assert Counter(round(abs(c) * 5040) for c in phi.coeffs.values()) == {360: 448, 720: 252, 5040: 2}
-    types = Counter(((m & V_TOP).bit_count(), (m & W_TOP).bit_count()) for m in phi.coeffs)
+    assert coeffs[np.isin(masks, spin9_targets())].tolist() == [-1.0, 1.0]
+    assert masks.size == 702 and np.all(np.diff(masks) > 0)
+    assert np.all(masks >> SPIN9_DIM == 0) and np.all(np.bitwise_count(masks) == 8)
+    assert Counter(round(abs(c) * 5040) for c in coeffs.tolist()) == {360: 448, 720: 252, 5040: 2}
+    types = Counter(((m & V_TOP).bit_count(), (m & W_TOP).bit_count()) for m in masks.tolist())
     assert types == {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1}
 
 
 def test_cayley_form_matches_wedge_oracle():
-    # the batched build and the Form/wedge route sum the same integers, then divide once
-    assert sorted(spin9_form().coeffs.items()) == sorted(oracles.cayley_form_by_wedge().coeffs.items())
+    # the batched build and the dict/wedge route sum the same integers, then divide once
+    for got, want in zip(spin9_form(), oracles.cayley_form_by_wedge()):
+        assert np.array_equal(got, want)
 
 
 def test_correction_words_have_eight_letters_after_wedge():
     # Phi minus its two tops is the correction: 700 words, each of eight distinct letters
-    corr = spin9_form() - Form(SPIN9_DIM, 8, {V_TOP: -1.0, W_TOP: 1.0})
-    assert corr.grade == 8
-    assert len(corr.coeffs) == 700
-    assert V_TOP not in corr.coeffs and W_TOP not in corr.coeffs
-    for mask in corr.coeffs:
-        assert bin(mask).count("1") == 8
+    (phi_masks,), (phi_coeffs,) = spin9_form()
+    (masks,), _ = collect(np.append(phi_masks, TOPS[0]), np.append(phi_coeffs, -TOPS[1]))
+    assert masks.size == 700
+    assert not np.isin(masks, spin9_targets()).any()
+    assert np.all(np.bitwise_count(masks) == 8)
     # and the wedge of two 4-forms, as in (psi ^ psi), only ever yields eight-letter words
     (ma, mb), (ca, cb) = random_forms(SPIN9_DIM, np.array([4, 4]), np.random.default_rng(8))
-    square = oracles.wedge1(Form.from_terms(SPIN9_DIM, 4, ma, ca), Form.from_terms(SPIN9_DIM, 4, mb, cb))
-    assert square.grade == 8 and square.coeffs
-    for mask in square.coeffs:
-        assert bin(mask).count("1") == 8
+    (masks,), _ = collect(*oracles.wedge1((ma[None], ca[None]), (mb[None], cb[None])))
+    assert masks.size and np.all(np.bitwise_count(masks) == 8)
 
 
 def test_cayley_form_is_built_once():
@@ -114,14 +109,18 @@ def test_cayley_form_is_built_once():
     assert forms._cayley_terms.cache_info().misses == 1
     masks, coeffs = forms._cayley_terms()
     assert not masks.flags.writeable and not coeffs.flags.writeable
-    # the Form is a fresh copy, so a caller cannot change the cached terms
-    phi = spin9_form()
-    phi.coeffs[V_TOP] = 0.0
-    assert spin9_form().coeffs[V_TOP] == -1.0
+    # spin9_form shares the cached arrays, which no caller can write into
+    phi_masks, phi_coeffs = spin9_form()
+    assert np.shares_memory(phi_masks, masks) and np.shares_memory(phi_coeffs, coeffs)
+    with pytest.raises(ValueError):
+        phi_coeffs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        phi_masks[0, 0] = 0
+    assert spin9_form()[1][0, 0] == coeffs[0] != 0.0
 
 
 def test_cayley_form_stabilizer_is_spin9():
-    action = forms.so_action(spin9_form())
+    action = forms.so_action(SPIN9_DIM, *spin9_form())
     assert action.shape == (120, 11328)
     dense = action.toarray()
     assert 120 - np.linalg.matrix_rank(dense @ dense.T) == 36
@@ -136,14 +135,15 @@ def test_cayley_form_stabilizer_is_spin9():
 
 def test_so_action_matches_hessian_action():
     # column order aside, <x A, a A> must equal <T(x, omega), T(a, omega)> for x = a, b
-    omega = Form(6, 3, {mask_of((0, 1, 2)): 1.0, mask_of((1, 3, 5)): -2.0, mask_of((2, 4, 5)): 0.5})
-    action = forms.so_action(omega)
+    omega = (np.array([[mask_of((0, 1, 2)), mask_of((1, 3, 5)), mask_of((2, 4, 5))]]),
+             np.array([[1.0, -2.0, 0.5]]))
+    action = forms.so_action(6, *omega)
     p, q = np.triu_indices(6, 1)
     a, b = np.random.default_rng(4).standard_normal((2, 6, 6))
     a, b = a - a.T, b - b.T
-    ta, tb = (Form.from_terms(6, 3, *hessian_action(x, *omega.batch())) for x in (a, b))
+    ta, tb = (collect(*hessian_action(x, *omega)) for x in (a, b))
     for x, tx in ((a, ta), (b, tb)):
-        pairing = sum(c * tx.coeffs.get(m, 0.0) for m, c in ta.coeffs.items())
+        pairing = float(inner(*ta, *tx)[0])
         assert (x[p, q] @ action) @ (a[p, q] @ action) == pytest.approx(pairing, rel=1e-12)
 
 
@@ -153,25 +153,26 @@ def test_no_leak_on_random_corrections():
     masks, coeffs = random_forms(SPIN9_DIM, np.full(100, 8), np.random.default_rng(1618))
     admissible = ~np.isin(np.bitwise_count(masks & V_TOP), (1, 7))
     for m, c in zip(masks, np.where(admissible, coeffs, 0.0)):
-        assert no_leak_report(Form.from_terms(SPIN9_DIM, 8, m, c)) == 0.0
-    phi = spin9_form()
-    assert no_leak_report(phi) == 0.0
+        assert no_leak_report(m[None], c[None]) == 0.0
+    (masks,), (coeffs,) = spin9_form()
+    assert no_leak_report(masks[None], coeffs[None]) == 0.0
     # a (7, 1) term does reach the v-top monomial
-    assert no_leak_report(phi + Form(SPIN9_DIM, 8, {mask_of((*range(7), 8)): 0.5})) == 0.5
+    leaky = np.append(masks, mask_of((*range(7), 8)))[None], np.append(coeffs, 0.5)[None]
+    assert no_leak_report(*leaky) == 0.5
 
 
 def test_top_functional_independent_of_correction():
     # the 700 non-top terms of Phi, its correction to the two tops, leave the functional alone
     expect = -diagonal_rows(SPIN9_DIM, [range(8)])[0]
-    for omega in (spin9_form(), Form(SPIN9_DIM, 8, {V_TOP: -1.0, W_TOP: 1.0})):
-        assert np.array_equal(monomial_functionals(omega, [V_TOP])[0], expect)
+    for omega in (spin9_form(), TOPS):
+        assert np.array_equal(monomial_functionals(SPIN9_DIM, *omega, [V_TOP])[0], expect)
 
 
 def test_monomial_functionals_single_pass_table():
     omega = spin9_form()
-    table = monomial_functionals(omega, [V_TOP, W_TOP])
-    assert np.array_equal(table[0], monomial_functionals(omega, [V_TOP])[0])
-    assert np.array_equal(table[1], monomial_functionals(omega, [W_TOP])[0])
+    table = monomial_functionals(SPIN9_DIM, *omega, [V_TOP, W_TOP])
+    assert np.array_equal(table[0], monomial_functionals(SPIN9_DIM, *omega, [V_TOP])[0])
+    assert np.array_equal(table[1], monomial_functionals(SPIN9_DIM, *omega, [W_TOP])[0])
     assert np.array_equal(table, diagonal_rows(SPIN9_DIM, [range(8), range(8, 16)]) * [[-1.0], [1.0]])
 
 
@@ -181,14 +182,13 @@ def test_extracted_constraints_match_targets():
     # both top coefficients pin a diagonal block sum
     assert np.array_equal(cs.rows, diagonal_rows(16, [range(8), range(8, 16)]))
     # the two top monomials alone impose the same constraints as Phi
-    tops = Form(SPIN9_DIM, 8, {V_TOP: -1.0, W_TOP: 1.0})
-    assert extract_constraints(tops, spin9_targets()) == cs
+    assert extract_constraints(SPIN9_DIM, *TOPS, spin9_targets()) == cs
 
 
 def test_extraction_rescale_invariant():
-    omega = kahler_form(4)
-    assert extract_constraints(3.7 * omega, kahler_targets(4)) == extract_constraints(
-        omega, kahler_targets(4))
+    masks, coeffs = kahler_form(4)
+    assert extract_constraints(8, masks, 3.7 * coeffs, kahler_targets(4)) == extract_constraints(
+        8, masks, coeffs, kahler_targets(4))
 
 
 def test_constraint_set_evaluate_collects_transpose():
@@ -214,16 +214,16 @@ def test_feasible_matrices_annihilate_targets():
     ):
         cs = standard_constraints(kind, n) if kind != "spin9" else standard_constraints("spin9")
         for _ in range(25):
-            a = rng.uniform(-1.0, 1.0, (omega.n, omega.n))
+            a = rng.uniform(-1.0, 1.0, (cs.n, cs.n))
             b = oracles.project_feasible(cs, 0.5 * (a + a.T))
             assert np.abs(oracles.evaluate(cs, b)).max() <= 1e-10
-            t_masks, t_coeffs = hessian_action(b, *omega.batch())
+            t_masks, t_coeffs = hessian_action(b, *omega)
             assert max(abs(t_coeffs[t_masks == m].sum()) for m in targets) <= 1e-10
 
 
 def test_functional_rescale_consistency():
     # doubling the form doubles every functional but fixes the same space
-    omega = spin9_form()
-    f1 = monomial_functionals(omega, [V_TOP])
-    f2 = monomial_functionals(2.0 * omega, [V_TOP])
+    masks, coeffs = spin9_form()
+    f1 = monomial_functionals(SPIN9_DIM, masks, coeffs, [V_TOP])
+    f2 = monomial_functionals(SPIN9_DIM, masks, 2.0 * coeffs, [V_TOP])
     assert f2 == pytest.approx(2.0 * f1)

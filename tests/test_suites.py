@@ -142,7 +142,7 @@ def test_cayley_sign_fault_fails_named_checks(monkeypatch):
         patch.setattr(forms, "PSI_SIGNS", (1.0, 1.0, 1.0))
         forms._cayley_terms.cache_clear()
         try:
-            assert len(forms.spin9_form().coeffs) == 822
+            assert forms.spin9_form()[0].size == 822
             result = SUITES["forms"](RunConfig(**FAST))
         finally:
             forms._cayley_terms.cache_clear()
