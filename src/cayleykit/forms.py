@@ -73,7 +73,7 @@ def quaternionic_kahler_forms(n: int):
 
 def quaternionic_form(n: int):
     """The parallel 4-form om1^om1 + om2^om2 + om3^om3 on R^{4n}."""
-    masks, coeffs = (part.reshape(1, -1) for part in quaternionic_kahler_forms(n))
+    masks, coeffs = quaternionic_kahler_forms(n)
     return collect(*wedge(masks, coeffs, masks, coeffs))
 
 

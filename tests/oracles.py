@@ -61,11 +61,6 @@ def form_from_dense(t, n: int, p: int):
     return np.array([[mask_of(c) for c in combs]]), np.array([[t[c] for c in combs]])
 
 
-def wedge1(xi, eta):
-    """xi ^ eta of two one-row batches through the batched ``wedge``, terms unsummed."""
-    return wedge(*xi, *eta)
-
-
 def deviation(a, b, scale=1.0) -> float:
     """Largest |coefficient| of the batch a - scale * b, term by term, through ``residual``."""
     return residual(a, (b[0], -scale * np.asarray(b[1])))
@@ -193,7 +188,7 @@ def _one_row(terms: dict):
 
 def cayley_form_by_wedge():
     """sum_{i<j<k<l} (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2 / -5040
-    as a one-row batch, ascending by mask, summed in plain dicts over ``wedge1``
+    as a one-row batch, ascending by mask, summed in plain dicts over ``wedge``
     of all term pairs, with om_ij(e_p, e_q) = <I_i I_j e_p, e_q>."""
     inv = clifford_by_products()
     omega = {}
@@ -206,9 +201,9 @@ def cayley_form_by_wedge():
         psi = {}
         for (a, b), (c, d), sign in (((i, j), (k, l), 1.0), ((i, k), (j, l), -1.0),
                                      ((i, l), (j, k), 1.0)):
-            _add_terms(psi, wedge1(omega[a, b], omega[c, d]), sign)
+            _add_terms(psi, wedge(*omega[a, b], *omega[c, d]), sign)
         psi = _one_row(psi)
-        _add_terms(phi, wedge1(psi, psi))
+        _add_terms(phi, wedge(*psi, *psi))
     return _one_row({m: phi[m] / -5040.0 for m in sorted(phi)})
 
 

@@ -57,7 +57,7 @@ def test_merge_sign_counts_transpositions():
         (0b10, 0b1, -1),
         (0b111, 0b1000, 1),
     ):
-        masks, coeffs = oracles.wedge1(monomial(m1), monomial(m2))
+        masks, coeffs = wedge(*monomial(m1), *monomial(m2))
         assert (masks.tolist(), coeffs.tolist()) == ([[m1 | m2]], [[float(expect)]])
     # every sign is the sign of the permutation sorting the indices of its product
     for n in range(1, 7):
@@ -92,7 +92,7 @@ def test_wedge_against_dense_oracle(monkeypatch):
                 for _ in range(5):
                     xi = random_form(n, p, RNG)
                     eta = random_form(n, q, RNG)
-                    got = oracles.wedge1(xi, eta)
+                    got = wedge(*xi, *eta)
                     want = oracles.wedge_dense(
                         oracles.dense_from_form(xi, n, p), oracles.dense_from_form(eta, n, q), n, p, q)
                     assert deviation(got, oracles.form_from_dense(want, n, p + q)) <= 1e-12
@@ -276,9 +276,8 @@ def test_wedge_associativity_and_sign_rule(monkeypatch):
         xi = random_form(10, 2, RNG)
         eta = random_form(10, 3, RNG)
         zeta = random_form(10, 2, RNG)
-        wedge1 = oracles.wedge1
-        assert deviation(wedge1(wedge1(xi, eta), zeta), wedge1(xi, wedge1(eta, zeta))) <= 1e-12
-        assert deviation(wedge1(xi, eta), wedge1(eta, xi), (-1) ** (2 * 3)) <= 1e-12
+        assert deviation(wedge(*wedge(*xi, *eta), *zeta), wedge(*xi, *wedge(*eta, *zeta))) <= 1e-12
+        assert deviation(wedge(*xi, *eta), wedge(*eta, *xi), (-1) ** (2 * 3)) <= 1e-12
 
 
 def test_random_trace_free_shape():

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from cayleykit import forms
-from cayleykit.exterior import collect, hessian_action, inner, mask_of, random_forms
+from cayleykit.exterior import collect, hessian_action, inner, mask_of, random_forms, wedge
 from cayleykit.forms import (
     SPIN9_DIM,
     V_TOP,
@@ -58,6 +58,15 @@ def test_quaternionic_form_n1_is_volume_multiple():
     assert deviation(quaternionic_form(1), (np.array([[0b1111]]), np.array([[6.0]]))) == 0.0
 
 
+def test_quaternionic_form_is_sum_of_kahler_squares():
+    # om1^om1 + om2^om2 + om3^om3 row by row: at n >= 2 the cross terms om_a^om_b are nonzero
+    for n in (1, 2):
+        masks, coeffs = quaternionic_kahler_forms(n)
+        want = sum(oracles.wedge_dense(om, om, 4 * n, 2, 2)
+                   for om in (oracles.dense_from_form((m, c), 4 * n, 2) for m, c in zip(masks, coeffs)))
+        assert deviation(quaternionic_form(n), oracles.form_from_dense(want, 4 * n, 4)) <= 1e-12
+
+
 def test_quaternionic_line_coefficients():
     (masks,), (coeffs,) = quaternionic_form(2)
     for target in quaternionic_targets(2):
@@ -97,7 +106,7 @@ def test_correction_words_have_eight_letters_after_wedge():
     assert np.all(np.bitwise_count(masks) == 8)
     # and the wedge of two 4-forms, as in (psi ^ psi), only ever yields eight-letter words
     (ma, mb), (ca, cb) = random_forms(SPIN9_DIM, np.array([4, 4]), np.random.default_rng(8))
-    (masks,), _ = collect(*oracles.wedge1((ma[None], ca[None]), (mb[None], cb[None])))
+    (masks,), _ = collect(*wedge(ma[None], ca[None], mb[None], cb[None]))
     assert masks.size and np.all(np.bitwise_count(masks) == 8)
 
 
