@@ -3,7 +3,7 @@
 Subcommands
     verify    run verification suites, print one line per check
     spectrum  tabulate the bottom of the Dirichlet spectrum over (R, N)
-    pinch     gradient search for extreme sectional values
+    pinch     extreme sectional values from the Jacobi operators
     report    everything above plus artifacts in one output directory
 
 Exit status: 0 all checks passed, 1 at least one check failed (a suite
@@ -57,8 +57,7 @@ _OPTIONS = {
     "trials": ("trials", int, "sampling budget (default 100000)"),
     "radius": ("radii", _float_tuple, "comma separated domain radii, each finite and at least 1"),
     "grid": ("grids", _int_tuple, "comma separated cell counts, each at least 200"),
-    "starts": ("starts", int, "search starts for the pinch run"),
-    "steps": ("steps", int, "iteration cap for the pinch run"),
+    "starts": ("starts", int, "unit directions whose Jacobi operators give the pinch extremes"),
     "out": ("out", str, "output directory for artifacts"),
     "format": ("fmt", str, "report format: json (default) or csv"),
     "mul_table": ("table_path", str, "CSV multiplication table to verify instead of the builtin"),
@@ -89,7 +88,6 @@ def config_echo(cfg: suites.RunConfig) -> dict:
         "grids": list(cfg.grids),
         "table": cfg.table_path or "builtin",
         "starts": cfg.starts,
-        "steps": cfg.steps,
     }
 
 
@@ -280,7 +278,7 @@ def make_parser() -> argparse.ArgumentParser:
     spectrum = subs.add_parser("spectrum", help="Dirichlet spectrum sweep with artifacts")
     _add_common(spectrum)
 
-    pinch = subs.add_parser("pinch", help="search for extreme sectional curvatures")
+    pinch = subs.add_parser("pinch", help="extreme sectional curvatures from the Jacobi operators")
     _add_common(pinch)
 
     report = subs.add_parser("report", help="full verification with artifacts")
@@ -322,7 +320,7 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
 def cmd_pinch(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
     result = curvature.pinch_extremes(curvature.assemble_operator(), starts=cfg.starts,
-                                      max_steps=cfg.steps, seed=cfg.seed)
+                                      seed=cfg.seed)
     write_pinch_artifacts(out, result)
     print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")
     print(f"model bounds are [-4, -1]; per-start values in {out / 'pinch.csv'}")

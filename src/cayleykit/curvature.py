@@ -14,7 +14,8 @@ bivectors e_A ^ e_B (A < B) in closed form: (ALPHA / 4) sum_{i<j} c_ij c_ij^T,
 with c_ij the bivector coordinates of I_i I_j for the Clifford involutions
 of ``octonion``, that is -8 times the projector onto spin(9).  The formula
 is the independent route it is checked against.  Ricci, the radial Jacobi
-operator and the pinching searches are linear algebra against that matrix.
+operator and the pinch extremes (eigenvalues of the Jacobi operators) are
+linear algebra against that matrix.
 
 ``ALPHA`` is the model's curvature scale, not a setting: the formula and
 the operator read it at call time, so a test injects a scale fault by
@@ -41,14 +42,15 @@ _COLS = np.array([b for _, b in PAIRS])
 CURVATURE_TENSOR_DIM = N * N * (N * N - 1) // 12
 
 DEGENERATE_GRAM = 1e-10
-PINCH_STEP = 1e-2  # initial step of each pinch search start, halved on every rejection
 
 
 def bivector(x, y) -> np.ndarray:
     """Coordinates of x ^ y in the monomial basis, batched on the left."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return x[..., _ROWS] * y[..., _COLS] - x[..., _COLS] * y[..., _ROWS]
+    # np.take gathers several times faster than fancy indexing on the last axis
+    return (np.take(x, _ROWS, axis=-1) * np.take(y, _COLS, axis=-1)
+            - np.take(x, _COLS, axis=-1) * np.take(y, _ROWS, axis=-1))
 
 
 def bivector_matrix(w) -> np.ndarray:
@@ -61,7 +63,7 @@ def bivector_matrix(w) -> np.ndarray:
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1)
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _gram(x, y):
@@ -101,12 +103,13 @@ class SectionalCurvature:
         v = np.asarray(v, dtype=float)
         a, b = u[..., :8], u[..., 8:]
         c, d = v[..., :8], v[..., 8:]
-        if self.swap_products:
-            ab, cd = octonion.mul_arrays(b, a), octonion.mul_arrays(d, c)
-            ad, cb = octonion.mul_arrays(d, a), octonion.mul_arrays(b, c)
-        else:
-            ab, cd = octonion.mul_arrays(a, b), octonion.mul_arrays(c, d)
-            ad, cb = octonion.mul_arrays(a, d), octonion.mul_arrays(c, b)
+        # two stacked products per pair of planes: [b, d] against the matrices of a and of c
+        # give ab, ad and cb, cd; the mirrored reading takes the right-hand matrices instead
+        bd = np.stack([b, d], axis=-2)
+        with_a = bd @ octonion.product_matrices(a, left=not self.swap_products)
+        with_c = bd @ octonion.product_matrices(c, left=not self.swap_products)
+        ab, ad = with_a[..., 0, :], with_a[..., 1, :]
+        cb, cd = with_c[..., 0, :], with_c[..., 1, :]
         wedge_ac = _dot(a, a) * _dot(c, c) - _dot(a, c) ** 2
         wedge_bd = _dot(b, b) * _dot(d, d) - _dot(b, d) ** 2
         value = (
@@ -184,64 +187,69 @@ def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: i
     return float(np.abs(op.tensor(x, y, z, w) - op.tensor(z, w, x, y)).max())
 
 
-def roundtrip_residual(op: CurvatureOperator, formula: SectionalCurvature, rng: np.random.Generator,
-                       trials: int) -> float:
-    """Assembled operator against the direct formula on random planes, a block of rows at a time."""
-    x, y = rng.uniform(-1.0, 1.0, (2, trials, N))
-    worst = 0.0
-    for start in range(0, trials, octonion.MUL_BLOCK_ROWS):
-        rows = slice(start, start + octonion.MUL_BLOCK_ROWS)
-        direct = formula.plane_value(x[rows], y[rows])
+@dataclass
+class PlaneSweep:
+    """What one pass over random planes found; the ranges skip degenerate planes."""
+
+    planes: int
+    formula_range: tuple[float, float]
+    mirrored_range: tuple[float, float]
+    roundtrip: float
+
+
+def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -> PlaneSweep:
+    """The formula and its mirrored reading on ``planes`` random planes, and the
+    assembled operator against the formula on the same planes.
+
+    The planes are drawn a block of rows at a time, x and y each from a stream
+    spawned off ``rng`` that continues across blocks, so the result does not
+    depend on the block size and no array grows with ``planes``.
+    """
+    formula, mirrored = SectionalCurvature(), SectionalCurvature(swap_products=True)
+    x_rng, y_rng = rng.spawn(2)
+    count, worst = 0, 0.0
+    low, high = np.full(2, np.inf), np.full(2, -np.inf)  # the formula, the mirrored reading
+    for start in range(0, planes, octonion.MUL_BLOCK_ROWS):
+        rows = min(octonion.MUL_BLOCK_ROWS, planes - start)
+        x, y = (r.uniform(-1.0, 1.0, (rows, N)) for r in (x_rng, y_rng))
+        direct = formula.plane_value(x, y)
         good = ~np.isnan(direct)
-        via_op = op.sectional(x[rows], y[rows])
-        worst = max(worst, np.abs(direct[good] - via_op[good]).max(initial=0.0))
-    return float(worst)
+        values = np.stack([direct[good], mirrored.plane_value(x, y)[good]])
+        count += values.shape[1]
+        low = np.minimum(low, values.min(axis=1, initial=np.inf))
+        high = np.maximum(high, values.max(axis=1, initial=-np.inf))
+        worst = max(worst, np.abs(values[0] - op.sectional(x, y)[good]).max(initial=0.0))
+    return PlaneSweep(count, (float(low[0]), float(high[0])), (float(low[1]), float(high[1])),
+                      float(worst))
 
 
 @dataclass
 class PinchResult:
+    """Extreme sectional values from the Jacobi operators of ``starts`` unit directions x.
+
+    ``final_values`` holds the smallest eigenvalue of each J_x, then the largest on x⊥;
+    ``witnesses`` holds the planes (x, eigenvector) they belong to, in the same order.
+    """
+
     minimum: float
     maximum: float
     final_values: np.ndarray = field(repr=False)
+    witnesses: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-def _pinch_direction(op: CurvatureOperator, rng, starts, max_steps, maximize):
-    x = rng.standard_normal((starts, N))
-    y = rng.standard_normal((starts, N))
-    x, y = _orthonormalize(x, y)
-    sign = 1.0 if maximize else -1.0
-    step = np.full(starts, PINCH_STEP)
-    value = sign * op.sectional(x, y)
-    for _ in range(max_steps):
-        omega = bivector(x, y) @ op.matrix
-        mat = bivector_matrix(omega)
-        gx = 2.0 * sign * np.einsum("sab,sb->sa", mat, y)
-        gy = -2.0 * sign * np.einsum("sab,sb->sa", mat, x)
-        # gradient of the Gram-normalized quotient, evaluated at orthonormal pairs
-        k = value[:, None]
-        gx = gx - 2.0 * k * x
-        gy = gy - 2.0 * k * y
-        cand_x = x + step[:, None] * gx
-        cand_y = y + step[:, None] * gy
-        cand_x, cand_y = _orthonormalize(cand_x, cand_y)
-        cand_val = sign * op.sectional(cand_x, cand_y)
-        better = cand_val > value + 1e-16
-        x = np.where(better[:, None], cand_x, x)
-        y = np.where(better[:, None], cand_y, y)
-        value = np.where(better, cand_val, value)
-        step = np.where(better, step, step * 0.5)
-        if np.all(step < 1e-14):
-            break
-    return sign * value
-
-
-def pinch_extremes(op: CurvatureOperator, starts: int, max_steps: int, seed: int) -> PinchResult:
-    """Projected-gradient search for extreme sectional values on G(2, 16)."""
+def pinch_extremes(op: CurvatureOperator, starts: int, seed: int) -> PinchResult:
+    """For unit y ⊥ x the sectional curvature K(x, y) is the Rayleigh quotient of J_x,
+    so its extremes over y are eigenvalues of J_x restricted to x⊥."""
     rng = np.random.default_rng(seed)
-    min_vals = _pinch_direction(op, rng, starts, max_steps, maximize=False)
-    max_vals = _pinch_direction(op, rng, starts, max_steps, maximize=True)
+    x = rng.standard_normal((starts, N))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    # the last 15 columns of a complete QR of x are an orthonormal basis of x⊥
+    perp = np.linalg.qr(x[:, :, None], mode="complete")[0][:, :, 1:]
+    values, vectors = np.linalg.eigh(np.swapaxes(perp, -1, -2) @ op.jacobi_matrix(x) @ perp)
+    ends = perp @ vectors[:, :, [0, -1]]
     return PinchResult(
-        minimum=float(min_vals.min()),
-        maximum=float(max_vals.max()),
-        final_values=np.concatenate([min_vals, max_vals]),
+        minimum=float(values[:, 0].min()),
+        maximum=float(values[:, -1].max()),
+        final_values=np.concatenate([values[:, 0], values[:, -1]]),
+        witnesses=(np.concatenate([x, x]), np.concatenate([ends[:, :, 0], ends[:, :, 1]])),
     )

@@ -112,19 +112,35 @@ class MultiplicationTable:
 DEFAULT_TABLE = MultiplicationTable.generate()
 
 
-# rows per block: keeps the (rows, 8, 8) right-multiplication matrices near 2 MB
+# rows per block: keeps the (rows, 8, 8) product matrices near 2 MB
 MUL_BLOCK_ROWS = 4096
+
+
+def product_matrices(x, table: MultiplicationTable | None = None, left: bool = False,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The 8 x 8 matrices of y -> y x (or y -> x y with ``left``), one per row of ``x``.
+
+    They act on row vectors: ``y @ product_matrices(x)`` is the product y x.  One GEMM
+    against the flattened structure tensor builds them all; every entry is a signed
+    copy of one x_i, so exact.  ``out`` is a C-contiguous (..., 8, 8) array to fill.
+    Every product of the package goes through here, so one patch reaches them all.
+    """
+    c = (table or DEFAULT_TABLE).structure_tensor()
+    flat = (c if left else c.transpose(1, 0, 2)).reshape(DIM, DIM * DIM)
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        return (x @ flat).reshape(x.shape[:-1] + (DIM, DIM))
+    np.matmul(x, flat, out=out.reshape(x.shape[:-1] + (DIM * DIM,)))
+    return out
 
 
 def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     """Batched octonion product on trailing axes of length 8.
 
     Leading axes broadcast.  Each block of rows builds the matrices of
-    x -> x b with one GEMM against ``left[j, 8i + k] = C[i, j, k]``; every
-    entry is a signed copy of one b_j, so exact.  The products are then
-    one batched (1, 8) @ (8, 8) matmul per block.
+    x -> x b with ``product_matrices``; the products are then one batched
+    (1, 8) @ (8, 8) matmul per block.
     """
-    left = (table or DEFAULT_TABLE).structure_tensor().transpose(1, 0, 2).reshape(DIM, DIM * DIM)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[-1:] != (DIM,) or b.shape[-1:] != (DIM,):
@@ -135,8 +151,7 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     out = np.empty(a.shape)
     for start in range(0, len(out), MUL_BLOCK_ROWS):
         rows = slice(start, start + MUL_BLOCK_ROWS)
-        by_b = (b[rows] @ left).reshape(-1, DIM, DIM)
-        np.matmul(a[rows, None, :], by_b, out=out[rows, None, :])
+        np.matmul(a[rows, None, :], product_matrices(b[rows], table), out=out[rows, None, :])
     return out.reshape(shape)
 
 
@@ -152,15 +167,8 @@ def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarr
     return out
 
 
-def conj_arrays(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+def conj_arrays(a, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty(np.shape(a)) if out is None else out
+    np.copyto(out, a)
     out[..., 1:] *= -1.0
     return out
-
-
-def inner_arrays(a, b) -> np.ndarray:
-    return np.sum(np.asarray(a, dtype=float) * np.asarray(b, dtype=float), axis=-1)
-
-
-def norm_arrays(a) -> np.ndarray:
-    return np.sqrt(inner_arrays(a, a))

@@ -1,8 +1,8 @@
 """Verification suites: every headline identity as a named residual check.
 
 Each suite draws from its own deterministic substream of the master seed
-(stable across suite selection; the pinch search alone is seeded with the
-master seed, as ``cayleykit pinch`` is), evaluates a list of checks and
+(stable across suite selection; the pinch directions alone are seeded with
+the master seed, as ``cayleykit pinch`` is), evaluates a list of checks and
 reports the worst residual per check against a pinned tolerance.  The CLI
 renders these into ``report.json``; byte-for-byte determinism of that
 file (timing aside) is part of the contract, so no check may embed a
@@ -38,12 +38,15 @@ class RunConfig:
     """The settings of one run; each field but ``table`` is set by one flag.
 
     ``trials`` is the master sampling budget; suites derive their own
-    counts from it (random planes = trials / 10 but at least 5,440,
-    sparse forms = trials / 100 but at least 1); the forms suite draws
-    nothing.  Every value is checked here, before any suite runs, and the
-    multiplication table file is read here, once, into ``table``.
+    counts from it (octonion pairs = trials, random planes = trials / 10
+    but at least 5,440, sparse forms = trials / 100 but at least 1); the
+    forms suite draws nothing.  The octonion pairs and the random planes
+    are drawn a block of rows at a time, so no array of theirs grows with
+    ``trials``.  Every value is checked here, before any suite runs, and
+    the multiplication table file is read here, once, into ``table``.
     ``out`` None means no report file for ``verify`` and the current
-    directory elsewhere.
+    directory elsewhere; otherwise ``out``, or the nearest of its
+    ancestors that exists, must be a directory.
     """
 
     seed: int = 0
@@ -54,19 +57,23 @@ class RunConfig:
     fmt: str = "json"
     table_path: str | None = None
     starts: int = 64
-    steps: int = 10000
     table: octonion.MultiplicationTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("trials", "starts", "steps"):
+        for name in ("trials", "starts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.fmt!r}")
-        if self.out is not None and os.path.exists(self.out) and not os.path.isdir(self.out):
-            raise ValueError(f"out {self.out!r} exists and is not a directory")
+        if self.out is not None:
+            # out itself, or the nearest ancestor that exists, must be a directory
+            nearest = os.path.abspath(self.out)
+            while not os.path.exists(nearest):
+                nearest = os.path.dirname(nearest)
+            if not os.path.isdir(nearest):
+                raise ValueError(f"out {self.out!r}: {nearest!r} exists and is not a directory")
         if not self.radii or not self.grids:
             raise ValueError("radii and grids must be nonempty")
         # the smallest problem any spectrum estimate solves: its coarse half grid
@@ -129,27 +136,99 @@ class SuiteResult:
         }
 
 
-def _relative(delta, scale) -> float:
-    return float(np.max(np.abs(delta) / np.maximum(scale, 1e-30)))
+class _OctonionBlock:
+    """The arrays of one block of rows of the sampled octonion identities, reused by every block.
 
+    ``slots`` holds one contiguous (rows, 8) array per octonion of ``SLOTS``.
+    Products that share a factor multiply a stack of adjacent slots by that
+    factor's product matrices: a [conj a, a, b], [aa, ab] b and a [ab, bb];
+    bb and conj(b) conj(a) take one slot each.  Each stack writes slots other
+    than the ones it reads.  ``spread`` is component-major, so a per-row
+    maximum is a reduction over its first axis.
+    """
 
-def _octonion_residuals(a, b, table) -> dict[str, float]:
-    """Worst relative residual of each sampled octonion identity on one block of rows."""
-    mul, conj = partial(octonion.mul_arrays, table=table), octonion.conj_arrays
-    ab = mul(a, b)
-    scale = np.abs(ab).max(axis=-1, keepdims=True) + 1.0
-    left = mul(a, ab) - mul(mul(a, a), b)
-    right = mul(ab, b) - mul(a, mul(b, b))
-    na = octonion.norm_arrays(a)
-    nb = octonion.norm_arrays(b)
-    sq = mul(a, conj(a))
-    return {
-        "alternative-laws": max(_relative(left, scale), _relative(right, scale)),
-        "conjugation-reversal": _relative(conj(ab) - mul(conj(b), conj(a)), scale),
-        "norm-multiplicativity": _relative(octonion.norm_arrays(ab) - na * nb, na * nb),
-        "conjugate-square-norm": _relative(np.abs(sq[:, 1:]).max(axis=-1)
-                                           + np.abs(sq[:, 0] - na**2), na**2),
-    }
+    SLOTS = ("conj_a", "a", "b", "a_conj_a", "aa", "ab", "bb", "aa_b", "ab_b", "a_ab", "a_bb",
+             "conj_b", "conj_b_conj_a", "deviation")
+
+    def __init__(self, rows: int):
+        self.slots = np.empty((len(self.SLOTS), rows, 8))
+        self.matrices = np.empty((2, rows, 8, 8))
+        self.spread = np.empty((8, rows))
+        self.per_row = np.empty((4, rows))
+
+    def draw(self, a_rng: np.random.Generator, b_rng: np.random.Generator, rows: int) -> None:
+        """Uniform draws in [-1, 1) into the ``a`` and ``b`` slots of the first ``rows`` rows."""
+        a_and_b = self.slots[1:3, :rows]
+        a_rng.random(out=a_and_b[0])
+        b_rng.random(out=a_and_b[1])
+        np.multiply(a_and_b, 2.0, out=a_and_b)
+        np.subtract(a_and_b, 1.0, out=a_and_b)
+
+    def residuals(self, rows: int, table) -> dict[str, float]:
+        """Worst relative residual of each identity on the first ``rows`` rows of ``a`` and ``b``."""
+        x = self.slots[:, :rows]
+        (conj_a, a, b, a_conj_a, aa, ab, bb, aa_b, ab_b, a_ab, a_bb,
+         conj_b, conj_b_conj_a, deviation) = x
+        by_a, by_b = self.matrices[:, :rows]
+        spread = self.spread[:, :rows]
+        scale, norm_a, norm_b, worst = self.per_row[:, :rows]
+        build = partial(octonion.product_matrices, table=table)
+
+        def stack(first, last):
+            """The slots from ``first`` to ``last`` as one (rows, k, 8) stack."""
+            return x[self.SLOTS.index(first):self.SLOTS.index(last) + 1].transpose(1, 0, 2)
+
+        octonion.conj_arrays(a, out=conj_a)
+        octonion.conj_arrays(b, out=conj_b)
+        np.matmul(stack("conj_a", "b"), build(a, left=True, out=by_a), out=stack("a_conj_a", "ab"))
+        np.matmul(stack("b", "b"), build(b, out=by_b), out=stack("bb", "bb"))
+        np.matmul(stack("aa", "ab"), by_b, out=stack("aa_b", "ab_b"))
+        np.matmul(stack("ab", "bb"), by_a, out=stack("a_ab", "a_bb"))
+        np.matmul(stack("conj_b", "conj_b"), build(conj_a, out=by_a),
+                  out=stack("conj_b_conj_a", "conj_b_conj_a"))
+
+        def ratio(values, scale) -> float:
+            """max of |values| / scale, with scale kept off zero; overwrites both."""
+            np.abs(values, out=values)
+            np.maximum(scale, 1e-30, out=scale)
+            return float(np.divide(values, scale, out=values).max())
+
+        np.copyto(spread.T, ab)
+        np.abs(spread, out=spread)
+        np.max(spread, axis=0, out=scale)
+        scale += 1.0
+        np.subtract(a_ab, aa_b, out=deviation)
+        left = ratio(deviation, scale[:, None])
+        np.subtract(ab_b, a_bb, out=deviation)
+        right = ratio(deviation, scale[:, None])
+        octonion.conj_arrays(ab, out=deviation)
+        deviation -= conj_b_conj_a
+        reversal = ratio(deviation, scale[:, None])
+
+        # a conj(a) against (|a|^2, 0, ..., 0): the largest imaginary part plus the real gap
+        np.einsum("ij,ij->i", a, a, out=scale)
+        np.sqrt(scale, out=norm_a)
+        np.copyto(spread.T, a_conj_a)
+        spread[0] -= scale
+        np.abs(spread, out=spread)
+        np.max(spread[1:], axis=0, out=worst)
+        worst += spread[0]
+        square = ratio(worst, scale)
+
+        # |ab| against |a| |b|
+        np.einsum("ij,ij->i", b, b, out=norm_b)
+        np.sqrt(norm_b, out=norm_b)
+        np.multiply(norm_a, norm_b, out=scale)
+        np.einsum("ij,ij->i", ab, ab, out=worst)
+        np.sqrt(worst, out=worst)
+        worst -= scale
+        norms = ratio(worst, scale)
+        return {
+            "alternative-laws": max(left, right),
+            "conjugation-reversal": reversal,
+            "norm-multiplicativity": norms,
+            "conjugate-square-norm": square,
+        }
 
 
 def suite_octonion(cfg: RunConfig) -> SuiteResult:
@@ -176,13 +255,18 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
         breaks.append("table deviates from the seven triples")
     out.add("octonion.table-closure", 1.0 if breaks else 0.0, 0.5, breaks[0] if breaks else "")
 
-    a = rng.uniform(-1.0, 1.0, (cfg.trials, 8))
-    b = rng.uniform(-1.0, 1.0, (cfg.trials, 8))
+    # a and b each continue their own stream across blocks, so no residual depends on the block size
+    a_rng, b_rng = rng.spawn(2)
     step = octonion.MUL_BLOCK_ROWS
-    blocks = [_octonion_residuals(a[start:start + step], b[start:start + step], table)
-              for start in range(0, cfg.trials, step)]
-    for name in blocks[0]:
-        out.add(f"octonion.{name}", max(block[name] for block in blocks), TOL_IDENTITY)
+    block = _OctonionBlock(min(step, cfg.trials))
+    worst: dict[str, float] = {}
+    for start in range(0, cfg.trials, step):
+        rows = min(step, cfg.trials - start)
+        block.draw(a_rng, b_rng, rows)
+        for name, value in block.residuals(rows, table).items():
+            worst[name] = max(worst.get(name, 0.0), value)
+    for name, value in worst.items():
+        out.add(f"octonion.{name}", value, TOL_IDENTITY)
 
     e = np.eye(8)[1:]  # imaginary units e_0 .. e_6
     fro1 = octonion.mul_arrays(octonion.mul_arrays(e[0], e[1], table), e[2], table)
@@ -264,6 +348,11 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
     return out
 
 
+def _outside_pinch(low: float, high: float) -> float:
+    """How far the range [low, high] reaches outside [-4, -1]; 1.0 when it is empty."""
+    return max(0.0, -4.0 - low, high + 1.0) if low <= high else 1.0
+
+
 def suite_curvature(cfg: RunConfig) -> SuiteResult:
     rng = cfg.suite_rng("curvature")
     out = SuiteResult("curvature")
@@ -278,29 +367,20 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     res_adapted = max(np.abs(same + 4.0).max(), np.abs(mixed + 1.0).max())
     out.add("curvature.adapted-sectional", res_adapted, TOL_MODEL)
 
-    # at least the 5,440 planes the operator roundtrip needs, so a small --trials still tests
-    planes = max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10)
-    x, y = rng.uniform(-1.0, 1.0, (2, planes, curvature.N))
-    ks = formula.plane_value(x, y)
-    ks = ks[~np.isnan(ks)]
-    overshoot = max(0.0, float((-4.0 - ks.min())), float(ks.max() - (-1.0)))
-    out.add("curvature.pinch-range", overshoot, TOL_MODEL,
-            f"{ks.size} random planes in [-4, -1]")
-
-    mirrored = curvature.SectionalCurvature(swap_products=True)
-    km = mirrored.plane_value(x, y)
-    km = km[~np.isnan(km)]
-    mirror_overshoot = max(0.0, float((-4.0 - km.min())), float(km.max() - (-1.0)))
-    out.add("curvature.product-order-reading", mirror_overshoot, TOL_MODEL,
+    # one pass over at least the 5,440 planes the operator roundtrip needs, so a small
+    # --trials still tests; the pinch range, the mirrored reading and the roundtrip share it
+    op = curvature.assemble_operator()
+    sweep = curvature.sweep_planes(op, rng, max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10))
+    out.add("curvature.pinch-range", _outside_pinch(*sweep.formula_range), TOL_MODEL,
+            f"{sweep.planes} random planes in [-4, -1]")
+    out.add("curvature.product-order-reading", _outside_pinch(*sweep.mirrored_range), TOL_MODEL,
             "mirrored reading <ba,dc> on the same planes")
 
     # the spin(9) closed form; with first-bianchi, the roundtrip identifies it with the formula
-    op = curvature.assemble_operator()
     out.add("curvature.operator-pair-symmetry", curvature.symmetry_residual(op, rng, trials=500),
             TOL_ALGEBRA)
     out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), TOL_ALGEBRA)
-    out.add("curvature.operator-roundtrip",
-            curvature.roundtrip_residual(op, formula, rng, planes), TOL_MODEL)
+    out.add("curvature.operator-roundtrip", sweep.roundtrip, TOL_MODEL)
 
     ric = op.ricci()
     out.add("curvature.einstein-constant", float(np.abs(ric + 36.0 * np.eye(curvature.N)).max()),
@@ -312,11 +392,15 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     out.add("curvature.radial-spectrum", np.abs(op.jacobi_spectrum(u) - target).max(), TOL_NUMERIC,
             "eigenvalues {0, -4 x 7, -1 x 8} for every unit direction")
 
-    # seeded like ``cayleykit pinch``, so report's pinch.csv is this very search
-    pinch = curvature.pinch_extremes(op, starts=cfg.starts, max_steps=cfg.steps, seed=cfg.seed)
-    res_pinch = max(abs(pinch.minimum + 4.0), abs(pinch.maximum + 1.0))
-    out.add("curvature.pinch-search", res_pinch, TOL_SEARCH,
-            f"extremes ({pinch.minimum:.8f}, {pinch.maximum:.8f}) from {cfg.starts} starts")
+    # seeded like ``cayleykit pinch``, so report's pinch.csv is this very search; the formula
+    # at the witness planes is the second route to the eigenvalues
+    pinch = curvature.pinch_extremes(op, starts=cfg.starts, seed=cfg.seed)
+    witness = np.abs(formula.plane_value(*pinch.witnesses) - pinch.final_values).max()
+    # np.max, unlike max, keeps a NaN from a degenerate witness plane, so it fails
+    res_pinch = np.max([abs(pinch.minimum + 4.0), abs(pinch.maximum + 1.0), witness])
+    out.add("curvature.pinch-search", res_pinch, TOL_MODEL,
+            f"extremes ({pinch.minimum:.8f}, {pinch.maximum:.8f}) from {cfg.starts} starts, "
+            f"formula at the witness planes within {witness:.1e}")
     out.artifacts = {"operator": op, "pinch": pinch}
     return out
 

@@ -15,7 +15,7 @@ from cayleykit.curvature import (
     bivector,
     bivector_matrix,
     pinch_extremes,
-    roundtrip_residual,
+    sweep_planes,
     symmetry_residual,
 )
 
@@ -149,28 +149,36 @@ def test_bianchi_residual_sees_a_non_curvature_operator():
 
 
 def test_operator_roundtrip_against_formula():
-    assert roundtrip_residual(OP, FORMULA, RNG, trials=10000) <= 1e-9
+    sweep = sweep_planes(OP, RNG, planes=10000)
+    assert sweep.roundtrip <= 1e-9
+    assert 9990 < sweep.planes <= 10000
+    # both readings are pinched in [-4, -1], and random planes come close to neither end
+    for low, high in (sweep.formula_range, sweep.mirrored_range):
+        assert -4.0 - 1e-9 <= low < -3.0 and -2.0 < high <= -1.0 + 1e-9
 
 
 def test_roundtrip_blocks_do_not_change_the_residual(monkeypatch):
     trials = 3 * 16384 + 7
-    residuals = []
+    sweeps = []
     for rows in (1000, trials + 1):
         monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
-        residuals.append(roundtrip_residual(OP, FORMULA, np.random.default_rng(3), trials))
-    assert residuals[0] == residuals[1] > 0.0
+        sweeps.append(sweep_planes(OP, np.random.default_rng(3), trials))
+    assert sweeps[0] == sweeps[1]
+    assert sweeps[0].roundtrip > 0.0
 
 
 def test_roundtrip_skips_degenerate_blocks(monkeypatch):
     # no Gram determinant exceeds |x|^2 |y|^2: every plane counts as degenerate
     monkeypatch.setattr(curvature, "DEGENERATE_GRAM", 2.0)
-    assert roundtrip_residual(OP, FORMULA, RNG, trials=100) == 0.0
+    sweep = sweep_planes(OP, RNG, planes=100)
+    assert sweep.roundtrip == 0.0 and sweep.planes == 0
+    assert sweep.formula_range == sweep.mirrored_range == (np.inf, -np.inf)
 
 
 def test_roundtrip_peak_memory():
     tracemalloc.start()
     try:
-        roundtrip_residual(OP, FORMULA, np.random.default_rng(4), trials=40_000)
+        sweep_planes(OP, np.random.default_rng(4), planes=40_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,10 +263,24 @@ def test_operator_export_roundtrip(tmp_path):
 
 
 def test_pinch_extremes_reach_bounds():
-    res = pinch_extremes(OP, starts=32, max_steps=4000, seed=5)
-    assert res.minimum == pytest.approx(-4.0, abs=1e-6)
-    assert res.maximum == pytest.approx(-1.0, abs=1e-6)
+    res = pinch_extremes(OP, starts=32, seed=5)
+    assert res.minimum == pytest.approx(-4.0, abs=1e-12)
+    assert res.maximum == pytest.approx(-1.0, abs=1e-12)
     assert res.final_values.shape == (64,)
+    # every start reaches both ends: -4 and -1 are eigenvalues of every J_x on x-perp
+    assert np.abs(res.final_values - np.repeat([-4.0, -1.0], 32)).max() <= 1e-12
+    x, y = res.witnesses
+    assert x.shape == y.shape == (64, N)
+    # the witnesses are orthonormal pairs, and the formula gives the eigenvalues there
+    assert np.abs(np.einsum("si,si->s", x, y)).max() <= 1e-12
+    assert np.abs(np.linalg.norm(y, axis=-1) - 1.0).max() <= 1e-12
+    assert np.abs(FORMULA.plane_value(x, y) - res.final_values).max() <= 1e-12
+
+
+def test_pinch_witnesses_see_the_mirrored_reading():
+    # the mirrored reading has the same spectrum, but another value on the witness planes
+    res = pinch_extremes(OP, starts=8, seed=1)
+    assert np.abs(MIRRORED.plane_value(*res.witnesses) - res.final_values).max() > 0.1
 
 
 def test_adapted_plane_is_stationary():

@@ -13,12 +13,19 @@ from cayleykit.octonion import (
     MultiplicationTable,
     clifford_involutions,
     conj_arrays,
-    inner_arrays,
     mul_arrays,
-    norm_arrays,
+    product_matrices,
 )
 
 RNG = np.random.default_rng(20260823)
+
+def norm_arrays(a):
+    return np.linalg.norm(a, axis=-1)
+
+
+def inner_arrays(a, b):
+    return np.sum(a * b, axis=-1)
+
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 oct_array = arrays(np.float64, (8,), elements=finite)
@@ -179,6 +186,23 @@ def test_mul_arrays_matches_einsum_oracle(shape_a, shape_b):
     # any summation order gives the same bits
     a, b = (RNG.integers(-8, 9, shape) / 8.0 for shape in (shape_a, shape_b))
     assert np.array_equal(mul_arrays(a, b), oracles.mul_einsum(a, b))
+
+
+def test_product_matrices_act_on_both_sides():
+    x, y = RNG.uniform(-1.0, 1.0, (2, 37, 8))
+    right, left = product_matrices(x), product_matrices(x, left=True)
+    assert right.shape == left.shape == (37, 8, 8)
+    # y R_x = y x and y L_x = x y, each within the rounding of a reordered sum
+    got = np.matmul(y[:, None], right)[:, 0]
+    assert np.all(np.abs(got - oracles.mul_einsum(y, x)) <= _reorder_bound(x, y))
+    got = np.matmul(y[:, None], left)[:, 0]
+    assert np.all(np.abs(got - oracles.mul_einsum(x, y)) <= _reorder_bound(x, y))
+    # every entry is a signed copy of one coordinate of x, and out= fills the given array
+    out = np.empty((37, 8, 8))
+    assert product_matrices(x, left=True, out=out) is out
+    assert np.array_equal(out, left)
+    for matrices in (left, right):
+        assert (np.abs(matrices)[..., None] == np.abs(x)[:, None, None, :]).any(axis=-1).all()
 
 
 def test_mul_arrays_uses_the_given_table(tmp_path):

@@ -19,7 +19,7 @@ from cayleykit.suites import (
     run_suites,
 )
 
-FAST = dict(trials=2000, radii=(4.0,), grids=(400, 800), starts=8, steps=4000)
+FAST = dict(trials=2000, radii=(4.0,), grids=(400, 800), starts=8)
 
 
 def test_suite_registry_matches_order():
@@ -28,13 +28,13 @@ def test_suite_registry_matches_order():
 
 
 def test_config_validation():
-    for bad in (dict(trials=0), dict(steps=0), dict(radii=()), dict(radii=(0.5,)),
+    for bad in (dict(trials=0), dict(starts=0), dict(radii=()), dict(radii=(0.5,)),
                 dict(radii=(float("nan"),)), dict(radii=(float("inf"),)),
                 dict(grids=(150,)), dict(seed=-1), dict(fmt="xml")):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        RunConfig().steps = 0  # construction is the only place values are checked
+        RunConfig().starts = 0  # construction is the only place values are checked
 
 
 def test_suite_rng_substreams_are_stable_and_distinct():
@@ -94,7 +94,7 @@ def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
 
 def test_model_faults_fail_named_checks(monkeypatch):
     # each model fault is one patched constant or function and must fail exactly these checks
-    real_mul = octonion.mul_arrays
+    real_matrices = octonion.product_matrices
     faults = (
         (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), "geodesy",
          ("distance-laplacian-value", "distance-laplacian-limits", "area-volume",
@@ -104,9 +104,11 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("adapted-sectional", "pinch-range", "product-order-reading", "einstein-constant",
           "radial-spectrum", "pinch-search")),
         (suites.kernels, "MODEL_RICCI", -30.0, "kernels", ("ratio-quaternionic", "kato-transform")),
-        # the mirrored product reading is pinched too; only the spin(9) closed form tells it apart
-        (octonion, "mul_arrays", lambda a, b, table=None: real_mul(b, a, table), "curvature",
-         ("operator-roundtrip",)),
+        # the mirrored product reading is pinched too; only the spin(9) closed form tells it
+        # apart, in the roundtrip and at the witness planes of its Jacobi eigenvalues
+        (octonion, "product_matrices",
+         lambda x, table=None, left=False, out=None: real_matrices(x, table, not left, out),
+         "curvature", ("operator-roundtrip", "pinch-search")),
     )
     for owner, name, value, suite, expected in faults:
         with monkeypatch.context() as patch:
@@ -119,21 +121,33 @@ def test_model_faults_fail_named_checks(monkeypatch):
 def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
     # a curvature-type tensor on R^16 is fixed by its values on 5,440 generic planes
     planes = []
-    real_roundtrip = suites.curvature.roundtrip_residual
+    real_sweep = suites.curvature.sweep_planes
     real_plane_value = suites.curvature.SectionalCurvature.plane_value
 
     def counted(self, x, y):
-        planes.append(len(x))
+        if not self.swap_products:
+            planes.append(len(x))
         return real_plane_value(self, x, y)
 
-    def roundtrip(*args):
+    def sweep(*args):
         with monkeypatch.context() as patch:
             patch.setattr(suites.curvature.SectionalCurvature, "plane_value", counted)
-            return real_roundtrip(*args)
+            return real_sweep(*args)
 
-    monkeypatch.setattr(suites.curvature, "roundtrip_residual", roundtrip)
+    monkeypatch.setattr(suites.curvature, "sweep_planes", sweep)
     assert SUITES["curvature"](RunConfig(**dict(FAST, trials=10))).passed
-    assert sum(planes) >= suites.curvature.CURVATURE_TENSOR_DIM == 5440
+    # the pinch range and the roundtrip share one pass: the formula sees each plane once
+    assert sum(planes) == suites.curvature.CURVATURE_TENSOR_DIM == 5440
+
+
+def test_curvature_ranges_of_no_planes_fail(monkeypatch):
+    # no Gram determinant exceeds |x|^2 |y|^2: every plane is degenerate, so the formula
+    # gives NaN everywhere and no check that reads it may pass on what is left
+    monkeypatch.setattr(suites.curvature, "DEGENERATE_GRAM", 2.0)
+    result = SUITES["curvature"](RunConfig(**FAST))
+    failed = [c.check for c in result.checks if not c.passed]
+    assert failed == [f"curvature.{check}" for check in
+                      ("adapted-sectional", "pinch-range", "product-order-reading", "pinch-search")]
 
 
 def test_cayley_sign_fault_fails_named_checks(monkeypatch):
@@ -268,24 +282,51 @@ def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_octonion_suite_peak_is_its_draws_plus_blocks():
-    trials = 200_000
+def test_curvature_blocks_do_not_change_the_residuals(monkeypatch):
+    trials = 10 * (3 * 16384 + 7)  # planes = trials / 10
+    runs = []
+    for rows in (1000, trials // 10 + 1):
+        monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
+        runs.append(SUITES["curvature"](RunConfig(**dict(FAST, trials=trials))).as_dict())
+    assert runs[0] == runs[1]
+
+
+def _traced_peak(suite, trials):
     tracemalloc.start()
     try:
-        assert SUITES["octonion"](RunConfig(trials=trials)).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        assert SUITES[suite](RunConfig(**dict(FAST, trials=trials))).passed
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    draws = 2 * trials * 8 * np.dtype(float).itemsize
-    assert peak < draws + 16 * 2**20
+
+
+@pytest.mark.parametrize("trials", [20_000, 200_000])
+def test_octonion_suite_peak_does_not_grow_with_trials(trials):
+    # one block workspace of 4096 rows; a (trials, 8) draw alone would be 12.8 MB at 200,000
+    assert _traced_peak("octonion", trials) < 16 * 2**20
+
+
+@pytest.mark.parametrize("trials", [20_000, 200_000])
+def test_curvature_suite_peak_does_not_grow_with_trials(trials):
+    assert _traced_peak("curvature", trials) < 16 * 2**20
 
 
 def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
-    # a product off by a constant e: on zero rows conj(ab) - conj(b) conj(a) = conj(e) - e,
-    # here (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
-    offset = np.array([0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0])
-    real = octonion.mul_arrays
-    monkeypatch.setattr(octonion, "mul_arrays", lambda a, b, table=None: real(a, b, table) + offset)
-    zero = np.zeros((3, 8))
-    scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE)
+    # product matrices off by a constant matrix D, so a product y x reads x y + y D; with
+    # D = e_0^T e, a = 0 and b = 1: ab = e, conj(b) conj(a) = e, and conj(ab) - conj(b) conj(a)
+    # = conj(e) - e = (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
+    offset = np.zeros((8, 8))
+    offset[0] = [0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0]
+    real = octonion.product_matrices
+
+    def shifted(x, table=None, left=False, out=None):
+        matrices = real(x, table, left, out)
+        matrices += offset
+        return matrices
+
+    monkeypatch.setattr(octonion, "product_matrices", shifted)
+    block = suites._OctonionBlock(3)
+    a, b = block.slots[1:3]
+    a[:], b[:] = 0.0, np.eye(8)[0]
+    scores = block.residuals(3, DEFAULT_TABLE)
     assert scores["conjugation-reversal"] == 0.5 / (1.0 + 0.25)
