@@ -116,30 +116,28 @@ DEFAULT_TABLE = MultiplicationTable.generate()
 MUL_BLOCK_ROWS = 4096
 
 
-def product_matrices(x, table: MultiplicationTable | None = None, left: bool = False,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def product_matrices(x, table: MultiplicationTable | None = None, left: bool = False) -> np.ndarray:
     """The 8 x 8 matrices of y -> y x (or y -> x y with ``left``), one per row of ``x``.
 
     They act on row vectors: ``y @ product_matrices(x)`` is the product y x.  One GEMM
     against the flattened structure tensor builds them all; every entry is a signed
-    copy of one x_i, so exact.  ``out`` is a C-contiguous (..., 8, 8) array to fill.
-    Every product of the package goes through here, so one patch reaches them all.
+    copy of one x_i, so exact.  Every product of the package goes through here, so
+    one patch reaches them all.
     """
     c = (table or DEFAULT_TABLE).structure_tensor()
     flat = (c if left else c.transpose(1, 0, 2)).reshape(DIM, DIM * DIM)
     x = np.asarray(x, dtype=float)
-    if out is None:
-        return (x @ flat).reshape(x.shape[:-1] + (DIM, DIM))
-    np.matmul(x, flat, out=out.reshape(x.shape[:-1] + (DIM * DIM,)))
-    return out
+    return (x @ flat).reshape(x.shape[:-1] + (DIM, DIM))
 
 
-def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
+def mul_arrays(a, b, table: MultiplicationTable | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Batched octonion product on trailing axes of length 8.
 
     Leading axes broadcast.  Each block of rows builds the matrices of
     x -> x b with ``product_matrices``; the products are then one batched
-    (1, 8) @ (8, 8) matmul per block.
+    (1, 8) @ (8, 8) matmul per block.  ``out`` is a C-contiguous array of
+    the broadcast shape to fill.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -148,11 +146,14 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None) -> np.ndarray:
     shape = np.broadcast_shapes(a.shape, b.shape)
     a = np.broadcast_to(a, shape).reshape(-1, DIM)
     b = np.broadcast_to(b, shape).reshape(-1, DIM)
-    out = np.empty(a.shape)
-    for start in range(0, len(out), MUL_BLOCK_ROWS):
+    out = np.empty(shape) if out is None else out
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    flat = out.reshape(-1, DIM)
+    for start in range(0, len(flat), MUL_BLOCK_ROWS):
         rows = slice(start, start + MUL_BLOCK_ROWS)
-        np.matmul(a[rows, None, :], product_matrices(b[rows], table), out=out[rows, None, :])
-    return out.reshape(shape)
+        np.matmul(a[rows, None, :], product_matrices(b[rows], table), out=flat[rows, None, :])
+    return out
 
 
 def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarray:
@@ -167,8 +168,7 @@ def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarr
     return out
 
 
-def conj_arrays(a, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty(np.shape(a)) if out is None else out
-    np.copyto(out, a)
+def conj_arrays(a) -> np.ndarray:
+    out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out

@@ -136,99 +136,38 @@ class SuiteResult:
         }
 
 
-class _OctonionBlock:
-    """The arrays of one block of rows of the sampled octonion identities, reused by every block.
+def _relative(delta, scale) -> float:
+    return float(np.max(np.abs(delta) / np.maximum(scale, 1e-30)))
 
-    ``slots`` holds one contiguous (rows, 8) array per octonion of ``SLOTS``.
-    Products that share a factor multiply a stack of adjacent slots by that
-    factor's product matrices: a [conj a, a, b], [aa, ab] b and a [ab, bb];
-    bb and conj(b) conj(a) take one slot each.  Each stack writes slots other
-    than the ones it reads.  ``spread`` is component-major, so a per-row
-    maximum is a reduction over its first axis.
+
+def _octonion_residuals(a, b, table, products) -> dict[str, float]:
+    """Worst relative residual of each sampled octonion identity on one block of rows.
+
+    The nine products of the block are written into ``products``, a (9, rows, 8)
+    array the suite reuses from block to block.
     """
-
-    SLOTS = ("conj_a", "a", "b", "a_conj_a", "aa", "ab", "bb", "aa_b", "ab_b", "a_ab", "a_bb",
-             "conj_b", "conj_b_conj_a", "deviation")
-
-    def __init__(self, rows: int):
-        self.slots = np.empty((len(self.SLOTS), rows, 8))
-        self.matrices = np.empty((2, rows, 8, 8))
-        self.spread = np.empty((8, rows))
-        self.per_row = np.empty((4, rows))
-
-    def draw(self, a_rng: np.random.Generator, b_rng: np.random.Generator, rows: int) -> None:
-        """Uniform draws in [-1, 1) into the ``a`` and ``b`` slots of the first ``rows`` rows."""
-        a_and_b = self.slots[1:3, :rows]
-        a_rng.random(out=a_and_b[0])
-        b_rng.random(out=a_and_b[1])
-        np.multiply(a_and_b, 2.0, out=a_and_b)
-        np.subtract(a_and_b, 1.0, out=a_and_b)
-
-    def residuals(self, rows: int, table) -> dict[str, float]:
-        """Worst relative residual of each identity on the first ``rows`` rows of ``a`` and ``b``."""
-        x = self.slots[:, :rows]
-        (conj_a, a, b, a_conj_a, aa, ab, bb, aa_b, ab_b, a_ab, a_bb,
-         conj_b, conj_b_conj_a, deviation) = x
-        by_a, by_b = self.matrices[:, :rows]
-        spread = self.spread[:, :rows]
-        scale, norm_a, norm_b, worst = self.per_row[:, :rows]
-        build = partial(octonion.product_matrices, table=table)
-
-        def stack(first, last):
-            """The slots from ``first`` to ``last`` as one (rows, k, 8) stack."""
-            return x[self.SLOTS.index(first):self.SLOTS.index(last) + 1].transpose(1, 0, 2)
-
-        octonion.conj_arrays(a, out=conj_a)
-        octonion.conj_arrays(b, out=conj_b)
-        np.matmul(stack("conj_a", "b"), build(a, left=True, out=by_a), out=stack("a_conj_a", "ab"))
-        np.matmul(stack("b", "b"), build(b, out=by_b), out=stack("bb", "bb"))
-        np.matmul(stack("aa", "ab"), by_b, out=stack("aa_b", "ab_b"))
-        np.matmul(stack("ab", "bb"), by_a, out=stack("a_ab", "a_bb"))
-        np.matmul(stack("conj_b", "conj_b"), build(conj_a, out=by_a),
-                  out=stack("conj_b_conj_a", "conj_b_conj_a"))
-
-        def ratio(values, scale) -> float:
-            """max of |values| / scale, with scale kept off zero; overwrites both."""
-            np.abs(values, out=values)
-            np.maximum(scale, 1e-30, out=scale)
-            return float(np.divide(values, scale, out=values).max())
-
-        np.copyto(spread.T, ab)
-        np.abs(spread, out=spread)
-        np.max(spread, axis=0, out=scale)
-        scale += 1.0
-        np.subtract(a_ab, aa_b, out=deviation)
-        left = ratio(deviation, scale[:, None])
-        np.subtract(ab_b, a_bb, out=deviation)
-        right = ratio(deviation, scale[:, None])
-        octonion.conj_arrays(ab, out=deviation)
-        deviation -= conj_b_conj_a
-        reversal = ratio(deviation, scale[:, None])
-
-        # a conj(a) against (|a|^2, 0, ..., 0): the largest imaginary part plus the real gap
-        np.einsum("ij,ij->i", a, a, out=scale)
-        np.sqrt(scale, out=norm_a)
-        np.copyto(spread.T, a_conj_a)
-        spread[0] -= scale
-        np.abs(spread, out=spread)
-        np.max(spread[1:], axis=0, out=worst)
-        worst += spread[0]
-        square = ratio(worst, scale)
-
-        # |ab| against |a| |b|
-        np.einsum("ij,ij->i", b, b, out=norm_b)
-        np.sqrt(norm_b, out=norm_b)
-        np.multiply(norm_a, norm_b, out=scale)
-        np.einsum("ij,ij->i", ab, ab, out=worst)
-        np.sqrt(worst, out=worst)
-        worst -= scale
-        norms = ratio(worst, scale)
-        return {
-            "alternative-laws": max(left, right),
-            "conjugation-reversal": reversal,
-            "norm-multiplicativity": norms,
-            "conjugate-square-norm": square,
-        }
+    mul, conj = partial(octonion.mul_arrays, table=table), octonion.conj_arrays
+    ab, aa, bb, a_ab, aa_b, ab_b, a_bb, a_conj_a, conj_b_conj_a = products
+    mul(a, b, out=ab)
+    mul(a, a, out=aa)
+    mul(b, b, out=bb)
+    mul(a, ab, out=a_ab)
+    mul(aa, b, out=aa_b)
+    mul(ab, b, out=ab_b)
+    mul(a, bb, out=a_bb)
+    conj_a = conj(a)
+    mul(a, conj_a, out=a_conj_a)
+    mul(conj(b), conj_a, out=conj_b_conj_a)
+    scale = np.abs(ab).max(axis=-1, keepdims=True) + 1.0
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    return {
+        "alternative-laws": max(_relative(a_ab - aa_b, scale), _relative(ab_b - a_bb, scale)),
+        "conjugation-reversal": _relative(conj(ab) - conj_b_conj_a, scale),
+        "norm-multiplicativity": _relative(np.linalg.norm(ab, axis=-1) - na * nb, na * nb),
+        "conjugate-square-norm": _relative(np.abs(a_conj_a[:, 1:]).max(axis=-1)
+                                           + np.abs(a_conj_a[:, 0] - na**2), na**2),
+    }
 
 
 def suite_octonion(cfg: RunConfig) -> SuiteResult:
@@ -255,15 +194,21 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
         breaks.append("table deviates from the seven triples")
     out.add("octonion.table-closure", 1.0 if breaks else 0.0, 0.5, breaks[0] if breaks else "")
 
-    # a and b each continue their own stream across blocks, so no residual depends on the block size
+    # a and b each continue their own stream across blocks, so no residual depends on the
+    # block size; every block reuses the arrays of the first
     a_rng, b_rng = rng.spawn(2)
     step = octonion.MUL_BLOCK_ROWS
-    block = _OctonionBlock(min(step, cfg.trials))
+    draws = np.empty((2, min(step, cfg.trials), 8))
+    products = np.empty((9, min(step, cfg.trials), 8))
     worst: dict[str, float] = {}
     for start in range(0, cfg.trials, step):
         rows = min(step, cfg.trials - start)
-        block.draw(a_rng, b_rng, rows)
-        for name, value in block.residuals(rows, table).items():
+        a, b = draws[:, :rows]
+        a_rng.random(out=a)
+        b_rng.random(out=b)
+        draws[:, :rows] *= 2.0
+        draws[:, :rows] -= 1.0  # uniform in [-1, 1)
+        for name, value in _octonion_residuals(a, b, table, products[:, :rows]).items():
             worst[name] = max(worst.get(name, 0.0), value)
     for name, value in worst.items():
         out.add(f"octonion.{name}", value, TOL_IDENTITY)

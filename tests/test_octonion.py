@@ -19,14 +19,6 @@ from cayleykit.octonion import (
 
 RNG = np.random.default_rng(20260823)
 
-def norm_arrays(a):
-    return np.linalg.norm(a, axis=-1)
-
-
-def inner_arrays(a, b):
-    return np.sum(a * b, axis=-1)
-
-
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 oct_array = arrays(np.float64, (8,), elements=finite)
 
@@ -103,8 +95,8 @@ def test_alternative_laws_bulk():
 def test_norm_multiplicativity_bulk():
     a = RNG.uniform(-1.0, 1.0, (100000, 8))
     b = RNG.uniform(-1.0, 1.0, (100000, 8))
-    na, nb = norm_arrays(a), norm_arrays(b)
-    rel = np.abs(norm_arrays(mul_arrays(a, b)) - na * nb) / (na * nb)
+    na, nb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+    rel = np.abs(np.linalg.norm(mul_arrays(a, b), axis=-1) - na * nb) / (na * nb)
     assert rel.max() <= 1e-12
 
 
@@ -127,8 +119,8 @@ def test_moufang_identity():
 
 def test_polarized_norm_identity():
     a, b, c = RNG.uniform(-1.0, 1.0, (3, 5000, 8))
-    lhs = inner_arrays(mul_arrays(a, b), mul_arrays(a, c))
-    rhs = norm_arrays(a) ** 2 * inner_arrays(b, c)
+    lhs = np.einsum("...i,...i->...", mul_arrays(a, b), mul_arrays(a, c))
+    rhs = np.einsum("...i,...i->...", a, a) * np.einsum("...i,...i->...", b, c)
     assert np.abs(lhs - rhs).max() <= 1e-11 * (1.0 + np.abs(rhs).max())
 
 
@@ -141,14 +133,14 @@ def test_alternative_left_property(a, b):
 
 @given(oct_array, oct_array)
 def test_norm_multiplicative_property(a, b):
-    na, nb = norm_arrays(a), norm_arrays(b)
-    assert abs(norm_arrays(mul_arrays(a, b)) - na * nb) <= 1e-10 * (1.0 + na * nb)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    assert abs(np.linalg.norm(mul_arrays(a, b)) - na * nb) <= 1e-10 * (1.0 + na * nb)
 
 
 @given(oct_array)
 def test_conjugate_recovers_norm(a):
     sq = mul_arrays(a, conj_arrays(a))
-    assert abs(sq[0] - norm_arrays(a) ** 2) <= 1e-10 * (1.0 + sq[0])
+    assert abs(sq[0] - a @ a) <= 1e-10 * (1.0 + sq[0])
     assert np.abs(sq[1:]).max() <= 1e-10 * (1.0 + abs(sq[0]))
 
 
@@ -182,6 +174,8 @@ def test_mul_arrays_matches_einsum_oracle(shape_a, shape_b):
     got, want = mul_arrays(a, b), oracles.mul_einsum(a, b)
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= _reorder_bound(a, b))
+    out = np.empty(want.shape)
+    assert mul_arrays(a, b, out=out) is out and np.array_equal(out, got)
     # multiples of 1/8 in [-1, 1]: every product and partial sum is exact, so
     # any summation order gives the same bits
     a, b = (RNG.integers(-8, 9, shape) / 8.0 for shape in (shape_a, shape_b))
@@ -197,10 +191,7 @@ def test_product_matrices_act_on_both_sides():
     assert np.all(np.abs(got - oracles.mul_einsum(y, x)) <= _reorder_bound(x, y))
     got = np.matmul(y[:, None], left)[:, 0]
     assert np.all(np.abs(got - oracles.mul_einsum(x, y)) <= _reorder_bound(x, y))
-    # every entry is a signed copy of one coordinate of x, and out= fills the given array
-    out = np.empty((37, 8, 8))
-    assert product_matrices(x, left=True, out=out) is out
-    assert np.array_equal(out, left)
+    # every entry is a signed copy of one coordinate of x
     for matrices in (left, right):
         assert (np.abs(matrices)[..., None] == np.abs(x)[:, None, None, :]).any(axis=-1).all()
 
@@ -245,6 +236,10 @@ def test_mul_arrays_rejects_bad_shapes():
         mul_arrays(np.ones((5, 7)), np.ones((5, 8)))
     with pytest.raises(ValueError):
         mul_arrays(np.ones((2, 8)), np.ones((3, 8)))
+    # an out that reshape would copy would leave the products unseen
+    for out in (np.empty((4, 8)), np.empty((8, 5)).T):
+        with pytest.raises(ValueError):
+            mul_arrays(np.ones((5, 8)), np.ones((5, 8)), out=out)
 
 
 def test_table_save_load_roundtrip(tmp_path):

@@ -107,7 +107,7 @@ def test_model_faults_fail_named_checks(monkeypatch):
         # the mirrored product reading is pinched too; only the spin(9) closed form tells it
         # apart, in the roundtrip and at the witness planes of its Jacobi eigenvalues
         (octonion, "product_matrices",
-         lambda x, table=None, left=False, out=None: real_matrices(x, table, not left, out),
+         lambda x, table=None, left=False: real_matrices(x, table, not left),
          "curvature", ("operator-roundtrip", "pinch-search")),
     )
     for owner, name, value, suite, expected in faults:
@@ -312,21 +312,12 @@ def test_curvature_suite_peak_does_not_grow_with_trials(trials):
 
 
 def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
-    # product matrices off by a constant matrix D, so a product y x reads x y + y D; with
-    # D = e_0^T e, a = 0 and b = 1: ab = e, conj(b) conj(a) = e, and conj(ab) - conj(b) conj(a)
-    # = conj(e) - e = (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
-    offset = np.zeros((8, 8))
-    offset[0] = [0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0]
-    real = octonion.product_matrices
-
-    def shifted(x, table=None, left=False, out=None):
-        matrices = real(x, table, left, out)
-        matrices += offset
-        return matrices
-
-    monkeypatch.setattr(octonion, "product_matrices", shifted)
-    block = suites._OctonionBlock(3)
-    a, b = block.slots[1:3]
-    a[:], b[:] = 0.0, np.eye(8)[0]
-    scores = block.residuals(3, DEFAULT_TABLE)
+    # a product off by a constant e: on zero rows conj(ab) - conj(b) conj(a) = conj(e) - e,
+    # here (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
+    offset = np.array([0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0])
+    real = octonion.mul_arrays
+    monkeypatch.setattr(octonion, "mul_arrays",
+                        lambda a, b, table=None, out=None: np.add(real(a, b, table), offset, out=out))
+    zero = np.zeros((3, 8))
+    scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE, np.empty((9, 3, 8)))
     assert scores["conjugation-reversal"] == 0.5 / (1.0 + 0.25)
