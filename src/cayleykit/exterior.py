@@ -22,9 +22,12 @@ any identity check is pure float roundoff.
 ``hessian_action`` applies ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w``,
 the constant-coefficient surrogate for a covariant Hessian paired with a
 parallel form; ``duality_report`` checks the codifferential-style sign
-identities that reduce such pairings to T.  A single form, such as a
-candidate parallel form, is a one-row batch (B = 1); ``collect`` sums the
-terms of a batch into one, and ``to_text`` / ``from_text`` serialize it.
+identities that reduce such pairings to T.  Each pair expansion takes
+terms of one grade p and builds only the p (n - p + 1) index pairs of a
+term that can be nonzero, not the n^2 of the full grid.  A single form,
+such as a candidate parallel form, is a one-row batch (B = 1); ``collect``
+sums the terms of a batch into one, and ``to_text`` / ``from_text``
+serialize it.
 """
 
 from __future__ import annotations
@@ -107,9 +110,17 @@ def inner(masks_a, coeffs_a, masks_b, coeffs_b):
 
 
 def sum_terms(keys, coeffs):
-    """Distinct keys, ascending, and the summed coefficient of each."""
-    keys, inverse = np.unique(np.ravel(keys), return_inverse=True)
-    return keys, np.bincount(inverse, weights=np.ravel(coeffs), minlength=keys.size)
+    """Distinct keys, ascending, and the summed coefficient of each, added in input order.
+
+    One stable sort lines each key's terms up in input order, and ``bincount``
+    over the run numbers adds them one after the other in that order.
+    """
+    keys = np.ravel(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first], np.bincount(np.cumsum(first) - 1, weights=np.ravel(coeffs)[order])
 
 
 def residual(*batches) -> float:
@@ -123,7 +134,8 @@ def residual(*batches) -> float:
         live = coeffs != 0.0
         keys.append(np.nonzero(live)[0] << MAX_DIM | masks[live])
         values.append(coeffs[live])
-    _, sums = sum_terms(np.concatenate(keys), np.concatenate(values))
+    keys, values = np.concatenate(keys), np.concatenate(values)  # frees the parts before the sum
+    _, sums = sum_terms(keys, values)
     return float(np.abs(sums).max(initial=0.0))
 
 
@@ -207,35 +219,57 @@ def random_forms(n: int, grades, rng: np.random.Generator):
     return masks, np.where(live, rng.uniform(-1.0, 1.0, masks.shape), 0.0)
 
 
+def _pairs(n: int, masks):
+    """The pairs (i, j) where eps(theta^i) l(e_j) can be nonzero on terms of one grade p, each of
+    shape (..., T, p, n - p + 1): j over the p indices of a term, i over the n - p it lacks, then j."""
+    grades = np.unique(np.bitwise_count(masks))
+    if grades.size > 1:
+        raise ValueError(f"terms of one grade expected, got grades {grades.tolist()}")
+    p = int(grades[0]) if grades.size else 0
+    bits = np.argsort(masks[..., None] >> np.arange(n) & 1 == 0, axis=-1, kind="stable")
+    j = bits[..., :p, None]
+    i = np.concatenate([np.broadcast_to(bits[..., None, p:], (*j.shape[:-1], n - p)), j], axis=-1)
+    return i, np.broadcast_to(j, i.shape)
+
+
 def pair_action(n: int, masks, coeffs):
-    """eps(theta^i) l(e_j) on every term, shape (..., T, n, n), indexed [..., t, i, j]."""
-    idx = np.arange(n)
-    m, c = interior(idx, masks[..., None], coeffs[..., None])
-    return epsilon(idx[:, None], m[..., None, :], c[..., None, :])
+    """eps(theta^i) l(e_j) on every term of one grade p at the ``_pairs`` only, the rest of the
+    n x n grid being zero: masks, coeffs, i and j, each of shape (..., T, p, n - p + 1)."""
+    i, j = _pairs(n, masks)
+    m, c = interior(j[..., 0], masks[..., None], coeffs[..., None])
+    return *epsilon(i, m[..., None], c[..., None]), i, j
+
+
+def _weigh(a, i, j, masks, coeffs):
+    """The terms of each row weighted by a[i, j], ``a`` one matrix or one per row, as a (B, -1) batch."""
+    a = np.asarray(a, dtype=float)
+    rows = np.arange(len(masks)).reshape(-1, *(1,) * (i.ndim - 1))
+    weights = np.broadcast_to(a, (len(masks), *a.shape[-2:]))[rows, i, j]
+    return masks.reshape(len(masks), -1), (coeffs * weights).reshape(len(masks), -1)
 
 
 def hessian_action(a, masks, coeffs):
-    """Apply ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w`` to every row.
+    """Apply ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w`` to every row of one grade p.
 
-    ``a`` is one (n, n) matrix or one per row.  The T n^2 terms of a row
-    come back unsummed.
+    ``a`` is one (n, n) matrix or one per row.  The T p (n - p + 1) live
+    terms of a row come back unsummed.
     """
-    a = np.asarray(a, dtype=float)
-    m, c = pair_action(a.shape[-1], masks, coeffs)
-    return m.reshape(len(m), -1), (c * a[..., None, :, :]).reshape(len(m), -1)
+    m, c, i, j = pair_action(np.shape(a)[-1], masks, coeffs)
+    return _weigh(a, i, j, m, c)
 
 
 def _star_chain(a, masks, coeffs):
-    """sum_ij a_ji eps(theta^i) *(eps(theta^j) w) on every row, with wedge and star only.
+    """sum_ij a_ji eps(theta^i) *(eps(theta^j) w) on every row of one grade p, with wedge and star only.
 
+    Only the live pairs are built, shape (..., T, n - p, p + 1): j over the n - p
+    indices a term lacks, then i over its p indices and j.
     ``hodge(_star_chain(a, w))`` is the symbol of *d*(alpha ^ w) and
     ``_star_chain(a, hodge(w))`` the symbol of d*(alpha ^ *w).
     """
-    n = a.shape[-1]
-    idx = np.arange(n)
-    m, c = hodge(n, *epsilon(idx, masks[..., None], coeffs[..., None]))
-    m, c = epsilon(idx[:, None], m[..., None, :], c[..., None, :])
-    return m.reshape(len(m), -1), (c * np.swapaxes(a, -1, -2)[..., None, :, :]).reshape(len(m), -1)
+    n = np.shape(a)[-1]
+    i, j = _pairs(n, masks ^ (1 << n) - 1)
+    m, c = hodge(n, *epsilon(j[..., 0], masks[..., None], coeffs[..., None]))
+    return _weigh(a, j, i, *epsilon(i, m[..., None], c[..., None]))
 
 
 def duality_report(n: int, p: int, trials: int, rng: np.random.Generator) -> dict:

@@ -132,13 +132,13 @@ def so_action(n: int, masks, coeffs):
     import scipy.sparse  # imported here: 1.5 MiB that only this check needs
 
     p, q = np.triu_indices(n, 1)
-    (masks,), (coeffs,) = pair_action(n, masks, coeffs)
-    masks = np.stack([masks[:, p, q], masks[:, q, p]])
-    coeffs = np.stack([coeffs[:, p, q], -coeffs[:, q, p]])
+    row = np.zeros((n, n), dtype=np.int64)
+    row[p, q] = row[q, p] = np.arange(p.size)
+    masks, coeffs, i, j = pair_action(n, masks, coeffs)
+    coeffs = np.sign(j - i) * coeffs  # a_ij = +1 for i < j, -1 for i > j, 0 on the diagonal
     live = coeffs != 0.0
     cols, inverse = np.unique(masks[live], return_inverse=True)
-    rows = np.broadcast_to(np.arange(p.size), masks.shape)[live]
-    return scipy.sparse.csr_array((coeffs[live], (rows, inverse)), shape=(p.size, cols.size))
+    return scipy.sparse.csr_array((coeffs[live], (row[i, j][live], inverse)), shape=(p.size, cols.size))
 
 
 def spin9_targets() -> tuple[int, int]:
@@ -153,10 +153,9 @@ def no_leak_report(masks, coeffs) -> float:
     terms every sum is zero.
     """
     n = SPIN9_DIM
-    masks, coeffs = pair_action(n, masks, np.where(np.isin(masks, spin9_targets()), 0.0, coeffs))
-    pairs = np.arange(n * n).reshape(n, n)
+    masks, coeffs, i, j = pair_action(n, masks, np.where(np.isin(masks, spin9_targets()), 0.0, coeffs))
     top = ((masks == V_TOP) | (masks == W_TOP)) & (coeffs != 0.0)
-    keys = (masks == W_TOP) * n * n + pairs
+    keys = (masks == W_TOP) * n * n + i * n + j
     _, leaks = sum_terms(keys[top], coeffs[top])
     return float(np.abs(leaks).max(initial=0.0))
 
@@ -186,8 +185,8 @@ def monomial_functionals(n: int, masks, coeffs, targets) -> np.ndarray:
     Returns one row per target.  The coefficient of the coordinate (i, j)
     sums the terms of both a_ij and a_ji.
     """
-    masks, coeffs = pair_action(n, masks, coeffs)
-    cols = np.broadcast_to(_columns(n), masks.shape)
+    masks, coeffs, i, j = pair_action(n, masks, coeffs)
+    cols = _columns(n)[i, j]
     rows = np.zeros((len(targets), n * (n + 1) // 2))
     for row, target in zip(rows, targets):
         hit = masks == target

@@ -30,6 +30,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from . import octonion
+
 MODEL_RICCI = -36.0
 # entries of a scaled minimizer below this are noise
 CANONICAL_TOL = 1e-9
@@ -234,10 +236,6 @@ def kato_transform(ratio: float) -> KatoTransform:
     return KatoTransform(exponent=float(k), drift=drift, degenerate=False)
 
 
-# rows drawn per block: keeps each (rows, coordinates) array near 2 MB for n = 16
-SAMPLE_BLOCK_ROWS = 8192
-
-
 def sharpness_sample(problem: RatioProblem, result: KernelResult,
                      rng: np.random.Generator, samples: int) -> dict:
     """Empirical check that no feasible matrix beats the minimal ratio.
@@ -247,8 +245,9 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
     independent standard normal vector; it adds nothing to the denominator
     and w * chi^2(|F_w|) to the numerator for each distinct weight w.  The
     normals of the constrained part and the chi-square variates come from
-    two streams spawned off ``rng``, drawn in blocks of rows that continue
-    each stream, so the counts do not depend on the block size.
+    two streams spawned off ``rng``, drawn in blocks of
+    ``octonion.MUL_BLOCK_ROWS`` rows that continue each stream, so the
+    counts do not depend on the block size.
     """
     free = problem.free_coordinates()
     basis = scipy.linalg.null_space(problem.constraint_rows()[:, ~free])
@@ -257,8 +256,8 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
     weights_p, weights_q = weights_p[~free], weights_q[~free]
     normal_rng, chi_rng = rng.spawn(2)
     feasible = violations = 0
-    for start in range(0, samples, SAMPLE_BLOCK_ROWS):
-        rows = min(SAMPLE_BLOCK_ROWS, samples - start)
+    for start in range(0, samples, octonion.MUL_BLOCK_ROWS):
+        rows = min(octonion.MUL_BLOCK_ROWS, samples - start)
         squares = normal_rng.standard_normal((rows, basis.shape[1])) @ basis.T
         np.square(squares, out=squares)  # in place: one block-sized array fewer at the peak
         chi = chi_rng.chisquare(free_counts, (rows, free_counts.size))

@@ -461,12 +461,13 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
     sizes = Counter(np.rint(np.abs(coeffs) * -f.CAYLEY_SCALE).astype(int).tolist())
     types = Counter(zip(np.bitwise_count(masks & f.V_TOP).tolist(),
                         np.bitwise_count(masks & f.W_TOP).tolist()))
+    import scipy.sparse  # so_action loads it too; kept out of the module imports, as there
     action = f.so_action(f.SPIN9_DIM, *phi)
     stabilizer = action.shape[0] - np.linalg.matrix_rank((action @ action.T).toarray())
     inv = octonion.clifford_involutions()
     i, j = np.triu_indices(9, 1)
     p, q = np.triu_indices(f.SPIN9_DIM, 1)
-    annihilated = float(np.abs(action.T @ (inv[i] @ inv[j])[:, p, q].T).max())
+    annihilated = float(abs(scipy.sparse.csr_array((inv[i] @ inv[j])[:, p, q]) @ action).max())
     base_ok = (tops.tolist() == [-1.0, 1.0]
                and sizes == {360: 448, 720: 252, 5040: 2}
                and types == {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1}

@@ -8,6 +8,9 @@ explicit loops over the coordinates (i, j), i <= j, of a symmetric matrix,
 where the coefficient of an off-diagonal coordinate multiplies a_ij once
 (it already collects both index orders).  ``sturm_count`` counts tridiagonal
 eigenvalues by the Sturm sequence in plain numpy, independent of LAPACK.
+The pair expansions of ``hessian_action`` and ``_star_chain`` are restated
+over the full n x n grid of index pairs, dead terms included: an oracle for
+which terms the live-pair enumeration keeps, on the same sign kernels.
 The batched kernels (octonion product, curvature operator forms) are
 restated as single three-operand ``einsum`` contractions with no BLAS call
 and no blocking.  The sharpness sampler has two oracles: its reduced scheme
@@ -28,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from cayleykit.curvature import CurvatureOperator
-from cayleykit.exterior import indices_of, mask_of, residual, wedge
+from cayleykit.exterior import epsilon, hodge, indices_of, interior, mask_of, residual, wedge
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
 
 
@@ -124,6 +127,30 @@ def hessian_dense(a, t, p: int):
     for s in range(p):
         out += np.moveaxis(np.tensordot(a, t, axes=([1], [s])), 0, s)
     return out
+
+
+def pair_grid(n: int, masks, coeffs):
+    """eps(theta^i) l(e_j) on every term at all n x n pairs, shape (..., T, n, n), indexed [..., t, i, j]."""
+    idx = np.arange(n)
+    m, c = interior(idx, masks[..., None], coeffs[..., None])
+    return epsilon(idx[:, None], m[..., None, :], c[..., None, :])
+
+
+def hessian_grid(a, masks, coeffs):
+    """T(a, w) on every row over the full pair grid, ``a`` one matrix or one per row; T n^2 terms a row."""
+    a = np.asarray(a, dtype=float)
+    m, c = pair_grid(a.shape[-1], masks, coeffs)
+    return m.reshape(len(m), -1), (c * a[..., None, :, :]).reshape(len(m), -1)
+
+
+def star_chain_grid(a, masks, coeffs):
+    """sum_ij a_ji eps(theta^i) *(eps(theta^j) w) on every row over the full pair grid."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    idx = np.arange(n)
+    m, c = hodge(n, *epsilon(idx, masks[..., None], coeffs[..., None]))
+    m, c = epsilon(idx[:, None], m[..., None, :], c[..., None, :])
+    return m.reshape(len(m), -1), (c * np.swapaxes(a, -1, -2)[..., None, :, :]).reshape(len(m), -1)
 
 
 def evaluate(constraints, a):

@@ -189,6 +189,41 @@ def test_hessian_action_against_dense_oracle(monkeypatch):
             assert deviation(got, oracles.form_from_dense(want, n, p)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_live_pair_expansions_match_the_full_grid(n):
+    rng = np.random.default_rng(n)
+    for p in range(n + 1):
+        eta = random_forms(n, np.full(3, p), rng)
+        a = rng.standard_normal((3, n, n))
+        for coeffs in (a, a[0]):  # one matrix per row, one for all rows
+            got = hessian_action(coeffs, *eta)
+            assert got[0].shape == (3, exterior.RANDOM_FORM_TERMS * p * (n - p + 1))
+            # deviation keys terms by (row, mask): stricter than comparing the collected sums
+            assert deviation(got, oracles.hessian_grid(coeffs, *eta)) <= 1e-12
+            for form in (eta, hodge(n, *eta)):
+                want = oracles.star_chain_grid(coeffs, *form)
+                assert deviation(_star_chain(coeffs, *form), want) <= 1e-12
+
+
+def test_pair_expansions_reject_mixed_grades():
+    mixed = np.array([[0b011, 0b111]]), np.array([[1.0, 1.0]])
+    for expand in (hessian_action, _star_chain):
+        with pytest.raises(ValueError, match="one grade"):
+            expand(np.eye(3), *mixed)
+
+
+def test_sum_terms_matches_unique_and_bincount():
+    rng = np.random.default_rng(17)
+    for size in (0, 1, 40, 4000):
+        keys = rng.integers(0, max(1, size // 4), (2, size // 2 or size))  # repeated keys
+        coeffs = rng.standard_normal(keys.shape)
+        want_keys, inverse = np.unique(keys, return_inverse=True)
+        want = np.bincount(inverse.ravel(), weights=coeffs.ravel(), minlength=want_keys.size)
+        got_keys, got = exterior.sum_terms(keys, coeffs)
+        assert np.array_equal(got_keys, want_keys)
+        assert np.array_equal(got, want)  # each key's terms added in the same input order
+
+
 def test_duality_chain_signs_and_residuals():
     for n, p in ((4, 2), (8, 4), (16, 8)):
         rep = duality_report(n, p, 100, np.random.default_rng(7))

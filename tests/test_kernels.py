@@ -11,7 +11,6 @@ from cayleykit.exterior import collect, hessian_action, mask_of
 from cayleykit.forms import ConstraintSet, diagonal_rows, extract_constraints, standard_constraints
 from cayleykit.geodesy import SPECTRUM_BOTTOM
 from cayleykit.kernels import (
-    SAMPLE_BLOCK_ROWS,
     RatioProblem,
     canonical_minimizer,
     kato_transform,
@@ -20,7 +19,7 @@ from cayleykit.kernels import (
     sharpness_sample,
     vanishing_threshold,
 )
-from cayleykit.octonion import mul_arrays
+from cayleykit.octonion import MUL_BLOCK_ROWS, mul_arrays
 
 RNG = np.random.default_rng(57721566)
 
@@ -94,7 +93,7 @@ def test_sharpness_sampling_never_beats_minimum():
 
 
 def test_blocked_sharpness_matches_one_shot_draw():
-    samples = 2 * SAMPLE_BLOCK_ROWS + 7
+    samples = 2 * MUL_BLOCK_ROWS + 7
     # random feasible ratios centre near 16: a claimed minimum there makes
     # about half the samples violations, so both counts are exercised
     for result in (SPIN9_RESULT, dataclasses.replace(SPIN9_RESULT, ratio=16.0)):

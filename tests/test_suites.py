@@ -230,7 +230,8 @@ def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch)
         tracemalloc.stop()
     assert RunConfig().trials == 100_000
     assert small == default
-    assert peak < 32 * 2**20
+    # live terms only: about 10 MiB at 100,000 trials, 20 MiB with the full n x n pair grid
+    assert peak < 14 * 2**20
 
 
 def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
@@ -302,13 +303,23 @@ def _traced_peak(suite, trials):
 
 @pytest.mark.parametrize("trials", [20_000, 200_000])
 def test_octonion_suite_peak_does_not_grow_with_trials(trials):
-    # one block workspace of 4096 rows; a (trials, 8) draw alone would be 12.8 MB at 200,000
-    assert _traced_peak("octonion", trials) < 16 * 2**20
+    # one block workspace of 1024 rows; a (trials, 8) draw alone would be 12.8 MB at 200,000
+    assert _traced_peak("octonion", trials) < 6 * 2**20
 
 
 @pytest.mark.parametrize("trials", [20_000, 200_000])
 def test_curvature_suite_peak_does_not_grow_with_trials(trials):
-    assert _traced_peak("curvature", trials) < 16 * 2**20
+    assert _traced_peak("curvature", trials) < 6 * 2**20
+
+
+def test_forms_suite_peak():
+    # Phi expanded at its live pairs only; the full 16 x 16 pair grid took about 10 MiB per expansion
+    assert _traced_peak("forms", 2000) < 8 * 2**20
+
+
+@pytest.mark.parametrize("trials", [20_000, 200_000])
+def test_kernels_suite_peak_does_not_grow_with_trials(trials):
+    assert _traced_peak("kernels", trials) < 6 * 2**20
 
 
 def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
