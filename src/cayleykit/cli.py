@@ -331,13 +331,15 @@ def cmd_report(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
-    write_spectrum_artifacts(out, geodesy.spectrum_sweep(cfg.radii, cfg.grids))
-    # the curvature suite's own operator and search; a crashed suite holds neither
-    held = next(r.artifacts for r in results if r.suite == "curvature")
-    if held:
-        write_pinch_artifacts(out, held["pinch"])
+    # what the suites hand over (a crashed suite holds nothing): the sweep solves only
+    # the ground values the geodesy suite has not; the curvature suite's operator and search
+    held = {r.suite: r.artifacts for r in results}
+    solved = held["geodesy"].get("ground_values", {})
+    write_spectrum_artifacts(out, geodesy.spectrum_sweep(cfg.radii, cfg.grids, solved))
+    if held["curvature"]:
+        write_pinch_artifacts(out, held["curvature"]["pinch"])
         if args.export_operator:
-            held["operator"].export_csv(out / "operator.csv")
+            held["curvature"]["operator"].export_csv(out / "operator.csv")
     path = write_report(build_report(results, cfg, timings), out, cfg.fmt)
     print(f"report written to {path}")
     return 0 if all(r.passed for r in results) else 1

@@ -219,9 +219,10 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -
     for start in range(0, planes, octonion.MUL_BLOCK_ROWS):
         rows = min(octonion.MUL_BLOCK_ROWS, planes - start)
         x, y = (r.uniform(-1.0, 1.0, (rows, N)) for r in (x_rng, y_rng))
-        direct = formula.plane_value(x, y)
-        good = ~np.isnan(direct)
-        values = np.stack([direct[good], mirrored.plane_value(x, y)[good]])
+        _, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
+        frame = _orthonormalize(x, y)
+        direct = np.where(good, formula.orthonormal_value(*frame), np.nan)
+        values = np.stack([direct[good], mirrored.orthonormal_value(*frame)[good]])
         count += values.shape[1]
         low = np.minimum(low, values.min(axis=1, initial=np.inf))
         high = np.maximum(high, values.max(axis=1, initial=-np.inf))

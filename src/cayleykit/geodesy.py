@@ -13,7 +13,7 @@ spectrum of the radial operator -(A u')' / A to be at most (22/2)^2 = 121.
 with a half-cell-shifted grid (the A(0) = 0 face makes the natural
 boundary condition automatic), takes the lowest eigenvalue of the
 symmetric tridiagonal matrix by LAPACK bisection and removes the O(h^2)
-error by Richardson extrapolation.
+error by Richardson extrapolation, each (R, N) solved once per run.
 
 ``warped_report`` runs the same constants through an explicit warped
 metric dt^2 + e^{-4t} (7 dirs) + e^{-2t} (8 dirs): curvatures -f''/f,
@@ -44,6 +44,7 @@ TOL_SPECTRAL = 0.005
 # relative accuracy and recursion cap of ``adaptive_simpson``
 SIMPSON_TOL = 1e-10
 SIMPSON_MAX_DEPTH = 48
+INVERSE_STEPS = 100  # step cap of ``inverse_iteration``
 # height and finite-difference step of the warped-metric evaluation
 WARP_HEIGHT = 0.7
 WARP_STEP = 1e-4
@@ -193,6 +194,35 @@ def smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)[0])
 
 
+def ground_value(radius: float, cells: int, solved: dict) -> float:
+    """``smallest_eigenvalue`` of the (R, N) problem, solved once per memo ``solved``, which
+    lives for one run: a longer-lived one would hand out values of another model."""
+    key = (float(radius), int(cells))
+    if key not in solved:
+        solved[key] = smallest_eigenvalue(*SturmLiouvilleProblem(*key).tridiagonal())
+    return solved[key]
+
+
+def inverse_iteration(diag: np.ndarray, off: np.ndarray) -> float:
+    """Lowest eigenvalue by LDL^T inverse iteration, a second algorithm beside bisection.
+    ``dpttrf`` factors T - rho^2 I once: rho^2 = (sum m c / 2)^2 lies below every Dirichlet
+    value.  Each ``dpttrs`` step lowers the estimate rho^2 + 1 / |(T - rho^2 I)^-1 x|, x a
+    unit vector, until it moves by at most four ulps; a failed factorization, or
+    ``INVERSE_STEPS`` steps, raises ``np.linalg.LinAlgError``."""
+    shift = (sum(m * c for c, m in CLASSES) / 2.0) ** 2
+    d, e, info = scipy.linalg.lapack.dpttrf(diag - shift, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf info {info}")
+    x, value = np.full((diag.size, 1), diag.size ** -0.5), np.inf
+    for _ in range(INVERSE_STEPS):
+        y = scipy.linalg.lapack.dpttrs(d, e, x)[0]
+        norm = np.linalg.norm(y)
+        x, last, value = y / norm, value, shift + 1.0 / norm
+        if abs(value - last) <= 4.0 * np.spacing(value):
+            return float(value)
+    raise np.linalg.LinAlgError(f"no convergence in {INVERSE_STEPS} steps")
+
+
 @dataclass
 class SpectrumEstimate:
     """Estimate of the bottom of the spectrum at one (R, N) setting."""
@@ -211,34 +241,27 @@ class SpectrumEstimate:
         return self.richardson - SPECTRUM_BOTTOM
 
 
-def spectrum_estimate(radius: float, cells: int) -> SpectrumEstimate:
+def spectrum_estimate(radius: float, cells: int, solved: dict | None = None) -> SpectrumEstimate:
     """Dirichlet ground value at (R, N) plus an N/2 run and Richardson step.
 
     Both values come from ``smallest_eigenvalue``, so their difference is
     discretization error, not solver error.  That difference / 3 is
     reported as the error estimate; if it exceeds ``TOL_SPECTRAL`` relative to
     the extrapolated value the result is flagged unconverged rather than
-    silently accepted.
+    silently accepted.  ``solved`` is the run's memo (see ``ground_value``).
     """
-    fine = SturmLiouvilleProblem(radius, cells)
-    coarse = SturmLiouvilleProblem(radius, cells // 2)
-    lam_f = smallest_eigenvalue(*fine.tridiagonal())
-    lam_c = smallest_eigenvalue(*coarse.tridiagonal())
+    solved = {} if solved is None else solved
+    lam_f = ground_value(radius, cells, solved)
+    lam_c = ground_value(radius, cells // 2, solved)
     rich = (4.0 * lam_f - lam_c) / 3.0
     err = abs(lam_f - lam_c) / 3.0
-    return SpectrumEstimate(
-        radius=float(radius),
-        cells=int(cells),
-        value=lam_f,
-        coarse_value=lam_c,
-        richardson=rich,
-        error_estimate=err,
-        converged=bool(err <= TOL_SPECTRAL * abs(rich)),
-    )
+    return SpectrumEstimate(float(radius), int(cells), lam_f, lam_c, rich, err,
+                            converged=bool(err <= TOL_SPECTRAL * abs(rich)))
 
 
-def spectrum_sweep(radii, grids) -> list[SpectrumEstimate]:
-    return [spectrum_estimate(float(r), int(n)) for r in radii for n in grids]
+def spectrum_sweep(radii, grids, solved: dict | None = None) -> list[SpectrumEstimate]:
+    solved = {} if solved is None else solved
+    return [spectrum_estimate(float(r), int(n), solved) for r in radii for n in grids]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
 
 from . import curvature, exterior, forms, geodesy, kernels, octonion
 
@@ -106,8 +105,8 @@ class CheckResult:
 
 @dataclass
 class SuiteResult:
-    """The checks of one suite; ``artifacts`` holds what the suite computed for the
-    CLI to write (curvature: ``operator`` and ``pinch``) and is not part of the report."""
+    """The checks of one suite; ``artifacts``, not part of the report, holds what the CLI
+    writes or reuses (curvature: ``operator`` and ``pinch``; geodesy: ``ground_values``)."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
@@ -351,6 +350,8 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
 
 
 def suite_geodesy(cfg: RunConfig) -> SuiteResult:
+    """Radial comparison, the spectrum bottom and the warped metric; each Dirichlet
+    ground value is solved once, into ``artifacts["ground_values"]`` for ``report``."""
     out = SuiteResult("geodesy")
     g = geodesy
 
@@ -392,7 +393,8 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.volume-growth-rate", grow, 0.01)
 
     grid = max(cfg.grids)
-    est = g.spectrum_estimate(10.0, grid)
+    solved = {}
+    est = g.spectrum_estimate(10.0, grid, solved)
     in_band = g.SPECTRUM_BOTTOM <= est.value <= 123.0
     rel = abs(est.gap) / g.SPECTRUM_BOTTOM
     note = (f"R=10 N={grid}: value {est.value:.6f}, extrapolated {est.richardson:.6f} "
@@ -402,21 +404,18 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.spectrum-bottom", rel if in_band and est.converged else 1.0, g.TOL_SPECTRAL,
             note)
 
-    lams = [g.spectrum_estimate(r, min(cfg.grids)).value for r in cfg.radii]
+    lams = [g.ground_value(r, min(cfg.grids), solved) for r in cfg.radii]
     monotone = all(lams[i] >= lams[i + 1] - 1e-9 for i in range(len(lams) - 1))
     floor = min(lams) >= g.SPECTRUM_BOTTOM - 1e-6
     out.add("geodesy.spectrum-domain-monotone", 0.0 if (monotone and floor) else 1.0, 0.5,
             f"Dirichlet values decrease with R and stay above {g.SPECTRUM_BOTTOM:g}")
 
-    d, e = g.SturmLiouvilleProblem(8.0, 2000).tridiagonal()
-    # Cholesky + bidiagonal QR: relatively accurate too (Demmel & Kahan 1990),
-    # and with compute_z=0 it allocates no N x N eigenvector array
-    evals, _, _, info = scipy.linalg.lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)
-    note = "LAPACK bisection vs Cholesky-QR"
-    if info == 0:
-        cross = abs(g.smallest_eigenvalue(d, e) - evals.min())
-    else:
-        cross, note = 1.0, note + f", dpteqr info {info}"
+    first = g.ground_value(8.0, 2000, solved)  # solved above when the config has this problem
+    note = "LAPACK bisection vs LDL^T inverse iteration"
+    try:
+        cross = abs(first - g.inverse_iteration(*g.SturmLiouvilleProblem(8.0, 2000).tridiagonal()))
+    except np.linalg.LinAlgError as exc:
+        cross, note = 1.0, f"{note}, {exc}"
     out.add("geodesy.sturm-crosscheck", cross, TOL_MODEL, note)
 
     rep = g.warped_report()
@@ -429,6 +428,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.warped-constants", fixed, TOL_IDENTITY,
             "mean curvature -22, Hessian norm 36")
     out.add("geodesy.warped-curvature-fd", rep.fd_residual, TOL_SEARCH)
+    out.artifacts = {"ground_values": solved}
     return out
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cayleykit import cli, curvature, suites
+from cayleykit import cli, curvature, geodesy, suites
 from cayleykit.octonion import DEFAULT_TABLE
 
 FAST = ("--trials", "2000")
@@ -286,6 +286,42 @@ def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
     assert (tmp_path / "spectrum.csv").exists()
     assert not (tmp_path / "pinch.csv").exists()
     assert not (tmp_path / "operator.csv").exists()
+
+
+def spectrum_values(out_dir):
+    with open(out_dir / "spectrum.csv", newline="") as fh:
+        return [float(row["value"]) for row in csv.DictReader(fh)]
+
+
+def test_report_and_spectrum_solve_each_ground_value_once(tmp_path, monkeypatch):
+    # the default sweep needs 16 problems, 4 radii x N in {1000, 2000, 4000, 8000};
+    # report takes what the geodesy suite solved and solves the rest
+    cells = []
+    real = geodesy.smallest_eigenvalue
+    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: cells.append(len(d)) or real(d, e))
+    assert cli.main(["report", "--out", str(tmp_path / "report")]) == 0
+    assert len(cells) == 16 and sum(cells) == 60_000
+    cells.clear()
+    assert cli.main(["spectrum", "--out", str(tmp_path / "spectrum")]) == 0
+    assert len(cells) == 16
+    # the same file as one fine and one coarse solve per estimate
+    cfg = suites.RunConfig()
+    cli.write_spectrum_artifacts(tmp_path / "each", [
+        geodesy.spectrum_estimate(r, n) for r in cfg.radii for n in cfg.grids])
+    each = (tmp_path / "each" / "spectrum.csv").read_bytes()
+    for name in ("report", "spectrum"):
+        assert (tmp_path / name / "spectrum.csv").read_bytes() == each
+
+
+def test_ground_values_are_solved_again_in_each_run(tmp_path, monkeypatch):
+    # the memo lives for one run: a solver patched between two runs in one process
+    # reaches the second run's checks and its spectrum.csv
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "a")]) == 0
+    real = geodesy.smallest_eigenvalue
+    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6)
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "b")]) == 1
+    assert read_report(tmp_path / "b")["summary"]["failed"] == ["geodesy.sturm-crosscheck"]
+    assert spectrum_values(tmp_path / "b") == [v + 1e-6 for v in spectrum_values(tmp_path / "a")]
 
 
 def test_config_file_with_flag_precedence(tmp_path):

@@ -14,6 +14,7 @@ from cayleykit.geodesy import (
     area,
     distance_laplacian,
     hessian_eigenvalue,
+    inverse_iteration,
     jacobi_profile,
     log_area,
     log_sinh,
@@ -141,6 +142,13 @@ def test_sturm_solver_against_lapack():
         assert lam == pytest.approx(evals.min(), abs=1e-9)
 
 
+def test_inverse_iteration_matches_bisection():
+    # the crosscheck's second route: one LDL^T factorization of T - 121 I, one solve per step
+    for radius, cells in ((4.0, 2000), (8.0, 2000), (10.0, 8000), (32.0, 8000)):
+        d, e = SturmLiouvilleProblem(radius, cells).tridiagonal()
+        assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), abs=1e-10)
+
+
 def test_sturm_count_locates_spectrum():
     d, e = SturmLiouvilleProblem(10.0, 4000).tridiagonal()
     counts = oracles.sturm_count(d, e, np.array([100.0, 121.0, 121.4, 200.0]))
@@ -179,6 +187,19 @@ def test_spectrum_sweep_grid():
     ests = spectrum_sweep((4.0, 6.0), (500, 1000))
     assert len(ests) == 4
     assert [(e.radius, e.cells) for e in ests] == [(4.0, 500), (4.0, 1000), (6.0, 500), (6.0, 1000)]
+
+
+def test_spectrum_sweep_solves_each_problem_once(monkeypatch):
+    cells = []
+    real = geodesy.smallest_eigenvalue
+    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: cells.append(len(d)) or real(d, e))
+    solved = {}
+    ests = spectrum_sweep((4.0,), (400, 800), solved)
+    # N = 800 takes its coarse value from the N = 400 estimate's fine one
+    assert sorted(cells) == [200, 400, 800]
+    assert sorted(solved) == [(4.0, 200), (4.0, 400), (4.0, 800)]
+    assert ests[1].coarse_value == ests[0].value == solved[4.0, 400]
+    assert spectrum_estimate(4.0, 800, solved) == ests[1] and len(cells) == 3
 
 
 def test_spectrum_unconverged_flag_on_coarse_grid(monkeypatch):

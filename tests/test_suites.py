@@ -83,13 +83,20 @@ def test_unconverged_spectrum_fails(monkeypatch):
 
 def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
     real = suites.geodesy.smallest_eigenvalue
-    faults = ((suites.geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6),
-              (scipy.linalg.lapack, "dpteqr", lambda d, e, z, compute_z: (d, e, z, 3)))
-    for owner, name, fault in faults:
+    lengths = itertools.cycle((1.0, 0.5))
+    faults = ((suites.geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6, ""),
+              # the shifted matrix is not positive definite at its third pivot
+              (scipy.linalg.lapack, "dpttrf", lambda d, e: (d, e, 3), ", dpttrf info 3"),
+              # every other step halves the solution, so the estimate never settles
+              (scipy.linalg.lapack, "dpttrs", lambda d, e, b: (next(lengths) * b, 0),
+               f", no convergence in {suites.geodesy.INVERSE_STEPS} steps"))
+    for owner, name, fault, reason in faults:
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, fault)
             result = SUITES["geodesy"](RunConfig(**FAST))
-        assert [c.check for c in result.checks if not c.passed] == ["geodesy.sturm-crosscheck"]
+        failed = [c for c in result.checks if not c.passed]
+        assert [c.check for c in failed] == ["geodesy.sturm-crosscheck"], name
+        assert failed[0].note == "LAPACK bisection vs LDL^T inverse iteration" + reason
 
 
 def test_model_faults_fail_named_checks(monkeypatch):
@@ -122,16 +129,16 @@ def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
     # a curvature-type tensor on R^16 is fixed by its values on 5,440 generic planes
     planes = []
     real_sweep = suites.curvature.sweep_planes
-    real_plane_value = suites.curvature.SectionalCurvature.plane_value
+    real_value = suites.curvature.SectionalCurvature.orthonormal_value
 
-    def counted(self, x, y):
+    def counted(self, u, v):
         if not self.swap_products:
-            planes.append(len(x))
-        return real_plane_value(self, x, y)
+            planes.append(len(u))
+        return real_value(self, u, v)
 
     def sweep(*args):
         with monkeypatch.context() as patch:
-            patch.setattr(suites.curvature.SectionalCurvature, "plane_value", counted)
+            patch.setattr(suites.curvature.SectionalCurvature, "orthonormal_value", counted)
             return real_sweep(*args)
 
     monkeypatch.setattr(suites.curvature, "sweep_planes", sweep)
@@ -230,8 +237,9 @@ def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch)
         tracemalloc.stop()
     assert RunConfig().trials == 100_000
     assert small == default
-    # live terms only: about 10 MiB at 100,000 trials, 20 MiB with the full n x n pair grid
-    assert peak < 14 * 2**20
+    # live terms of 8 duality rows at a time: about 2.6 MiB at 100,000 trials; 10 MiB with
+    # all 100 rows of a grade at once, 20 MiB with the full n x n pair grid as well
+    assert peak < 4 * 2**20
 
 
 def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
