@@ -44,13 +44,18 @@ CURVATURE_TENSOR_DIM = N * N * (N * N - 1) // 12
 DEGENERATE_GRAM = 1e-10
 
 
-def bivector(x, y) -> np.ndarray:
-    """Coordinates of x ^ y in the monomial basis, batched on the left."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    # np.take gathers several times faster than fancy indexing on the last axis
-    return (np.take(x, _ROWS, axis=-1) * np.take(y, _COLS, axis=-1)
-            - np.take(x, _COLS, axis=-1) * np.take(y, _ROWS, axis=-1))
+def bivector(x, y, out=None, work=None) -> np.ndarray:
+    """Coordinates of x ^ y in the monomial basis, batched on the left, into ``out`` with
+    ``work`` as scratch, when given: arrays of the result's shape a caller reuses."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    # np.take gathers faster than fancy indexing; mode="clip" writes into ``out`` unbuffered
+    out = np.take(x, _ROWS, axis=-1, out=out, mode="clip")
+    work = np.take(y, _COLS, axis=-1, out=work, mode="clip")
+    out *= work
+    np.take(x, _COLS, axis=-1, out=work, mode="clip")
+    work *= np.take(y, _ROWS, axis=-1)
+    out -= work
+    return out
 
 
 def bivector_matrix(w) -> np.ndarray:
@@ -187,11 +192,13 @@ def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: i
     return float(np.abs(op.tensor(x, y, z, w) - op.tensor(z, w, x, y)).max())
 
 
-def roundtrip_residual(op: CurvatureOperator, x, y, direct) -> float:
-    """Worst gap between the assembled operator and the formula values ``direct`` on
-    the planes span(x, y), skipping the degenerate planes, where ``direct`` is NaN."""
+def roundtrip_residual(op: CurvatureOperator, bivectors, gram, direct, work) -> float:
+    """Worst gap between the operator and the formula values ``direct`` on planes of these
+    bivectors and Gram determinants, skipping the degenerate ones (``direct`` NaN); the
+    operator product goes into ``work``, an array of the shape of ``bivectors``."""
     good = ~np.isnan(direct)
-    return float(np.abs(direct[good] - op.sectional(x, y)[good]).max(initial=0.0))
+    quadratic = _dot(np.matmul(bivectors, op.matrix, out=work), bivectors)
+    return float(np.abs(direct[good] - quadratic[good] / gram[good]).max(initial=0.0))
 
 
 @dataclass
@@ -216,17 +223,25 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -
     x_rng, y_rng = rng.spawn(2)
     count, worst = 0, 0.0
     low, high = np.full(2, np.inf), np.full(2, -np.inf)  # the formula, the mirrored reading
-    for start in range(0, planes, octonion.MUL_BLOCK_ROWS):
-        rows = min(octonion.MUL_BLOCK_ROWS, planes - start)
-        x, y = (r.uniform(-1.0, 1.0, (rows, N)) for r in (x_rng, y_rng))
-        _, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
+    step = min(octonion.MUL_BLOCK_ROWS, planes)
+    draws = np.empty((2, step, N))
+    work = np.empty((2, step, len(PAIRS)))  # a block's bivectors and their operator product
+    for start in range(0, planes, step):
+        rows = min(step, planes - start)
+        x, y = draws[:, :rows]
+        x_rng.random(out=x)
+        y_rng.random(out=y)
+        draws[:, :rows] *= 2.0
+        draws[:, :rows] -= 1.0  # uniform in [-1, 1), bit for bit as ``uniform(-1, 1)`` draws it
+        gram, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
         frame = _orthonormalize(x, y)
         direct = np.where(good, formula.orthonormal_value(*frame), np.nan)
         values = np.stack([direct[good], mirrored.orthonormal_value(*frame)[good]])
         count += values.shape[1]
         low = np.minimum(low, values.min(axis=1, initial=np.inf))
         high = np.maximum(high, values.max(axis=1, initial=-np.inf))
-        worst = max(worst, roundtrip_residual(op, x, y, direct))
+        bivectors = bivector(x, y, *work[:, :rows])
+        worst = max(worst, roundtrip_residual(op, bivectors, gram, direct, work[1, :rows]))
     return PlaneSweep(count, (float(low[0]), float(high[0])), (float(low[1]), float(high[1])),
                       float(worst))
 

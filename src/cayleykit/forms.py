@@ -127,10 +127,12 @@ def spin9_form():
 
 
 def so_action(n: int, masks, coeffs):
-    """The sparse matrix of a -> T(a, form) on so(n): one row per basis element
-    e_p e_q^T - e_q e_p^T (p < q), one column per monomial it can produce."""
-    import scipy.sparse  # imported here: 1.5 MiB that only this check needs
+    """The matrix of a -> T(a, form) on so(n): one row per basis element
+    e_p e_q^T - e_q e_p^T (p < q), one column per monomial it can produce.
 
+    Returns its (row, column, value) triplets, where a repeated (row, column)
+    adds up, and its shape.
+    """
     p, q = np.triu_indices(n, 1)
     row = np.zeros((n, n), dtype=np.int64)
     row[p, q] = row[q, p] = np.arange(p.size)
@@ -138,7 +140,7 @@ def so_action(n: int, masks, coeffs):
     coeffs = np.sign(j - i) * coeffs  # a_ij = +1 for i < j, -1 for i > j, 0 on the diagonal
     live = coeffs != 0.0
     cols, inverse = np.unique(masks[live], return_inverse=True)
-    return scipy.sparse.csr_array((coeffs[live], (row[i, j][live], inverse)), shape=(p.size, cols.size))
+    return (row[i, j][live], inverse, coeffs[live]), (p.size, cols.size)
 
 
 def spin9_targets() -> tuple[int, int]:

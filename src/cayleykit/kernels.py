@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import octonion
 
@@ -63,12 +62,11 @@ class RatioProblem:
         return np.where(upper[0] == upper[1], 1.0, 2.0), (upper[0] == 0).astype(float)
 
     def free_coordinates(self) -> np.ndarray:
-        """Mask of the coordinates that no constraint row touches and the
-        denominator does not weigh: on the feasible set each is a free axis."""
-        return ~self.constraint_rows().any(axis=0) & (self.quadratic_weights()[1] == 0.0)
+        """Mask of the coordinates no constraint row touches: free axes of the feasible set."""
+        return ~self.constraint_rows().any(axis=0)
 
     def nullspace(self) -> np.ndarray:
-        return scipy.linalg.null_space(self.constraint_rows())
+        return _null_space(self.constraint_rows())
 
     def matrix_from_coordinates(self, vec: np.ndarray) -> np.ndarray:
         upper = np.triu_indices(self.n)
@@ -83,6 +81,11 @@ class RatioProblem:
         if denom == 0.0:
             raise ZeroDivisionError("gradient row vanishes")
         return float(np.sum(a * a) / denom)
+
+
+def _null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of ``mat`` in columns, at scipy's rank cut-off."""
+    return np.linalg.svd(mat)[2][np.linalg.matrix_rank(mat):].T
 
 
 @dataclass
@@ -142,12 +145,14 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
     qq = (basis.T * q) @ basis
     if np.abs(qq).max() < 1e-14:
         raise ValueError("constraints force the gradient row to vanish")
-    # largest mu of Q v = mu P v; the minimal ratio is 1 / mu
-    mu, vecs = scipy.linalg.eigh(qq, pp)
+    # largest mu of Q v = mu P v, the minimal ratio 1 / mu: with P = L L^T, the largest
+    # eigenvalue of L^-1 Q L^-T, and v = L^-T w for its eigenvector w
+    inverse = np.linalg.inv(np.linalg.cholesky(pp))
+    mu, vecs = np.linalg.eigh(inverse @ qq @ inverse.T)
     mu_max = float(mu[-1])
     if mu_max <= 0:
         raise ValueError("denominator form vanishes on the feasible set")
-    minimizer = problem.matrix_from_coordinates(basis @ vecs[:, -1])
+    minimizer = problem.matrix_from_coordinates(basis @ inverse.T @ vecs[:, -1])
     return 1.0 / mu_max, minimizer
 
 
@@ -240,29 +245,29 @@ def sharpness_sample(problem: RatioProblem, result: KernelResult,
                      rng: np.random.Generator, samples: int) -> dict:
     """Empirical check that no feasible matrix beats the minimal ratio.
 
-    Samples are isotropic Gaussians on the feasible space.  That space is
-    null(C[:, ~F]) x R^F for the free coordinates F, so the free part is an
-    independent standard normal vector; it adds nothing to the denominator
-    and w * chi^2(|F_w|) to the numerator for each distinct weight w.  The
-    normals of the constrained part and the chi-square variates come from
-    two streams spawned off ``rng``, drawn in blocks of
-    ``octonion.MUL_BLOCK_ROWS`` rows that continue each stream, so the
+    Samples are isotropic Gaussians on the feasible space, null(C[:, ~F]) x R^F for
+    the coordinates F no constraint row touches.  Grouped by their weights (w_p, w_q)
+    in the numerator and the denominator, each class of k free coordinates adds w_p X
+    to the one and w_q X to the other, X ~ chi^2(k).  The normals of the constrained
+    part and the chi-square variates come from two streams spawned off ``rng``, drawn
+    in blocks of ``octonion.MUL_BLOCK_ROWS`` rows that continue each stream, so the
     counts do not depend on the block size.
     """
     free = problem.free_coordinates()
-    basis = scipy.linalg.null_space(problem.constraint_rows()[:, ~free])
-    weights_p, weights_q = problem.quadratic_weights()
-    free_weights, free_counts = np.unique(weights_p[free], return_counts=True)
-    weights_p, weights_q = weights_p[~free], weights_q[~free]
+    basis = _null_space(problem.constraint_rows()[:, ~free])
+    weights = np.stack(problem.quadratic_weights(), axis=1)  # (numerator, denominator) columns
+    classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
     normal_rng, chi_rng = rng.spawn(2)
+    step = min(octonion.MUL_BLOCK_ROWS, samples)
+    normals = np.empty((step, basis.shape[1]))
+    squares = np.empty((step, basis.shape[0]))
     feasible = violations = 0
-    for start in range(0, samples, octonion.MUL_BLOCK_ROWS):
-        rows = min(octonion.MUL_BLOCK_ROWS, samples - start)
-        squares = normal_rng.standard_normal((rows, basis.shape[1])) @ basis.T
-        np.square(squares, out=squares)  # in place: one block-sized array fewer at the peak
-        chi = chi_rng.chisquare(free_counts, (rows, free_counts.size))
-        num = squares @ weights_p + chi @ free_weights
-        den = squares @ weights_q
+    for start in range(0, samples, step):
+        rows = min(step, samples - start)
+        normal_rng.standard_normal(out=normals[:rows])
+        np.square(np.matmul(normals[:rows], basis.T, out=squares[:rows]), out=squares[:rows])
+        chi = chi_rng.chisquare(sizes, (rows, sizes.size))
+        num, den = (squares[:rows] @ weights[~free] + chi @ classes).T
         good = den > 1e-12 * num
         feasible += int(np.sum(good))
         violations += int(np.sum(num[good] / den[good] < result.ratio - 1e-12))

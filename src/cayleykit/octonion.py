@@ -145,11 +145,11 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None,
     if a.shape[-1:] != (DIM,) or b.shape[-1:] != (DIM,):
         raise ValueError(f"octonion arrays need a trailing axis of 8, got {a.shape} and {b.shape}")
     shape = np.broadcast_shapes(a.shape, b.shape)
-    a = np.broadcast_to(a, shape).reshape(-1, DIM)
-    b = np.broadcast_to(b, shape).reshape(-1, DIM)
     out = np.empty(shape) if out is None else out
     if out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous array of shape {shape}")
+    if a.shape != b.shape or a.ndim != 2:  # otherwise the rows of a, b and out line up already
+        a, b = (np.broadcast_to(x, shape).reshape(-1, DIM) for x in (a, b))
     flat = out.reshape(-1, DIM)
     for start in range(0, len(flat), MUL_BLOCK_ROWS):
         rows = slice(start, start + MUL_BLOCK_ROWS)
@@ -169,7 +169,6 @@ def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarr
     return out
 
 
-def conj_arrays(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
+def conj_arrays(a, out: np.ndarray | None = None) -> np.ndarray:
+    """x -> x*, the imaginary part negated; written into ``out`` if given."""
+    return np.multiply(a, np.repeat([1.0, -1.0], [1, DIM - 1]), out=out)

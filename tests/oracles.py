@@ -28,8 +28,8 @@ import itertools
 import math
 
 import numpy as np
-import scipy.linalg
 
+from cayleykit import kernels
 from cayleykit.curvature import CurvatureOperator
 from cayleykit.exterior import epsilon, hodge, indices_of, interior, mask_of, residual, wedge
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
@@ -284,19 +284,28 @@ def _sharpness_counts(num, den, ratio):
     }
 
 
+def dense_action(triplets, shape):
+    """The dense matrix of ``forms.so_action``'s triplets, a repeated entry summed."""
+    rows, cols, values = triplets
+    dense = np.zeros(shape)
+    np.add.at(dense, (rows, cols), values)
+    return dense
+
+
 def sharpness_one_shot(problem, result, rng, samples):
-    """``kernels.sharpness_sample`` as one unblocked draw of its reduced scheme:
-    normals on the constrained coordinates, chi-square variates for the free ones."""
+    """``kernels.sharpness_sample`` as one unblocked draw of its reduced scheme: normals
+    on the coordinates a constraint row touches, one chi-square variate per weight class
+    of the others."""
     rows = problem.constraint_rows()
-    weights_p, weights_q = problem.quadratic_weights()
-    free = ~rows.any(axis=0) & (weights_q == 0.0)
-    basis = scipy.linalg.null_space(rows[:, ~free])
-    free_weights, free_counts = np.unique(weights_p[free], return_counts=True)
+    weights = np.stack(problem.quadratic_weights(), axis=1)
+    free = ~rows.any(axis=0)
+    basis = kernels._null_space(rows[:, ~free])
+    classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
     normal_rng, chi_rng = rng.spawn(2)
     vecs = normal_rng.standard_normal((samples, basis.shape[1])) @ basis.T
-    chi = chi_rng.chisquare(free_counts, (samples, free_counts.size))
-    num = (vecs * vecs) @ weights_p[~free] + chi @ free_weights
-    return _sharpness_counts(num, (vecs * vecs) @ weights_q[~free], result.ratio)
+    chi = chi_rng.chisquare(sizes, (samples, sizes.size))
+    num, den = ((vecs * vecs) @ weights[~free] + chi @ classes).T
+    return _sharpness_counts(num, den, result.ratio)
 
 
 def sharpness_full_draw(problem, result, rng, samples):

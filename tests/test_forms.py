@@ -129,9 +129,9 @@ def test_cayley_form_is_built_once():
 
 
 def test_cayley_form_stabilizer_is_spin9():
-    action = forms.so_action(SPIN9_DIM, *spin9_form())
-    assert action.shape == (120, 11328)
-    dense = action.toarray()
+    triplets, shape = forms.so_action(SPIN9_DIM, *spin9_form())
+    assert shape == (120, 11328)
+    dense = oracles.dense_action(triplets, shape)
     assert 120 - np.linalg.matrix_rank(dense @ dense.T) == 36
     inv = oracles.clifford_by_products()
     i, j = np.triu_indices(9, 1)
@@ -146,7 +146,7 @@ def test_so_action_matches_hessian_action():
     # column order aside, <x A, a A> must equal <T(x, omega), T(a, omega)> for x = a, b
     omega = (np.array([[mask_of((0, 1, 2)), mask_of((1, 3, 5)), mask_of((2, 4, 5))]]),
              np.array([[1.0, -2.0, 0.5]]))
-    action = forms.so_action(6, *omega)
+    action = oracles.dense_action(*forms.so_action(6, *omega))
     p, q = np.triu_indices(6, 1)
     a, b = np.random.default_rng(4).standard_normal((2, 6, 6))
     a, b = a - a.T, b - b.T

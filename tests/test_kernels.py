@@ -105,14 +105,19 @@ def test_blocked_sharpness_matches_one_shot_draw():
     assert 0 < got["violations"] < samples
 
 
-def test_spin9_free_coordinates_are_the_off_gradient_entries():
-    # a_ij with 1 <= i < j: off the diagonal, which the trace row touches,
-    # and off the gradient row, which the denominator weighs
+def test_spin9_free_coordinates_are_the_off_diagonal_entries():
+    # every constraint row, the trace among them, touches the diagonal alone; the free
+    # entries fall into two weight classes: a_ij with 1 <= i < j, weighed (2, 0), and the
+    # gradient row's a_0j, j >= 1, weighed (2, 1)
     upper = np.triu_indices(16)
     free = SPIN9.free_coordinates()
-    assert np.array_equal(free, (upper[0] >= 1) & (upper[0] < upper[1]))
-    assert free.sum() == 105
-    assert np.all(SPIN9.quadratic_weights()[0][free] == 2.0)
+    assert np.array_equal(free, upper[0] < upper[1])
+    weights = np.stack(SPIN9.quadratic_weights(), axis=1)
+    classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
+    assert classes.tolist() == [[2.0, 0.0], [2.0, 1.0]] and sizes.tolist() == [105, 15]
+    assert np.array_equal(weights[free, 1] == 1.0, upper[0][free] == 0)
+    # the 16 diagonal entries under constraints of rank 2: 14 normals per sample
+    assert np.linalg.matrix_rank(SPIN9.constraint_rows()[:, ~free]) == 2
 
 
 @pytest.mark.parametrize("ratio", [12.0, 16.0, 24.0])

@@ -125,6 +125,30 @@ def test_model_faults_fail_named_checks(monkeypatch):
         assert failed == [f"{suite}.{check}" for check in expected], name
 
 
+def test_failing_notes_give_what_was_measured(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)))
+        failed = {c.check: c.note for c in SUITES["geodesy"](RunConfig(**FAST)).checks
+                  if not c.passed}
+    assert "log A(50)/50 off 22 by 9.97% (A off by " in failed["geodesy.area-volume"]
+    floor = failed["geodesy.spectrum-domain-monotone"]
+    assert floor.startswith("Dirichlet values decrease with R; lowest ")
+    assert floor.endswith(", below 121")
+    assert float(floor.split()[6][:-1]) < 110.0  # near 100 at every radius
+    with monkeypatch.context() as patch:
+        patch.setattr(suites.geodesy, "ground_value", lambda radius, cells, solved: 125.0 + radius)
+        (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(4.0, 6.0)))).checks
+                    if c.check == "geodesy.spectrum-domain-monotone"]
+    assert check.note == "Dirichlet values do not decrease with R; lowest 129.000000, above 121"
+    monkeypatch.setattr(suites.kernels, "sharpness_sample",
+                        lambda *args, **kwargs: {"samples": 90, "violations": 3})
+    (check,) = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks
+                if c.check == "kernels.sharpness"]
+    assert not check.passed
+    assert check.note.startswith("90 feasible samples, 3 below 8/7; minimizer off by ")
+    assert float(check.note.rsplit(" ", 1)[1]) <= 1e-9
+
+
 def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
     # a curvature-type tensor on R^16 is fixed by its values on 5,440 generic planes
     planes = []
@@ -338,5 +362,5 @@ def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
     monkeypatch.setattr(octonion, "mul_arrays",
                         lambda a, b, table=None, out=None: np.add(real(a, b, table), offset, out=out))
     zero = np.zeros((3, 8))
-    scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE, np.empty((9, 3, 8)))
+    scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE, np.empty((11, 3, 8)))
     assert scores["conjugation-reversal"] == 0.5 / (1.0 + 0.25)
