@@ -145,13 +145,10 @@ class CurvatureOperator:
         """<R(x ^ y), z ^ w> (batched)."""
         return _dot(bivector(x, y) @ self.matrix, bivector(z, w))
 
-    def quadratic(self, x, y):
-        v = bivector(x, y)
-        return _dot(v @ self.matrix, v)
-
-    def sectional(self, x, y):
-        gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.where(good, self.quadratic(x, y) / np.where(good, gram, 1.0), np.nan)
+    def quadratic(self, x, y, out=None, work=None):
+        """<R(x ^ y), x ^ y> (batched), through ``out`` and ``work`` as in ``bivector``."""
+        v = bivector(x, y, out, work)
+        return _dot(np.matmul(v, self.matrix, out=work), v)
 
     def ricci(self) -> np.ndarray:
         """Ric(u, v) = sum_A R(u, e_A, v, e_A) as a 16 x 16 matrix."""
@@ -192,12 +189,12 @@ def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: i
     return float(np.abs(op.tensor(x, y, z, w) - op.tensor(z, w, x, y)).max())
 
 
-def roundtrip_residual(op: CurvatureOperator, bivectors, gram, direct, work) -> float:
-    """Worst gap between the operator and the formula values ``direct`` on planes of these
-    bivectors and Gram determinants, skipping the degenerate ones (``direct`` NaN); the
-    operator product goes into ``work``, an array of the shape of ``bivectors``."""
+def roundtrip_residual(op: CurvatureOperator, x, y, gram, direct, work) -> float:
+    """Worst gap between the operator and the formula values ``direct`` on the planes
+    span(x, y) of Gram determinants ``gram``, skipping the degenerate ones (``direct`` NaN);
+    ``work`` holds two arrays of the bivectors' shape for ``CurvatureOperator.quadratic``."""
     good = ~np.isnan(direct)
-    quadratic = _dot(np.matmul(bivectors, op.matrix, out=work), bivectors)
+    quadratic = op.quadratic(x, y, *work)
     return float(np.abs(direct[good] - quadratic[good] / gram[good]).max(initial=0.0))
 
 
@@ -240,8 +237,7 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -
         count += values.shape[1]
         low = np.minimum(low, values.min(axis=1, initial=np.inf))
         high = np.maximum(high, values.max(axis=1, initial=-np.inf))
-        bivectors = bivector(x, y, *work[:, :rows])
-        worst = max(worst, roundtrip_residual(op, bivectors, gram, direct, work[1, :rows]))
+        worst = max(worst, roundtrip_residual(op, x, y, gram, direct, work[:, :rows]))
     return PlaneSweep(count, (float(low[0]), float(high[0])), (float(low[1]), float(high[1])),
                       float(worst))
 

@@ -85,7 +85,9 @@ class RatioProblem:
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of ``mat`` in columns, at scipy's rank cut-off."""
-    return np.linalg.svd(mat)[2][np.linalg.matrix_rank(mat):].T
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(mat.shape) * np.finfo(float).eps))
+    return vh[rank:].T
 
 
 @dataclass

@@ -476,12 +476,12 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
     i, j = np.triu_indices(9, 1)
     p, q = np.triu_indices(f.SPIN9_DIM, 1)
     spin9 = (inv[i] @ inv[j])[:, p, q]
-    gram, annihilated = np.zeros((size, size)), 0.0
-    # Gram matrix and I_i I_j products over dense 1024-column blocks, the last zero-padded
-    for start in range(0, width, 1024):
-        live = (cols >= start) & (cols < start + 1024)
-        action = np.bincount(rows[live] * 1024 + cols[live] - start, values[live],
-                             minlength=size * 1024).reshape(size, 1024)
+    gram, annihilated, step = np.zeros((size, size)), 0.0, octonion.MUL_BLOCK_ROWS
+    # Gram matrix and I_i I_j products over dense blocks of ``step`` columns, the last zero-padded
+    for start in range(0, width, step):
+        live = (cols >= start) & (cols < start + step)
+        action = np.bincount(rows[live] * step + cols[live] - start, values[live],
+                             minlength=size * step).reshape(size, step)
         gram += action @ action.T
         annihilated = max(annihilated, float(np.abs(spin9 @ action).max()))
     stabilizer = size - np.linalg.matrix_rank(gram)

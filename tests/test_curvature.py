@@ -16,6 +16,7 @@ from cayleykit.curvature import (
     bivector,
     bivector_matrix,
     pinch_extremes,
+    roundtrip_residual,
     sweep_planes,
     symmetry_residual,
 )
@@ -201,8 +202,9 @@ def test_warm_sweep_reuses_its_block_arrays():
 def test_sectional_from_operator_matches_formula():
     x, y = RNG.standard_normal((2, 200, N))
     direct = FORMULA.plane_value(x, y)
-    via_op = OP.sectional(x, y)
-    assert np.nanmax(np.abs(direct - via_op)) <= 1e-9
+    gram = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1) - np.sum(x * y, axis=-1) ** 2
+    assert np.nanmax(np.abs(direct - OP.quadratic(x, y) / gram)) <= 1e-9
+    assert roundtrip_residual(OP, x, y, gram, direct, np.empty((2, 200, len(PAIRS)))) <= 1e-9
 
 
 def test_operator_forms_match_einsum_oracle():

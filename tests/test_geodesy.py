@@ -149,17 +149,22 @@ def test_inverse_iteration_matches_bisection():
         assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), abs=1e-10)
 
 
-def test_inverse_iteration_steps_on_the_crosscheck_problem_and_a_slow_one(monkeypatch):
-    # each step divides the error by (lam2 - 121) / (lam1 - 121): at (8, 2000) it settles in
-    # 12 solves, while at (40, 2000), where lam1 sits close to 121, the 100-step cap raises
+def test_inverse_iteration_settles_quickly_on_the_crosscheck_problem(monkeypatch):
+    # each step divides the error by (lam2 - 121) / (lam1 - 121); at (8, 2000) that took 12
+    # solves, the exact count depending on how the LAPACK build rounds near the four-ulp stop
     real, steps = scipy.linalg.lapack.dpttrs, []
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", lambda *args: steps.append(1) or real(*args))
     d, e = SturmLiouvilleProblem(8.0, 2000).tridiagonal()
     assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), rel=1e-12)
-    assert len(steps) == 12
-    with pytest.raises(np.linalg.LinAlgError, match="no convergence in 100 steps"):
-        inverse_iteration(*SturmLiouvilleProblem(40.0, 2000).tridiagonal())
-    assert len(steps) == 112
+    assert len(steps) <= 20
+
+
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
+                   reason="at (40, 2000) lam1 sits so close to the shift 121 that the error "
+                          "falls too slowly for the 100-step cap")
+def test_inverse_iteration_converges_at_large_radius():
+    d, e = SturmLiouvilleProblem(40.0, 2000).tridiagonal()
+    assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), rel=1e-12)
 
 
 def test_sturm_count_locates_spectrum():
