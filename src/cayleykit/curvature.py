@@ -141,10 +141,6 @@ class CurvatureOperator:
 
     matrix: np.ndarray
 
-    def tensor(self, x, y, z, w):
-        """<R(x ^ y), z ^ w> (batched)."""
-        return _dot(bivector(x, y) @ self.matrix, bivector(z, w))
-
     def quadratic(self, x, y, out=None, work=None):
         """<R(x ^ y), x ^ y> (batched), through ``out`` and ``work`` as in ``bivector``."""
         v = bivector(x, y, out, work)
@@ -181,12 +177,6 @@ def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: in
     total = sum(np.einsum("sab,sa->sb", bivector_matrix(bivector(u, v) @ op.matrix), t)
                 for u, v, t in ((x, y, z), (z, x, y), (y, z, x)))
     return float(np.abs(total).max())
-
-
-def symmetry_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int) -> float:
-    """Residual of the pair symmetry R(x,y,z,w) = R(z,w,x,y) on random data."""
-    x, y, z, w = rng.uniform(-1.0, 1.0, (4, trials, N))
-    return float(np.abs(op.tensor(x, y, z, w) - op.tensor(z, w, x, y)).max())
 
 
 def roundtrip_residual(op: CurvatureOperator, x, y, gram, direct, work) -> float:

@@ -41,9 +41,8 @@ SPECTRUM_BOTTOM = 121.0
 # relative Richardson error above which a spectrum estimate is unconverged;
 # also the tolerance of the ``geodesy.spectrum-bottom`` check
 TOL_SPECTRAL = 0.005
-# relative accuracy and recursion cap of ``adaptive_simpson``
-SIMPSON_TOL = 1e-10
-SIMPSON_MAX_DEPTH = 48
+# Gauss-Legendre nodes of ``index_form``; twice as many give its error estimate
+QUAD_NODES = 12
 INVERSE_STEPS = 100  # step cap of ``inverse_iteration``
 # height and finite-difference step of the warped-metric evaluation
 WARP_HEIGHT = 0.7
@@ -77,6 +76,15 @@ def hessian_eigenvalue(c: float, L: float) -> float:
     return c / math.tanh(c * L)
 
 
+def index_form(c: float, L: float, nodes: int) -> float:
+    """Index form int_0^L (f'^2 + c^2 f^2) dt of the Jacobi profile f, by ``nodes``-point
+    Gauss-Legendre; ``hessian_eigenvalue`` is its closed form."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * L * (x + 1.0)
+    slope = c * np.cosh(c * t) / math.sinh(c * L)
+    return 0.5 * L * float(w @ (slope**2 + c**2 * jacobi_profile(c, L, t) ** 2))
+
+
 def log_sinh(x):
     """log(sinh x) for x > 0 without overflow.
 
@@ -103,41 +111,6 @@ def log_area(r):
 
 def area(r):
     return np.exp(log_area(r))
-
-
-def adaptive_simpson(f, a: float, b: float) -> tuple[float, int]:
-    """Recursive adaptive Simpson quadrature: the integral and the unmet count.
-
-    The acceptance test scales the tolerance by the local magnitude, so
-    integrands spanning many orders (the area element grows like e^{22r})
-    terminate at roughly relative accuracy ``SIMPSON_TOL`` instead of
-    chasing an unreachable absolute target.  The unmet count is the number
-    of intervals accepted at ``SIMPSON_MAX_DEPTH`` without meeting that
-    test; a caller fails on any.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(x0, xm, f0, flm, f1)
-        right = simpson(xm, x2, f1, frm, f2)
-        delta = left + right - whole
-        met = abs(delta) <= 15.0 * eps * (1.0 + abs(left + right))
-        if met or depth <= 0:
-            return left + right + delta / 15.0, int(not met)
-        lval, lunmet = recurse(x0, xm, f0, flm, f1, left, eps / 2.0, depth - 1)
-        rval, runmet = recurse(xm, x2, f1, frm, f2, right, eps / 2.0, depth - 1)
-        return lval + rval, lunmet + runmet
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, SIMPSON_TOL, SIMPSON_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------

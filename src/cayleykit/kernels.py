@@ -6,16 +6,16 @@ basis vector along the gradient), the quantity of interest is
     ratio(a) = sum_ij a_ij^2 / sum_j a_1j^2,
 
 minimized over the trace-free matrices satisfying the linear constraints
-extracted from a parallel form.  The minimum is computed twice:
+extracted from a parallel form.  The minimum is found twice:
 
-* closed form, by the block Cauchy-Schwarz argument: a constraint tying
-  a_11 to k other diagonal entries forces ratio >= 1 + 1/k, attained by
-  diag(-k mu, mu, ..., mu, 0, ...) up to scale;
 * numerically, as the extreme generalized eigenvalue of the two quadratic
-  forms restricted to the constraint subspace.
+  forms restricted to the constraint subspace;
+* exactly, by ``certify_ratio``: that eigenvalue, read as a small
+  rational r, is proved minimal by an elimination in ``Fraction`` showing
+  that P - r Q is positive semidefinite and singular on the feasible space.
 
-A disagreement beyond 1e-8 raises, and a run reports it as the failed
-check ``kernels.crashed``; nothing is averaged away.  The sharp
+A candidate the certificate rejects raises, and a run reports it as the
+failed check ``kernels.crashed``; nothing is averaged away.  The sharp
 ratio 1 + b sets the exponent of the Kato-type transform g = h^{1-b}, the
 one exponent for which the gradient term of the Bochner inequality
 vanishes identically; what remains is the drift constant |Ric| (1 - b),
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import octonion
+from .forms import MAX_DENOMINATOR
 
 MODEL_RICCI = -36.0
 # entries of a scaled minimizer below this are noise
@@ -66,7 +66,11 @@ class RatioProblem:
         return ~self.constraint_rows().any(axis=0)
 
     def nullspace(self) -> np.ndarray:
-        return _null_space(self.constraint_rows())
+        """Orthonormal null-space basis of the constraint rows in columns, at scipy's rank cut-off."""
+        rows = self.constraint_rows()
+        _, s, vh = np.linalg.svd(rows)
+        rank = int(np.sum(s > s.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps))
+        return vh[rank:].T
 
     def matrix_from_coordinates(self, vec: np.ndarray) -> np.ndarray:
         upper = np.triu_indices(self.n)
@@ -83,13 +87,6 @@ class RatioProblem:
         return float(np.sum(a * a) / denom)
 
 
-def _null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis of ``mat`` in columns, at scipy's rank cut-off."""
-    _, s, vh = np.linalg.svd(mat)
-    rank = int(np.sum(s > s.max(initial=0.0) * max(mat.shape) * np.finfo(float).eps))
-    return vh[rank:].T
-
-
 @dataclass
 class KernelResult:
     ratio: float
@@ -97,48 +94,75 @@ class KernelResult:
     minimizer: np.ndarray
     drift: float
     eigen_ratio: float
-    closed_ratio: float
 
 
-def _closed_form(problem: RatioProblem) -> tuple[float, np.ndarray]:
-    """Best Cauchy-Schwarz block bound over constraints containing a_11.
+def _exact(x: float) -> Fraction:
+    """A row entry as the fraction ``ConstraintSet`` snapped it to."""
+    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
+    if float(frac) != x:
+        raise ValueError(f"constraint entry {x!r} is not a fraction of denominator <= {MAX_DENOMINATOR}")
+    return frac
 
-    Scans diagonal-only constraint rows through a_11; the row with the
-    fewest partners gives the largest bound 1 + 1/k, and its structured
-    minimizer must satisfy every other constraint.
+
+def _exact_null_space(rows: list[list[Fraction]], width: int) -> list[dict[int, Fraction]]:
+    """Null-space basis of ``rows`` by Gauss-Jordan elimination, one sparse vector
+    {column: value} per non-pivot column."""
+    pivots: list[int] = []
+    for col in range(width):
+        hit = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[hit] = rows[hit], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    basis = []
+    for col in sorted(set(range(width)) - set(pivots)):
+        vec = {pc: -rows[i][col] for i, pc in enumerate(pivots) if rows[i][col]}
+        vec[col] = Fraction(1)
+        basis.append(vec)
+    return basis
+
+
+def certify_ratio(problem: RatioProblem, r: Fraction) -> str | None:
+    """Exact proof that ``r`` is the minimal ratio: None if it is, else why it is not.
+
+    The free coordinates of denominator weight 0 only add to the numerator, so they
+    are dropped.  On the others, an exact basis B of the feasible space gives
+    M = B^T (P - r Q) B, and a symmetric elimination of M decides: a negative pivot,
+    or a zero pivot with a nonzero remaining row, puts r above the minimum; no zero
+    pivot at all (M positive definite) puts it below.  A semidefinite singular M
+    proves r minimal: P is positive definite, so a kernel vector has Q > 0 and
+    attains r.
     """
-    rows = problem.constraint_rows()
-    upper = np.triu_indices(problem.n)
-    on_diagonal = upper[0] == upper[1]
-    best = None
-    for row in rows[~rows[:, ~on_diagonal].any(axis=1)]:
-        diagonal = row[on_diagonal]
-        if diagonal[0] == 0.0:
+    p, q = problem.quadratic_weights()
+    keep = ~(problem.free_coordinates() & (q == 0))
+    rows = [[_exact(x) for x in row] for row in problem.constraint_rows()[:, keep]]
+    basis = _exact_null_space(rows, int(keep.sum()))
+    diag = [Fraction(pk) - r * Fraction(qk) for pk, qk in zip(p[keep], q[keep])]
+    m = [[sum(diag[c] * u * bj[c] for c, u in bi.items() if c in bj) for bj in basis]
+         for bi in basis]
+    singular = False
+    for k, row in enumerate(m):
+        if row[k] < 0:
+            return f"{r} is above the minimum: pivot {k} of B^T (P - r Q) B is negative"
+        if row[k] == 0:
+            if any(row[k + 1:]):
+                return f"{r} is above the minimum: pivot {k} of B^T (P - r Q) B is zero, its row not"
+            singular = True
             continue
-        partners = np.flatnonzero(diagonal[1:]) + 1
-        weights = diagonal[partners] / diagonal[0]
-        # equal weights are required for the Schwarz step to be sharp
-        if not partners.size or np.abs(weights - 1.0).max() > 1e-12:
-            continue
-        cand = np.zeros((problem.n, problem.n))
-        cand[0, 0] = -float(partners.size)
-        cand[partners, partners] = 1.0 / weights
-        if np.abs(rows @ cand[upper]).max() >= 1e-9:
-            continue
-        bound = 1.0 + 1.0 / partners.size
-        if best is None or bound > best[0]:
-            best = (bound, cand)
-    if best is None:
-        raise ValueError("no diagonal constraint through a_11")
-    return best
+        for below in m[k + 1:]:
+            if below[k]:
+                factor = below[k] / row[k]
+                below[k + 1:] = [x - factor * y if y else x for x, y in zip(below[k + 1:], row[k + 1:])]
+    return None if singular else f"{r} is below the minimum: B^T (P - r Q) B is positive definite"
 
 
 def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
-    """Minimal ratio by the generalized eigenvalue route alone.
-
-    No cross-check; use for probing nonstandard constraint sets where
-    the structured closed form does not apply.
-    """
+    """Minimal ratio by the generalized eigenvalue route alone, with no certificate."""
     basis = problem.nullspace()
     if basis.shape[1] == 0:
         raise ValueError("constraints leave no feasible matrix")
@@ -159,29 +183,24 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
 
 
 def min_bochner_ratio(problem: RatioProblem) -> KernelResult:
-    """Sharp minimal ratio with the dual-route cross-check.
+    """Sharp minimal ratio: the eigenvalue route, read as a small rational, certified.
 
-    Raises if the eigenvalue route and the closed form disagree beyond
-    1e-8, or if the constraints force the denominator to vanish.
+    Raises if the eigenvalue is no small rational or the certificate rejects it, or if
+    the constraints force the denominator to vanish.
     """
     eigen_ratio, minimizer = rayleigh_ratio(problem)
-    closed_ratio, closed_minimizer = _closed_form(problem)
-    if abs(closed_ratio - eigen_ratio) > 1e-8:
-        raise ArithmeticError(
-            f"ratio routes disagree: closed {closed_ratio!r} vs eigen {eigen_ratio!r}"
-        )
-    rational = Fraction(eigen_ratio).limit_denominator(64)
+    rational = Fraction(eigen_ratio).limit_denominator(MAX_DENOMINATOR)
     if abs(float(rational) - eigen_ratio) > 1e-9:
         raise ArithmeticError(f"minimal ratio {eigen_ratio!r} is not a small rational")
-    ratio = float(rational)
-    transform = kato_transform(ratio)
+    reason = certify_ratio(problem, rational)
+    if reason is not None:
+        raise ArithmeticError(f"eigen route {eigen_ratio!r} not certified: {reason}")
     return KernelResult(
-        ratio=ratio,
+        ratio=float(rational),
         rational=rational,
         minimizer=minimizer,
-        drift=transform.drift,
+        drift=kato_transform(rational).drift,
         eigen_ratio=eigen_ratio,
-        closed_ratio=closed_ratio,
     )
 
 
@@ -220,7 +239,7 @@ class KatoTransform:
     degenerate: bool
 
 
-def kato_transform(ratio: float) -> KatoTransform:
+def kato_transform(ratio: Fraction) -> KatoTransform:
     """Exponent and drift of g = h^{1-b} for the sharp ratio 1 + b.
 
     Substituting Delta h >= b |grad h|^2 / h - |Ric| h into
@@ -228,49 +247,14 @@ def kato_transform(ratio: float) -> KatoTransform:
 
         Delta g >= k (b + k - 1) h^{k-2} |grad h|^2 - k |Ric| g,
 
-    and k = 1 - b makes the gradient coefficient vanish identically.  b
-    and |Ric| = |MODEL_RICCI| are taken as small rationals, so exponent and
-    drift are the exact fractions rounded once.  ratio = 2 means k = 0:
-    flagged degenerate.
+    and k = 1 - b makes the gradient coefficient vanish identically.  For an
+    exact ratio, k and the drift k |MODEL_RICCI| are exact fractions, rounded
+    once.  ratio = 2 means k = 0: flagged degenerate.
     """
-    if not 1.0 < ratio <= 2.0:
+    if not 1 < ratio <= 2:
         raise ValueError("ratio must lie in (1, 2]")
-    b = Fraction(ratio - 1.0).limit_denominator(64)
-    k = 1 - b
+    k = 2 - ratio
     if k == 0:
         return KatoTransform(exponent=0.0, drift=0.0, degenerate=True)
-    drift = float(k * Fraction(abs(MODEL_RICCI)).limit_denominator(64))
-    return KatoTransform(exponent=float(k), drift=drift, degenerate=False)
-
-
-def sharpness_sample(problem: RatioProblem, result: KernelResult,
-                     rng: np.random.Generator, samples: int) -> dict:
-    """Empirical check that no feasible matrix beats the minimal ratio.
-
-    Samples are isotropic Gaussians on the feasible space, null(C[:, ~F]) x R^F for
-    the coordinates F no constraint row touches.  Grouped by their weights (w_p, w_q)
-    in the numerator and the denominator, each class of k free coordinates adds w_p X
-    to the one and w_q X to the other, X ~ chi^2(k).  The normals of the constrained
-    part and the chi-square variates come from two streams spawned off ``rng``, drawn
-    in blocks of ``octonion.MUL_BLOCK_ROWS`` rows that continue each stream, so the
-    counts do not depend on the block size.
-    """
-    free = problem.free_coordinates()
-    basis = _null_space(problem.constraint_rows()[:, ~free])
-    weights = np.stack(problem.quadratic_weights(), axis=1)  # (numerator, denominator) columns
-    classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
-    normal_rng, chi_rng = rng.spawn(2)
-    step = min(octonion.MUL_BLOCK_ROWS, samples)
-    normals = np.empty((step, basis.shape[1]))
-    squares = np.empty((step, basis.shape[0]))
-    feasible = violations = 0
-    for start in range(0, samples, step):
-        rows = min(step, samples - start)
-        normal_rng.standard_normal(out=normals[:rows])
-        np.square(np.matmul(normals[:rows], basis.T, out=squares[:rows]), out=squares[:rows])
-        chi = chi_rng.chisquare(sizes, (rows, sizes.size))
-        num, den = (squares[:rows] @ weights[~free] + chi @ classes).T
-        good = den > 1e-12 * num
-        feasible += int(np.sum(good))
-        violations += int(np.sum(num[good] / den[good] < result.ratio - 1e-12))
-    return {"samples": feasible, "violations": violations}
+    return KatoTransform(exponent=float(k), drift=float(k * abs(Fraction(MODEL_RICCI))),
+                         degenerate=False)

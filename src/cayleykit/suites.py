@@ -15,6 +15,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial, reduce
 
 import numpy as np
@@ -327,7 +328,7 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
             "mirrored reading <ba,dc> on the same planes")
 
     # the spin(9) closed form; with first-bianchi, the roundtrip identifies it with the formula
-    out.add("curvature.operator-pair-symmetry", curvature.symmetry_residual(op, rng, trials=500),
+    out.add("curvature.operator-pair-symmetry", float(np.abs(op.matrix - op.matrix.T).max()),
             TOL_ALGEBRA)
     out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), TOL_ALGEBRA)
     out.add("curvature.operator-roundtrip", sweep.roundtrip, TOL_MODEL)
@@ -379,18 +380,14 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.consistency-triangle", tri, TOL_NUMERIC,
             "closed form vs index-form sum vs area derivative")
 
-    quad = 0.0
-    capped = 0
+    quad = gap = 0.0
     for c, _ in g.CLASSES:
         for L in (1.0, 2.0):
-            def energy(t, c=c, L=L):
-                fp = c * np.cosh(c * t) / np.sinh(c * L)
-                return float(fp**2 + c**2 * g.jacobi_profile(c, L, t) ** 2)
-            value, unmet = g.adaptive_simpson(energy, 0.0, L)
+            value = g.index_form(c, L, g.QUAD_NODES)
             quad = max(quad, abs(value - g.hessian_eigenvalue(c, L)))
-            capped += unmet
-    out.add("geodesy.jacobi-index-form", quad if capped == 0 else 1.0, TOL_NUMERIC,
-            f"{capped} intervals accepted at the depth cap above tolerance")
+            gap = max(gap, abs(g.index_form(c, L, 2 * g.QUAD_NODES) - value))
+    out.add("geodesy.jacobi-index-form", quad if gap <= TOL_NUMERIC else 1.0, TOL_NUMERIC,
+            f"{g.QUAD_NODES}-node Gauss-Legendre, {gap:.1e} off {2 * g.QUAD_NODES} nodes")
 
     grow = abs(g.log_area(50.0) / 50.0 - 22.0) / 22.0
     small = abs(g.area(1e-3) / (2.0**7 * (1e-3) ** 15) - 1.0)
@@ -509,28 +506,28 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
 
 
 def suite_kernels(cfg: RunConfig) -> SuiteResult:
-    rng = cfg.suite_rng("kernels")
     out = SuiteResult("kernels")
     k = kernels
     f = forms
 
     prob9 = k.RatioProblem(16, f.standard_constraints("spin9").rows)
     r9 = k.min_bochner_ratio(prob9)
-    cross = abs(r9.eigen_ratio - r9.closed_ratio)
+    cross = abs(r9.eigen_ratio - r9.ratio)
     out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, TOL_MODEL,
-            f"minimal ratio 8/7, routes agree to {cross:.2e}")
+            f"minimal ratio 8/7 certified, eigen route off by {cross:.2e}")
 
     canon = k.canonical_minimizer(r9.minimizer)
     want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
-    out.add("kernels.spin9-minimizer", float(np.abs(canon - want).max()), TOL_MODEL,
-            "diag(-7 mu, mu I7, 0_8) up to scale")
+    attained = abs(prob9.objective(r9.minimizer) - r9.ratio)
+    out.add("kernels.spin9-minimizer", max(float(np.abs(canon - want).max()), attained), TOL_MODEL,
+            "diag(-7 mu, mu I7, 0_8) up to scale, attaining 8/7")
 
     res = 0.0
     for n in (2, 4):
         cs = f.standard_constraints("kahler", n)
         rk = k.min_bochner_ratio(k.RatioProblem(cs.n, cs.rows))
         res = max(res, abs(rk.ratio - 2.0))
-        deg = k.kato_transform(rk.ratio)
+        deg = k.kato_transform(rk.rational)
         if not deg.degenerate:
             res = max(res, 1.0)
     out.add("kernels.ratio-kahler", res, TOL_MODEL, "ratio 2, transform degenerate")
@@ -542,12 +539,10 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
         res = max(res, abs(rq.ratio - 4.0 / 3.0), abs(rq.drift - 24.0))
     out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
 
-    sample = k.sharpness_sample(prob9, r9, rng, samples=cfg.trials)
-    attained = abs(prob9.objective(r9.minimizer) - r9.ratio)
-    residual = float(sample["violations"]) + min(attained, 1.0)
-    found = ("none below 8/7; minimizer attains" if residual <= TOL_MODEL else
-             f"{sample['violations']} below 8/7; minimizer off by {attained:.1e}")
-    out.add("kernels.sharpness", residual, TOL_MODEL, f"{sample['samples']} feasible samples, {found}")
+    # the claim itself, not the eigen route's candidate
+    reason = k.certify_ratio(prob9, Fraction(8, 7))
+    out.add("kernels.sharpness", 0.0 if reason is None else 1.0, 0.0,
+            reason or "8/7 exact: P - 8/7 Q semidefinite and singular on the feasible space")
 
     extra = np.vstack([prob9.rows, f.diagonal_rows(16, [(1, 9)])])
     tightened, _ = k.rayleigh_ratio(k.RatioProblem(16, extra))
@@ -555,7 +550,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     out.add("kernels.constraint-monotonicity", mono, 0.5,
             f"extra constraint moves the ratio to {tightened:.6f}")
 
-    kt = k.kato_transform(r9.ratio)
+    kt = k.kato_transform(r9.rational)
     trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0))
     out.add("kernels.kato-transform", trans, TOL_IDENTITY, "exponent 6/7, drift 216/7")
 

@@ -13,9 +13,8 @@ over the full n x n grid of index pairs, dead terms included: an oracle for
 which terms the live-pair enumeration keeps, on the same sign kernels.
 The batched kernels (octonion product, curvature operator forms) are
 restated as single three-operand ``einsum`` contractions with no BLAS call
-and no blocking.  The sharpness sampler has two oracles: its reduced scheme
-as one unblocked draw, and the full draw of one normal per feasible
-dimension, the independent route for the chi-square reduction.  The Clifford
+and no blocking.  ``sharpness_full_draw`` samples the feasible space of a
+ratio problem, a Monte Carlo cross-check of the exact certificate.  The Clifford
 involutions come from octonion products of the basis vectors, and the
 Cayley form Phi from them through plain dicts and ``wedge`` on one-row
 batches, squaring each psi over all its term pairs.  The curvature operator
@@ -29,7 +28,6 @@ import math
 
 import numpy as np
 
-from cayleykit import kernels
 from cayleykit.curvature import CurvatureOperator
 from cayleykit.exterior import epsilon, hodge, indices_of, interior, mask_of, residual, wedge
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
@@ -276,14 +274,6 @@ def frame_matrix(matrix, vecs):
     return np.einsum("ai,ij,bj->ab", vecs, matrix, vecs)
 
 
-def _sharpness_counts(num, den, ratio):
-    good = den > 1e-12 * num
-    return {
-        "samples": int(np.sum(good)),
-        "violations": int(np.sum(num[good] / den[good] < ratio - 1e-12)),
-    }
-
-
 def dense_action(triplets, shape):
     """The dense matrix of ``forms.so_action``'s triplets, a repeated entry summed."""
     rows, cols, values = triplets
@@ -292,26 +282,16 @@ def dense_action(triplets, shape):
     return dense
 
 
-def sharpness_one_shot(problem, result, rng, samples):
-    """``kernels.sharpness_sample`` as one unblocked draw of its reduced scheme: normals
-    on the coordinates a constraint row touches, one chi-square variate per weight class
-    of the others."""
-    rows = problem.constraint_rows()
-    weights = np.stack(problem.quadratic_weights(), axis=1)
-    free = ~rows.any(axis=0)
-    basis = kernels._null_space(rows[:, ~free])
-    classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
-    normal_rng, chi_rng = rng.spawn(2)
-    vecs = normal_rng.standard_normal((samples, basis.shape[1])) @ basis.T
-    chi = chi_rng.chisquare(sizes, (samples, sizes.size))
-    num, den = ((vecs * vecs) @ weights[~free] + chi @ classes).T
-    return _sharpness_counts(num, den, result.ratio)
-
-
-def sharpness_full_draw(problem, result, rng, samples):
-    """The sharpness sample without the reduction: one standard normal per
-    dimension of the whole feasible space, mapped through its basis."""
+def sharpness_full_draw(problem, ratio, rng, samples):
+    """Feasible samples and those below ``ratio``: one standard normal per dimension of
+    the whole feasible space, mapped through its basis."""
     basis = problem.nullspace()
     weights_p, weights_q = problem.quadratic_weights()
     vecs = rng.standard_normal((samples, basis.shape[1])) @ basis.T
-    return _sharpness_counts((vecs * vecs) @ weights_p, (vecs * vecs) @ weights_q, result.ratio)
+    num, den = (vecs * vecs) @ weights_p, (vecs * vecs) @ weights_q
+    good = den > 1e-12 * num
+    return {
+        "samples": int(np.sum(good)),
+        "violations": int(np.sum(num[good] / den[good] < ratio - 1e-12)),
+    }
+

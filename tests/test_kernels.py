@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -13,13 +12,13 @@ from cayleykit.geodesy import SPECTRUM_BOTTOM
 from cayleykit.kernels import (
     RatioProblem,
     canonical_minimizer,
+    certify_ratio,
     kato_transform,
     min_bochner_ratio,
     rayleigh_ratio,
-    sharpness_sample,
     vanishing_threshold,
 )
-from cayleykit.octonion import MUL_BLOCK_ROWS, mul_arrays
+from cayleykit.octonion import mul_arrays
 
 RNG = np.random.default_rng(57721566)
 
@@ -29,10 +28,8 @@ SPIN9_RESULT = min_bochner_ratio(SPIN9)
 
 def test_spin9_ratio_exact():
     r = SPIN9_RESULT
-    assert r.rational == Fraction(8, 7)
+    assert r.rational == Fraction(8, 7) and r.ratio == 8.0 / 7.0
     assert abs(r.eigen_ratio - 8.0 / 7.0) <= 1e-9
-    assert abs(r.closed_ratio - 8.0 / 7.0) <= 1e-12
-    assert abs(r.eigen_ratio - r.closed_ratio) <= 1e-9
 
 
 def test_spin9_minimizer_canonical_form():
@@ -87,22 +84,53 @@ def test_objective_rejects_vanishing_row():
 
 
 def test_sharpness_sampling_never_beats_minimum():
-    sample = sharpness_sample(SPIN9, SPIN9_RESULT, RNG, samples=100000)
-    assert sample["samples"] == 100000
+    # a Monte Carlo cross-check of the certificate, on the whole feasible space
+    sample = oracles.sharpness_full_draw(SPIN9, 8.0 / 7.0, RNG, samples=20_000)
+    assert sample["samples"] == 20_000
     assert sample["violations"] == 0
 
 
-def test_blocked_sharpness_matches_one_shot_draw():
-    samples = 2 * MUL_BLOCK_ROWS + 7
-    # random feasible ratios centre near 16: a claimed minimum there makes
-    # about half the samples violations, so both counts are exercised
-    for result in (SPIN9_RESULT, dataclasses.replace(SPIN9_RESULT, ratio=16.0)):
-        blocked_rng, one_shot_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = sharpness_sample(SPIN9, result, blocked_rng, samples=samples)
-        assert got == oracles.sharpness_one_shot(SPIN9, result, one_shot_rng, samples)
-        assert blocked_rng.bit_generator.state == one_shot_rng.bit_generator.state
-        assert np.array_equal(blocked_rng.standard_normal(5), one_shot_rng.standard_normal(5))
-    assert 0 < got["violations"] < samples
+CERTIFIED = (
+    (SPIN9, Fraction(8, 7)),
+    *((RatioProblem(2 * n, standard_constraints("kahler", n).rows), Fraction(2)) for n in (2, 4)),
+    *((RatioProblem(4 * n, standard_constraints("quaternionic", n).rows), Fraction(4, 3))
+      for n in (1, 2)),
+    (RatioProblem(4, np.zeros((0, 10))), Fraction(4, 3)),
+)
+
+
+@pytest.mark.parametrize("problem, ratio", CERTIFIED)
+def test_certificate_proves_the_sharp_ratio_and_nothing_near_it(problem, ratio):
+    assert certify_ratio(problem, ratio) is None
+    eps = Fraction(1, 10**9)
+    above, below = certify_ratio(problem, ratio + eps), certify_ratio(problem, ratio - eps)
+    assert above.startswith(f"{ratio + eps} is above the minimum: pivot ")
+    assert below == f"{ratio - eps} is below the minimum: B^T (P - r Q) B is positive definite"
+
+
+def test_certificate_sees_a_zero_pivot_with_a_live_row():
+    # a_00 + a_01 = 0 on 3 x 3: the free a_02 alone gives ratio 2, the block of a_11 and
+    # a_22 gives 7/4; at r = 2 the first pivot is zero and decoupled, the block's is zero
+    # with a nonzero row, so 2 is not the minimum although M is singular there
+    prob = RatioProblem(3, np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]))
+    assert min_bochner_ratio(prob).rational == Fraction(7, 4)
+    assert certify_ratio(prob, Fraction(2)) == (
+        "2 is above the minimum: pivot 1 of B^T (P - r Q) B is zero, its row not")
+
+
+def test_certificate_reads_rows_as_snapped_fractions():
+    # a_00 + a_11 / 3 = 0: the float 1/3 reads back as the fraction; 0.1 + 1e-12 is none
+    third = RatioProblem(3, np.array([[1.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 0.0]]))
+    assert min_bochner_ratio(third).rational == 2 and certify_ratio(third, Fraction(2)) is None
+    off = RatioProblem(3, np.array([[1.0, 0.0, 0.0, 0.1 + 1e-12, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="not a fraction"):
+        certify_ratio(off, Fraction(2))
+
+
+def test_certificate_rejection_is_a_crash_of_min_bochner_ratio(monkeypatch):
+    monkeypatch.setattr("cayleykit.kernels.certify_ratio", lambda problem, r: "refused")
+    with pytest.raises(ArithmeticError, match="not certified: refused"):
+        min_bochner_ratio(SPIN9)
 
 
 def test_spin9_free_coordinates_are_the_off_diagonal_entries():
@@ -120,36 +148,16 @@ def test_spin9_free_coordinates_are_the_off_diagonal_entries():
     assert np.linalg.matrix_rank(SPIN9.constraint_rows()[:, ~free]) == 2
 
 
-@pytest.mark.parametrize("ratio", [12.0, 16.0, 24.0])
-def test_reduced_sharpness_matches_full_draw_in_distribution(ratio):
-    samples = 50_000
-    result = dataclasses.replace(SPIN9_RESULT, ratio=ratio)
-    reduced = sharpness_sample(SPIN9, result, np.random.default_rng(21), samples)
-    full = oracles.sharpness_full_draw(SPIN9, result, np.random.default_rng(22), samples)
-    assert reduced["samples"] == full["samples"] == samples
-    fractions = [count["violations"] / samples for count in (reduced, full)]
-    pooled = sum(fractions) / 2.0
-    sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / samples)
-    assert 0.0 < pooled < 1.0
-    assert abs(fractions[0] - fractions[1]) <= 5.0 * sigma
-
-
 def test_batched_kernels_peak_memory():
-    """Traced peaks follow the block sizes, not the number of rows."""
+    """The traced peak of the octonion product follows its block size, not the number of rows."""
     rng = np.random.default_rng(5)
     a, b = rng.uniform(-1.0, 1.0, (2, 200_000, 8))
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
-        sharpness_sample(SPIN9, SPIN9_RESULT, rng, samples=200_000)
-        sample_peak = tracemalloc.get_traced_memory()[1]
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
         out = mul_arrays(a, b)
-        mul_peak = tracemalloc.get_traced_memory()[1] - base
+        mul_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sample_peak < 32 * 2**20
     assert mul_peak < 4 * out.nbytes
 
 
@@ -171,16 +179,15 @@ def test_trace_only_problem_hits_closed_form():
 
 
 def test_kato_transform_values():
-    t = kato_transform(8.0 / 7.0)
-    assert t.exponent == pytest.approx(6.0 / 7.0, abs=1e-15)
-    assert float(t.drift) == pytest.approx(216.0 / 7.0, abs=1e-12)
+    # exact ratios give the exact fractions rounded once
+    t = kato_transform(Fraction(8, 7))
+    assert t.exponent == 6.0 / 7.0 and t.drift == 216.0 / 7.0
     assert not t.degenerate
 
-    q = kato_transform(4.0 / 3.0)
-    assert q.exponent == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert float(q.drift) == pytest.approx(24.0, abs=1e-12)
+    q = kato_transform(Fraction(4, 3))
+    assert q.exponent == 2.0 / 3.0 and q.drift == 24.0
 
-    degen = kato_transform(2.0)
+    degen = kato_transform(Fraction(2))
     assert degen.degenerate
     assert degen.exponent == 0
     assert float(degen.drift) == 0.0
@@ -188,9 +195,9 @@ def test_kato_transform_values():
 
 def test_kato_transform_validation():
     with pytest.raises(ValueError):
-        kato_transform(1.0)
+        kato_transform(Fraction(1))
     with pytest.raises(ValueError):
-        kato_transform(2.5)
+        kato_transform(Fraction(5, 2))
 
 
 def test_vanishing_thresholds():

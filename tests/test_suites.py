@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -102,6 +103,9 @@ def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
 def test_model_faults_fail_named_checks(monkeypatch):
     # each model fault is one patched constant or function and must fail exactly these checks
     real_matrices = octonion.product_matrices
+    twisted = suites.curvature.assemble_operator().matrix.copy()
+    twisted[0, 1] += 1e-6
+    twisted[1, 0] -= 1e-6
     faults = (
         (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), "geodesy",
          ("distance-laplacian-value", "distance-laplacian-limits", "area-volume",
@@ -116,6 +120,11 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (octonion, "product_matrices",
          lambda x, table=None, left=False: real_matrices(x, table, not left),
          "curvature", ("operator-roundtrip", "pinch-search")),
+        # an antisymmetric part, which no quadratic form sees: the roundtrip passes, and what
+        # reads the matrix itself fails
+        (suites.curvature, "assemble_operator", lambda: suites.curvature.CurvatureOperator(twisted),
+         "curvature", ("operator-pair-symmetry", "first-bianchi", "einstein-constant",
+                       "radial-spectrum", "pinch-search")),
     )
     for owner, name, value, suite, expected in faults:
         with monkeypatch.context() as patch:
@@ -140,13 +149,20 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
         (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(4.0, 6.0)))).checks
                     if c.check == "geodesy.spectrum-domain-monotone"]
     assert check.note == "Dirichlet values do not decrease with R; lowest 129.000000, above 121"
-    monkeypatch.setattr(suites.kernels, "sharpness_sample",
-                        lambda *args, **kwargs: {"samples": 90, "violations": 3})
-    (check,) = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks
-                if c.check == "kernels.sharpness"]
-    assert not check.passed
-    assert check.note.startswith("90 feasible samples, 3 below 8/7; minimizer off by ")
-    assert float(check.note.rsplit(" ", 1)[1]) <= 1e-9
+    real_certify = suites.kernels.certify_ratio
+    claims = []
+
+    def refuse_the_claim(problem, r):
+        # min_bochner_ratio certifies its candidate 8/7 first; kernels.sharpness asks again
+        claims.append(r)
+        if claims.count(Fraction(8, 7)) == 2:
+            return "8/7 is above the minimum: refused"
+        return real_certify(problem, r)
+
+    monkeypatch.setattr(suites.kernels, "certify_ratio", refuse_the_claim)
+    failed = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks if not c.passed]
+    assert [(c.check, c.residual, c.note) for c in failed] == [
+        ("kernels.sharpness", 1.0, "8/7 is above the minimum: refused")]
 
 
 def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
@@ -196,9 +212,10 @@ def test_cayley_sign_fault_fails_named_checks(monkeypatch):
 
 
 def test_forms_suite_ignores_seed_and_trials():
-    # the forms suite draws nothing: Phi and its checks are deterministic
-    default = SUITES["forms"](RunConfig(seed=0)).as_dict()
-    assert SUITES["forms"](RunConfig(seed=7, trials=1000)).as_dict() == default
+    # the forms and kernels suites draw nothing: Phi, the ratios and their proofs are exact
+    for name in ("forms", "kernels"):
+        default = SUITES[name](RunConfig(seed=0)).as_dict()
+        assert SUITES[name](RunConfig(seed=7, trials=1000)).as_dict() == default, name
 
 
 def test_exterior_faults_fail_named_checks(monkeypatch):
@@ -267,11 +284,14 @@ def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch)
 
 
 def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
-    monkeypatch.setattr(suites.geodesy, "SIMPSON_MAX_DEPTH", 2)
+    # the quadrature's only depth is its node count: 2 nodes are far off 4
+    monkeypatch.setattr(suites.geodesy, "QUAD_NODES", 2)
     result = SUITES["geodesy"](RunConfig(**FAST))
     failed = [c for c in result.checks if not c.passed]
     assert [c.check for c in failed] == ["geodesy.jacobi-index-form"]
-    assert not failed[0].note.startswith("0 ")
+    assert failed[0].residual == 1.0
+    gap = float(failed[0].note.split()[2])
+    assert failed[0].note == f"2-node Gauss-Legendre, {gap:.1e} off 4 nodes" and gap > 1e-3
 
 
 def test_check_bookkeeping():
