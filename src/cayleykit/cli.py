@@ -2,7 +2,7 @@
 
 Subcommands
     verify    run verification suites, print one line per check
-    spectrum  tabulate the bottom of the Dirichlet spectrum over (R, N)
+    spectrum  tabulate the bottom of the Dirichlet spectrum over R by two routes
     pinch     extreme sectional values from the Jacobi operators
     report    everything above plus artifacts in one output directory
 
@@ -43,10 +43,6 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
 def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
@@ -56,7 +52,6 @@ _OPTIONS = {
     "seed": ("seed", int, "master RNG seed (default 0)"),
     "trials": ("trials", int, "sampling budget (default 100000)"),
     "radius": ("radii", _float_tuple, "comma separated domain radii, each finite and at least 1"),
-    "grid": ("grids", _int_tuple, "comma separated cell counts, each at least 200"),
     "starts": ("starts", int, "unit directions whose Jacobi operators give the pinch extremes"),
     "out": ("out", str, "output directory for artifacts"),
     "format": ("fmt", str, "report format: json (default) or csv"),
@@ -85,7 +80,6 @@ def config_echo(cfg: suites.RunConfig) -> dict:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "radii": list(cfg.radii),
-        "grids": list(cfg.grids),
         "table": cfg.table_path or "builtin",
         "starts": cfg.starts,
     }
@@ -94,7 +88,7 @@ def config_echo(cfg: suites.RunConfig) -> dict:
 def build_report(results, cfg: suites.RunConfig, timings: dict) -> dict:
     failed = [c.check for r in results for c in r.checks if not c.passed]
     return {
-        "schema": 1,
+        "schema": 2,
         "generator": {"package": "cayleykit", "version": __version__},
         "config": config_echo(cfg),
         "suites": [r.as_dict() for r in results],
@@ -212,26 +206,28 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
     path.write_text("\n".join(parts) + "\n")
 
 
-def write_spectrum_artifacts(out: Path, estimates) -> None:
+def write_spectrum_artifacts(out: Path, radii) -> list:
+    """spectrum.csv and .svg from routes C and J at each radius, and the Laplacian curve;
+    returns the (route C, route J) pairs."""
     out.mkdir(parents=True, exist_ok=True)
+    rows = [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r)) for r in radii]
+    bottom = geodesy.spectrum_bottom()
     with open(out / "spectrum.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["radius", "cells", "value", "coarse_value", "richardson",
-                         "error_estimate", "gap", "converged"])
-        for est in estimates:
-            writer.writerow([repr(est.radius), est.cells, repr(est.value),
-                             repr(est.coarse_value), repr(est.richardson),
-                             repr(est.error_estimate), repr(est.gap), est.converged])
-    by_grid: dict[int, list] = {}
-    for est in estimates:
-        by_grid.setdefault(est.cells, []).append(est)
-    series = [(f"N={cells}", [e.radius for e in row], [e.value for e in row])
-              for cells, row in sorted(by_grid.items())]
-    svg_line_chart(out / "spectrum.svg", series,
+        writer.writerow(["radius", "nodes", "value", "coarse_value", "error_estimate", "jacobi",
+                         "gap", "converged"])
+        for v, exact in rows:
+            writer.writerow([repr(v.radius), v.nodes, repr(v.value), repr(v.coarse_value),
+                             repr(v.error_estimate), repr(exact), repr(v.value - bottom),
+                             v.converged])
+    rs_routes = [v.radius for v, _ in rows]
+    svg_line_chart(out / "spectrum.svg",
+                   [("collocation", rs_routes, [v.value for v, _ in rows]),
+                    ("Jacobi closed form", rs_routes, [exact for _, exact in rows])],
                    "Bottom of the Dirichlet spectrum vs domain radius",
-                   "radius R", "lowest eigenvalue", hline=geodesy.SPECTRUM_BOTTOM)
+                   "radius R", "lowest eigenvalue", hline=bottom)
 
-    rs = np.linspace(0.2, max(e.radius for e in estimates), 240)
+    rs = np.linspace(0.2, max(radii), 240)
     lap = geodesy.distance_laplacian(rs).tolist()
     svg_line_chart(out / "laplacian.svg",
                    [("14 coth 2r + 8 coth r", list(rs), lap)],
@@ -242,6 +238,7 @@ def write_spectrum_artifacts(out: Path, estimates) -> None:
         writer.writerow(["r", "laplacian"])
         for r, value in zip(rs, lap):
             writer.writerow([repr(float(r)), repr(value)])
+    return rows
 
 
 def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
@@ -304,15 +301,14 @@ def cmd_verify(args, cfg: suites.RunConfig) -> int:
 
 def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
-    estimates = geodesy.spectrum_sweep(cfg.radii, cfg.grids)
-    write_spectrum_artifacts(out, estimates)
-    print(f"{'radius':>8} {'cells':>7} {'value':>14} {'extrapolated':>14} {'gap':>10}")
-    for est in estimates:
-        print(f"{est.radius:8.2f} {est.cells:7d} {est.value:14.8f} "
-              f"{est.richardson:14.8f} {est.gap:+10.6f}")
-    best = min(estimates, key=lambda e: abs(e.gap))
-    print(f"closest approach to {geodesy.SPECTRUM_BOTTOM:g}: {best.richardson:.8f} "
-          f"at R={best.radius:g}, N={best.cells}")
+    rows = write_spectrum_artifacts(out, cfg.radii)
+    bottom = geodesy.spectrum_bottom()
+    print(f"{'radius':>8} {'nodes':>5} {'collocation':>16} {'Jacobi':>16} {'gap':>10}")
+    for v, exact in rows:
+        flag = "" if v.converged else "  unconverged"
+        print(f"{v.radius:8.2f} {v.nodes:5d} {v.value:16.12f} {exact:16.12f} "
+              f"{v.value - bottom:+10.6f}{flag}")
+    print(f"gap = collocation - rho^2, with rho^2 = {bottom:g} the bottom as R grows")
     print(f"artifacts in {out}: spectrum.csv spectrum.svg laplacian.csv laplacian.svg")
     return 0
 
@@ -331,11 +327,9 @@ def cmd_report(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
-    # what the suites hand over (a crashed suite holds nothing): the sweep solves only
-    # the ground values the geodesy suite has not; the curvature suite's operator and search
+    write_spectrum_artifacts(out, cfg.radii)
+    # the curvature suite's operator and search (a crashed suite holds nothing)
     held = {r.suite: r.artifacts for r in results}
-    solved = held["geodesy"].get("ground_values", {})
-    write_spectrum_artifacts(out, geodesy.spectrum_sweep(cfg.radii, cfg.grids, solved))
     if held["curvature"]:
         write_pinch_artifacts(out, held["curvature"]["pinch"])
         if args.export_operator:

@@ -223,7 +223,8 @@ def random_forms(n: int, grades, rng: np.random.Generator):
 def _pairs(n: int, masks):
     """The pairs (i, j) where eps(theta^i) l(e_j) can be nonzero on terms of one grade p, each of
     shape (..., T, p, n - p + 1): j over the p indices of a term, i over the n - p it lacks, then j."""
-    grades = np.unique(np.bitwise_count(masks))
+    # the grades present, in order; np.unique would import numpy.ma for this
+    grades = np.flatnonzero(np.bincount(np.bitwise_count(masks).ravel()))
     if grades.size > 1:
         raise ValueError(f"terms of one grade expected, got grades {grades.tolist()}")
     p = int(grades[0]) if grades.size else 0

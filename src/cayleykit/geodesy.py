@@ -7,13 +7,13 @@ spheres carry principal curvatures c coth(c r) with c in {2 x 7, 1 x 8}:
     (Delta r)(r) = 14 coth(2 r) + 8 coth(r)  ->  22,
 
 and the sphere area is A(r) = (sinh 2r)^7 (sinh r)^8 up to a constant.
-The limiting volume growth e^{22 r} forces the bottom of the L^2
-spectrum of the radial operator -(A u')' / A to be at most (22/2)^2 = 121.
-``spectrum_estimate`` discretizes that Sturm-Liouville problem on (0, R)
-with a half-cell-shifted grid (the A(0) = 0 face makes the natural
-boundary condition automatic), takes the lowest eigenvalue of the
-symmetric tridiagonal matrix by LAPACK bisection and removes the O(h^2)
-error by Richardson extrapolation, each (R, N) solved once per run.
+With v = sqrt(A) u the radial operator -(A u')' / A becomes -v'' + q v with
+q = (Delta r)^2 / 4 + (Delta r)' / 2 = rho^2 + 48.75 / sinh^2 r - 8.75 / cosh^2 r,
+rho = 22 / 2, so q > rho^2 = 121 and every Dirichlet value on (0, R) lies above
+121 (McKean's bound).  Two numpy routes give the Dirichlet value: Chebyshev
+collocation of the Liouville form (``dirichlet_value``, route C, with its N/2N
+gap as error estimate) and the first zero of Koornwinder's Jacobi function
+with alpha = 7, beta = 3 (``jacobi_dirichlet``, route J).
 
 ``warped_report`` runs the same constants through an explicit warped
 metric dt^2 + e^{-4t} (7 dirs) + e^{-2t} (8 dirs): curvatures -f''/f,
@@ -26,24 +26,22 @@ fault (say multiplicity 7 -> 6) by patching that one name.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 # radial curvature classes (c, multiplicity), K = -c^2 on each
 CLASSES = ((2.0, 7), (1.0, 8))
-# the model's bottom of the spectrum (22/2)^2, which the estimates approach
-SPECTRUM_BOTTOM = 121.0
 
-# relative Richardson error above which a spectrum estimate is unconverged;
-# also the tolerance of the ``geodesy.spectrum-bottom`` check
-TOL_SPECTRAL = 0.005
+# Chebyshev interval counts of ``dirichlet_value``, tried in turn
+COLLOCATION_NODES = (32, 64, 128, 256)
+# relative gap between two of them below which a Dirichlet value has converged
+TOL_DIRICHLET = 1e-10
 # Gauss-Legendre nodes of ``index_form``; twice as many give its error estimate
 QUAD_NODES = 12
-INVERSE_STEPS = 100  # step cap of ``inverse_iteration``
 # height and finite-difference step of the warped-metric evaluation
 WARP_HEIGHT = 0.7
 WARP_STEP = 1e-4
@@ -114,127 +112,126 @@ def area(r):
 
 
 # ---------------------------------------------------------------------------
-# Sturm-Liouville spectrum of -(A u')' / A on (0, R)
+# Bottom of the Dirichlet spectrum of -(A u')' / A on (0, R)
+
+
+def spectrum_bottom() -> float:
+    """rho^2 = (sum m c / 2)^2, where the Dirichlet values go as R -> infinity."""
+    return (sum(m * c for c, m in CLASSES) / 2.0) ** 2
+
+
+def liouville_potential(r):
+    """q = (Delta r)^2 / 4 + (Delta r)' / 2 of the Liouville form -v'' + q v, v = sqrt(A) u.
+
+    (Delta r)' = -sum m c^2 csch^2(c r), with csch^2 x written 4 e^{-2x} / (1 - e^{-2x})^2
+    so that no radius overflows.
+    """
+    r = np.asarray(r, dtype=float)
+    slope = sum(-4.0 * m * c * c * np.exp(-2.0 * c * r) / np.expm1(-2.0 * c * r) ** 2
+                for c, m in CLASSES)
+    return distance_laplacian(r) ** 2 / 4.0 + slope / 2.0
 
 
 @dataclass(frozen=True)
-class SturmLiouvilleProblem:
-    """Dirichlet problem for -(A u')'/A on (0, R) with N half-shifted cells."""
+class DirichletValue:
+    """Route C at one radius: the value on ``nodes`` Chebyshev intervals and on half as many."""
 
     radius: float
-    cells: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 1.0):
-            raise ValueError("radius must be finite and at least 1")
-        if self.cells < 100:
-            raise ValueError("grid too small for a meaningful estimate")
-
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Symmetrized tridiagonal (diagonal, offdiagonal).
-
-        Entries are assembled from ratios of A at neighboring nodes, so the
-        astronomically large weight never overflows for any radius.
-        """
-        R, n = self.radius, self.cells
-        h = R / n
-        centers = (np.arange(n) + 0.5) * h
-        faces = np.arange(n + 1) * h
-        log_c = log_area(centers)
-        log_f = np.empty(n + 1)
-        log_f[0] = -np.inf  # A(0) = 0: natural boundary carries no flux
-        log_f[1:] = log_area(faces[1:])
-        # diag: (A(f_k) + A(f_{k+1})) / (h^2 A(c_k));   Dirichlet face doubled
-        left = np.exp(log_f[:-1] - log_c)
-        right = np.exp(log_f[1:] - log_c)
-        diag = (left + right) / h**2
-        diag[-1] += right[-1] / h**2  # ghost reflection u_N = -u_{N-1}
-        # offdiag: -A(f_{k+1}) / (h^2 sqrt(A(c_k) A(c_{k+1})))
-        off = -np.exp(log_f[1:-1] - 0.5 * (log_c[:-1] + log_c[1:])) / h**2
-        return diag, off
-
-
-def smallest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
-    """Lowest eigenvalue by LAPACK bisection (``stebz``) to the underflow limit.
-
-    Bisection is accurate relative to each eigenvalue on these scaled,
-    diagonally dominant matrices (Barlow & Demmel 1990).  The default
-    drivers only reach about eps * |T|, and the r^15 growth of A near zero
-    puts |T| at 2e9 (N/R = 250) to 2e10 (N/R = 800).
-    """
-    return float(scipy.linalg.eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, 0),
-        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny)[0])
-
-
-def ground_value(radius: float, cells: int, solved: dict) -> float:
-    """``smallest_eigenvalue`` of the (R, N) problem, solved once per memo ``solved``, which
-    lives for one run: a longer-lived one would hand out values of another model."""
-    key = (float(radius), int(cells))
-    if key not in solved:
-        solved[key] = smallest_eigenvalue(*SturmLiouvilleProblem(*key).tridiagonal())
-    return solved[key]
-
-
-def inverse_iteration(diag: np.ndarray, off: np.ndarray) -> float:
-    """Lowest eigenvalue by LDL^T inverse iteration, a second algorithm beside bisection.
-    ``dpttrf`` factors T - rho^2 I once: rho^2 = (sum m c / 2)^2 lies below every Dirichlet
-    value.  Each ``dpttrs`` step lowers the estimate rho^2 + 1 / |(T - rho^2 I)^-1 x|, x a
-    unit vector, until it moves by at most four ulps; a failed factorization, or
-    ``INVERSE_STEPS`` steps, raises ``np.linalg.LinAlgError``."""
-    shift = (sum(m * c for c, m in CLASSES) / 2.0) ** 2
-    d, e, info = scipy.linalg.lapack.dpttrf(diag - shift, off)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpttrf info {info}")
-    x, value = np.full((diag.size, 1), diag.size ** -0.5), np.inf
-    for _ in range(INVERSE_STEPS):
-        y = scipy.linalg.lapack.dpttrs(d, e, x)[0]
-        norm = np.linalg.norm(y)
-        x, last, value = y / norm, value, shift + 1.0 / norm
-        if abs(value - last) <= 4.0 * np.spacing(value):
-            return float(value)
-    raise np.linalg.LinAlgError(f"no convergence in {INVERSE_STEPS} steps")
-
-
-@dataclass
-class SpectrumEstimate:
-    """Estimate of the bottom of the spectrum at one (R, N) setting."""
-
-    radius: float
-    cells: int
+    nodes: int
     value: float
     coarse_value: float
-    richardson: float
-    error_estimate: float
-    converged: bool
 
     @property
-    def gap(self) -> float:
-        """Measured excess of the extrapolated value over ``SPECTRUM_BOTTOM``."""
-        return self.richardson - SPECTRUM_BOTTOM
+    def error_estimate(self) -> float:
+        return abs(self.value - self.coarse_value)
+
+    @property
+    def converged(self) -> bool:
+        return self.error_estimate <= TOL_DIRICHLET * abs(self.value)
 
 
-def spectrum_estimate(radius: float, cells: int, solved: dict | None = None) -> SpectrumEstimate:
-    """Dirichlet ground value at (R, N) plus an N/2 run and Richardson step.
+def collocated_value(radius: float, nodes: int) -> float:
+    """Smallest real eigenvalue of -v'' + q v collocated at nodes + 1 Chebyshev points of
+    [0, R]; Dirichlet at both ends leaves the nodes - 1 interior values as unknowns."""
+    k = np.arange(nodes + 1)
+    x = np.cos(np.pi * k / nodes)
+    w = np.where(k % 2, -1.0, 1.0) * np.where((k == 0) | (k == nodes), 2.0, 1.0)
+    d = np.outer(w, 1.0 / w) / (x[:, None] - x + np.eye(nodes + 1))
+    d -= np.diag(d.sum(axis=1))
+    inner = slice(1, nodes)
+    # r = R (1 - x) / 2, so d^2/dr^2 = (2 / R)^2 d^2/dx^2
+    op = -(2.0 / radius) ** 2 * (d @ d)[inner, inner]
+    op[np.diag_indices(nodes - 1)] += liouville_potential(radius * (1.0 - x[inner]) / 2.0)
+    vals = np.linalg.eigvals(op)
+    return float(vals.real[vals.imag == 0.0].min())
 
-    Both values come from ``smallest_eigenvalue``, so their difference is
-    discretization error, not solver error.  That difference / 3 is
-    reported as the error estimate; if it exceeds ``TOL_SPECTRAL`` relative to
-    the extrapolated value the result is flagged unconverged rather than
-    silently accepted.  ``solved`` is the run's memo (see ``ground_value``).
+
+def dirichlet_value(radius: float) -> DirichletValue:
+    """Route C: ``collocated_value`` on each of ``COLLOCATION_NODES`` in turn, until two in a
+    row agree to ``TOL_DIRICHLET`` relative; past the last the value is unconverged."""
+    value = collocated_value(radius, COLLOCATION_NODES[0])
+    for nodes in COLLOCATION_NODES[1:]:
+        coarse, value = value, collocated_value(radius, nodes)
+        if abs(value - coarse) <= TOL_DIRICHLET * abs(value):
+            break
+    return DirichletValue(float(radius), nodes, value, coarse)
+
+
+# B_2k / (2k (2k - 1)), the first eight Stirling-Bernoulli coefficients
+_STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
+
+
+def log_gamma(z: complex) -> complex:
+    """log Gamma(z) for Re z >= 0, z != 0, up to a multiple of 2 pi i: shift z until Re z >= 17,
+    where eight Stirling-Bernoulli terms leave an error below 1e-20."""
+    z, shift = complex(z), 0j
+    while z.real < 17.0:
+        shift += cmath.log(z)
+        z += 1.0
+    tail = sum(coef / z ** (2 * k + 1) for k, coef in enumerate(_STIRLING))
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi) + tail - shift
+
+
+def jacobi_dirichlet(radius: float) -> float:
+    """Route J: rho^2 + s^2, s the first zero of the Jacobi function phi_s(R) = 2 Re(c(s) Phi_s(R)).
+
+    Koornwinder's closed form with alpha = (m1 + m2 - 1) / 2 and beta = (m2 - 1) / 2 for the
+    classes (2, m2), (1, m1): c(s) = 2^(rho - is) Gamma(alpha + 1) Gamma(is) /
+    (Gamma((is + rho) / 2) Gamma((is + alpha - beta + 1) / 2)) and Phi_s(R) = (2 cosh R)^(is - rho)
+    2F1((rho - is) / 2, (alpha - beta + 1 - is) / 2; 1 - is; cosh^-2 R).  The sign of phi_s(R) is
+    that of Re(e^{i (arg c(s) + s log(2 cosh R))} 2F1), which no radius underflows.  Steps of
+    pi / (4 (R + 1)) bracket the zero, and bisection narrows it to adjacent floats.
     """
-    solved = {} if solved is None else solved
-    lam_f = ground_value(radius, cells, solved)
-    lam_c = ground_value(radius, cells // 2, solved)
-    rich = (4.0 * lam_f - lam_c) / 3.0
-    err = abs(lam_f - lam_c) / 3.0
-    return SpectrumEstimate(float(radius), int(cells), lam_f, lam_c, rich, err,
-                            converged=bool(err <= TOL_SPECTRAL * abs(rich)))
+    mults = {c: m for c, m in CLASSES}
+    if len(CLASSES) != 2 or set(mults) != {1.0, 2.0}:
+        raise ValueError(f"no Jacobi form for the classes {CLASSES}")
+    alpha, beta = (mults[1.0] + mults[2.0] - 1) / 2.0, (mults[2.0] - 1) / 2.0
+    rho = alpha + beta + 1.0
+    log_cosh = radius + math.log1p(math.exp(-2.0 * radius)) - math.log(2.0)
+    z = math.exp(-2.0 * log_cosh)
 
+    def sign(s: float) -> bool:
+        a, b, c = (rho - 1j * s) / 2.0, (alpha - beta + 1.0 - 1j * s) / 2.0, 1.0 - 1j * s
+        term = series = 1.0 + 0j
+        k = 0
+        while abs(term) > 1e-17 * abs(series):
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            series += term
+            k += 1
+        # arg c(s) + s log(2 cosh R): the 2^(-is) of c(s) cancels the 2 of 2 cosh R
+        phase = s * log_cosh + (log_gamma(1j * s) - log_gamma((1j * s + rho) / 2.0)
+                                - log_gamma((1j * s + alpha - beta + 1.0) / 2.0)).imag
+        return (cmath.exp(1j * phase) * series).real > 0.0
 
-def spectrum_sweep(radii, grids, solved: dict | None = None) -> list[SpectrumEstimate]:
-    solved = {} if solved is None else solved
-    return [spectrum_estimate(float(r), int(n), solved) for r in radii for n in grids]
+    step = math.pi / (4.0 * (radius + 1.0))
+    lo, first = step, sign(step)
+    while sign(lo + step) == first:
+        lo += step
+    hi = lo + step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if sign(mid) == first else (lo, mid)
+    return rho * rho + hi * hi
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ class RatioProblem:
         return ~self.constraint_rows().any(axis=0)
 
     def nullspace(self) -> np.ndarray:
-        """Orthonormal null-space basis of the constraint rows in columns, at scipy's rank cut-off."""
+        """Orthonormal null-space basis of the constraint rows in columns; singular values at
+        most s_max max(m, n) eps count as zero."""
         rows = self.constraint_rows()
         _, s, vh = np.linalg.svd(rows)
         rank = int(np.sum(s > s.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps))

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.integrate
 
+import oracles
 from cayleykit import curvature, exterior, forms, geodesy, kernels, octonion
 
 
@@ -179,18 +180,22 @@ def test_radial_geometry_consistency():
 
 def test_spectrum_bottom():
     t0 = time.monotonic()
-    est = geodesy.spectrum_estimate(10.0, 4000)
+    at10 = geodesy.dirichlet_value(10.0)
+    exact = geodesy.jacobi_dirichlet(10.0)
     elapsed = time.monotonic() - t0
-    rel = abs(est.richardson - 121.0) / 121.0
-    assert elapsed < 30.0
-    assert rel <= 0.005
+    assert geodesy.spectrum_bottom() == 121.0
+    assert at10.converged
+    assert abs(at10.value - exact) <= 1e-10 * exact
+    # the finite-difference Richardson value, a third route, is off by its own h^4 term
+    fd = oracles.fd_richardson(10.0, 8000)
+    assert abs(fd - at10.value) <= 1e-7
 
-    values = [geodesy.spectrum_estimate(r, 1000).value for r in (4.0, 6.0, 8.0, 10.0)]
-    assert all(values[i] >= values[i + 1] - 1e-9 for i in range(3))
-    assert min(values) >= 121.0 - 1e-6
-    print(f"PASS spectrum: R=10 extrapolated {est.richardson:.6f}, "
-          f"{100 * rel:.3f}% from 121 (tol 0.5%) in {elapsed:.1f}s; "
-          f"monotone over R=4..10, floor {min(values):.6f} >= 121")
+    values = [geodesy.dirichlet_value(r).value for r in (4.0, 6.0, 8.0, 10.0)]
+    assert all(values[i] > values[i + 1] for i in range(3))
+    assert min(values) > 121.0
+    print(f"PASS spectrum: R=10 collocation {at10.value:.12f} (N={at10.nodes}), Jacobi "
+          f"{exact:.12f}, FD Richardson off by {fd - at10.value:.1e}, in {elapsed * 1e3:.0f} ms; "
+          f"monotone over R=4..10 down to {min(values):.6f} > rho^2 = 121")
 
 
 def test_splitting_metric():

@@ -43,7 +43,7 @@ def test_verify_writes_report(tmp_path):
     proc = run_cli("verify", "octonion", "forms", "--seed", 3, "--out", tmp_path, *FAST)
     assert proc.returncode == 0
     report = read_report(tmp_path)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["passed"] is True
     assert report["config"]["seed"] == 3
     assert [s["suite"] for s in report["suites"]] == ["octonion", "forms"]
@@ -173,6 +173,7 @@ def test_out_below_an_existing_file_is_usage_error(tmp_path):
 
 def test_unknown_flag_and_command_are_usage_errors():
     assert run_cli("verify", "--bogus").returncode == 2
+    assert run_cli("spectrum", "--grid", "2000").returncode == 2  # the spectrum has no grid
     assert run_cli("frobnicate").returncode == 2
 
 
@@ -194,16 +195,20 @@ def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_spectrum_artifacts(tmp_path):
-    proc = run_cli("spectrum", "--radius", "4", "--grid", "400,800", "--out", tmp_path)
+    proc = run_cli("spectrum", "--radius", "4,6", "--out", tmp_path)
     assert proc.returncode == 0
-    assert "closest approach to 121" in proc.stdout
+    assert "rho^2 = 121" in proc.stdout and "unconverged" not in proc.stdout
 
     with open(tmp_path / "spectrum.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["radius", "cells", "value", "coarse_value", "richardson",
-                             "error_estimate", "gap", "converged"]
-    assert [(float(r["radius"]), int(r["cells"])) for r in rows] == [(4.0, 400), (4.0, 800)]
-    assert all(121.0 < float(r["value"]) < 124.0 for r in rows)
+    assert list(rows[0]) == ["radius", "nodes", "value", "coarse_value", "error_estimate",
+                             "jacobi", "gap", "converged"]
+    assert [(float(r["radius"]), int(r["nodes"])) for r in rows] == [(4.0, 64), (6.0, 64)]
+    for r in rows:
+        assert 121.0 < float(r["value"]) < 124.0 and r["converged"] == "True"
+        assert float(r["value"]) == pytest.approx(float(r["jacobi"]), rel=1e-10)
+        assert float(r["gap"]) == pytest.approx(float(r["value"]) - 121.0)
+        assert float(r["error_estimate"]) <= 1e-10 * float(r["value"])
 
     with open(tmp_path / "laplacian.csv", newline="") as fh:
         curve = list(csv.DictReader(fh))
@@ -215,6 +220,8 @@ def test_spectrum_artifacts(tmp_path):
         text = (tmp_path / name).read_text()
         assert text.startswith("<svg")
         assert 'width="800" height="600"' in text
+    assert ">collocation<" in (tmp_path / "spectrum.svg").read_text()
+    assert ">Jacobi closed form<" in (tmp_path / "spectrum.svg").read_text()
 
 
 def test_pinch_artifacts(tmp_path):
@@ -231,8 +238,8 @@ def test_pinch_artifacts(tmp_path):
 
 def test_report_command_with_operator_export(tmp_path):
     search = ("--starts", 8, "--seed", 5)
-    proc = run_cli("report", "--trials", 2000, "--radius", "4,6", "--grid", "400,800",
-                   *search, "--out", tmp_path, "--export-operator")
+    proc = run_cli("report", "--trials", 2000, "--radius", "4,6", *search, "--out", tmp_path,
+                   "--export-operator")
     assert proc.returncode == 0
     # report shares one operator between pinch.csv and operator.csv; same search as pinch
     assert run_cli("pinch", *search, "--out", tmp_path / "pinch").returncode == 0
@@ -248,7 +255,7 @@ def test_report_command_with_operator_export(tmp_path):
     assert all(len(line.split(",")) == 120 for line in operator)
 
 
-REPORT_FAST = ("--trials", "2000", "--radius", "4", "--grid", "400,800", "--starts", "8")
+REPORT_FAST = ("--trials", "2000", "--radius", "4", "--starts", "8")
 
 
 def test_report_assembles_once_and_searches_once(tmp_path, monkeypatch):
@@ -288,46 +295,73 @@ def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
     assert not (tmp_path / "operator.csv").exists()
 
 
-def spectrum_values(out_dir):
+def spectrum_column(out_dir, column):
     with open(out_dir / "spectrum.csv", newline="") as fh:
-        return [float(row["value"]) for row in csv.DictReader(fh)]
+        return [float(row[column]) for row in csv.DictReader(fh)]
 
 
-def test_report_and_spectrum_solve_each_ground_value_once(tmp_path, monkeypatch):
-    # the default sweep needs 16 problems, 4 radii x N in {1000, 2000, 4000, 8000};
-    # report takes what the geodesy suite solved and solves the rest
-    cells = []
-    real = geodesy.smallest_eigenvalue
-    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: cells.append(len(d)) or real(d, e))
-    assert cli.main(["report", "--out", str(tmp_path / "report")]) == 0
-    assert len(cells) == 16 and sum(cells) == 60_000
-    cells.clear()
-    assert cli.main(["spectrum", "--out", str(tmp_path / "spectrum")]) == 0
-    assert len(cells) == 16
-    # the same file as one fine and one coarse solve per estimate
-    cfg = suites.RunConfig()
-    cli.write_spectrum_artifacts(tmp_path / "each", [
-        geodesy.spectrum_estimate(r, n) for r in cfg.radii for n in cfg.grids])
-    each = (tmp_path / "each" / "spectrum.csv").read_bytes()
-    for name in ("report", "spectrum"):
-        assert (tmp_path / name / "spectrum.csv").read_bytes() == each
+def test_report_and_spectrum_write_the_same_spectrum_files(tmp_path):
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "report")]) == 0
+    assert cli.main(["spectrum", *REPORT_FAST, "--out", str(tmp_path / "spectrum")]) == 0
+    cli.write_spectrum_artifacts(tmp_path / "each", (4.0,))
+    for name in ("spectrum.csv", "spectrum.svg", "laplacian.csv", "laplacian.svg"):
+        each = (tmp_path / "each" / name).read_bytes()
+        assert (tmp_path / "report" / name).read_bytes() == each, name
+        assert (tmp_path / "spectrum" / name).read_bytes() == each, name
 
 
 def test_ground_values_are_solved_again_in_each_run(tmp_path, monkeypatch):
-    # the memo lives for one run: a solver patched between two runs in one process
+    # nothing is kept between runs: a route patched between two runs in one process
     # reaches the second run's checks and its spectrum.csv
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "a")]) == 0
-    real = geodesy.smallest_eigenvalue
-    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6)
+    real = geodesy.jacobi_dirichlet
+    monkeypatch.setattr(geodesy, "jacobi_dirichlet", lambda radius: real(radius) + 1e-6)
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "b")]) == 1
-    assert read_report(tmp_path / "b")["summary"]["failed"] == ["geodesy.sturm-crosscheck"]
-    assert spectrum_values(tmp_path / "b") == [v + 1e-6 for v in spectrum_values(tmp_path / "a")]
+    assert read_report(tmp_path / "b")["summary"]["failed"] == ["geodesy.spectrum-bottom",
+                                                                "geodesy.sturm-crosscheck"]
+    assert spectrum_column(tmp_path / "b", "value") == spectrum_column(tmp_path / "a", "value")
+    assert spectrum_column(tmp_path / "b", "jacobi") == [
+        v + 1e-6 for v in spectrum_column(tmp_path / "a", "jacobi")]
+
+
+NO_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is not a runtime dependency")
+
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # the runtime needs numpy only: scipy is a test oracle, and each import of it fails here
+    (tmp_path / "sitecustomize.py").write_text(NO_SCIPY)
+    path = [str(tmp_path), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    blocked = subprocess.run([sys.executable, "-c", "import scipy.linalg"], env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert blocked.returncode == 1 and "not a runtime dependency" in blocked.stderr
+    expected = {"verify": ["report.json"],
+                "report": ["laplacian.csv", "laplacian.svg", "operator.csv", "pinch.csv",
+                           "report.json", "spectrum.csv", "spectrum.svg"],
+                "spectrum": ["laplacian.csv", "laplacian.svg", "spectrum.csv", "spectrum.svg"]}
+    for command, names in expected.items():
+        extra = ["--export-operator"] if command == "report" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleykit.cli", command, *REPORT_FAST, *extra,
+             "--out", str(tmp_path / command)], env=env, capture_output=True, text=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / command).iterdir()) == names
 
 
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 3\ntrials = 1500\n# comment line\nradius = 4\ngrid = 400, 800\n"
-                   f"out = {tmp_path}\n")
+    cfg.write_text(f"seed = 3\ntrials = 1500\n# comment line\nradius = 4\nout = {tmp_path}\n")
     proc = run_cli("verify", "octonion", "--config", cfg, "--seed", 5)
     assert proc.returncode == 0
     report = read_report(tmp_path)             # verify honours out from the file
@@ -342,7 +376,9 @@ def test_malformed_config_is_usage_error(tmp_path):
     # the pinch extremes are eigenvalues, with no iteration to cap: steps is no key
     for text, message in (("seed 3\n", "bad.cfg:1"), ("format = xml\n", "format"),
                           ("radii = 4\n", "unknown config key 'radii'"),
-                          ("steps = 10\n", "unknown config key 'steps'")):
+                          ("steps = 10\n", "unknown config key 'steps'"),
+                          # the spectrum routes pick their own node counts: grid is no key
+                          ("grid = 400, 800\n", "unknown config key 'grid'")):
         cfg.write_text(text)
         proc = run_cli("verify", "octonion", "--config", cfg, "--out", tmp_path)
         assert proc.returncode == 2

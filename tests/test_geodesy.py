@@ -1,5 +1,5 @@
+import cmath
 import math
-import time
 
 import numpy as np
 import pytest
@@ -10,17 +10,17 @@ import oracles
 from cayleykit import geodesy
 from cayleykit.geodesy import (
     CLASSES,
-    SturmLiouvilleProblem,
     area,
+    dirichlet_value,
     distance_laplacian,
     hessian_eigenvalue,
-    inverse_iteration,
+    jacobi_dirichlet,
     jacobi_profile,
+    liouville_potential,
     log_area,
+    log_gamma,
     log_sinh,
-    smallest_eigenvalue,
-    spectrum_estimate,
-    spectrum_sweep,
+    spectrum_bottom,
     warped_report,
 )
 
@@ -123,18 +123,16 @@ def test_volume_against_scipy_quad():
 
 def test_tridiagonal_assembly_finite_at_large_radius():
     # ratio-based assembly must not overflow even when A(R) ~ e^{22 R}
-    prob = SturmLiouvilleProblem(40.0, 2000)
-    d, e = prob.tridiagonal()
+    d, e = oracles.fd_tridiagonal(40.0, 2000)
     assert np.all(np.isfinite(d))
     assert np.all(np.isfinite(e))
-    lam = smallest_eigenvalue(d, e)
-    assert 120.9 <= lam <= 123.0
+    assert 120.9 <= oracles.fd_ground_value(40.0, 2000) <= 123.0
 
 
 def test_sturm_solver_against_lapack():
     for radius, cells in ((4.0, 1000), (8.0, 2000), (10.0, 3000), (40.0, 2000)):
-        d, e = SturmLiouvilleProblem(radius, cells).tridiagonal()
-        lam = smallest_eigenvalue(d, e)
+        d, e = oracles.fd_tridiagonal(radius, cells)
+        lam = oracles.fd_ground_value(radius, cells)
         # the Sturm sequence puts exactly the lowest eigenvalue within 1e-9 of lam
         assert list(oracles.sturm_count(d, e, [lam - 1e-9, lam + 1e-9])) == [0, 1]
         # Cholesky + bidiagonal QR, the second relatively accurate LAPACK route
@@ -143,33 +141,8 @@ def test_sturm_solver_against_lapack():
         assert lam == pytest.approx(evals.min(), abs=1e-9)
 
 
-def test_inverse_iteration_matches_bisection():
-    # the crosscheck's second route: one LDL^T factorization of T - 121 I, one solve per step
-    for radius, cells in ((4.0, 2000), (8.0, 2000), (10.0, 8000), (32.0, 8000)):
-        d, e = SturmLiouvilleProblem(radius, cells).tridiagonal()
-        assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), abs=1e-10)
-
-
-def test_inverse_iteration_settles_quickly_on_the_crosscheck_problem(monkeypatch):
-    # each step divides the error by (lam2 - 121) / (lam1 - 121); at (8, 2000) that took 12
-    # solves, the exact count depending on how the LAPACK build rounds near the four-ulp stop
-    real, steps = scipy.linalg.lapack.dpttrs, []
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", lambda *args: steps.append(1) or real(*args))
-    d, e = SturmLiouvilleProblem(8.0, 2000).tridiagonal()
-    assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), rel=1e-12)
-    assert len(steps) <= 20
-
-
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError,
-                   reason="at (40, 2000) lam1 sits so close to the shift 121 that the error "
-                          "falls too slowly for the 100-step cap")
-def test_inverse_iteration_converges_at_large_radius():
-    d, e = SturmLiouvilleProblem(40.0, 2000).tridiagonal()
-    assert inverse_iteration(d, e) == pytest.approx(smallest_eigenvalue(d, e), rel=1e-12)
-
-
 def test_sturm_count_locates_spectrum():
-    d, e = SturmLiouvilleProblem(10.0, 4000).tridiagonal()
+    d, e = oracles.fd_tridiagonal(10.0, 4000)
     counts = oracles.sturm_count(d, e, np.array([100.0, 121.0, 121.4, 200.0]))
     assert counts[0] == 0
     assert counts[1] == 0
@@ -177,54 +150,81 @@ def test_sturm_count_locates_spectrum():
     assert counts[3] >= 2
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        SturmLiouvilleProblem(0.5, 1000)
-    with pytest.raises(ValueError):
-        SturmLiouvilleProblem(5.0, 10)
+def test_liouville_potential_closed_form_and_mckean_bound():
+    # Koornwinder's form with alpha = 7, beta = 3: (alpha^2 - 1/4) / sinh^2 - (beta^2 - 1/4) / cosh^2
+    r = np.linspace(0.05, 15.0, 300)
+    excess = 48.75 / np.sinh(r) ** 2 - 8.75 / np.cosh(r) ** 2
+    assert np.allclose(liouville_potential(r) - 121.0, excess, rtol=1e-9, atol=1e-12)
+    # no csch^2 overflow far out (RuntimeWarnings are errors here), and q >= rho^2 everywhere
+    far = liouville_potential(np.array([180.0, 500.0, 5000.0]))
+    assert np.all(far == 121.0)
+    assert liouville_potential(np.geomspace(1e-3, 60.0, 2000)).min() >= 121.0
+
+
+def test_spectrum_bottom_is_rho_squared(monkeypatch):
+    assert spectrum_bottom() == 121.0
+    monkeypatch.setattr(geodesy, "CLASSES", ((2.0, 6), (1.0, 8)))
+    assert spectrum_bottom() == 100.0
+
+
+def test_log_gamma_against_the_reals_and_the_imaginary_axis():
+    for x in (0.3, 1.0, 2.5, 7.0, 16.5, 40.0):
+        assert log_gamma(x).real == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-14)
+    # |Gamma(iy)|^2 = pi / (y sinh(pi y))
+    for y in (0.01, 0.5, 1.0, 3.0, 10.0):
+        ref = math.log(math.pi / (y * math.sinh(math.pi * y)))
+        assert 2.0 * log_gamma(1j * y).real == pytest.approx(ref, rel=1e-14, abs=1e-14)
+    # Gamma(1 + iy) = iy Gamma(iy): the phase moves by pi / 2
+    shift = log_gamma(1.0 + 0.7j) - log_gamma(0.7j) - cmath.log(0.7j)
+    assert abs(cmath.exp(shift) - 1.0) <= 1e-14
+
+
+def test_collocation_against_jacobi_closed_form():
+    for radius in (1.0, 4.0, 10.0, 24.0, 60.0):
+        value = dirichlet_value(radius)
+        assert value.converged
+        assert value.value == pytest.approx(jacobi_dirichlet(radius), rel=1e-10)
+    assert dirichlet_value(10.0).value == pytest.approx(121.16935090720, abs=1e-10)
+
+
+def test_collocation_converges_at_large_radius():
+    for radius in (100.0, 500.0):
+        value = dirichlet_value(radius)
+        assert value.converged and value.nodes <= 256
+        assert value.value == pytest.approx(jacobi_dirichlet(radius), rel=1e-10)
+        # lambda(R) - rho^2 ~ (pi / R)^2 as R grows
+        assert 121.0 < value.value < 121.0 + 2.0 * (math.pi / radius) ** 2
 
 
 def test_spectrum_estimate_richardson_hits_target():
-    start = time.monotonic()
-    est = spectrum_estimate(10.0, 8000)
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0
-    assert 121.0 <= est.value <= 123.0
-    assert abs(est.richardson - 121.0) / 121.0 <= 0.005
-    assert est.converged
-    assert est.gap == pytest.approx(est.richardson - 121.0)
-    assert est.radius == 10.0 and est.cells == 8000
+    # the finite-difference Richardson value minus collocation is the FD h^4 term, about
+    # -4.8e-8 at N = 800 R for every R
+    for radius in (4.0, 10.0, 24.0):
+        fd = oracles.fd_richardson(radius, int(800 * radius))
+        assert fd == pytest.approx(dirichlet_value(radius).value, abs=1e-7)
 
 
 def test_spectrum_monotone_in_domain():
-    values = [spectrum_estimate(r, 2000).value for r in (4.0, 6.0, 8.0, 10.0)]
+    values = [dirichlet_value(r).value for r in (4.0, 6.0, 8.0, 10.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
-    assert min(values) >= 121.0 - 1e-6
-
-
-def test_spectrum_sweep_grid():
-    ests = spectrum_sweep((4.0, 6.0), (500, 1000))
-    assert len(ests) == 4
-    assert [(e.radius, e.cells) for e in ests] == [(4.0, 500), (4.0, 1000), (6.0, 500), (6.0, 1000)]
-
-
-def test_spectrum_sweep_solves_each_problem_once(monkeypatch):
-    cells = []
-    real = geodesy.smallest_eigenvalue
-    monkeypatch.setattr(geodesy, "smallest_eigenvalue", lambda d, e: cells.append(len(d)) or real(d, e))
-    solved = {}
-    ests = spectrum_sweep((4.0,), (400, 800), solved)
-    # N = 800 takes its coarse value from the N = 400 estimate's fine one
-    assert sorted(cells) == [200, 400, 800]
-    assert sorted(solved) == [(4.0, 200), (4.0, 400), (4.0, 800)]
-    assert ests[1].coarse_value == ests[0].value == solved[4.0, 400]
-    assert spectrum_estimate(4.0, 800, solved) == ests[1] and len(cells) == 3
+    assert min(values) > 121.0
 
 
 def test_spectrum_unconverged_flag_on_coarse_grid(monkeypatch):
-    monkeypatch.setattr(geodesy, "TOL_SPECTRAL", 1e-9)
-    est = spectrum_estimate(10.0, 256)
-    assert not est.converged
+    monkeypatch.setattr(geodesy, "COLLOCATION_NODES", (8, 16))
+    value = dirichlet_value(10.0)
+    assert (value.nodes, value.converged) == (16, False)
+    assert value.error_estimate > geodesy.TOL_DIRICHLET * value.value
+
+
+def test_jacobi_route_needs_the_rank_one_classes(monkeypatch):
+    monkeypatch.setattr(geodesy, "CLASSES", ((3.0, 2), (1.0, 8)))
+    with pytest.raises(ValueError, match="no Jacobi form"):
+        jacobi_dirichlet(4.0)
+    # the 7 -> 6 fault keeps the form: alpha = 6.5, beta = 2.5, and both routes follow it
+    monkeypatch.setattr(geodesy, "CLASSES", ((2.0, 6), (1.0, 8)))
+    assert jacobi_dirichlet(4.0) == pytest.approx(dirichlet_value(4.0).value, rel=1e-10)
+    assert 100.0 < jacobi_dirichlet(4.0) < 110.0
 
 
 def test_warped_metric_constants():

@@ -8,7 +8,7 @@ import scipy.linalg
 import oracles
 from cayleykit.exterior import collect, hessian_action, mask_of
 from cayleykit.forms import ConstraintSet, diagonal_rows, extract_constraints, standard_constraints
-from cayleykit.geodesy import SPECTRUM_BOTTOM
+from cayleykit.geodesy import spectrum_bottom
 from cayleykit.kernels import (
     RatioProblem,
     canonical_minimizer,
@@ -201,11 +201,11 @@ def test_kato_transform_validation():
 
 
 def test_vanishing_thresholds():
-    assert vanishing_threshold(1.0, SPECTRUM_BOTTOM) == pytest.approx(-242.0)
-    assert vanishing_threshold(1.0 / 7.0, SPECTRUM_BOTTOM) == pytest.approx(-8.0 / 7.0 * 121.0)
+    assert vanishing_threshold(1.0, spectrum_bottom()) == pytest.approx(-242.0)
+    assert vanishing_threshold(1.0 / 7.0, spectrum_bottom()) == pytest.approx(-8.0 / 7.0 * 121.0)
     assert vanishing_threshold(1.0, lam1=100.0) == pytest.approx(-200.0)
     with pytest.raises(ValueError):
-        vanishing_threshold(-1.0, SPECTRUM_BOTTOM)
+        vanishing_threshold(-1.0, spectrum_bottom())
     with pytest.raises(ValueError):
         vanishing_threshold(1.0, lam1=0.0)
 

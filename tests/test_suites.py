@@ -8,7 +8,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cayleykit import exterior, forms, octonion, suites
 from cayleykit.octonion import DEFAULT_TABLE
@@ -20,7 +19,7 @@ from cayleykit.suites import (
     run_suites,
 )
 
-FAST = dict(trials=2000, radii=(4.0,), grids=(400, 800), starts=8)
+FAST = dict(trials=2000, radii=(4.0,), starts=8)
 
 
 def test_suite_registry_matches_order():
@@ -31,9 +30,11 @@ def test_suite_registry_matches_order():
 def test_config_validation():
     for bad in (dict(trials=0), dict(starts=0), dict(radii=()), dict(radii=(0.5,)),
                 dict(radii=(float("nan"),)), dict(radii=(float("inf"),)),
-                dict(grids=(150,)), dict(seed=-1), dict(fmt="xml")):
+                dict(seed=-1), dict(fmt="xml")):
         with pytest.raises(ValueError):
             RunConfig(**bad)
+    with pytest.raises(TypeError):
+        RunConfig(grids=(2000,))  # the spectrum routes pick their own node counts
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().starts = 0  # construction is the only place values are checked
 
@@ -73,31 +74,14 @@ def test_geodesy_results_ignore_wall_clock(monkeypatch):
 
 
 def test_unconverged_spectrum_fails(monkeypatch):
-    real = suites.geodesy.spectrum_estimate
-    monkeypatch.setattr(suites.geodesy, "spectrum_estimate",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False))
+    # 8 and 16 Chebyshev intervals are far apart at every radius: no spectrum check may pass
+    monkeypatch.setattr(suites.geodesy, "COLLOCATION_NODES", (8, 16))
     result = SUITES["geodesy"](RunConfig(**FAST))
-    check = next(c for c in result.checks if c.check == "geodesy.spectrum-bottom")
-    assert not check.passed and check.residual == 1.0
-    assert "unconverged" in check.note
-
-
-def test_eigen_solver_faults_fail_only_the_crosscheck(monkeypatch):
-    real = suites.geodesy.smallest_eigenvalue
-    lengths = itertools.cycle((1.0, 0.5))
-    faults = ((suites.geodesy, "smallest_eigenvalue", lambda d, e: real(d, e) + 1e-6, ""),
-              # the shifted matrix is not positive definite at its third pivot
-              (scipy.linalg.lapack, "dpttrf", lambda d, e: (d, e, 3), ", dpttrf info 3"),
-              # every other step halves the solution, so the estimate never settles
-              (scipy.linalg.lapack, "dpttrs", lambda d, e, b: (next(lengths) * b, 0),
-               f", no convergence in {suites.geodesy.INVERSE_STEPS} steps"))
-    for owner, name, fault, reason in faults:
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, fault)
-            result = SUITES["geodesy"](RunConfig(**FAST))
-        failed = [c for c in result.checks if not c.passed]
-        assert [c.check for c in failed] == ["geodesy.sturm-crosscheck"], name
-        assert failed[0].note == "LAPACK bisection vs LDL^T inverse iteration" + reason
+    failed = [c for c in result.checks if not c.passed]
+    assert [c.check for c in failed] == ["geodesy.spectrum-bottom", "geodesy.spectrum-domain-monotone",
+                                         "geodesy.sturm-crosscheck"]
+    assert all(c.residual == 1.0 and "unconverged" in c.note for c in failed)
+    assert failed[0].note.startswith("R=10 N=16: collocation ")
 
 
 def test_model_faults_fail_named_checks(monkeypatch):
@@ -106,32 +90,43 @@ def test_model_faults_fail_named_checks(monkeypatch):
     twisted = suites.curvature.assemble_operator().matrix.copy()
     twisted[0, 1] += 1e-6
     twisted[1, 0] -= 1e-6
+    real_potential, real_log_gamma = suites.geodesy.liouville_potential, suites.geodesy.log_gamma
     faults = (
-        (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), "geodesy",
-         ("distance-laplacian-value", "distance-laplacian-limits", "area-volume",
-          "volume-growth-rate", "spectrum-bottom", "spectrum-domain-monotone",
-          "warped-constants")),
-        (suites.curvature, "ALPHA", -3.0, "curvature",
-         ("adapted-sectional", "pinch-range", "product-order-reading", "einstein-constant",
-          "radial-spectrum", "pinch-search")),
-        (suites.kernels, "MODEL_RICCI", -30.0, "kernels", ("ratio-quaternionic", "kato-transform")),
+        # rho^2 = 100: both spectrum routes follow the classes, so the claim 121 and the
+        # vanishing thresholds built on rho^2 catch it
+        (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), ("geodesy", "kernels"),
+         ("geodesy.distance-laplacian-value", "geodesy.distance-laplacian-limits",
+          "geodesy.area-volume", "geodesy.volume-growth-rate", "geodesy.spectrum-bottom",
+          "geodesy.warped-constants", "kernels.vanishing-thresholds")),
+        # route C on a potential 1 too low: below McKean's bound and off route J
+        (suites.geodesy, "liouville_potential", lambda r: real_potential(r) - 1.0, ("geodesy",),
+         ("geodesy.spectrum-bottom", "geodesy.spectrum-domain-monotone", "geodesy.sturm-crosscheck")),
+        # route J with the phase of c(s) reversed
+        (suites.geodesy, "log_gamma", lambda z: real_log_gamma(z).conjugate(), ("geodesy",),
+         ("geodesy.spectrum-bottom", "geodesy.sturm-crosscheck")),
+        (suites.curvature, "ALPHA", -3.0, ("curvature",),
+         tuple(f"curvature.{c}" for c in ("adapted-sectional", "pinch-range", "product-order-reading",
+                                          "einstein-constant", "radial-spectrum", "pinch-search"))),
+        (suites.kernels, "MODEL_RICCI", -30.0, ("kernels",),
+         ("kernels.ratio-quaternionic", "kernels.kato-transform")),
         # the mirrored product reading is pinched too; only the spin(9) closed form tells it
         # apart, in the roundtrip and at the witness planes of its Jacobi eigenvalues
         (octonion, "product_matrices",
          lambda x, table=None, left=False: real_matrices(x, table, not left),
-         "curvature", ("operator-roundtrip", "pinch-search")),
+         ("curvature",), ("curvature.operator-roundtrip", "curvature.pinch-search")),
         # an antisymmetric part, which no quadratic form sees: the roundtrip passes, and what
         # reads the matrix itself fails
         (suites.curvature, "assemble_operator", lambda: suites.curvature.CurvatureOperator(twisted),
-         "curvature", ("operator-pair-symmetry", "first-bianchi", "einstein-constant",
-                       "radial-spectrum", "pinch-search")),
+         ("curvature",), tuple(f"curvature.{c}" for c in ("operator-pair-symmetry", "first-bianchi",
+                                                         "einstein-constant", "radial-spectrum",
+                                                         "pinch-search"))),
     )
-    for owner, name, value, suite, expected in faults:
+    for owner, name, value, names, expected in faults:
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, value)
-            result = SUITES[suite](RunConfig(**FAST))
-        failed = [c.check for c in result.checks if not c.passed]
-        assert failed == [f"{suite}.{check}" for check in expected], name
+            results, _ = run_suites(names, RunConfig(**FAST))
+        failed = [c.check for r in results for c in r.checks if not c.passed]
+        assert failed == list(expected), name
 
 
 def test_failing_notes_give_what_was_measured(monkeypatch):
@@ -140,15 +135,17 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
         failed = {c.check: c.note for c in SUITES["geodesy"](RunConfig(**FAST)).checks
                   if not c.passed}
     assert "log A(50)/50 off 22 by 9.97% (A off by " in failed["geodesy.area-volume"]
-    floor = failed["geodesy.spectrum-domain-monotone"]
-    assert floor.startswith("Dirichlet values decrease with R; lowest ")
-    assert floor.endswith(", below 121")
-    assert float(floor.split()[6][:-1]) < 110.0  # near 100 at every radius
+    # both routes agree on the faulted model; only the claim 121 sets them apart
+    bottom = failed["geodesy.spectrum-bottom"]
+    assert bottom.startswith("R=10 N=64: collocation 100.1670804873")
+    assert ", Jacobi 100.1670804873" in bottom and bottom.endswith("; rho^2 = 100 against 121")
     with monkeypatch.context() as patch:
-        patch.setattr(suites.geodesy, "ground_value", lambda radius, cells, solved: 125.0 + radius)
-        (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(4.0, 6.0)))).checks
+        patch.setattr(suites.geodesy, "dirichlet_value",
+                      lambda r: suites.geodesy.DirichletValue(r, 64, 125.0 + r, 125.0 + r))
+        (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(6.0, 4.0)))).checks
                     if c.check == "geodesy.spectrum-domain-monotone"]
-    assert check.note == "Dirichlet values do not decrease with R; lowest 129.000000, above 121"
+    assert check.note == ("collocation (N <= 64, N/2N gaps <= 0.0e+00) does not decrease with R; "
+                          "lowest 129.000000000000, above rho^2 = 121; inf q - rho^2 = 0.0e+00 (McKean)")
     real_certify = suites.kernels.certify_ratio
     claims = []
 
