@@ -15,7 +15,13 @@ constraint functionals of designated target monomials (the diagonal pair,
 quaternionic line and top monomials respectively).
 A functional is a float row over the coordinates a[np.triu_indices(n)] of
 a symmetric a; an off-diagonal coordinate collects both index orders, so
-the row's value on a is ``row @ a[np.triu_indices(n)]``.
+the row's value on a is ``row @ a[np.triu_indices(n)]``.  This module is
+the one place that convention is written: ``ConstraintSet``, the one
+constraint type here and in ``kernels``, converts coordinates and matrices
+and gives the trace row and the free coordinates.  Its rows are
+canonicalized by ``row_reduce``, the one exact Gauss-Jordan elimination,
+which the certificate in ``kernels`` shares; a float reads as a small
+fraction through ``small_fraction``.
 
 Phi is Parton and Piccinni's tau_4(psi) (Ann. Global Anal. Geom. 2012):
 the sum over i<j<k<l of (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2,
@@ -39,8 +45,8 @@ V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
 W_TOP = ((1 << 8) - 1) << 8       # w_0 ^ ... ^ w_7
 CAYLEY_SCALE = -5040.0            # Phi / CAYLEY_SCALE has tops -v_0^...^v_7 + w_0^...^w_7
 PSI_SIGNS = (1.0, -1.0, 1.0)      # psi_ijkl = om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk
-# canonical rows: entries below ROUND_TOL are zero, and an entry within
-# ROUND_TOL of a fraction with denominator <= MAX_DENOMINATOR snaps to it
+# a float within ROUND_TOL of a fraction with denominator <= MAX_DENOMINATOR reads as it: a
+# canonical row entry (zero included) and the eigen route's ratio in ``kernels``
 ROUND_TOL = 1e-9
 MAX_DENOMINATOR = 64
 
@@ -196,18 +202,41 @@ def monomial_functionals(n: int, masks, coeffs, targets) -> np.ndarray:
     return rows
 
 
-def _rationalize(x: float) -> float:
+def small_fraction(x: float, tol: float) -> Fraction | None:
+    """The fraction of denominator <= MAX_DENOMINATOR nearest x, if within ``tol`` of it; else None."""
     frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-    return float(frac) if abs(float(frac) - x) <= ROUND_TOL else x
+    return frac if abs(float(frac) - x) <= tol else None
+
+
+def row_reduce(rows: list[list[Fraction | int]], width: int) -> list[int]:
+    """Exact Gauss-Jordan elimination in place, on Fractions and the int 0: returns the pivot
+    columns, ascending, and leaves the reduced row echelon form (unit pivots) in the first
+    ``len(pivots)`` rows."""
+    pivots: list[int] = []
+    for col in range(width):
+        hit = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[hit] = rows[hit], rows[top]
+        pivot = rows[top][col]
+        rows[top] = [x / pivot if x else x for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                factor = row[col]
+                rows[i] = [x - factor * y if y else x for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return pivots
 
 
 class ConstraintSet:
-    """Canonical set of linear functionals on symmetric n x n matrices.
+    """Linear functionals on symmetric n x n matrices, as an (r, n(n+1)/2) array ``rows``
+    over the coordinates a[np.triu_indices(n)].
 
-    ``rows`` is an (r, n(n+1)/2) array in reduced row echelon form
-    (ascending pivots, unit pivot coefficient, near-rational entries
-    snapped to denominators <= 64), so two extractions of the same
-    constraint space compare equal.
+    ``from_functionals`` puts raw rows in canonical form: reduced row echelon form
+    (ascending pivots, unit pivot coefficient, near-rational entries snapped to
+    denominators <= 64), so two extractions of the same constraint space compare equal.
+    ``kernels`` minimizes its ratio over the trace-free matrices these rows annihilate.
     """
 
     def __init__(self, n: int, rows: np.ndarray):
@@ -221,28 +250,39 @@ class ConstraintSet:
     def __repr__(self):
         return f"ConstraintSet(n={self.n}, rows={len(self.rows)})"
 
+    def coordinates(self, a: np.ndarray) -> np.ndarray:
+        """The coordinates of an n x n matrix: its upper triangle, row by row."""
+        return a[np.triu_indices(self.n)]
+
+    def matrix(self, vec: np.ndarray) -> np.ndarray:
+        """The symmetric matrix with coordinates ``vec``."""
+        return np.asarray(vec)[_columns(self.n)]
+
+    def trace_free_rows(self) -> np.ndarray:
+        """The rows with the trace functional prepended: they cut out the trace-free
+        matrices that satisfy the constraints."""
+        return np.vstack([diagonal_rows(self.n, [range(self.n)]), self.rows])
+
+    def free_coordinates(self) -> np.ndarray:
+        """Mask of the coordinates no row of ``trace_free_rows`` touches: free axes of the
+        trace-free feasible set."""
+        return ~self.trace_free_rows().any(axis=0)
+
     @classmethod
     def from_functionals(cls, n: int, functionals: np.ndarray) -> "ConstraintSet":
-        """Canonicalize raw functional rows by row reduction."""
+        """Canonicalize raw functional rows: a row within ROUND_TOL of zero is dropped,
+        the others are eliminated exactly as the floats they are, and then each entry is
+        rounded once and snapped to a small fraction within ROUND_TOL (zero among them).
+        Being exact, the elimination counts a row that depends on the others only up to
+        rounding as independent."""
         mat = functionals[np.abs(functionals).max(axis=1) > ROUND_TOL]
-        # row echelon with partial pivoting
-        r = 0
-        for c in range(mat.shape[1]):
-            piv = r + int(np.argmax(np.abs(mat[r:, c]))) if r < mat.shape[0] else r
-            if r >= mat.shape[0] or abs(mat[piv, c]) <= ROUND_TOL:
-                continue
-            mat[[r, piv]] = mat[[piv, r]]
-            mat[r] = mat[r] / mat[r, c]
-            for rr in range(mat.shape[0]):
-                if rr != r and abs(mat[rr, c]) > 0:
-                    mat[rr] = mat[rr] - mat[rr, c] * mat[r]
-            r += 1
-            if r == mat.shape[0]:
-                break
-        # entries within ROUND_TOL of zero snap to it too; exact zeros need no snap (+ 0.0: -0 -> 0)
-        rows, live = mat[:r] + 0.0, mat[:r] != 0.0
-        rows[live] = np.vectorize(_rationalize, otypes=[float])(rows[live])
-        return cls(n, rows)
+        rows = [[Fraction(x) if x else 0 for x in row] for row in mat.tolist()]
+        rank = len(row_reduce(rows, mat.shape[1]))
+        canon = np.array(rows[:rank], dtype=float).reshape(rank, mat.shape[1])
+        live = canon != 0.0
+        canon[live] = [x if (frac := small_fraction(x, ROUND_TOL)) is None else float(frac)
+                       for x in canon[live].tolist()]
+        return cls(n, canon)
 
 
 def extract_constraints(n: int, masks, coeffs, targets) -> ConstraintSet:

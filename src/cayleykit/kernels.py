@@ -6,7 +6,10 @@ basis vector along the gradient), the quantity of interest is
     ratio(a) = sum_ij a_ij^2 / sum_j a_1j^2,
 
 minimized over the trace-free matrices satisfying the linear constraints
-extracted from a parallel form.  The minimum is found twice:
+of a ``forms.ConstraintSet``, which also owns their coordinates.  This
+module holds the ratio alone: the weights of its two quadratic forms on the
+coordinates, the objective and the feasible space's SVD null space.  The
+minimum is found twice:
 
 * numerically, as the extreme generalized eigenvalue of the two quadratic
   forms restricted to the constraint subspace;
@@ -29,63 +32,38 @@ from fractions import Fraction
 
 import numpy as np
 
-from .forms import MAX_DENOMINATOR
+from .forms import MAX_DENOMINATOR, ROUND_TOL, ConstraintSet, row_reduce, small_fraction
 
 MODEL_RICCI = -36.0
 # entries of a scaled minimizer below this are noise
 CANONICAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RatioProblem:
-    """Minimize ratio(a) over constrained trace-free symmetric matrices.
+def quadratic_weights(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the diagonal quadratic forms (numerator P, denominator Q) on the
+    coordinates: sum_ij a_ij^2 counts an off-diagonal entry twice, and each a_1j
+    (row index 0) appears once in the gradient row."""
+    gradient_row = np.zeros((constraints.n, constraints.n))
+    gradient_row[0] = 1.0
+    return constraints.coordinates(2.0 - np.eye(constraints.n)), constraints.coordinates(gradient_row)
 
-    ``rows`` is an (r, n(n+1)/2) array of functionals over the coordinates
-    a[np.triu_indices(n)], as in ``ConstraintSet.rows``: a row's value on a
-    is ``row @ a[np.triu_indices(n)]``.  The trace functional is always
-    prepended.  The gradient direction (the denominator row) is the first
-    basis vector.
-    """
 
-    n: int
-    rows: np.ndarray
+def nullspace(constraints: ConstraintSet) -> np.ndarray:
+    """Orthonormal basis, in columns, of the trace-free feasible coordinates; singular
+    values at most s_max max(m, n) eps count as zero."""
+    rows = constraints.trace_free_rows()
+    _, s, vh = np.linalg.svd(rows)
+    rank = int(np.sum(s > s.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps))
+    return vh[rank:].T
 
-    def constraint_rows(self) -> np.ndarray:
-        # the trace is the functional whose row holds the identity's coordinates
-        return np.vstack([np.eye(self.n)[np.triu_indices(self.n)], self.rows])
 
-    def quadratic_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of the diagonal quadratic forms (numerator P, denominator Q)
-        on the coordinates: sum_ij a_ij^2 counts an off-diagonal entry twice,
-        and each a_1j (row index 0) appears once in the gradient row."""
-        upper = np.triu_indices(self.n)
-        return np.where(upper[0] == upper[1], 1.0, 2.0), (upper[0] == 0).astype(float)
-
-    def free_coordinates(self) -> np.ndarray:
-        """Mask of the coordinates no constraint row touches: free axes of the feasible set."""
-        return ~self.constraint_rows().any(axis=0)
-
-    def nullspace(self) -> np.ndarray:
-        """Orthonormal null-space basis of the constraint rows in columns; singular values at
-        most s_max max(m, n) eps count as zero."""
-        rows = self.constraint_rows()
-        _, s, vh = np.linalg.svd(rows)
-        rank = int(np.sum(s > s.max(initial=0.0) * max(rows.shape) * np.finfo(float).eps))
-        return vh[rank:].T
-
-    def matrix_from_coordinates(self, vec: np.ndarray) -> np.ndarray:
-        upper = np.triu_indices(self.n)
-        a = np.zeros((self.n, self.n))
-        a[upper] = vec
-        a.T[upper] = vec
-        return a
-
-    def objective(self, a: np.ndarray) -> float:
-        a = np.asarray(a, dtype=float)
-        denom = float(np.sum(a[0] ** 2))
-        if denom == 0.0:
-            raise ZeroDivisionError("gradient row vanishes")
-        return float(np.sum(a * a) / denom)
+def objective(a: np.ndarray) -> float:
+    """ratio(a) of an n x n matrix; raises if its gradient row vanishes."""
+    a = np.asarray(a, dtype=float)
+    denom = float(np.sum(a[0] ** 2))
+    if denom == 0.0:
+        raise ZeroDivisionError("gradient row vanishes")
+    return float(np.sum(a * a) / denom)
 
 
 @dataclass
@@ -97,52 +75,30 @@ class KernelResult:
     eigen_ratio: float
 
 
-def _exact(x: float) -> Fraction:
-    """A row entry as the fraction ``ConstraintSet`` snapped it to."""
-    frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
-    if float(frac) != x:
-        raise ValueError(f"constraint entry {x!r} is not a fraction of denominator <= {MAX_DENOMINATOR}")
-    return frac
-
-
-def _exact_null_space(rows: list[list[Fraction]], width: int) -> list[dict[int, Fraction]]:
-    """Null-space basis of ``rows`` by Gauss-Jordan elimination, one sparse vector
-    {column: value} per non-pivot column."""
-    pivots: list[int] = []
-    for col in range(width):
-        hit = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
-        if hit is None:
-            continue
-        top = len(pivots)
-        rows[top], rows[hit] = rows[hit], rows[top]
-        rows[top] = [x / rows[top][col] for x in rows[top]]
-        for i, row in enumerate(rows):
-            if i != top and row[col]:
-                rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
-        pivots.append(col)
-    basis = []
-    for col in sorted(set(range(width)) - set(pivots)):
-        vec = {pc: -rows[i][col] for i, pc in enumerate(pivots) if rows[i][col]}
-        vec[col] = Fraction(1)
-        basis.append(vec)
-    return basis
-
-
-def certify_ratio(problem: RatioProblem, r: Fraction) -> str | None:
+def certify_ratio(constraints: ConstraintSet, r: Fraction) -> str | None:
     """Exact proof that ``r`` is the minimal ratio: None if it is, else why it is not.
 
-    The free coordinates of denominator weight 0 only add to the numerator, so they
-    are dropped.  On the others, an exact basis B of the feasible space gives
-    M = B^T (P - r Q) B, and a symmetric elimination of M decides: a negative pivot,
-    or a zero pivot with a nonzero remaining row, puts r above the minimum; no zero
-    pivot at all (M positive definite) puts it below.  A semidefinite singular M
-    proves r minimal: P is positive definite, so a kernel vector has Q > 0 and
-    attains r.
+    Each row entry must be exactly the float of a fraction of denominator <= 64, as
+    ``ConstraintSet.from_functionals`` snaps them.  The free coordinates of denominator
+    weight 0 only add to the numerator, so they are dropped.  On the others, ``row_reduce``
+    gives an exact basis B of the feasible space, one sparse vector per non-pivot column,
+    and M = B^T (P - r Q) B; a symmetric elimination of M decides: a negative pivot, or a
+    zero pivot with a nonzero remaining row, puts r above the minimum; no zero pivot at
+    all (M positive definite) puts it below.  A semidefinite singular M proves r minimal:
+    P is positive definite, so a kernel vector has Q > 0 and attains r.
     """
-    p, q = problem.quadratic_weights()
-    keep = ~(problem.free_coordinates() & (q == 0))
-    rows = [[_exact(x) for x in row] for row in problem.constraint_rows()[:, keep]]
-    basis = _exact_null_space(rows, int(keep.sum()))
+    p, q = quadratic_weights(constraints)
+    keep = ~(constraints.free_coordinates() & (q == 0))
+    entries = constraints.trace_free_rows()[:, keep].tolist()
+    rows = [[small_fraction(x, 0.0) if x else 0 for x in row] for row in entries]
+    bad = [x for row, exact in zip(entries, rows) for x, frac in zip(row, exact) if frac is None]
+    if bad:
+        raise ValueError(f"constraint entry {bad[0]!r} is not a fraction of denominator "
+                         f"<= {MAX_DENOMINATOR}")
+    width = int(keep.sum())
+    pivots = row_reduce(rows, width)
+    basis = [{**{pc: -rows[i][col] for i, pc in enumerate(pivots) if rows[i][col]}, col: Fraction(1)}
+             for col in sorted(set(range(width)) - set(pivots))]
     diag = [Fraction(pk) - r * Fraction(qk) for pk, qk in zip(p[keep], q[keep])]
     m = [[sum(diag[c] * u * bj[c] for c, u in bi.items() if c in bj) for bj in basis]
          for bi in basis]
@@ -162,12 +118,12 @@ def certify_ratio(problem: RatioProblem, r: Fraction) -> str | None:
     return None if singular else f"{r} is below the minimum: B^T (P - r Q) B is positive definite"
 
 
-def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
+def rayleigh_ratio(constraints: ConstraintSet) -> tuple[float, np.ndarray]:
     """Minimal ratio by the generalized eigenvalue route alone, with no certificate."""
-    basis = problem.nullspace()
+    basis = nullspace(constraints)
     if basis.shape[1] == 0:
         raise ValueError("constraints leave no feasible matrix")
-    p, q = problem.quadratic_weights()
+    p, q = quadratic_weights(constraints)
     pp = (basis.T * p) @ basis
     qq = (basis.T * q) @ basis
     if np.abs(qq).max() < 1e-14:
@@ -179,21 +135,21 @@ def rayleigh_ratio(problem: RatioProblem) -> tuple[float, np.ndarray]:
     mu_max = float(mu[-1])
     if mu_max <= 0:
         raise ValueError("denominator form vanishes on the feasible set")
-    minimizer = problem.matrix_from_coordinates(basis @ inverse.T @ vecs[:, -1])
+    minimizer = constraints.matrix(basis @ inverse.T @ vecs[:, -1])
     return 1.0 / mu_max, minimizer
 
 
-def min_bochner_ratio(problem: RatioProblem) -> KernelResult:
+def min_bochner_ratio(constraints: ConstraintSet) -> KernelResult:
     """Sharp minimal ratio: the eigenvalue route, read as a small rational, certified.
 
     Raises if the eigenvalue is no small rational or the certificate rejects it, or if
     the constraints force the denominator to vanish.
     """
-    eigen_ratio, minimizer = rayleigh_ratio(problem)
-    rational = Fraction(eigen_ratio).limit_denominator(MAX_DENOMINATOR)
-    if abs(float(rational) - eigen_ratio) > 1e-9:
+    eigen_ratio, minimizer = rayleigh_ratio(constraints)
+    rational = small_fraction(eigen_ratio, ROUND_TOL)
+    if rational is None:
         raise ArithmeticError(f"minimal ratio {eigen_ratio!r} is not a small rational")
-    reason = certify_ratio(problem, rational)
+    reason = certify_ratio(constraints, rational)
     if reason is not None:
         raise ArithmeticError(f"eigen route {eigen_ratio!r} not certified: {reason}")
     return KernelResult(

@@ -382,7 +382,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     tri = 0.0
     for r in (0.5, 1.0, 2.0, 5.0):
         route1 = g.distance_laplacian(r)
-        route2 = sum(m * g.hessian_eigenvalue(c, r) for c, m in g.CLASSES)
+        route2 = sum(m * g.index_form(c, r, 2 * g.QUAD_NODES) for c, m in g.CLASSES)
         h = 1e-6
         route3 = (g.log_area(r + h) - g.log_area(r - h)) / (2.0 * h)
         tri = max(tri, abs(route1 - route2), abs(route1 - route3))
@@ -494,7 +494,7 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
                and types == {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1}
                and stabilizer == 36 and annihilated <= TOL_ALGEBRA)
     out.add("forms.spin9-base-form", 0.0 if base_ok else 1.0, 0.5,
-            f"Phi: {masks.size} terms, tops {tops[0]:g}/{tops[1]:+g}; "
+            f"Phi: {masks.size} terms, tops {'/'.join(f'{t:+g}' for t in tops) or 'none'}; "
             f"stabilizer in so(16) of dimension {stabilizer}, "
             f"every I_i I_j annihilates Phi to {annihilated:.1e}")
 
@@ -517,22 +517,21 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     k = kernels
     f = forms
 
-    prob9 = k.RatioProblem(16, f.standard_constraints("spin9").rows)
-    r9 = k.min_bochner_ratio(prob9)
+    cs9 = f.standard_constraints("spin9")
+    r9 = k.min_bochner_ratio(cs9)
     cross = abs(r9.eigen_ratio - r9.ratio)
     out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, TOL_MODEL,
             f"minimal ratio 8/7 certified, eigen route off by {cross:.2e}")
 
     canon = k.canonical_minimizer(r9.minimizer)
     want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
-    attained = abs(prob9.objective(r9.minimizer) - r9.ratio)
+    attained = abs(k.objective(r9.minimizer) - r9.ratio)
     out.add("kernels.spin9-minimizer", max(float(np.abs(canon - want).max()), attained), TOL_MODEL,
             "diag(-7 mu, mu I7, 0_8) up to scale, attaining 8/7")
 
     res = 0.0
     for n in (2, 4):
-        cs = f.standard_constraints("kahler", n)
-        rk = k.min_bochner_ratio(k.RatioProblem(cs.n, cs.rows))
+        rk = k.min_bochner_ratio(f.standard_constraints("kahler", n))
         res = max(res, abs(rk.ratio - 2.0))
         deg = k.kato_transform(rk.rational)
         if not deg.degenerate:
@@ -541,18 +540,17 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
 
     res = 0.0
     for n in (1, 2):
-        cs = f.standard_constraints("quaternionic", n)
-        rq = k.min_bochner_ratio(k.RatioProblem(cs.n, cs.rows))
+        rq = k.min_bochner_ratio(f.standard_constraints("quaternionic", n))
         res = max(res, abs(rq.ratio - 4.0 / 3.0), abs(rq.drift - 24.0))
     out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
 
     # the claim itself, not the eigen route's candidate
-    reason = k.certify_ratio(prob9, Fraction(8, 7))
+    reason = k.certify_ratio(cs9, Fraction(8, 7))
     out.add("kernels.sharpness", 0.0 if reason is None else 1.0, 0.0,
             reason or "8/7 exact: P - 8/7 Q semidefinite and singular on the feasible space")
 
-    extra = np.vstack([prob9.rows, f.diagonal_rows(16, [(1, 9)])])
-    tightened, _ = k.rayleigh_ratio(k.RatioProblem(16, extra))
+    extra = f.ConstraintSet(16, np.vstack([cs9.rows, f.diagonal_rows(16, [(1, 9)])]))
+    tightened, _ = k.rayleigh_ratio(extra)
     mono = 0.0 if tightened >= r9.ratio - 1e-12 else 1.0
     out.add("kernels.constraint-monotonicity", mono, 0.5,
             f"extra constraint moves the ratio to {tightened:.6f}")

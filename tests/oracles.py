@@ -19,7 +19,7 @@ which terms the live-pair enumeration keeps, on the same sign kernels.
 The batched kernels (octonion product, curvature operator forms) are
 restated as single three-operand ``einsum`` contractions with no BLAS call
 and no blocking.  ``sharpness_full_draw`` samples the feasible space of a
-ratio problem, a Monte Carlo cross-check of the exact certificate.  The Clifford
+constraint set, a Monte Carlo cross-check of the exact certificate.  The Clifford
 involutions come from octonion products of the basis vectors, and the
 Cayley form Phi from them through plain dicts and ``wedge`` on one-row
 batches, squaring each psi over all its term pairs.  The curvature operator
@@ -37,6 +37,7 @@ import scipy.linalg
 from cayleykit.curvature import CurvatureOperator
 from cayleykit.exterior import epsilon, hodge, indices_of, interior, mask_of, residual, wedge
 from cayleykit.geodesy import log_area
+from cayleykit.kernels import nullspace, quadratic_weights
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
 
 
@@ -323,11 +324,11 @@ def dense_action(triplets, shape):
     return dense
 
 
-def sharpness_full_draw(problem, ratio, rng, samples):
+def sharpness_full_draw(constraints, ratio, rng, samples):
     """Feasible samples and those below ``ratio``: one standard normal per dimension of
     the whole feasible space, mapped through its basis."""
-    basis = problem.nullspace()
-    weights_p, weights_q = problem.quadratic_weights()
+    basis = nullspace(constraints)
+    weights_p, weights_q = quadratic_weights(constraints)
     vecs = rng.standard_normal((samples, basis.shape[1])) @ basis.T
     num, den = (vecs * vecs) @ weights_p, (vecs * vecs) @ weights_q
     good = den > 1e-12 * num

@@ -237,10 +237,9 @@ def test_parallel_form_constraint_extraction():
 
 def test_bochner_kernel_ratios():
     expected = (
-        (kernels.RatioProblem(8, forms.standard_constraints("kahler", 4).rows), Fraction(2, 1)),
-        (kernels.RatioProblem(8, forms.standard_constraints("quaternionic", 2).rows),
-         Fraction(4, 3)),
-        (kernels.RatioProblem(16, forms.standard_constraints("spin9").rows), Fraction(8, 7)),
+        (forms.standard_constraints("kahler", 4), Fraction(2, 1)),
+        (forms.standard_constraints("quaternionic", 2), Fraction(4, 3)),
+        (forms.standard_constraints("spin9"), Fraction(8, 7)),
     )
     gap = 0.0
     for prob, want in expected:

@@ -195,9 +195,33 @@ def test_extracted_constraints_match_targets():
 
 
 def test_extraction_rescale_invariant():
-    masks, coeffs = kahler_form(4)
-    assert extract_constraints(8, masks, 3.7 * coeffs, kahler_targets(4)) == extract_constraints(
-        8, masks, coeffs, kahler_targets(4))
+    # a rescaled form, the raw rows reversed or recombined by an integer matrix of
+    # determinant 1: each spans the same space, so each canonicalizes to the same rows
+    for n, omega, targets in ((SPIN9_DIM, spin9_form(), spin9_targets()),
+                              (8, kahler_form(4), kahler_targets(4)),
+                              (8, quaternionic_form(2), quaternionic_targets(2))):
+        want = extract_constraints(n, *omega, targets)
+        masks, coeffs = omega
+        for scale in (3.7, -2.5, np.pi):
+            assert extract_constraints(n, masks, scale * coeffs, targets) == want
+        raw = monomial_functionals(n, *omega, targets)
+        mix = np.tril(np.ones((len(raw), len(raw)))) @ (np.eye(len(raw)) - 2.0 * np.eye(len(raw), k=1))
+        assert round(np.linalg.det(mix)) == 1
+        for rows in (raw, np.pi * raw):
+            for inputs in (rows[::-1], mix @ rows, mix @ rows[::-1]):
+                assert ConstraintSet.from_functionals(n, inputs) == want
+
+
+def test_standard_constraints_already_hold_the_trace_row():
+    # the trace lies in the span of every standard set: adding it leaves the exact
+    # canonical rows as they are, so the kernels' prepended trace row is redundant there
+    for kind, n in (("kahler", 2), ("kahler", 4), ("quaternionic", 1), ("quaternionic", 2),
+                    ("spin9", None)):
+        cs = standard_constraints(kind, n)
+        assert ConstraintSet.from_functionals(cs.n, cs.trace_free_rows()) == cs, (kind, n)
+    # not so for a generic set
+    cs = ConstraintSet.from_functionals(4, diagonal_rows(4, [(0, 1)]))
+    assert len(ConstraintSet.from_functionals(4, cs.trace_free_rows()).rows) == 2
 
 
 def test_constraint_set_evaluate_collects_transpose():

@@ -10,11 +10,13 @@ from cayleykit.exterior import collect, hessian_action, mask_of
 from cayleykit.forms import ConstraintSet, diagonal_rows, extract_constraints, standard_constraints
 from cayleykit.geodesy import spectrum_bottom
 from cayleykit.kernels import (
-    RatioProblem,
     canonical_minimizer,
     certify_ratio,
     kato_transform,
     min_bochner_ratio,
+    nullspace,
+    objective,
+    quadratic_weights,
     rayleigh_ratio,
     vanishing_threshold,
 )
@@ -22,7 +24,7 @@ from cayleykit.octonion import mul_arrays
 
 RNG = np.random.default_rng(57721566)
 
-SPIN9 = RatioProblem(16, standard_constraints("spin9").rows)
+SPIN9 = standard_constraints("spin9")
 SPIN9_RESULT = min_bochner_ratio(SPIN9)
 
 
@@ -40,22 +42,22 @@ def test_spin9_minimizer_canonical_form():
 
 def minimal_eigenspace_dim(problem):
     """Dimension of the minimizing eigenspace: how flat the equality case is."""
-    basis = problem.nullspace()
-    p, q = problem.quadratic_weights()
+    basis = nullspace(problem)
+    p, q = quadratic_weights(problem)
     mu = scipy.linalg.eigh((basis.T * q) @ basis, (basis.T * p) @ basis, eigvals_only=True)
     return int(np.sum(mu > mu[-1] - 1e-9))
 
 
 def test_spin9_equality_diagnostics():
     a = SPIN9_RESULT.minimizer
-    assert abs(SPIN9.objective(a) - 8.0 / 7.0) <= 1e-12
+    assert abs(objective(a) - 8.0 / 7.0) <= 1e-12
     assert np.abs(a - np.diag(np.diag(a))).max() <= 1e-12
     assert minimal_eigenspace_dim(SPIN9) == 1
 
 
 def test_kahler_ratio_and_flat_directions():
     for n in (2, 4):
-        prob = RatioProblem(2 * n, standard_constraints("kahler", n).rows)
+        prob = standard_constraints("kahler", n)
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(2, 1)
         assert minimal_eigenspace_dim(prob) == 2 * n
@@ -63,7 +65,7 @@ def test_kahler_ratio_and_flat_directions():
 
 def test_quaternionic_ratio():
     for n in (1, 2):
-        prob = RatioProblem(4 * n, standard_constraints("quaternionic", n).rows)
+        prob = standard_constraints("quaternionic", n)
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(4, 3)
         assert res.drift == pytest.approx(24.0, abs=1e-12)
@@ -73,14 +75,14 @@ def test_objective_matches_definition():
     a = SPIN9_RESULT.minimizer
     num = float(np.sum(a * a))
     den = float(np.sum(a[0] * a[0]))
-    assert SPIN9.objective(a) == pytest.approx(num / den, rel=1e-12)
+    assert objective(a) == pytest.approx(num / den, rel=1e-12)
 
 
 def test_objective_rejects_vanishing_row():
     a = np.zeros((16, 16))
     a[1, 1], a[2, 2] = 1.0, -1.0
     with pytest.raises(ZeroDivisionError):
-        SPIN9.objective(a)
+        objective(a)
 
 
 def test_sharpness_sampling_never_beats_minimum():
@@ -92,10 +94,9 @@ def test_sharpness_sampling_never_beats_minimum():
 
 CERTIFIED = (
     (SPIN9, Fraction(8, 7)),
-    *((RatioProblem(2 * n, standard_constraints("kahler", n).rows), Fraction(2)) for n in (2, 4)),
-    *((RatioProblem(4 * n, standard_constraints("quaternionic", n).rows), Fraction(4, 3))
-      for n in (1, 2)),
-    (RatioProblem(4, np.zeros((0, 10))), Fraction(4, 3)),
+    *((standard_constraints("kahler", n), Fraction(2)) for n in (2, 4)),
+    *((standard_constraints("quaternionic", n), Fraction(4, 3)) for n in (1, 2)),
+    (ConstraintSet(4, np.zeros((0, 10))), Fraction(4, 3)),
 )
 
 
@@ -112,7 +113,7 @@ def test_certificate_sees_a_zero_pivot_with_a_live_row():
     # a_00 + a_01 = 0 on 3 x 3: the free a_02 alone gives ratio 2, the block of a_11 and
     # a_22 gives 7/4; at r = 2 the first pivot is zero and decoupled, the block's is zero
     # with a nonzero row, so 2 is not the minimum although M is singular there
-    prob = RatioProblem(3, np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]))
+    prob = ConstraintSet(3, np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]))
     assert min_bochner_ratio(prob).rational == Fraction(7, 4)
     assert certify_ratio(prob, Fraction(2)) == (
         "2 is above the minimum: pivot 1 of B^T (P - r Q) B is zero, its row not")
@@ -120,9 +121,9 @@ def test_certificate_sees_a_zero_pivot_with_a_live_row():
 
 def test_certificate_reads_rows_as_snapped_fractions():
     # a_00 + a_11 / 3 = 0: the float 1/3 reads back as the fraction; 0.1 + 1e-12 is none
-    third = RatioProblem(3, np.array([[1.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 0.0]]))
+    third = ConstraintSet(3, np.array([[1.0, 0.0, 0.0, 1.0 / 3.0, 0.0, 0.0]]))
     assert min_bochner_ratio(third).rational == 2 and certify_ratio(third, Fraction(2)) is None
-    off = RatioProblem(3, np.array([[1.0, 0.0, 0.0, 0.1 + 1e-12, 0.0, 0.0]]))
+    off = ConstraintSet(3, np.array([[1.0, 0.0, 0.0, 0.1 + 1e-12, 0.0, 0.0]]))
     with pytest.raises(ValueError, match="not a fraction"):
         certify_ratio(off, Fraction(2))
 
@@ -140,12 +141,12 @@ def test_spin9_free_coordinates_are_the_off_diagonal_entries():
     upper = np.triu_indices(16)
     free = SPIN9.free_coordinates()
     assert np.array_equal(free, upper[0] < upper[1])
-    weights = np.stack(SPIN9.quadratic_weights(), axis=1)
+    weights = np.stack(quadratic_weights(SPIN9), axis=1)
     classes, sizes = np.unique(weights[free], axis=0, return_counts=True)
     assert classes.tolist() == [[2.0, 0.0], [2.0, 1.0]] and sizes.tolist() == [105, 15]
     assert np.array_equal(weights[free, 1] == 1.0, upper[0][free] == 0)
     # the 16 diagonal entries under constraints of rank 2: 14 normals per sample
-    assert np.linalg.matrix_rank(SPIN9.constraint_rows()[:, ~free]) == 2
+    assert np.linalg.matrix_rank(SPIN9.trace_free_rows()[:, ~free]) == 2
 
 
 def test_batched_kernels_peak_memory():
@@ -164,14 +165,14 @@ def test_batched_kernels_peak_memory():
 def test_ratio_monotone_under_extra_constraints():
     base, _ = rayleigh_ratio(SPIN9)
     extra = np.vstack([SPIN9.rows, diagonal_rows(16, [(1, 9)])])
-    tightened, _ = rayleigh_ratio(RatioProblem(16, extra))
+    tightened, _ = rayleigh_ratio(ConstraintSet(16, extra))
     assert tightened >= base - 1e-12
     assert tightened > base + 1e-3  # this particular row genuinely bites
 
 
 def test_trace_only_problem_hits_closed_form():
     # trace freeness alone is the k = n - 1 partner case: ratio 1 + 1/(n-1)
-    prob = RatioProblem(4, np.zeros((0, 10)))
+    prob = ConstraintSet(4, np.zeros((0, 10)))
     res = min_bochner_ratio(prob)
     assert res.rational == Fraction(4, 3)
     canon = canonical_minimizer(res.minimizer)
@@ -215,24 +216,23 @@ def test_degenerate_constraints_rejected():
     # the coordinates (0, j) of the gradient row are the first 16 of the 136
     rows = np.eye(136)[:16]
     with pytest.raises(ValueError):
-        min_bochner_ratio(RatioProblem(16, rows))
+        min_bochner_ratio(ConstraintSet(16, rows))
 
 
 def test_overconstrained_problem_rejected():
     full = np.eye(10)
     with pytest.raises(ValueError):
-        rayleigh_ratio(RatioProblem(4, full))
+        rayleigh_ratio(ConstraintSet(4, full))
 
 
 def test_constraint_convention_matches_evaluate():
     # a_00 + a_01 = 0, the coefficient of (0, 1) multiplying a_01 once: a
     # factor on the off-diagonal coordinate would tilt the nullspace
     cs = ConstraintSet(3, np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]))
-    prob = RatioProblem(3, cs.rows)
-    basis = prob.nullspace()
+    basis = nullspace(cs)
     assert basis.shape[1] == 4
     for k in range(basis.shape[1]):
-        mat = prob.matrix_from_coordinates(basis[:, k])
+        mat = cs.matrix(basis[:, k])
         assert np.abs(oracles.evaluate(cs, mat)).max() <= 1e-9
         assert abs(np.trace(mat)) <= 1e-9
 
@@ -246,10 +246,9 @@ def test_feasible_set_annihilates_off_diagonal_targets():
     cs = extract_constraints(4, *omega, targets)
     upper = np.triu_indices(4)
     assert cs.rows[:, upper[0] != upper[1]].any(axis=1).all()
-    prob = RatioProblem(4, cs.rows)
-    basis = prob.nullspace()
+    basis = nullspace(cs)
     assert basis.shape[1] > 0
     for column in basis.T:
-        a = prob.matrix_from_coordinates(column)
+        a = cs.matrix(column)
         (t_masks,), (t_coeffs,) = collect(*hessian_action(a, *omega))
         assert np.abs(t_coeffs[np.isin(t_masks, targets)]).max(initial=0.0) <= 1e-12

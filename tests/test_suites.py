@@ -91,6 +91,15 @@ def test_model_faults_fail_named_checks(monkeypatch):
     twisted[0, 1] += 1e-6
     twisted[1, 0] -= 1e-6
     real_potential, real_log_gamma = suites.geodesy.liouville_potential, suites.geodesy.log_gamma
+    (phi_masks,), (phi_coeffs,) = forms.spin9_form()
+    without_v_top = phi_masks != forms.V_TOP
+
+    def index_form_without_potential(c, L, nodes):
+        # int_0^L f'^2 dt alone: the c^2 f^2 term of the index form dropped
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        slope = c * np.cosh(c * 0.5 * L * (x + 1.0)) / np.sinh(c * L)
+        return 0.5 * L * float(w @ slope**2)
+
     faults = (
         # rho^2 = 100: both spectrum routes follow the classes, so the claim 121 and the
         # vanishing thresholds built on rho^2 catch it
@@ -104,6 +113,14 @@ def test_model_faults_fail_named_checks(monkeypatch):
         # route J with the phase of c(s) reversed
         (suites.geodesy, "log_gamma", lambda z: real_log_gamma(z).conjugate(), ("geodesy",),
          ("geodesy.spectrum-bottom", "geodesy.sturm-crosscheck")),
+        # the quadrature is the second route of the consistency triangle as well
+        (suites.geodesy, "index_form", index_form_without_potential, ("geodesy",),
+         ("geodesy.consistency-triangle", "geodesy.jacobi-index-form")),
+        # Phi without its v-top term: the w-top block sum and the trace still force the
+        # v-top one, so the kernels keep 8/7
+        (forms, "spin9_form",
+         lambda: (phi_masks[without_v_top][None], phi_coeffs[without_v_top][None]),
+         ("forms", "kernels"), ("forms.spin9-base-form", "forms.spin9-top-functional")),
         (suites.curvature, "ALPHA", -3.0, ("curvature",),
          tuple(f"curvature.{c}" for c in ("adapted-sectional", "pinch-range", "product-order-reading",
                                           "einstein-constant", "radial-spectrum", "pinch-search"))),
@@ -281,14 +298,15 @@ def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch)
 
 
 def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
-    # the quadrature's only depth is its node count: 2 nodes are far off 4
+    # the quadrature's only depth is its node count: 2 nodes are far off 4, and the
+    # consistency triangle's index-form route runs at 4
     monkeypatch.setattr(suites.geodesy, "QUAD_NODES", 2)
     result = SUITES["geodesy"](RunConfig(**FAST))
     failed = [c for c in result.checks if not c.passed]
-    assert [c.check for c in failed] == ["geodesy.jacobi-index-form"]
-    assert failed[0].residual == 1.0
-    gap = float(failed[0].note.split()[2])
-    assert failed[0].note == f"2-node Gauss-Legendre, {gap:.1e} off 4 nodes" and gap > 1e-3
+    assert [c.check for c in failed] == ["geodesy.consistency-triangle", "geodesy.jacobi-index-form"]
+    assert failed[1].residual == 1.0
+    gap = float(failed[1].note.split()[2])
+    assert failed[1].note == f"2-node Gauss-Legendre, {gap:.1e} off 4 nodes" and gap > 1e-3
 
 
 def test_check_bookkeeping():
