@@ -15,9 +15,10 @@ collocation of the Liouville form (``dirichlet_value``, route C, with its N/2N
 gap as error estimate) and the first zero of Koornwinder's Jacobi function
 with alpha = 7, beta = 3 (``jacobi_dirichlet``, route J).
 
-``warped_report`` runs the same constants through an explicit warped
-metric dt^2 + e^{-4t} (7 dirs) + e^{-2t} (8 dirs): curvatures -f''/f,
-level-set mean curvature and the Hessian of the height function.
+``warped_curvature_residual`` checks the radial curvatures -f''/f of the
+warped metric dt^2 + e^{-4t} (7 dirs) + e^{-2t} (8 dirs) by finite
+differences of f against -c^2; its level-set mean curvature and the Hessian
+of the height function are sums over ``CLASSES``, which the suite reads.
 
 The radial classes are the model, not a setting: every function reads the
 module constant ``CLASSES`` when it is called, so a test can inject a model
@@ -238,22 +239,12 @@ def jacobi_dirichlet(radius: float) -> float:
 # Warped-product cross-check
 
 
-@dataclass
-class WarpedReport:
-    fd_residual: float
-    mean_curvature: float
-    hessian_diagonal: tuple
-    hessian_norm_sq: float
+def warped_curvature_residual() -> float:
+    """Largest gap, over the classes (c, m), between -f''/f and -c^2 for f = e^{-c t}.
 
-
-def warped_report() -> WarpedReport:
-    """Evaluate the warped-metric identities at height ``WARP_HEIGHT``.
-
-    The metric is dt^2 + sum over the classes (c, m) of e^{-2 c t} on m
-    directions.  Radial curvatures are computed both in closed form
-    (-f''/f = -c^2 for f = e^{-c t}) and by a second central difference of
-    f with one Richardson refinement, so an error in either route is
-    visible.
+    The metric is dt^2 + sum over the classes of e^{-2 c t} on m directions, evaluated at
+    height ``WARP_HEIGHT``; f'' is a second central difference with one Richardson
+    refinement, so an error in either route is visible.
     """
     t0, h = WARP_HEIGHT, WARP_STEP
     worst = 0.0
@@ -264,14 +255,5 @@ def warped_report() -> WarpedReport:
             return (f(t0 + hh) - 2.0 * f(t0) + f(t0 - hh)) / hh**2
 
         d2 = (4.0 * second(h / 2.0) - second(h)) / 3.0
-        worst = max(worst, abs(c * c - d2 / f(t0)))  # -f''/f against -c^2
-
-    mean_curv = sum(-c * m for c, m in CLASSES)
-    hess_diag = tuple(-c for c, m in CLASSES for _ in range(m))
-    hess_sq = sum(c * c * m for c, m in CLASSES)
-    return WarpedReport(
-        fd_residual=worst,
-        mean_curvature=mean_curv,
-        hessian_diagonal=hess_diag,
-        hessian_norm_sq=hess_sq,
-    )
+        worst = max(worst, abs(c * c - d2 / f(t0)))
+    return worst

@@ -17,12 +17,14 @@ minimum is found twice:
   rational r, is proved minimal by an elimination in ``Fraction`` showing
   that P - r Q is positive semidefinite and singular on the feasible space.
 
-A candidate the certificate rejects raises, and a run reports it as the
-failed check ``kernels.crashed``; nothing is averaged away.  The sharp
-ratio 1 + b sets the exponent of the Kato-type transform g = h^{1-b}, the
-one exponent for which the gradient term of the Bochner inequality
-vanishes identically; what remains is the drift constant |Ric| (1 - b),
-for the 16-dimensional model 36 * 6/7 = 216/7.
+``min_bochner_ratio`` returns the certified ``Fraction``, the eigenvalue it
+was read from and the eigen route's minimizer.  A candidate the certificate
+rejects raises, and a run reports it as the failed check ``kernels.crashed``;
+nothing is averaged away.  The sharp ratio 1 + b, 0 < b <= 1, sets the
+exponent of the Kato-type transform g = h^{1-b}, the one exponent for which
+the gradient term of the Bochner inequality vanishes identically; what
+remains is the drift constant |Ric| (1 - b), for the 16-dimensional model
+36 * 6/7 = 216/7.  ``kato_transform`` gives both as exact fractions.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ import numpy as np
 from .forms import MAX_DENOMINATOR, ROUND_TOL, ConstraintSet, row_reduce, small_fraction
 
 MODEL_RICCI = -36.0
-# entries of a scaled minimizer below this are noise
-CANONICAL_TOL = 1e-9
 
 
 def quadratic_weights(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
@@ -68,11 +68,9 @@ def objective(a: np.ndarray) -> float:
 
 @dataclass
 class KernelResult:
-    ratio: float
     rational: Fraction
-    minimizer: np.ndarray
-    drift: float
     eigen_ratio: float
+    minimizer: np.ndarray
 
 
 def certify_ratio(constraints: ConstraintSet, r: Fraction) -> str | None:
@@ -152,32 +150,7 @@ def min_bochner_ratio(constraints: ConstraintSet) -> KernelResult:
     reason = certify_ratio(constraints, rational)
     if reason is not None:
         raise ArithmeticError(f"eigen route {eigen_ratio!r} not certified: {reason}")
-    return KernelResult(
-        ratio=float(rational),
-        rational=rational,
-        minimizer=minimizer,
-        drift=kato_transform(rational).drift,
-        eigen_ratio=eigen_ratio,
-    )
-
-
-def canonical_minimizer(minimizer: np.ndarray) -> np.ndarray:
-    """Scale/sign normal form of a minimizer: a_11 negative, largest
-    positive diagonal value one, off-diagonal noise zeroed."""
-    a = np.array(minimizer, dtype=float)
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        return a
-    a /= scale
-    off = a - np.diag(np.diag(a))
-    if np.abs(off).max() < CANONICAL_TOL:
-        a = np.diag(np.diag(a))
-    if a[0, 0] > 0:
-        a = -a
-    positive = np.diag(a)[np.diag(a) > CANONICAL_TOL]
-    if positive.size:
-        a = a / positive.max()
-    return a
+    return KernelResult(rational, eigen_ratio, minimizer)
 
 
 def vanishing_threshold(b: float, lam1: float) -> float:
@@ -189,29 +162,18 @@ def vanishing_threshold(b: float, lam1: float) -> float:
     return -(b + 1.0) * lam1
 
 
-@dataclass(frozen=True)
-class KatoTransform:
-    exponent: float
-    drift: float
-    degenerate: bool
-
-
-def kato_transform(ratio: Fraction) -> KatoTransform:
-    """Exponent and drift of g = h^{1-b} for the sharp ratio 1 + b.
+def kato_transform(ratio: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact exponent k and drift k |MODEL_RICCI| of g = h^{1-b} for the sharp ratio 1 + b.
 
     Substituting Delta h >= b |grad h|^2 / h - |Ric| h into
     Delta(h^k) = k h^{k-1} Delta h + k (k-1) h^{k-2} |grad h|^2 gives
 
         Delta g >= k (b + k - 1) h^{k-2} |grad h|^2 - k |Ric| g,
 
-    and k = 1 - b makes the gradient coefficient vanish identically.  For an
-    exact ratio, k and the drift k |MODEL_RICCI| are exact fractions, rounded
-    once.  ratio = 2 means k = 0: flagged degenerate.
+    and k = 1 - b makes the gradient coefficient vanish identically.  The
+    Kahler ratio 2 gives k = 0: g = h^0 is constant and carries no drift.
     """
     if not 1 < ratio <= 2:
         raise ValueError("ratio must lie in (1, 2]")
     k = 2 - ratio
-    if k == 0:
-        return KatoTransform(exponent=0.0, drift=0.0, degenerate=True)
-    return KatoTransform(exponent=float(k), drift=float(k * abs(Fraction(MODEL_RICCI))),
-                         degenerate=False)
+    return k, k * abs(Fraction(MODEL_RICCI))

@@ -433,16 +433,13 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     worst = max(((v, g.jacobi_dirichlet(v.radius)) for v in values), key=lambda p: _routes_gap(*p))
     out.add("geodesy.sturm-crosscheck", _routes_gap(*worst), g.TOL_DIRICHLET, _routes_note(*worst))
 
-    rep = g.warped_report()
-    fixed = max(
-        abs(rep.mean_curvature + 22.0),
-        abs(rep.hessian_norm_sq - 36.0),
-        abs(sum(rep.hessian_diagonal[:7]) + 14.0),
-        abs(sum(rep.hessian_diagonal[7:]) + 8.0),
-    )
+    # the warped metric's mean curvature and Hessian are sums over CLASSES, per class
+    blocks = [-c * m for c, m in g.CLASSES]
+    fixed = max(abs(sum(blocks) + 22.0), abs(sum(c * c * m for c, m in g.CLASSES) - 36.0),
+                *(abs(b - claim) for b, claim in zip(blocks, (-14.0, -8.0))))
     out.add("geodesy.warped-constants", fixed, TOL_IDENTITY,
             "mean curvature -22, Hessian norm 36")
-    out.add("geodesy.warped-curvature-fd", rep.fd_residual, TOL_SEARCH)
+    out.add("geodesy.warped-curvature-fd", g.warped_curvature_residual(), TOL_SEARCH)
     return out
 
 
@@ -519,29 +516,30 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
 
     cs9 = f.standard_constraints("spin9")
     r9 = k.min_bochner_ratio(cs9)
-    cross = abs(r9.eigen_ratio - r9.ratio)
-    out.add("kernels.ratio-spin9", abs(r9.ratio - 8.0 / 7.0) + cross, TOL_MODEL,
+    cross = abs(r9.eigen_ratio - float(r9.rational))
+    out.add("kernels.ratio-spin9", float(abs(r9.rational - Fraction(8, 7))) + cross, TOL_MODEL,
             f"minimal ratio 8/7 certified, eigen route off by {cross:.2e}")
 
-    canon = k.canonical_minimizer(r9.minimizer)
+    # the minimizing eigenspace is one-dimensional, so a_11 = -7 fixes scale and sign
+    a = r9.minimizer
     want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
-    attained = abs(k.objective(r9.minimizer) - r9.ratio)
-    out.add("kernels.spin9-minimizer", max(float(np.abs(canon - want).max()), attained), TOL_MODEL,
+    shape = float(np.abs(a * (-7.0 / a[0, 0]) - want).max()) if a[0, 0] else 1.0
+    attained = abs(k.objective(a) - float(r9.rational))
+    out.add("kernels.spin9-minimizer", max(shape, attained), TOL_MODEL,
             "diag(-7 mu, mu I7, 0_8) up to scale, attaining 8/7")
 
     res = 0.0
     for n in (2, 4):
         rk = k.min_bochner_ratio(f.standard_constraints("kahler", n))
-        res = max(res, abs(rk.ratio - 2.0))
-        deg = k.kato_transform(rk.rational)
-        if not deg.degenerate:
-            res = max(res, 1.0)
+        exponent, _ = k.kato_transform(rk.rational)
+        res = max(res, float(abs(rk.rational - 2)), 0.0 if exponent == 0 else 1.0)
     out.add("kernels.ratio-kahler", res, TOL_MODEL, "ratio 2, transform degenerate")
 
     res = 0.0
     for n in (1, 2):
         rq = k.min_bochner_ratio(f.standard_constraints("quaternionic", n))
-        res = max(res, abs(rq.ratio - 4.0 / 3.0), abs(rq.drift - 24.0))
+        _, drift = k.kato_transform(rq.rational)
+        res = max(res, float(abs(rq.rational - Fraction(4, 3))), float(abs(drift - 24)))
     out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
 
     # the claim itself, not the eigen route's candidate
@@ -549,15 +547,19 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     out.add("kernels.sharpness", 0.0 if reason is None else 1.0, 0.0,
             reason or "8/7 exact: P - 8/7 Q semidefinite and singular on the feasible space")
 
+    # nested feasible sets, nested ratios: the trace alone (1 + 1/15 in closed form), then
+    # Spin(9)'s rows, then one more row
+    alone = k.min_bochner_ratio(f.ConstraintSet(16, np.zeros((0, cs9.rows.shape[1])))).rational
     extra = f.ConstraintSet(16, np.vstack([cs9.rows, f.diagonal_rows(16, [(1, 9)])]))
     tightened, _ = k.rayleigh_ratio(extra)
-    mono = 0.0 if tightened >= r9.ratio - 1e-12 else 1.0
-    out.add("kernels.constraint-monotonicity", mono, 0.5,
-            f"extra constraint moves the ratio to {tightened:.6f}")
+    mono = (alone == Fraction(16, 15) and alone <= r9.rational
+            and tightened >= float(r9.rational) - 1e-12)
+    out.add("kernels.constraint-monotonicity", 0.0 if mono else 1.0, 0.5,
+            f"trace-free alone {alone}, extra constraint moves the ratio to {tightened:.6f}")
 
-    kt = k.kato_transform(r9.rational)
-    trans = max(abs(kt.exponent - 6.0 / 7.0), abs(kt.drift - 216.0 / 7.0))
-    out.add("kernels.kato-transform", trans, TOL_IDENTITY, "exponent 6/7, drift 216/7")
+    exponent, drift = k.kato_transform(r9.rational)
+    trans = max(abs(exponent - Fraction(6, 7)), abs(drift - Fraction(216, 7)))
+    out.add("kernels.kato-transform", float(trans), TOL_IDENTITY, "exponent 6/7, drift 216/7")
 
     lam1 = geodesy.spectrum_bottom()
     thr = max(abs(k.vanishing_threshold(1.0, lam1) + 242.0),

@@ -21,7 +21,7 @@ from cayleykit.geodesy import (
     log_gamma,
     log_sinh,
     spectrum_bottom,
-    warped_report,
+    warped_curvature_residual,
 )
 
 
@@ -227,19 +227,17 @@ def test_jacobi_route_needs_the_rank_one_classes(monkeypatch):
     assert 100.0 < jacobi_dirichlet(4.0) < 110.0
 
 
-def test_warped_metric_constants():
-    rep = warped_report()
-    assert rep.mean_curvature == pytest.approx(-22.0, abs=1e-12)
-    assert rep.hessian_norm_sq == pytest.approx(36.0, abs=1e-12)
-    assert tuple(rep.hessian_diagonal) == (-2.0,) * 7 + (-1.0,) * 8
+def test_warped_curvature_residual(monkeypatch):
     # finite-difference radial curvature against -c^2 for c = 2 and 1
-    assert rep.fd_residual <= 1e-6
+    assert warped_curvature_residual() <= 1e-6
+    # at a coarse step the residual is the refined difference's h^4 term, c^6 h^4 / 1440 at
+    # c = 2; without the Richardson step it would be c^4 h^2 / 12, 3e5 times larger
+    monkeypatch.setattr(geodesy, "WARP_STEP", 1e-2)
+    assert warped_curvature_residual() == pytest.approx(2.0**6 * 1e-8 / 1440.0, rel=0.05)
 
 
 def test_warped_metric_custom_classes(monkeypatch):
     monkeypatch.setattr(geodesy, "CLASSES", ((3.0, 2),))
-    rep = warped_report()
-    assert rep.hessian_diagonal == (-3.0, -3.0)
-    assert rep.fd_residual <= 1e-6
-    assert rep.mean_curvature == pytest.approx(-6.0)
-    assert rep.hessian_norm_sq == pytest.approx(18.0)
+    assert warped_curvature_residual() <= 1e-6
+    monkeypatch.setattr(geodesy, "WARP_STEP", 1e-2)
+    assert warped_curvature_residual() == pytest.approx(3.0**6 * 1e-8 / 1440.0, rel=0.05)

@@ -10,7 +10,6 @@ from cayleykit.exterior import collect, hessian_action, mask_of
 from cayleykit.forms import ConstraintSet, diagonal_rows, extract_constraints, standard_constraints
 from cayleykit.geodesy import spectrum_bottom
 from cayleykit.kernels import (
-    canonical_minimizer,
     certify_ratio,
     kato_transform,
     min_bochner_ratio,
@@ -28,14 +27,20 @@ SPIN9 = standard_constraints("spin9")
 SPIN9_RESULT = min_bochner_ratio(SPIN9)
 
 
+def scaled_to_corner(minimizer, corner):
+    """The minimizer scaled to a_11 = corner; a one-dimensional minimizing eigenspace
+    makes that a normal form."""
+    return minimizer * (corner / minimizer[0, 0])
+
+
 def test_spin9_ratio_exact():
     r = SPIN9_RESULT
-    assert r.rational == Fraction(8, 7) and r.ratio == 8.0 / 7.0
+    assert r.rational == Fraction(8, 7)
     assert abs(r.eigen_ratio - 8.0 / 7.0) <= 1e-9
 
 
 def test_spin9_minimizer_canonical_form():
-    canon = canonical_minimizer(SPIN9_RESULT.minimizer)
+    canon = scaled_to_corner(SPIN9_RESULT.minimizer, -7.0)
     want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
     assert np.abs(canon - want).max() <= 1e-9
 
@@ -68,7 +73,8 @@ def test_quaternionic_ratio():
         prob = standard_constraints("quaternionic", n)
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(4, 3)
-        assert res.drift == pytest.approx(24.0, abs=1e-12)
+        # with the Ricci constant of the Spin(9) model, not that of HH^n
+        assert kato_transform(res.rational) == (Fraction(2, 3), 24)
 
 
 def test_objective_matches_definition():
@@ -97,12 +103,18 @@ CERTIFIED = (
     *((standard_constraints("kahler", n), Fraction(2)) for n in (2, 4)),
     *((standard_constraints("quaternionic", n), Fraction(4, 3)) for n in (1, 2)),
     (ConstraintSet(4, np.zeros((0, 10))), Fraction(4, 3)),
+    (ConstraintSet(16, np.zeros((0, 136))), Fraction(16, 15)),
+    # a_11 = 0, a_12 = a_22, a_13 = a_33: a ratio above 2, where no Kato transform exists
+    (ConstraintSet(3, np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                [0.0, 1.0, 0.0, -1.0, 0.0, 0.0],
+                                [0.0, 0.0, 1.0, 0.0, 0.0, -1.0]])), Fraction(3)),
 )
 
 
 @pytest.mark.parametrize("problem, ratio", CERTIFIED)
 def test_certificate_proves_the_sharp_ratio_and_nothing_near_it(problem, ratio):
     assert certify_ratio(problem, ratio) is None
+    assert min_bochner_ratio(problem).rational == ratio
     eps = Fraction(1, 10**9)
     above, below = certify_ratio(problem, ratio + eps), certify_ratio(problem, ratio - eps)
     assert above.startswith(f"{ratio + eps} is above the minimum: pivot ")
@@ -174,24 +186,16 @@ def test_trace_only_problem_hits_closed_form():
     # trace freeness alone is the k = n - 1 partner case: ratio 1 + 1/(n-1)
     prob = ConstraintSet(4, np.zeros((0, 10)))
     res = min_bochner_ratio(prob)
-    assert res.rational == Fraction(4, 3)
-    canon = canonical_minimizer(res.minimizer)
+    assert res.rational == Fraction(4, 3) and minimal_eigenspace_dim(prob) == 1
+    canon = scaled_to_corner(res.minimizer, -3.0)
     assert np.abs(canon - np.diag([-3.0, 1.0, 1.0, 1.0])).max() <= 1e-9
 
 
 def test_kato_transform_values():
-    # exact ratios give the exact fractions rounded once
-    t = kato_transform(Fraction(8, 7))
-    assert t.exponent == 6.0 / 7.0 and t.drift == 216.0 / 7.0
-    assert not t.degenerate
-
-    q = kato_transform(Fraction(4, 3))
-    assert q.exponent == 2.0 / 3.0 and q.drift == 24.0
-
-    degen = kato_transform(Fraction(2))
-    assert degen.degenerate
-    assert degen.exponent == 0
-    assert float(degen.drift) == 0.0
+    # exact ratios give exact fractions; the Kahler ratio 2 gives exponent 0 and no drift
+    assert kato_transform(Fraction(8, 7)) == (Fraction(6, 7), Fraction(216, 7))
+    assert kato_transform(Fraction(4, 3)) == (Fraction(2, 3), 24)
+    assert kato_transform(Fraction(2)) == (0, 0)
 
 
 def test_kato_transform_validation():

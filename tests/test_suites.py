@@ -126,6 +126,10 @@ def test_model_faults_fail_named_checks(monkeypatch):
                                           "einstein-constant", "radial-spectrum", "pinch-search"))),
         (suites.kernels, "MODEL_RICCI", -30.0, ("kernels",),
          ("kernels.ratio-quaternionic", "kernels.kato-transform")),
+        # the trace row dropped: every standard set holds the trace already, so only the
+        # trace-only set moves, from 16/15 to 1
+        (forms.ConstraintSet, "trace_free_rows", lambda self: self.rows, ("kernels",),
+         ("kernels.constraint-monotonicity",)),
         # the mirrored product reading is pinched too; only the spin(9) closed form tells it
         # apart, in the roundtrip and at the witness planes of its Jacobi eigenvalues
         (octonion, "product_matrices",
@@ -169,7 +173,7 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
     def refuse_the_claim(problem, r):
         # min_bochner_ratio certifies its candidate 8/7 first; kernels.sharpness asks again
         claims.append(r)
-        if claims.count(Fraction(8, 7)) == 2:
+        if r == Fraction(8, 7) and claims.count(r) == 2:
             return "8/7 is above the minimum: refused"
         return real_certify(problem, r)
 
