@@ -28,6 +28,7 @@ fault (say multiplicity 7 -> 6) by patching that one name.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,10 +76,20 @@ def hessian_eigenvalue(c: float, L: float) -> float:
     return c / math.tanh(c * L)
 
 
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre points and weights on [-1, 1], built once per
+    count (leggauss is nearly all of an ``index_form`` call); read-only, as callers share them."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def index_form(c: float, L: float, nodes: int) -> float:
     """Index form int_0^L (f'^2 + c^2 f^2) dt of the Jacobi profile f, by ``nodes``-point
     Gauss-Legendre; ``hessian_eigenvalue`` is its closed form."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     t = 0.5 * L * (x + 1.0)
     slope = c * np.cosh(c * t) / math.sinh(c * L)
     return 0.5 * L * float(w @ (slope**2 + c**2 * jacobi_profile(c, L, t) ** 2))

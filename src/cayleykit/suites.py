@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -579,19 +580,93 @@ SUITES = {
 }
 
 
+def _crashed(name: str, note: str) -> SuiteResult:
+    result = SuiteResult(name)
+    result.add(f"{name}.crashed", 1.0, 0.5, note)
+    return result
+
+
+def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
+    """One suite; one that raises is one failed check ``<suite>.crashed``."""
+    try:
+        return SUITES[name](cfg)
+    except Exception as exc:
+        return _crashed(name, f"{type(exc).__name__}: {exc}")
+
+
+def _claim(queue: int, chosen: list[str], cfg: RunConfig) -> list[tuple[int, SuiteResult, float]]:
+    """Run the suite of each index read from ``queue``, one byte at a time, until EOF."""
+    done = []
+    while claimed := os.read(queue, 1):
+        start = time.monotonic()
+        result = _run_suite(chosen[claimed[0]], cfg)
+        done.append((claimed[0], result, time.monotonic() - start))
+    return done
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on this platform
+        return os.cpu_count() or 1
+
+
 def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, float]]:
-    """Run the named suites in ``SUITE_ORDER``, timing each one; a suite that
-    raises is one failed check ``<suite>.crashed``, and the others still run."""
+    """Run the named suites, timing each one, and return them in ``SUITE_ORDER``.
+
+    The suites share no state, so they run on one worker per usable CPU, at most one per
+    suite: this process and ``workers - 1`` forked children, each claiming the next suite
+    from one pipe holding an index byte per suite.  A child sends its results back in one
+    pickle at the end and exits; every child is reaped before this returns.  A suite that
+    raises is one failed check ``<suite>.crashed``, and so is every suite a dead worker had
+    claimed; the others still run.  The one-thread BLAS policy (see ``__init__``) leaves no
+    thread to fork past and keeps workers x BLAS threads within the cores.
+    """
+    chosen = [name for name in SUITE_ORDER if name in names]
+    workers = min(len(chosen), _usable_cpus()) if hasattr(os, "fork") else 1
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(chosen))))
+    os.close(fill)
+    children, pipes = [], []
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers made so far drain the queue
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(_claim(queue, chosen, cfg), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append(pid)
+            pipes.append(open(read_end, "rb"))
+        done = _claim(queue, chosen, cfg)
+        outputs = [pipe.read() for pipe in pipes]
+    finally:
+        os.close(queue)
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    lost = [str(status) for status in statuses if status != 0]
+    for status, output in zip(statuses, outputs):
+        if status == 0:
+            done += pickle.loads(output)
+    held = {index: (result, seconds) for index, result, seconds in done}
     results: list[SuiteResult] = []
     timings: dict[str, float] = {}
-    for name in SUITE_ORDER:
-        if name in names:
-            start = time.monotonic()
-            try:
-                result = SUITES[name](cfg)
-            except Exception as exc:
-                result = SuiteResult(name)
-                result.add(f"{name}.crashed", 1.0, 0.5, f"{type(exc).__name__}: {exc}")
-            results.append(result)
-            timings[name] = time.monotonic() - start
+    for index, name in enumerate(chosen):
+        if index in held:
+            result, timings[name] = held[index]
+        else:
+            result = _crashed(name, f"worker exited with status {', '.join(lost)}")
+        results.append(result)
     return results, timings

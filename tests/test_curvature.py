@@ -192,34 +192,39 @@ def test_roundtrip_peak_memory():
     assert peak < 4 * 2**20
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's minor fault count")
-def test_warm_sweep_reuses_its_block_arrays():
-    # a sweep that allocated its (rows, 120) arrays anew in every block took about 34,000
-    # minor faults for 40,000 planes, its freed blocks going back to the system each time
-    import resource
+def warm_minor_faults(setup: str, call: str) -> int:
+    """Minor faults of a second ``call`` after ``setup`` and a first one, in a fresh
+    interpreter: once larger arrays have been freed the allocator keeps such blocks, and
+    the faults of arrays made anew no longer show."""
+    script = (f"import resource\n{setup}\n{call}\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              f"{call}\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return int(proc.stdout)
 
-    sweep_planes(OP, np.random.default_rng(4), planes=40_000)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    sweep_planes(OP, np.random.default_rng(4), planes=40_000)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults as Linux reports them")
+def test_warm_sweep_reuses_its_block_arrays():
+    # a warm 40,000-plane sweep takes about 500 minor faults; one taking a new (2, 1024, 120)
+    # work array in every block took about 2,000, and one allocating all its (rows, 120)
+    # arrays anew in every block about 34,000, its freed blocks going back to the system
+    setup = ("import numpy as np\n"
+             "from cayleykit.curvature import assemble_operator, sweep_planes\n"
+             "op = assemble_operator()")
+    call = "sweep_planes(op, np.random.default_rng(4), planes=40_000)"
+    assert warm_minor_faults(setup, call) < 1000
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts minor faults as Linux reports them")
 def test_warm_octonion_suite_reuses_its_block_arrays():
     # a warm 200,000-pair call takes about 180 minor faults; one computing its nine products
     # into new arrays in every block took 19,000-60,000, its traced peak staying under the
-    # bound of the octonion peak test.  A fresh interpreter, since after larger arrays are
-    # freed the allocator keeps such blocks and the faults no longer show
-    script = ("import resource\n"
-              "from cayleykit.suites import RunConfig, suite_octonion\n"
-              "cfg = RunConfig(trials=200_000)\n"
-              "suite_octonion(cfg)\n"
-              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-              "assert suite_octonion(cfg).passed\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert int(proc.stdout) < 5000
+    # bound of the octonion peak test
+    setup = ("from cayleykit.suites import RunConfig, suite_octonion\n"
+             "cfg = RunConfig(trials=200_000)")
+    assert warm_minor_faults(setup, "assert suite_octonion(cfg).passed") < 5000
 
 
 def test_sectional_from_operator_matches_formula():

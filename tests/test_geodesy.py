@@ -83,6 +83,14 @@ def test_index_form_quadrature_against_scipy():
             assert own == pytest.approx(hessian_eigenvalue(c, L), abs=1e-9)
 
 
+def test_index_form_builds_each_rule_once_read_only():
+    rule = geodesy._gauss_legendre(geodesy.QUAD_NODES)
+    assert geodesy._gauss_legendre(geodesy.QUAD_NODES) is rule
+    assert not any(a.flags.writeable for a in rule)
+    fresh = np.polynomial.legendre.leggauss(geodesy.QUAD_NODES)
+    assert all(np.array_equal(a, b) for a, b in zip(rule, fresh))
+
+
 def test_jacobi_profile_solves_the_ode():
     # f'' = c^2 f with f(0) = 0, f(L) = 1, integrated independently
     for c, L in ((2.0, 1.0), (1.0, 2.0)):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import os
+import pickle
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -62,6 +65,75 @@ def test_single_suite_matches_stream_inside_selection():
     alone, _ = run_suites(["kernels"], RunConfig(**FAST))
     both, _ = run_suites(["octonion", "kernels"], RunConfig(**FAST))
     assert alone[0].as_dict() == both[1].as_dict()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_workers_and_one_give_the_same_results(monkeypatch):
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        results, timings = run_suites(SUITE_ORDER, RunConfig(**FAST))
+        no_child_left()
+        assert set(timings) == set(SUITE_ORDER)
+        runs.append(([r.as_dict() for r in results], [pickle.dumps(r.artifacts) for r in results]))
+    assert runs[0] == runs[1]
+    assert runs[0][1][SUITE_ORDER.index("curvature")] != pickle.dumps({})
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_a_dead_worker_fails_the_suite_it_claimed(monkeypatch, tmp_path):
+    # each fake suite exits in a forked worker; in this process it waits for that exit, so
+    # the worker claims one suite and this process the other, whichever claims first
+    parent, exited = os.getpid(), tmp_path / "exited"
+
+    def fake(name, cfg):
+        if os.getpid() != parent:
+            exited.touch()
+            os._exit(3)
+        deadline = time.monotonic() + 60
+        while not exited.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        result = SuiteResult(name)
+        result.add(f"{name}.ran", 0.0, 1.0)
+        return result
+
+    for name in ("forms", "kernels"):
+        monkeypatch.setitem(SUITES, name, partial(fake, name))
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results, timings = run_suites(["kernels", "forms"], RunConfig(**FAST))
+    no_child_left()
+    assert [r.suite for r in results] == ["forms", "kernels"]
+    dead, ran = sorted(results, key=lambda r: r.passed)
+    assert [c.check for c in dead.checks] == [f"{dead.suite}.crashed"]
+    assert "status 3" in dead.checks[0].note
+    assert [c.check for c in ran.checks] == [f"{ran.suite}.ran"] and ran.passed
+    assert list(timings) == [ran.suite]
+
+
+def test_a_single_suite_runs_in_this_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked for a single suite")
+
+    monkeypatch.setattr(suites.os, "fork", fork, raising=False)
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (result,), _ = run_suites(["kernels"], RunConfig(**FAST))
+    assert result.passed
+
+
+def test_a_failed_fork_leaves_the_suites_to_this_process(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(suites.os, "fork", fork, raising=False)
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results, timings = run_suites(["forms", "kernels"], RunConfig(**FAST))
+    assert [r.suite for r in results] == ["forms", "kernels"] and all(r.passed for r in results)
+    assert set(timings) == {"forms", "kernels"}
 
 
 def test_geodesy_results_ignore_wall_clock(monkeypatch):
