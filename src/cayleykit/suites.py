@@ -594,14 +594,22 @@ def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
         return _crashed(name, f"{type(exc).__name__}: {exc}")
 
 
-def _claim(queue: int, chosen: list[str], cfg: RunConfig) -> list[tuple[int, SuiteResult, float]]:
-    """Run the suite of each index read from ``queue``, one byte at a time, until EOF."""
+def _run_each(chosen: list[str], cfg: RunConfig, indices) -> list[tuple[int, SuiteResult, float]]:
+    """Run the suite at each of ``indices`` into ``chosen`` in turn, timing each one."""
     done = []
-    while claimed := os.read(queue, 1):
+    for index in indices:
         start = time.monotonic()
-        result = _run_suite(chosen[claimed[0]], cfg)
-        done.append((claimed[0], result, time.monotonic() - start))
+        result = _run_suite(chosen[index], cfg)
+        done.append((index, result, time.monotonic() - start))
     return done
+
+
+def _worker_of(index: int, workers: int) -> int:
+    """The worker that runs suite ``index``, dealt out 0, 1, ..., w - 1, w - 1, ..., 0, 0, 1, ...;
+    dealing back and forth evens the shares more than round robin when an early suite is
+    the largest, as octonion is at a large ``trials``."""
+    turn = index % (2 * workers)
+    return min(turn, 2 * workers - 1 - turn)
 
 
 def _usable_cpus() -> int:
@@ -615,25 +623,24 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
     """Run the named suites, timing each one, and return them in ``SUITE_ORDER``.
 
     The suites share no state, so they run on one worker per usable CPU, at most one per
-    suite: this process and ``workers - 1`` forked children, each claiming the next suite
-    from one pipe holding an index byte per suite.  A child sends its results back in one
-    pickle at the end and exits; every child is reaped before this returns.  A suite that
-    raises is one failed check ``<suite>.crashed``, and so is every suite a dead worker had
-    claimed; the others still run.  The one-thread BLAS policy (see ``__init__``) leaves no
-    thread to fork past and keeps workers x BLAS threads within the cores.
+    suite: this process (worker 0) and ``workers - 1`` forked children.  The chosen suites
+    are dealt to the workers in a fixed order (``_worker_of``), so which suites share a
+    process, and so each process's memory, is the same on every run.  A child sends its
+    results back in one pickle at the end and exits; every child is reaped before this
+    returns.  A suite that raises is one failed check ``<suite>.crashed``, and so is every
+    suite of a dead worker; the others still run.  The one-thread BLAS policy (see
+    ``__init__``) leaves no thread to fork past and keeps workers x BLAS threads within the
+    cores.
     """
     chosen = [name for name in SUITE_ORDER if name in names]
     workers = min(len(chosen), _usable_cpus()) if hasattr(os, "fork") else 1
-    queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(chosen))))
-    os.close(fill)
     children, pipes = [], []
     try:
-        for _ in range(workers - 1):
+        for worker in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the workers made so far drain the queue
+            except OSError:  # no process to spare: this one runs the workers not forked
                 os.close(read_end)
                 os.close(write_end)
                 break
@@ -642,17 +649,18 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as out:
-                        pickle.dump(_claim(queue, chosen, cfg), out)
+                        share = [i for i in range(len(chosen)) if _worker_of(i, workers) == worker]
+                        pickle.dump(_run_each(chosen, cfg, share), out)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_end)
             children.append(pid)
             pipes.append(open(read_end, "rb"))
-        done = _claim(queue, chosen, cfg)
+        done = _run_each(chosen, cfg, [index for index in range(len(chosen))
+                                       if not 0 < _worker_of(index, workers) <= len(children)])
         outputs = [pipe.read() for pipe in pipes]
     finally:
-        os.close(queue)
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]

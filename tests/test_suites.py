@@ -86,9 +86,29 @@ def test_two_workers_and_one_give_the_same_results(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-def test_a_dead_worker_fails_the_suite_it_claimed(monkeypatch, tmp_path):
-    # each fake suite exits in a forked worker; in this process it waits for that exit, so
-    # the worker claims one suite and this process the other, whichever claims first
+def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
+    # which suites share a process sets each process's peak memory, so it may not depend
+    # on timing: four workers are dealt the six suites 0, 1, 2, 3, 3, 2
+    def fake(name, cfg):
+        result = SuiteResult(name)
+        result.add(f"{name}.ran", 0.0, 1.0, str(os.getpid()))
+        return result
+
+    for name in SUITE_ORDER:
+        monkeypatch.setitem(SUITES, name, partial(fake, name))
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for _ in range(2):
+        results, _ = run_suites(SUITE_ORDER, RunConfig(**FAST))
+        no_child_left()
+        pids = [int(r.checks[0].note) for r in results]
+        assert pids[0] == os.getpid() and pids[2] == pids[5] and pids[3] == pids[4]
+        assert len(set(pids)) == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
+    # each fake suite exits in a forked worker; in this process it waits for that exit.
+    # forms comes first in SUITE_ORDER, so this process runs it and the worker kernels
     parent, exited = os.getpid(), tmp_path / "exited"
 
     def fake(name, cfg):
@@ -108,11 +128,11 @@ def test_a_dead_worker_fails_the_suite_it_claimed(monkeypatch, tmp_path):
     results, timings = run_suites(["kernels", "forms"], RunConfig(**FAST))
     no_child_left()
     assert [r.suite for r in results] == ["forms", "kernels"]
-    dead, ran = sorted(results, key=lambda r: r.passed)
-    assert [c.check for c in dead.checks] == [f"{dead.suite}.crashed"]
+    ran, dead = results
+    assert [c.check for c in dead.checks] == ["kernels.crashed"]
     assert "status 3" in dead.checks[0].note
-    assert [c.check for c in ran.checks] == [f"{ran.suite}.ran"] and ran.passed
-    assert list(timings) == [ran.suite]
+    assert [c.check for c in ran.checks] == ["forms.ran"] and ran.passed
+    assert list(timings) == ["forms"]
 
 
 def test_a_single_suite_runs_in_this_process(monkeypatch):
