@@ -88,7 +88,7 @@ def config_echo(cfg: suites.RunConfig) -> dict:
 def build_report(results, cfg: suites.RunConfig, timings: dict) -> dict:
     failed = [c.check for r in results for c in r.checks if not c.passed]
     return {
-        "schema": 2,
+        "schema": 3,
         "generator": {"package": "cayleykit", "version": __version__},
         "config": config_echo(cfg),
         "suites": [r.as_dict() for r in results],
@@ -116,10 +116,7 @@ def print_results(results) -> None:
             print(line)
     total = sum(len(r.checks) for r in results)
     bad = [c.check for r in results for c in r.checks if not c.passed]
-    if bad:
-        print(f"{total - len(bad)}/{total} checks passed; failed: {', '.join(bad)}")
-    else:
-        print(f"{total}/{total} checks passed")
+    print(f"{total - len(bad)}/{total} checks passed" + (f"; failed: {', '.join(bad)}" if bad else ""))
 
 
 def write_report(report: dict, out: Path, fmt: str) -> Path:
@@ -206,11 +203,9 @@ def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
     path.write_text("\n".join(parts) + "\n")
 
 
-def write_spectrum_artifacts(out: Path, radii) -> list:
-    """spectrum.csv and .svg from routes C and J at each radius, and the Laplacian curve;
-    returns the (route C, route J) pairs."""
+def write_spectrum_artifacts(out: Path, rows) -> None:
+    """spectrum.csv and .svg from the (route C, route J) pair at each radius."""
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r)) for r in radii]
     bottom = geodesy.spectrum_bottom()
     with open(out / "spectrum.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -227,6 +222,10 @@ def write_spectrum_artifacts(out: Path, radii) -> list:
                    "Bottom of the Dirichlet spectrum vs domain radius",
                    "radius R", "lowest eigenvalue", hline=bottom)
 
+
+def write_laplacian_artifacts(out: Path, radii) -> None:
+    """laplacian.csv and .svg: the radial Laplacian curve out to the largest radius."""
+    out.mkdir(parents=True, exist_ok=True)
     rs = np.linspace(0.2, max(radii), 240)
     lap = geodesy.distance_laplacian(rs).tolist()
     svg_line_chart(out / "laplacian.svg",
@@ -238,7 +237,6 @@ def write_spectrum_artifacts(out: Path, radii) -> list:
         writer.writerow(["r", "laplacian"])
         for r, value in zip(rs, lap):
             writer.writerow([repr(float(r)), repr(value)])
-    return rows
 
 
 def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
@@ -301,7 +299,9 @@ def cmd_verify(args, cfg: suites.RunConfig) -> int:
 
 def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
-    rows = write_spectrum_artifacts(out, cfg.radii)
+    rows = [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r)) for r in cfg.radii]
+    write_spectrum_artifacts(out, rows)
+    write_laplacian_artifacts(out, cfg.radii)
     bottom = geodesy.spectrum_bottom()
     print(f"{'radius':>8} {'nodes':>5} {'collocation':>16} {'Jacobi':>16} {'gap':>10}")
     for v, exact in rows:
@@ -327,9 +327,11 @@ def cmd_report(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
     results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
     print_results(results)
-    write_spectrum_artifacts(out, cfg.radii)
-    # the curvature suite's operator and search (a crashed suite holds nothing)
+    # what the geodesy and curvature suites computed (a crashed suite holds nothing)
     held = {r.suite: r.artifacts for r in results}
+    if held["geodesy"]:
+        write_spectrum_artifacts(out, held["geodesy"]["spectrum"])
+    write_laplacian_artifacts(out, cfg.radii)
     if held["curvature"]:
         write_pinch_artifacts(out, held["curvature"]["pinch"])
         if args.export_operator:

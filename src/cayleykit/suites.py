@@ -1,17 +1,18 @@
-"""Verification suites: every headline identity as a named residual check.
+"""Verification suites: every headline identity as a named check, recorded as its claim,
+the value of each route and the evidence, from which ``SuiteResult.add`` computes the
+residual against a pinned tolerance and ``CheckResult.note`` renders the note.
 
-Each suite draws from its own deterministic substream of the master seed
-(stable across suite selection; the pinch directions alone are seeded with
-the master seed, as ``cayleykit pinch`` is), evaluates a list of checks and
-reports the worst residual per check against a pinned tolerance.  The CLI
-renders these into ``report.json``; byte-for-byte determinism of that
-file (timing aside) is part of the contract, so no check may embed a
+Each suite draws from its own deterministic substream of the master seed (stable across
+suite selection; the pinch directions alone are seeded with the master seed, as
+``cayleykit pinch`` is).  The CLI renders the records into ``report.json``; byte-for-byte
+determinism of that file (timing aside) is part of the contract, so no check may embed a
 wall time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import time
@@ -33,6 +34,7 @@ TOL_ALGEBRA = 1e-10
 TOL_MODEL = 1e-9
 TOL_NUMERIC = 1e-8
 TOL_SEARCH = 1e-6
+PINCH = (-4.0, -1.0)  # the sectional curvatures, an interval claim
 
 
 @dataclass(frozen=True)
@@ -88,34 +90,95 @@ class RunConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(key,)))
 
 
+def _score(value, claim, relative: bool):
+    """One route's gap to its claim, with the route and claim entries it was read at: 0 or 1 for a
+    bool or other non-number, equal or not; |value - claim| for a number, over |claim| if
+    ``relative``, or its distance outside an interval claim (low, high); for an array, its worst
+    entry (where all agree, that of the largest claim), kept with the claim there.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (numbers.Number, np.ndarray)):
+        return (0.0 if value == claim else 1.0), value, claim
+    if isinstance(claim, tuple):
+        gap = max(0.0, claim[0] - value, value - claim[1])
+        return (math.nan if math.isnan(value) else gap), value, claim
+    gaps = np.asarray(np.abs(np.subtract(value, claim)) / (np.abs(claim) if relative else 1))
+    value, claim = np.broadcast_to(value, gaps.shape), np.broadcast_to(claim, gaps.shape)
+    worst = np.unravel_index(np.argmax(gaps if gaps.any() else np.abs(claim)), gaps.shape)
+    return float(gaps[worst]), value[worst], claim[worst]
+
+
+def _text(value) -> str:
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{key}: {_text(v)}" for key, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text, value)) + "]"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+def _plain(value):
+    """``value`` as JSON; a Fraction, like any other non-number, as its text, such as "8/7"."""
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, dict):
+        return {str(key): _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in value]
+    return value if value is None or isinstance(value, (bool, int, float)) else str(value)
+
+
 @dataclass
 class CheckResult:
+    """One check as a record: its claim (one for every route, or a mapping route -> claim), the
+    value each route computed, and the evidence: sample and node counts, N/2N gaps, witnesses,
+    a certificate's or a crash's text."""
+
     check: str
     residual: float
     tolerance: float
     passed: bool
-    note: str = ""
+    claim: object = None
+    routes: dict = field(default_factory=dict)
+    evidence: dict = field(default_factory=dict)
+    relative: bool = False
+
+    @property
+    def note(self) -> str:
+        """Claim, routes, evidence; a text stands alone, so a crashed check's note is its error."""
+        parts = ({"claim": self.claim} if self.routes else {}, self.routes, self.evidence)
+        return "; ".join(filter(None, (", ".join(v if isinstance(v, str) else f"{k} {_text(v)}"
+                                                 for k, v in part.items() if v is not None)
+                                       for part in parts)))
 
     def as_dict(self) -> dict:
-        d = {"check": self.check, "residual": self.residual,
-             "tolerance": self.tolerance, "passed": bool(self.passed)}
-        if self.note:
-            d["note"] = self.note
-        return d
+        return {"check": self.check, "residual": self.residual, "tolerance": self.tolerance,
+                "passed": bool(self.passed), "claim": _plain(self.claim), "routes": _plain(self.routes),
+                "relative": self.relative, "evidence": _plain(self.evidence), "note": self.note}
 
 
 @dataclass
 class SuiteResult:
     """The checks of one suite; ``artifacts``, not part of the report, holds what the CLI
-    writes or reuses (curvature: ``operator`` and ``pinch``)."""
+    writes or reuses (curvature: ``operator`` and ``pinch``; geodesy: ``spectrum``, the
+    (route C, route J) pair at each radius of the run)."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def add(self, check: str, residual: float, tolerance: float, note: str = "") -> CheckResult:
-        res = CheckResult(check, float(residual), float(tolerance),
-                          float(residual) <= float(tolerance), note)
+    def add(self, check: str, tolerance: float, routes: dict, *, claim, relative: bool = False,
+            evidence: dict | None = None) -> CheckResult:
+        """Record a check whose residual is the worst ``_score`` of its routes against ``claim``:
+        one claim for every route, a mapping route -> claim, or an array read entry by entry,
+        which the record keeps as a mapping.  A NaN score fails; no routes (a crash) or a false
+        ``evidence["converged"]`` scores 1.0."""
+        claims = claim if isinstance(claim, dict) else dict.fromkeys(routes, claim)
+        scored = {name: _score(value, claims[name], relative) for name, value in routes.items()}
+        evidence = evidence or {}
+        gaps = [gap for gap, _, _ in scored.values()] if evidence.get("converged", True) else []
+        residual = float(np.max(gaps)) if gaps else 1.0
+        if isinstance(claim, (dict, np.ndarray)):
+            claim = {name: kept for name, (_, _, kept) in scored.items()}
+        res = CheckResult(check, residual, float(tolerance), residual <= tolerance, claim,
+                          {name: value for name, (_, value, _) in scored.items()}, evidence, relative)
         self.checks.append(res)
         return res
 
@@ -128,12 +191,8 @@ class SuiteResult:
         return max((c.residual for c in self.checks), default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {"suite": self.suite, "passed": self.passed, "max_residual": self.max_residual,
+                "checks": [c.as_dict() for c in self.checks]}
 
 
 def _relative(delta, scale) -> float:
@@ -181,7 +240,7 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     out = SuiteResult("octonion")
     table = cfg.table
 
-    # structural table checks are exact: residual 1.0, and the note names the first breakage
+    # structural table checks are exact: residual 1.0, and the evidence names the first breakage
     breaks = []
     for i in range(1, 8):
         if table.product(i, i) != (-1, 0):
@@ -198,7 +257,8 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     ref = octonion.MultiplicationTable.generate()
     if not (np.array_equal(table.sign, ref.sign) and np.array_equal(table.index, ref.index)):
         breaks.append("table deviates from the seven triples")
-    out.add("octonion.table-closure", 1.0 if breaks else 0.0, 0.5, breaks[0] if breaks else "")
+    out.add("octonion.table-closure", 0.5, {"no breakage": not breaks}, claim=True,
+            evidence={"first break": breaks[0] if breaks else None})
 
     # a and b each continue their own stream across blocks, so no residual depends on the
     # block size; every block reuses the arrays of the first
@@ -206,7 +266,7 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     step = octonion.MUL_BLOCK_ROWS
     draws = np.empty((2, min(step, cfg.trials), 8))
     work = np.empty((11, min(step, cfg.trials), 8))
-    worst: dict[str, float] = {}
+    blocks = []
     for start in range(0, cfg.trials, step):
         rows = min(step, cfg.trials - start)
         a, b = draws[:, :rows]
@@ -214,17 +274,17 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
         b_rng.random(out=b)
         draws[:, :rows] *= 2.0
         draws[:, :rows] -= 1.0  # uniform in [-1, 1)
-        for name, value in _octonion_residuals(a, b, table, work[:, :rows]).items():
-            worst[name] = max(worst.get(name, 0.0), value)
-    for name, value in worst.items():
-        out.add(f"octonion.{name}", value, TOL_IDENTITY)
+        blocks.append(_octonion_residuals(a, b, table, work[:, :rows]))
+    for name in blocks[0]:
+        out.add(f"octonion.{name}", TOL_IDENTITY,
+                {"relative deviation": np.array([block[name] for block in blocks])}, claim=0.0,
+                evidence={"pairs": cfg.trials})
 
     e = np.eye(8)[1:]  # imaginary units e_0 .. e_6
-    fro1 = octonion.mul_arrays(octonion.mul_arrays(e[0], e[1], table), e[2], table)
-    fro2 = octonion.mul_arrays(e[0], octonion.mul_arrays(e[1], e[2], table), table)
-    wit = max(np.abs(fro1 + e[5]).max(), np.abs(fro2 - e[5]).max())
-    out.add("octonion.association-witness", wit, TOL_IDENTITY,
-            "(e0 e1) e2 = -e5 while e0 (e1 e2) = +e5")
+    out.add("octonion.association-witness", TOL_IDENTITY,
+            {"(e0 e1) e2": octonion.mul_arrays(octonion.mul_arrays(e[0], e[1], table), e[2], table),
+             "e0 (e1 e2)": octonion.mul_arrays(e[0], octonion.mul_arrays(e[1], e[2], table), table)},
+            claim={"(e0 e1) e2": -e[5], "e0 (e1 e2)": e[5]})
     return out
 
 
@@ -239,23 +299,22 @@ def _identity_residuals(n, p, k, m, eta) -> dict[str, float]:
     star = ex.hodge(n, *eta)
     contracted = ex.interior(k, *eta)
     return {
-        "involution": ex.residual(ex.hodge(n, *star), _minus(p * (n - p), eta)),
-        "push": ex.residual(ex.hodge(n, *ex.epsilon(k, *eta)), _minus(p, ex.interior(k, *star))),
-        "pull": ex.residual(ex.epsilon(k, *star), _minus(p - 1, ex.hodge(n, *contracted))),
-        "double": ex.residual(ex.hodge(n, *ex.epsilon(k, *star)), _minus((p - 1) * (n - p), contracted)),
-        "anticommute": ex.residual(ex.interior(k, *ex.epsilon(m, *eta)), ex.epsilon(m, *contracted),
-                                   (eta[0], np.where(k == m, -eta[1], 0.0))),
+        "star-involution": ex.residual(ex.hodge(n, *star), _minus(p * (n - p), eta)),
+        "star-after-epsilon": ex.residual(ex.hodge(n, *ex.epsilon(k, *eta)),
+                                          _minus(p, ex.interior(k, *star))),
+        "epsilon-after-star": ex.residual(ex.epsilon(k, *star), _minus(p - 1, ex.hodge(n, *contracted))),
+        "star-epsilon-star": ex.residual(ex.hodge(n, *ex.epsilon(k, *star)),
+                                         _minus((p - 1) * (n - p), contracted)),
+        "contraction-anticommutator": ex.residual(ex.interior(k, *ex.epsilon(m, *eta)),
+                                                  ex.epsilon(m, *contracted),
+                                                  (eta[0], np.where(k == m, -eta[1], 0.0))),
     }
 
 
 def suite_exterior(cfg: RunConfig) -> SuiteResult:
-    """Hodge and contraction identities in three batches of cases.
-
-    Every monomial of every n <= 6 against every index pair (k, m);
-    ``trials / 100`` random sparse forms of mixed grades at n = 16; and the
-    duality chain at grades (4, 2), (8, 4), (16, 8).  Serialization runs on
-    one row of a batch at a time.
-    """
+    """Hodge and contraction identities on every monomial of every n <= 6 against every index
+    pair (k, m) and on ``trials / 100`` random sparse forms of mixed grades at n = 16; the
+    duality chain at grades (4, 2), (8, 4), (16, 8); serialization, one form at a time."""
     rng = cfg.suite_rng("exterior")
     out = SuiteResult("exterior")
     ex = exterior
@@ -264,7 +323,7 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
                       for k in range(n) for m in range(n)])
     n, mask, k, m = cases.T[:, :, None]
     p = np.bitwise_count(mask).astype(np.int64)
-    worst = _identity_residuals(n, p, k, m, (mask, np.ones(mask.shape)))
+    monomials = _identity_residuals(n, p, k, m, (mask, np.ones(mask.shape)))
 
     rows = max(1, cfg.trials // 100)
     p = rng.integers(1, 16, rows)
@@ -272,36 +331,25 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
     eta = ex.random_forms(16, p, rng)
     xi = ex.random_forms(16, p - 1, rng)
     sampled = _identity_residuals(16, p[:, None], k, m, eta)
-    worst = {name: max(worst[name], sampled[name]) for name in worst}
-    adjoint = np.abs(ex.inner(*ex.epsilon(j, *xi), *eta) - ex.inner(*xi, *ex.interior(j, *eta)))
+    for name, value in monomials.items():
+        out.add(f"exterior.{name}", TOL_IDENTITY, {"monomials": value, "random forms": sampled[name]},
+                claim=0.0, evidence={"monomial cases": len(cases), "random forms": rows})
+    out.add("exterior.epsilon-interior-adjoint", TOL_IDENTITY,
+            {"<eps_j xi, eta>": ex.inner(*ex.epsilon(j, *xi), *eta)},
+            claim=ex.inner(*xi, *ex.interior(j, *eta)), evidence={"random forms": rows})
 
-    out.add("exterior.star-involution", worst["involution"], TOL_IDENTITY)
-    out.add("exterior.star-after-epsilon", worst["push"], TOL_IDENTITY)
-    out.add("exterior.epsilon-after-star", worst["pull"], TOL_IDENTITY)
-    out.add("exterior.star-epsilon-star", worst["double"], TOL_IDENTITY)
-    out.add("exterior.contraction-anticommutator", worst["anticommute"], TOL_IDENTITY)
-    out.add("exterior.epsilon-interior-adjoint", adjoint.max(), TOL_IDENTITY)
-
-    trials = 100
-    chain = 0.0
-    for n, p in ((4, 2), (8, 4), (16, 8)):
-        rep = ex.duality_report(n, p, trials, rng)
-        chain = max(chain, rep["max"])
-    out.add("exterior.duality-chain", chain, TOL_IDENTITY,
-            "grades (4,2), (8,4), (16,8)")
+    out.add("exterior.duality-chain", TOL_IDENTITY,
+            {f"grades {grades}": ex.duality_report(*grades, 100, rng)["max"]
+             for grades in ((4, 2), (8, 4), (16, 8))}, claim=0.0, evidence={"forms per grade": 100})
 
     grades = rng.integers(0, 17, 50)
-    ser = 0.0
+    read_back = []
     for p, masks, coeffs in zip(grades.tolist(), *ex.random_forms(16, grades, rng)):
         masks_back, coeffs_back = ex.from_text(ex.to_text(masks, coeffs), 16, p)
-        ser = max(ser, ex.residual((masks[None], coeffs[None]), (masks_back, -coeffs_back)))
-    out.add("exterior.serialization-roundtrip", ser, 0.0)
+        read_back.append(ex.residual((masks[None], coeffs[None]), (masks_back, -coeffs_back)))
+    out.add("exterior.serialization-roundtrip", 0.0, {"read back off written": np.array(read_back)},
+            claim=0.0, evidence={"forms": grades.size})
     return out
-
-
-def _outside_pinch(low: float, high: float) -> float:
-    """How far the range [low, high] reaches outside [-4, -1]; 1.0 when it is empty."""
-    return max(0.0, -4.0 - low, high + 1.0) if low <= high else 1.0
 
 
 def suite_curvature(cfg: RunConfig) -> SuiteResult:
@@ -310,61 +358,49 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
     formula = curvature.SectionalCurvature()
 
     # adapted planes: same-slot pairs sit at -4, opposite-slot pairs at -1
-    a = rng.standard_normal((200, 8))
-    c = rng.standard_normal((200, 8))
-    zero = np.zeros_like(a)
-    same = formula.plane_value(np.concatenate([a, zero], axis=1), np.concatenate([c, zero], axis=1))
-    mixed = formula.plane_value(np.concatenate([a, zero], axis=1), np.concatenate([zero, c], axis=1))
-    res_adapted = max(np.abs(same + 4.0).max(), np.abs(mixed + 1.0).max())
-    out.add("curvature.adapted-sectional", res_adapted, TOL_MODEL)
+    a, c = rng.standard_normal((2, 200, 8))
+    x, zero = np.concatenate([a, np.zeros_like(a)], axis=1), np.zeros_like(c)
+    out.add("curvature.adapted-sectional", TOL_MODEL,
+            {"same slot": formula.plane_value(x, np.concatenate([c, zero], axis=1)),
+             "opposite slots": formula.plane_value(x, np.concatenate([zero, c], axis=1))},
+            claim={"same slot": PINCH[0], "opposite slots": PINCH[1]}, evidence={"planes": len(a)})
 
-    # one pass over at least the 5,440 planes the operator roundtrip needs, so a small
-    # --trials still tests; the pinch range, the mirrored reading and the roundtrip share it
+    # one pass over at least the 5,440 planes the operator roundtrip needs, so a small --trials
+    # still tests; the pinch range, the mirrored reading <ba,dc> and the roundtrip share it
     op = curvature.assemble_operator()
     sweep = curvature.sweep_planes(op, rng, max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10))
-    out.add("curvature.pinch-range", _outside_pinch(*sweep.formula_range), TOL_MODEL,
-            f"{sweep.planes} random planes in [-4, -1]")
-    out.add("curvature.product-order-reading", _outside_pinch(*sweep.mirrored_range), TOL_MODEL,
-            "mirrored reading <ba,dc> on the same planes")
+    planes = {"planes": sweep.planes}
+    for name, (low, high) in (("pinch-range", sweep.formula_range),
+                              ("product-order-reading", sweep.mirrored_range)):
+        out.add(f"curvature.{name}", TOL_MODEL, {"lowest": low, "highest": high}, claim=PINCH,
+                evidence=planes)
 
     # the spin(9) closed form; with first-bianchi, the roundtrip identifies it with the formula
-    out.add("curvature.operator-pair-symmetry", float(np.abs(op.matrix - op.matrix.T).max()),
-            TOL_ALGEBRA)
-    out.add("curvature.first-bianchi", curvature.bianchi_residual(op, rng, trials=200), TOL_ALGEBRA)
-    out.add("curvature.operator-roundtrip", sweep.roundtrip, TOL_MODEL)
-
-    ric = op.ricci()
-    out.add("curvature.einstein-constant", float(np.abs(ric + 36.0 * np.eye(curvature.N)).max()),
-            TOL_MODEL, "Ric = -36 I, scalar -576")
+    out.add("curvature.operator-pair-symmetry", TOL_ALGEBRA, {"M": op.matrix}, claim=op.matrix.T)
+    bianchi = curvature.bianchi_residual(op, rng, trials=200)
+    out.add("curvature.first-bianchi", TOL_ALGEBRA, {"cyclic sum": bianchi}, claim=0.0,
+            evidence={"triples": 200})
+    out.add("curvature.operator-roundtrip", TOL_MODEL, {"off the formula": sweep.roundtrip}, claim=0.0,
+            evidence=planes)
+    out.add("curvature.einstein-constant", TOL_MODEL, {"Ric": op.ricci()},
+            claim=-36.0 * np.eye(curvature.N))
 
     u = rng.standard_normal((100, curvature.N))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    target = np.array([-4.0] * 7 + [-1.0] * 8 + [0.0])  # ascending, as eigvalsh returns them
-    out.add("curvature.radial-spectrum", np.abs(op.jacobi_spectrum(u) - target).max(), TOL_NUMERIC,
-            "eigenvalues {0, -4 x 7, -1 x 8} for every unit direction")
+    out.add("curvature.radial-spectrum", TOL_NUMERIC, {"Jacobi eigenvalues": op.jacobi_spectrum(u)},
+            claim=np.array([-4.0] * 7 + [-1.0] * 8 + [0.0]),  # ascending, as eigvalsh returns them
+            evidence={"directions": len(u)})
 
     # seeded like ``cayleykit pinch``, so report's pinch.csv is this very search; the formula
     # at the witness planes is the second route to the eigenvalues
     pinch = curvature.pinch_extremes(op, starts=cfg.starts, seed=cfg.seed)
-    witness = np.abs(formula.plane_value(*pinch.witnesses) - pinch.final_values).max()
-    # np.max, unlike max, keeps a NaN from a degenerate witness plane, so it fails
-    res_pinch = np.max([abs(pinch.minimum + 4.0), abs(pinch.maximum + 1.0), witness])
-    out.add("curvature.pinch-search", res_pinch, TOL_MODEL,
-            f"extremes ({pinch.minimum:.8f}, {pinch.maximum:.8f}) from {cfg.starts} starts, "
-            f"formula at the witness planes within {witness:.1e}")
+    out.add("curvature.pinch-search", TOL_MODEL,
+            {"minimum": pinch.minimum, "maximum": pinch.maximum,
+             "formula at the witness planes": formula.plane_value(*pinch.witnesses)},
+            claim={"minimum": PINCH[0], "maximum": PINCH[1],
+                   "formula at the witness planes": pinch.final_values}, evidence={"starts": cfg.starts})
     out.artifacts = {"operator": op, "pinch": pinch}
     return out
-
-
-def _routes_gap(route_c, exact: float) -> float:
-    """Relative gap of route C to route J; an unconverged route C never passes."""
-    return abs(route_c.value - exact) / exact if route_c.converged else 1.0
-
-
-def _routes_note(route_c, exact: float) -> str:
-    note = (f"R={route_c.radius:g} N={route_c.nodes}: collocation {route_c.value:.12f} "
-            f"(N/2N gap {route_c.error_estimate:.1e}), Jacobi {exact:.12f}")
-    return note if route_c.converged else note + ", unconverged"
 
 
 def suite_geodesy(cfg: RunConfig) -> SuiteResult:
@@ -372,75 +408,67 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out = SuiteResult("geodesy")
     g = geodesy
 
-    frozen = 25.026688374180324  # 14 coth 2 + 8 coth 1
-    out.add("geodesy.distance-laplacian-value",
-            abs(g.distance_laplacian(1.0) - frozen), TOL_MODEL)
-    limits = max(abs(g.distance_laplacian(20.0) - 22.0),
-                 abs(1e-4 * g.distance_laplacian(1e-4) - 15.0))
-    out.add("geodesy.distance-laplacian-limits", limits, 1e-6,
-            "22 at infinity, (n - 1)/r near zero")
+    out.add("geodesy.distance-laplacian-value", TOL_MODEL, {"at r = 1": g.distance_laplacian(1.0)},
+            claim=25.026688374180324)  # 14 coth 2 + 8 coth 1
+    out.add("geodesy.distance-laplacian-limits", 1e-6,  # 22 at infinity, (n - 1)/r near zero
+            {"at 20": g.distance_laplacian(20.0), "times r at 1e-4": 1e-4 * g.distance_laplacian(1e-4)},
+            claim={"at 20": 22.0, "times r at 1e-4": 15.0})
 
-    tri = 0.0
-    for r in (0.5, 1.0, 2.0, 5.0):
-        route1 = g.distance_laplacian(r)
-        route2 = sum(m * g.index_form(c, r, 2 * g.QUAD_NODES) for c, m in g.CLASSES)
-        h = 1e-6
-        route3 = (g.log_area(r + h) - g.log_area(r - h)) / (2.0 * h)
-        tri = max(tri, abs(route1 - route2), abs(route1 - route3))
-    out.add("geodesy.consistency-triangle", tri, TOL_NUMERIC,
-            "closed form vs index-form sum vs area derivative")
+    # the closed form against the index-form sum and the area derivative
+    radii, h = (0.5, 1.0, 2.0, 5.0), 1e-6
+    out.add("geodesy.consistency-triangle", TOL_NUMERIC,
+            {"index-form sum": np.array([sum(m * g.index_form(c, r, 2 * g.QUAD_NODES)
+                                             for c, m in g.CLASSES) for r in radii]),
+             "area derivative": np.array([(g.log_area(r + h) - g.log_area(r - h)) / (2.0 * h)
+                                          for r in radii])},
+            claim=np.array([g.distance_laplacian(r) for r in radii]), evidence={"radii": list(radii)})
 
-    quad = gap = 0.0
-    for c, _ in g.CLASSES:
-        for L in (1.0, 2.0):
-            value = g.index_form(c, L, g.QUAD_NODES)
-            quad = max(quad, abs(value - g.hessian_eigenvalue(c, L)))
-            gap = max(gap, abs(g.index_form(c, L, 2 * g.QUAD_NODES) - value))
-    out.add("geodesy.jacobi-index-form", quad if gap <= TOL_NUMERIC else 1.0, TOL_NUMERIC,
-            f"{g.QUAD_NODES}-node Gauss-Legendre, {gap:.1e} off {2 * g.QUAD_NODES} nodes")
+    cases = [(c, L) for c, _ in g.CLASSES for L in (1.0, 2.0)]
+    quad = np.array([g.index_form(c, L, g.QUAD_NODES) for c, L in cases])
+    gap = float(np.abs(np.array([g.index_form(c, L, 2 * g.QUAD_NODES) for c, L in cases]) - quad).max())
+    out.add("geodesy.jacobi-index-form", TOL_NUMERIC, {"Gauss-Legendre": quad},
+            claim=np.array([g.hessian_eigenvalue(c, L) for c, L in cases]),
+            evidence={"nodes": g.QUAD_NODES, "N/2N gap": gap, "converged": gap <= TOL_NUMERIC})
 
-    grow = abs(g.log_area(50.0) / 50.0 - 22.0) / 22.0
-    small = abs(g.area(1e-3) / (2.0**7 * (1e-3) ** 15) - 1.0)
-    held = "(< 1%)" if small <= 1e-3 and grow <= 0.01 else f"(A off by {small:.2%} at r = 1e-3)"
-    out.add("geodesy.area-volume", small, 1e-3,
-            f"A ~ 128 r^15 near zero; log A(50)/50 off 22 by {grow:.2%} {held}")
-    out.add("geodesy.volume-growth-rate", grow, 0.01)
+    out.add("geodesy.area-volume", 1e-3,
+            {"A / 128 r^15 at r = 1e-3": g.area(1e-3) / (2.0**7 * (1e-3) ** 15)}, claim=1.0)
+    out.add("geodesy.volume-growth-rate", 0.01, {"log A(50) / 50": g.log_area(50.0) / 50.0},
+            claim=22.0, relative=True)
 
     # the paper's bottom 121 against rho^2, and collocation against the Jacobi closed form at
     # R = 10; both routes read CLASSES, so only the claim sees a class fault
     rho2 = g.spectrum_bottom()
-    at10, exact = g.dirichlet_value(10.0), g.jacobi_dirichlet(10.0)
-    out.add("geodesy.spectrum-bottom", max(_routes_gap(at10, exact), abs(rho2 - 121.0) / 121.0),
-            g.TOL_DIRICHLET,
-            f"{_routes_note(at10, exact)}; rho^2 = {rho2:g} against 121")
+    at10 = g.dirichlet_value(10.0)
+    out.add("geodesy.spectrum-bottom", g.TOL_DIRICHLET, {"collocation": at10.value, "rho^2": rho2},
+            claim={"collocation": g.jacobi_dirichlet(10.0), "rho^2": 121.0}, relative=True,
+            evidence={"R": 10.0, "nodes": at10.nodes, "N/2N gap": at10.error_estimate,
+                      "converged": at10.converged})
 
-    values = sorted((g.dirichlet_value(r) for r in cfg.radii), key=lambda v: v.radius)
-    lams = [v.value for v in values]
-    monotone = all(a >= b * (1.0 - g.TOL_DIRICHLET) for a, b in zip(lams, lams[1:]))
+    # both routes at each radius of the run, in its order, which report writes to spectrum.csv
+    pairs = [(g.dirichlet_value(r), g.jacobi_dirichlet(r)) for r in cfg.radii]
+    out.artifacts = {"spectrum": pairs}
+    solved = {"nodes": [v.nodes for v, _ in pairs], "N/2N gaps": [v.error_estimate for v, _ in pairs],
+              "converged": all(v.converged for v, _ in pairs)}
+    lams = [v.value for v in sorted((v for v, _ in pairs), key=lambda v: v.radius)]
     # McKean: q >= rho^2 gives lambda(R) > rho^2 at every R; far out q rounds to rho^2 within ulps
     bound = min(0.0, float((g.liouville_potential(np.linspace(1e-3, 60.0, 6000)) - rho2).min()))
-    above = min(lams) > rho2
-    converged = all(v.converged for v in values)
-    gaps = max(v.error_estimate for v in values)
-    note = (f"collocation (N <= {max(v.nodes for v in values)}, N/2N gaps <= {gaps:.1e}) "
-            f"{'decreases' if monotone else 'does not decrease'} with R; lowest {min(lams):.12f}, "
-            f"{'above' if above else 'below'} rho^2 = {rho2:g}; "
-            f"inf q - rho^2 = {bound:.1e} (McKean)")
-    if not converged:
-        note += ", unconverged"
-    held = monotone and above and converged and bound >= -4.0 * np.spacing(rho2)
-    out.add("geodesy.spectrum-domain-monotone", 0.0 if held else 1.0, 0.5, note)
-
-    worst = max(((v, g.jacobi_dirichlet(v.radius)) for v in values), key=lambda p: _routes_gap(*p))
-    out.add("geodesy.sturm-crosscheck", _routes_gap(*worst), g.TOL_DIRICHLET, _routes_note(*worst))
+    out.add("geodesy.spectrum-domain-monotone", 0.5,
+            {"decreases with R": all(a >= b * (1.0 - g.TOL_DIRICHLET) for a, b in zip(lams, lams[1:])),
+             "above rho^2": min(lams) > rho2, "McKean": bound >= -4.0 * np.spacing(rho2)},
+            claim=True, evidence={"lowest": min(lams), "rho^2": rho2, "inf q - rho^2": bound, **solved})
+    out.add("geodesy.sturm-crosscheck", g.TOL_DIRICHLET,
+            {f"collocation, R = {v.radius:g}": v.value for v, _ in pairs},
+            claim={f"collocation, R = {v.radius:g}": exact for v, exact in pairs}, relative=True,
+            evidence=solved)
 
     # the warped metric's mean curvature and Hessian are sums over CLASSES, per class
     blocks = [-c * m for c, m in g.CLASSES]
-    fixed = max(abs(sum(blocks) + 22.0), abs(sum(c * c * m for c, m in g.CLASSES) - 36.0),
-                *(abs(b - claim) for b, claim in zip(blocks, (-14.0, -8.0))))
-    out.add("geodesy.warped-constants", fixed, TOL_IDENTITY,
-            "mean curvature -22, Hessian norm 36")
-    out.add("geodesy.warped-curvature-fd", g.warped_curvature_residual(), TOL_SEARCH)
+    out.add("geodesy.warped-constants", TOL_IDENTITY,
+            {"mean curvature": sum(blocks), "Hessian norm": sum(c * c * m for c, m in g.CLASSES),
+             "per class": np.array(blocks)},
+            claim={"mean curvature": -22.0, "Hessian norm": 36.0, "per class": np.array([-14.0, -8.0])})
+    out.add("geodesy.warped-curvature-fd", TOL_SEARCH, {"-f''/f off c^2": g.warped_curvature_residual()},
+            claim=0.0, evidence={"h": g.WARP_STEP})
     return out
 
 
@@ -448,31 +476,21 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
     out = SuiteResult("forms")
     f = forms
 
-    expected2 = f.ConstraintSet(4, f.diagonal_rows(4, [(0, 2), (1, 3)]))
-    got2 = f.standard_constraints("kahler", 2)
-    expected4 = f.ConstraintSet(8, f.diagonal_rows(8, [(i, i + 4) for i in range(4)]))
-    got4 = f.standard_constraints("kahler", 4)
-    out.add("forms.kahler-constraints",
-            0.0 if (got2 == expected2 and got4 == expected4) else 1.0, 0.5,
-            "exactly the n diagonal-pair functionals")
-
-    vol_dev = exterior.residual(f.quaternionic_form(1), (np.array([[0b1111]]), np.array([[-6.0]])))
-    out.add("forms.quaternionic-volume", vol_dev, TOL_IDENTITY, "n = 1 form is 6 vol")
-
-    got_q1 = f.standard_constraints("quaternionic", 1)
-    exp_q1 = f.ConstraintSet(4, f.diagonal_rows(4, [range(4)]))
-    got_q2 = f.standard_constraints("quaternionic", 2)
-    exp_q2 = f.ConstraintSet(8, f.diagonal_rows(8, [range(i, 8, 2) for i in range(2)]))
-    out.add("forms.quaternionic-constraints",
-            0.0 if (got_q1 == exp_q1 and got_q2 == exp_q2) else 1.0, 0.5,
-            "the n four-term diagonal functionals")
+    out.add("forms.kahler-constraints", 0.5,
+            {"n = 2": f.standard_constraints("kahler", 2), "n = 4": f.standard_constraints("kahler", 4)},
+            claim={"n = 2": f.ConstraintSet(4, f.diagonal_rows(4, [(0, 2), (1, 3)])),
+                   "n = 4": f.ConstraintSet(8, f.diagonal_rows(8, [(i, i + 4) for i in range(4)]))})
+    minus_6_vol = (np.array([[0b1111]]), np.array([[-6.0]]))
+    out.add("forms.quaternionic-volume", TOL_IDENTITY,
+            {"n = 1 off 6 vol": exterior.residual(f.quaternionic_form(1), minus_6_vol)}, claim=0.0)
+    out.add("forms.quaternionic-constraints", 0.5,
+            {"n = 1": f.standard_constraints("quaternionic", 1),
+             "n = 2": f.standard_constraints("quaternionic", 2)},
+            claim={"n = 1": f.ConstraintSet(4, f.diagonal_rows(4, [range(4)])),
+                   "n = 2": f.ConstraintSet(8, f.diagonal_rows(8, [range(i, 8, 2) for i in range(2)]))})
 
     phi = f.spin9_form()
     (masks,), (coeffs,) = phi
-    tops = coeffs[np.isin(masks, f.spin9_targets())]
-    sizes = Counter(np.rint(np.abs(coeffs) * -f.CAYLEY_SCALE).astype(int).tolist())
-    types = Counter(zip(np.bitwise_count(masks & f.V_TOP).tolist(),
-                        np.bitwise_count(masks & f.W_TOP).tolist()))
     (rows, cols, values), (size, width) = f.so_action(f.SPIN9_DIM, *phi)
     inv = octonion.clifford_involutions()
     i, j = np.triu_indices(9, 1)
@@ -486,27 +504,26 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
                              minlength=size * step).reshape(size, step)
         gram += action @ action.T
         annihilated = max(annihilated, float(np.abs(spin9 @ action).max()))
-    stabilizer = size - np.linalg.matrix_rank(gram)
-    base_ok = (tops.tolist() == [-1.0, 1.0]
-               and sizes == {360: 448, 720: 252, 5040: 2}
-               and types == {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1}
-               and stabilizer == 36 and annihilated <= TOL_ALGEBRA)
-    out.add("forms.spin9-base-form", 0.0 if base_ok else 1.0, 0.5,
-            f"Phi: {masks.size} terms, tops {'/'.join(f'{t:+g}' for t in tops) or 'none'}; "
-            f"stabilizer in so(16) of dimension {stabilizer}, "
-            f"every I_i I_j annihilates Phi to {annihilated:.1e}")
+    out.add("forms.spin9-base-form", 0.5,
+            {"tops": coeffs[np.isin(masks, f.spin9_targets())].tolist(),
+             "terms by size": Counter(np.rint(np.abs(coeffs) * -f.CAYLEY_SCALE).astype(int).tolist()),
+             "terms by type": Counter(zip(np.bitwise_count(masks & f.V_TOP).tolist(),
+                                          np.bitwise_count(masks & f.W_TOP).tolist())),
+             "stabilizer in so(16)": size - int(np.linalg.matrix_rank(gram)),
+             "every I_i I_j annihilates": annihilated <= TOL_ALGEBRA},
+            claim={"tops": [-1.0, 1.0], "terms by size": {360: 448, 720: 252, 5040: 2},
+                   "terms by type": {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1},
+                   "stabilizer in so(16)": 36, "every I_i I_j annihilates": True},
+            evidence={"terms": masks.size, "annihilation": annihilated})
 
-    expect = -f.diagonal_rows(f.SPIN9_DIM, [range(8)])
-    func_dev = float(np.abs(f.monomial_functionals(f.SPIN9_DIM, *phi, [f.V_TOP]) - expect).max())
-    out.add("forms.spin9-top-functional", func_dev, TOL_IDENTITY,
-            "-sum of the first eight diagonal entries")
-    out.add("forms.spin9-no-leak", f.no_leak_report(*phi), 0.0,
-            f"the {masks.size - 2} non-top terms leave both top coefficients untouched "
-            f"at all 256 index pairs")
-
-    an = f.extract_constraints(f.SPIN9_DIM, masks, 3.7 * coeffs, f.spin9_targets())
-    bn = f.extract_constraints(f.SPIN9_DIM, *phi, f.spin9_targets())
-    out.add("forms.extraction-invariance", 0.0 if an == bn else 1.0, 0.5, "rescaling invariance")
+    out.add("forms.spin9-top-functional", TOL_IDENTITY,
+            {"v-top functional": f.monomial_functionals(f.SPIN9_DIM, *phi, [f.V_TOP])},
+            claim=-f.diagonal_rows(f.SPIN9_DIM, [range(8)]))  # -sum of the first eight diagonal entries
+    out.add("forms.spin9-no-leak", 0.0, {"largest leak into a top": f.no_leak_report(*phi)}, claim=0.0,
+            evidence={"non-top terms": masks.size - 2, "index pairs": f.SPIN9_DIM ** 2})
+    out.add("forms.extraction-invariance", 0.5,
+            {"3.7 Phi": f.extract_constraints(f.SPIN9_DIM, masks, 3.7 * coeffs, f.spin9_targets())},
+            claim=f.extract_constraints(f.SPIN9_DIM, *phi, f.spin9_targets()))
     return out
 
 
@@ -515,91 +532,74 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     k = kernels
     f = forms
 
+    sharp = Fraction(8, 7)
     cs9 = f.standard_constraints("spin9")
     r9 = k.min_bochner_ratio(cs9)
-    cross = abs(r9.eigen_ratio - float(r9.rational))
-    out.add("kernels.ratio-spin9", float(abs(r9.rational - Fraction(8, 7))) + cross, TOL_MODEL,
-            f"minimal ratio 8/7 certified, eigen route off by {cross:.2e}")
+    out.add("kernels.ratio-spin9", TOL_MODEL, {"certified": r9.rational, "eigen": r9.eigen_ratio},
+            claim=sharp)
 
     # the minimizing eigenspace is one-dimensional, so a_11 = -7 fixes scale and sign
     a = r9.minimizer
-    want = np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)
-    shape = float(np.abs(a * (-7.0 / a[0, 0]) - want).max()) if a[0, 0] else 1.0
-    attained = abs(k.objective(a) - float(r9.rational))
-    out.add("kernels.spin9-minimizer", max(shape, attained), TOL_MODEL,
-            "diag(-7 mu, mu I7, 0_8) up to scale, attaining 8/7")
+    out.add("kernels.spin9-minimizer", TOL_MODEL,
+            {"minimizer at a_11 = -7": a * (-7.0 / a[0, 0]) if a[0, 0] else a,
+             "its ratio": k.objective(a)},
+            claim={"minimizer at a_11 = -7": np.diag([-7.0] + [1.0] * 7 + [0.0] * 8),
+                   "its ratio": r9.rational})
 
-    res = 0.0
-    for n in (2, 4):
-        rk = k.min_bochner_ratio(f.standard_constraints("kahler", n))
-        exponent, _ = k.kato_transform(rk.rational)
-        res = max(res, float(abs(rk.rational - 2)), 0.0 if exponent == 0 else 1.0)
-    out.add("kernels.ratio-kahler", res, TOL_MODEL, "ratio 2, transform degenerate")
-
-    res = 0.0
-    for n in (1, 2):
-        rq = k.min_bochner_ratio(f.standard_constraints("quaternionic", n))
-        _, drift = k.kato_transform(rq.rational)
-        res = max(res, float(abs(rq.rational - Fraction(4, 3))), float(abs(drift - 24)))
-    out.add("kernels.ratio-quaternionic", res, TOL_MODEL)
+    # the sharp ratio and its transform (exponent, drift): Kahler's is degenerate
+    for kind, ns, claim in (("kahler", (2, 4), [2, 0, 0]),
+                            ("quaternionic", (1, 2), [Fraction(4, 3), Fraction(2, 3), 24])):
+        ratios = [k.min_bochner_ratio(f.standard_constraints(kind, n)).rational for n in ns]
+        out.add(f"kernels.ratio-{kind}", TOL_MODEL,
+                {f"n = {n}": [r, *k.kato_transform(r)] for n, r in zip(ns, ratios)}, claim=claim)
 
     # the claim itself, not the eigen route's candidate
-    reason = k.certify_ratio(cs9, Fraction(8, 7))
-    out.add("kernels.sharpness", 0.0 if reason is None else 1.0, 0.0,
-            reason or "8/7 exact: P - 8/7 Q semidefinite and singular on the feasible space")
+    reason = k.certify_ratio(cs9, sharp)
+    out.add("kernels.sharpness", 0.0, {"P - 8/7 Q semidefinite and singular": reason is None},
+            claim=True, evidence={"refused": reason})
 
     # nested feasible sets, nested ratios: the trace alone (1 + 1/15 in closed form), then
     # Spin(9)'s rows, then one more row
     alone = k.min_bochner_ratio(f.ConstraintSet(16, np.zeros((0, cs9.rows.shape[1])))).rational
     extra = f.ConstraintSet(16, np.vstack([cs9.rows, f.diagonal_rows(16, [(1, 9)])]))
     tightened, _ = k.rayleigh_ratio(extra)
-    mono = (alone == Fraction(16, 15) and alone <= r9.rational
-            and tightened >= float(r9.rational) - 1e-12)
-    out.add("kernels.constraint-monotonicity", 0.0 if mono else 1.0, 0.5,
-            f"trace-free alone {alone}, extra constraint moves the ratio to {tightened:.6f}")
+    out.add("kernels.constraint-monotonicity", 0.5,
+            {"trace alone 16/15": alone == Fraction(16, 15), "alone <= Spin(9)": alone <= r9.rational,
+             "one more row >= Spin(9)": tightened >= float(r9.rational) - 1e-12},
+            claim=True, evidence={"trace alone": alone, "one more row": tightened})
 
     exponent, drift = k.kato_transform(r9.rational)
-    trans = max(abs(exponent - Fraction(6, 7)), abs(drift - Fraction(216, 7)))
-    out.add("kernels.kato-transform", float(trans), TOL_IDENTITY, "exponent 6/7, drift 216/7")
+    out.add("kernels.kato-transform", TOL_IDENTITY, {"exponent": exponent, "drift": drift},
+            claim={"exponent": Fraction(6, 7), "drift": Fraction(216, 7)})
 
     lam1 = geodesy.spectrum_bottom()
-    thr = max(abs(k.vanishing_threshold(1.0, lam1) + 242.0),
-              abs(k.vanishing_threshold(1.0 / 7.0, lam1) + 968.0 / 7.0))
-    out.add("kernels.vanishing-thresholds", thr, TOL_IDENTITY,
-            f"threshold -(1 + b) rho^2, rho^2 = {lam1:g}: -242 at b = 1, -968/7 at b = 1/7")
+    out.add("kernels.vanishing-thresholds", TOL_IDENTITY,
+            {"b = 1": k.vanishing_threshold(1.0, lam1),
+             "b = 1/7": k.vanishing_threshold(1.0 / 7.0, lam1)},
+            claim={"b = 1": -242, "b = 1/7": Fraction(-968, 7)}, evidence={"rho^2": lam1})
     return out
 
 
-SUITES = {
-    "octonion": suite_octonion,
-    "exterior": suite_exterior,
-    "curvature": suite_curvature,
-    "geodesy": suite_geodesy,
-    "forms": suite_forms,
-    "kernels": suite_kernels,
-}
+SUITES = {"octonion": suite_octonion, "exterior": suite_exterior, "curvature": suite_curvature,
+          "geodesy": suite_geodesy, "forms": suite_forms, "kernels": suite_kernels}
 
 
-def _crashed(name: str, note: str) -> SuiteResult:
+def _crashed(name: str, error: str) -> SuiteResult:
     result = SuiteResult(name)
-    result.add(f"{name}.crashed", 1.0, 0.5, note)
+    result.add(f"{name}.crashed", 0.5, {}, claim=None, evidence={"error": error})
     return result
 
 
-def _run_suite(name: str, cfg: RunConfig) -> SuiteResult:
-    """One suite; one that raises is one failed check ``<suite>.crashed``."""
-    try:
-        return SUITES[name](cfg)
-    except Exception as exc:
-        return _crashed(name, f"{type(exc).__name__}: {exc}")
-
-
 def _run_each(chosen: list[str], cfg: RunConfig, indices) -> list[tuple[int, SuiteResult, float]]:
-    """Run the suite at each of ``indices`` into ``chosen`` in turn, timing each one."""
+    """Run the suite at each of ``indices`` into ``chosen`` in turn, timing each one; a suite that
+    raises is one failed check ``<suite>.crashed``."""
     done = []
     for index in indices:
         start = time.monotonic()
-        result = _run_suite(chosen[index], cfg)
+        try:
+            result = SUITES[chosen[index]](cfg)
+        except Exception as exc:
+            result = _crashed(chosen[index], f"{type(exc).__name__}: {exc}")
         done.append((index, result, time.monotonic() - start))
     return done
 
@@ -622,15 +622,12 @@ def _usable_cpus() -> int:
 def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, float]]:
     """Run the named suites, timing each one, and return them in ``SUITE_ORDER``.
 
-    The suites share no state, so they run on one worker per usable CPU, at most one per
-    suite: this process (worker 0) and ``workers - 1`` forked children.  The chosen suites
-    are dealt to the workers in a fixed order (``_worker_of``), so which suites share a
-    process, and so each process's memory, is the same on every run.  A child sends its
-    results back in one pickle at the end and exits; every child is reaped before this
-    returns.  A suite that raises is one failed check ``<suite>.crashed``, and so is every
-    suite of a dead worker; the others still run.  The one-thread BLAS policy (see
-    ``__init__``) leaves no thread to fork past and keeps workers x BLAS threads within the
-    cores.
+    The suites share no state, so they run on one worker per usable CPU, at most one per suite:
+    this process (worker 0) and ``workers - 1`` forked children, each dealt a fixed share
+    (``_worker_of``), so each process's memory is the same on every run.  A child sends its
+    results back in one pickle and exits, and is reaped before this returns.  A suite that
+    raises fails its check ``<suite>.crashed``, and so does every suite of a dead worker.  The
+    one-thread BLAS policy (see ``__init__``) leaves no thread to fork past.
     """
     chosen = [name for name in SUITE_ORDER if name in names]
     workers = min(len(chosen), _usable_cpus()) if hasattr(os, "fork") else 1

@@ -43,8 +43,13 @@ def test_verify_writes_report(tmp_path):
     proc = run_cli("verify", "octonion", "forms", "--seed", 3, "--out", tmp_path, *FAST)
     assert proc.returncode == 0
     report = read_report(tmp_path)
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["passed"] is True
+    # every check is a record: its claim, each route's value and the evidence, with the note
+    # rendered from them
+    for check in (c for s in report["suites"] for c in s["checks"]):
+        assert {"claim", "routes", "relative", "evidence", "note"} <= set(check), check["check"]
+        assert check["routes"] and check["note"], check["check"]
     assert report["config"]["seed"] == 3
     assert [s["suite"] for s in report["suites"]] == ["octonion", "forms"]
     assert report["summary"]["checks"] == sum(len(s["checks"]) for s in report["suites"])
@@ -67,9 +72,9 @@ def test_small_trials_still_sample_the_pinch_range(tmp_path):
     proc = run_cli("verify", "curvature", "--trials", 10, "--out", tmp_path)
     assert proc.returncode == 0
     (curv,) = read_report(tmp_path)["suites"]
-    note = next(c["note"] for c in curv["checks"] if c["check"] == "curvature.pinch-range")
-    assert note.endswith(" random planes in [-4, -1]")
-    assert int(note.split()[0]) >= 5000  # the NaN rows of degenerate planes are not counted
+    check = next(c for c in curv["checks"] if c["check"] == "curvature.pinch-range")
+    assert check["claim"] == [-4.0, -1.0] and set(check["routes"]) == {"lowest", "highest"}
+    assert check["evidence"]["planes"] >= 5000  # the NaN rows of degenerate planes are not counted
 
 
 THREAD_PROBE = """
@@ -191,6 +196,8 @@ def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
         assert len(forms_suite["checks"]) == 7 and forms_suite["passed"]
         assert kernels_suite["checks"] == [{
             "check": "kernels.crashed", "residual": 1.0, "tolerance": 0.5, "passed": False,
+            "claim": None, "routes": {}, "relative": False,
+            "evidence": {"error": f"{type(error).__name__}: {error}"},
             "note": f"{type(error).__name__}: {error}"}]
 
 
@@ -273,18 +280,22 @@ def test_report_assembles_once_and_searches_once(tmp_path, monkeypatch):
 
 
 def test_report_pinch_note_describes_pinch_csv(tmp_path, monkeypatch):
-    # a scale fault moves the extremes off [-4, -1]; the note gives the ones pinch.csv holds
+    # a scale fault moves the extremes off [-4, -1]; the record gives the ones pinch.csv holds,
+    # and the note renders them
     monkeypatch.setattr(curvature, "ALPHA", -3.0)
     assert cli.main(["report", *REPORT_FAST, "--starts", "2", "--out", str(tmp_path)]) == 1
     report = read_report(tmp_path)
     assert "curvature.pinch-search" in report["summary"]["failed"]
     curv = next(s for s in report["suites"] if s["suite"] == "curvature")
-    note = next(c["note"] for c in curv["checks"] if c["check"] == "curvature.pinch-search")
+    check = next(c for c in curv["checks"] if c["check"] == "curvature.pinch-search")
     with open(tmp_path / "pinch.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     values = [float(r["sectional"]) for r in rows]
     assert len(rows) == 4 and min(values) == pytest.approx(-3.0) and max(values) == pytest.approx(-0.75)
-    assert note.startswith(f"extremes ({min(values):.8f}, {max(values):.8f}) from 2 starts, ")
+    assert (check["routes"]["minimum"], check["routes"]["maximum"]) == (min(values), max(values))
+    assert check["claim"]["minimum"] == -4.0 and check["claim"]["maximum"] == -1.0
+    assert check["evidence"] == {"starts": 2}
+    assert f"minimum {min(values):.12g}, maximum {max(values):.12g}" in check["note"]
 
 
 def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
@@ -298,15 +309,45 @@ def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
     assert not (tmp_path / "operator.csv").exists()
 
 
+def test_report_with_crashed_geodesy_suite(tmp_path, monkeypatch):
+    # the spectrum files are the geodesy suite's route pairs: none without the suite
+    def crash(radius):
+        raise ArithmeticError("collocation diverged")
+    monkeypatch.setattr(geodesy, "dirichlet_value", crash)
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path)]) == 1
+    assert read_report(tmp_path)["summary"]["failed"] == ["geodesy.crashed"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["laplacian.csv", "laplacian.svg",
+                                                         "pinch.csv", "report.json"]
+
+
+def test_report_solves_each_radius_once(tmp_path, monkeypatch):
+    # both spectrum routes run inside the geodesy suite, at R = 10 and at each --radius, and
+    # report writes what they found; each call appends a line, as the suite may run in a worker
+    calls = tmp_path / "calls.log"
+    for name in ("dirichlet_value", "jacobi_dirichlet"):
+        def counted(radius, _real=getattr(geodesy, name), _name=name):
+            with open(calls, "a") as log:
+                log.write(f"{_name} {radius:g}\n")
+            return _real(radius)
+        monkeypatch.setattr(geodesy, name, counted)
+    assert cli.main(["report", *REPORT_FAST, "--radius", "4,6", "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls.read_text().splitlines()) == [
+        f"{name} {radius}" for name in ("dirichlet_value", "jacobi_dirichlet") for radius in (10, 4, 6)]
+    assert spectrum_column(tmp_path / "out", "radius") == [4.0, 6.0]
+
+
 def spectrum_column(out_dir, column):
     with open(out_dir / "spectrum.csv", newline="") as fh:
         return [float(row[column]) for row in csv.DictReader(fh)]
 
 
 def test_report_and_spectrum_write_the_same_spectrum_files(tmp_path):
+    # report writes the geodesy suite's route pairs, spectrum solves its own
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "report")]) == 0
     assert cli.main(["spectrum", *REPORT_FAST, "--out", str(tmp_path / "spectrum")]) == 0
-    cli.write_spectrum_artifacts(tmp_path / "each", (4.0,))
+    cli.write_spectrum_artifacts(tmp_path / "each", [(geodesy.dirichlet_value(4.0),
+                                                      geodesy.jacobi_dirichlet(4.0))])
+    cli.write_laplacian_artifacts(tmp_path / "each", (4.0,))
     for name in ("spectrum.csv", "spectrum.svg", "laplacian.csv", "laplacian.svg"):
         each = (tmp_path / "each" / name).read_bytes()
         assert (tmp_path / "report" / name).read_bytes() == each, name

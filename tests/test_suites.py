@@ -91,7 +91,7 @@ def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
     # on timing: four workers are dealt the six suites 0, 1, 2, 3, 3, 2
     def fake(name, cfg):
         result = SuiteResult(name)
-        result.add(f"{name}.ran", 0.0, 1.0, str(os.getpid()))
+        result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True, evidence={"pid": os.getpid()})
         return result
 
     for name in SUITE_ORDER:
@@ -100,7 +100,7 @@ def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
     for _ in range(2):
         results, _ = run_suites(SUITE_ORDER, RunConfig(**FAST))
         no_child_left()
-        pids = [int(r.checks[0].note) for r in results]
+        pids = [r.checks[0].evidence["pid"] for r in results]
         assert pids[0] == os.getpid() and pids[2] == pids[5] and pids[3] == pids[4]
         assert len(set(pids)) == 4
 
@@ -119,7 +119,7 @@ def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
         while not exited.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
         result = SuiteResult(name)
-        result.add(f"{name}.ran", 0.0, 1.0)
+        result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True)
         return result
 
     for name in ("forms", "kernels"):
@@ -130,7 +130,7 @@ def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
     assert [r.suite for r in results] == ["forms", "kernels"]
     ran, dead = results
     assert [c.check for c in dead.checks] == ["kernels.crashed"]
-    assert "status 3" in dead.checks[0].note
+    assert dead.checks[0].note == dead.checks[0].evidence["error"] == "worker exited with status 3"
     assert [c.check for c in ran.checks] == ["forms.ran"] and ran.passed
     assert list(timings) == ["forms"]
 
@@ -172,8 +172,10 @@ def test_unconverged_spectrum_fails(monkeypatch):
     failed = [c for c in result.checks if not c.passed]
     assert [c.check for c in failed] == ["geodesy.spectrum-bottom", "geodesy.spectrum-domain-monotone",
                                          "geodesy.sturm-crosscheck"]
-    assert all(c.residual == 1.0 and "unconverged" in c.note for c in failed)
-    assert failed[0].note.startswith("R=10 N=16: collocation ")
+    assert all(c.residual == 1.0 and c.evidence["converged"] is False for c in failed)
+    assert failed[0].evidence["R"] == 10.0 and failed[0].evidence["nodes"] == 16
+    assert failed[0].evidence["N/2N gap"] > suites.geodesy.TOL_DIRICHLET * failed[0].routes["collocation"]
+    assert failed[1].evidence["nodes"] == [16] and failed[2].evidence["nodes"] == [16]
 
 
 def test_model_faults_fail_named_checks(monkeypatch):
@@ -185,6 +187,27 @@ def test_model_faults_fail_named_checks(monkeypatch):
     real_potential, real_log_gamma = suites.geodesy.liouville_potential, suites.geodesy.log_gamma
     (phi_masks,), (phi_coeffs,) = forms.spin9_form()
     without_v_top = phi_masks != forms.V_TOP
+
+    real_kahler_forms, real_to_text = forms.quaternionic_kahler_forms, exterior.to_text
+    real_standard, real_min_ratio = forms.standard_constraints, suites.kernels.min_bochner_ratio
+    # Phi with a (7,1) term 0.5 theta^{0..6,8}, in ascending mask order as Phi's terms are
+    leaky_masks, leaky_coeffs = np.append(phi_masks, 0x17F), np.append(phi_coeffs, 0.5)
+    leaky = np.argsort(leaky_masks)
+
+    def j_row_first_term_flipped(n):
+        masks, coeffs = real_kahler_forms(n)
+        coeffs = coeffs.copy()
+        coeffs[1, 0] *= -1.0
+        return masks, coeffs
+
+    def to_text_to_six_digits(masks, coeffs):
+        (masks,), (coeffs,) = exterior.collect(masks, coeffs)
+        return "".join(",".join(map(str, exterior.indices_of(m))) + f":{c:.6g}\n"
+                       for m, c in zip(masks.tolist(), coeffs.tolist()))
+
+    def kato_halved(ratio):
+        k = (3 - ratio) / 2
+        return k, k * abs(Fraction(suites.kernels.MODEL_RICCI))
 
     def index_form_without_potential(c, L, nodes):
         # int_0^L f'^2 dt alone: the c^2 f^2 term of the index form dropped
@@ -233,6 +256,34 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("curvature",), tuple(f"curvature.{c}" for c in ("operator-pair-symmetry", "first-bianchi",
                                                          "einstein-constant", "radial-spectrum",
                                                          "pinch-search"))),
+        # a second difference at h = 0.1 is off by its truncation term, 4.4e-6
+        (suites.geodesy, "WARP_STEP", 0.1, ("geodesy",), ("geodesy.warped-curvature-fd",)),
+        # theta^i ^ theta^{n+i+1}: another form with another set of n pair functionals
+        (forms, "kahler_targets",
+         lambda n: tuple(1 << i | 1 << (n + i + 1) % (2 * n) for i in range(n)),
+         ("forms",), ("forms.kahler-constraints",)),
+        (forms, "quaternionic_kahler_forms", j_row_first_term_flipped, ("forms",),
+         ("forms.quaternionic-volume",)),
+        # raw rows are no canonical form, so equal constraint spaces no longer compare equal
+        (forms.ConstraintSet, "from_functionals",
+         classmethod(lambda cls, n, rows: cls(n, rows[np.abs(rows).max(axis=1) > forms.ROUND_TOL])),
+         ("forms",), ("forms.kahler-constraints", "forms.quaternionic-constraints",
+                      "forms.extraction-invariance")),
+        (forms, "spin9_form", lambda: (leaky_masks[leaky][None], leaky_coeffs[leaky][None]),
+         ("forms",), ("forms.spin9-base-form", "forms.spin9-top-functional", "forms.spin9-no-leak")),
+        (suites.kernels, "kato_transform", kato_halved, ("kernels",),
+         ("kernels.ratio-kahler", "kernels.ratio-quaternionic", "kernels.kato-transform")),
+        # the minimizer's sign, which only its shape against diag(-7, 1 x 7, 0 x 8) sees
+        (suites.kernels, "min_bochner_ratio",
+         lambda cs: dataclasses.replace(r := real_min_ratio(cs), minimizer=-np.abs(r.minimizer)),
+         ("kernels",), ("kernels.spin9-minimizer",)),
+        (exterior, "to_text", to_text_to_six_digits, ("exterior",), ("exterior.serialization-roundtrip",)),
+        # last, as its results are read below: the trace alone is left, with ratio 16/15
+        (forms, "standard_constraints",
+         lambda kind, n=None: (forms.ConstraintSet(16, real_standard(kind).rows[:0]) if kind == "spin9"
+                               else real_standard(kind, n)),
+         ("kernels",), ("kernels.ratio-spin9", "kernels.spin9-minimizer", "kernels.sharpness",
+                        "kernels.kato-transform")),
     )
     for owner, name, value, names, expected in faults:
         with monkeypatch.context() as patch:
@@ -240,25 +291,36 @@ def test_model_faults_fail_named_checks(monkeypatch):
             results, _ = run_suites(names, RunConfig(**FAST))
         failed = [c.check for r in results for c in r.checks if not c.passed]
         assert failed == list(expected), name
+    (ratio, *_), = (r.checks for r in results)
+    assert ratio.check == "kernels.ratio-spin9" and ratio.routes["certified"] == Fraction(16, 15)
 
 
 def test_failing_notes_give_what_was_measured(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)))
-        failed = {c.check: c.note for c in SUITES["geodesy"](RunConfig(**FAST)).checks
-                  if not c.passed}
-    assert "log A(50)/50 off 22 by 9.97% (A off by " in failed["geodesy.area-volume"]
+        failed = {c.check: c for c in SUITES["geodesy"](RunConfig(**FAST)).checks if not c.passed}
+    growth = failed["geodesy.volume-growth-rate"]
+    assert (growth.claim, growth.relative) == (22.0, True)
+    assert growth.residual == abs(growth.routes["log A(50) / 50"] - 22.0) / 22.0
+    assert growth.residual == pytest.approx(0.0997, abs=5e-5)
     # both routes agree on the faulted model; only the claim 121 sets them apart
     bottom = failed["geodesy.spectrum-bottom"]
-    assert bottom.startswith("R=10 N=64: collocation 100.1670804873")
-    assert ", Jacobi 100.1670804873" in bottom and bottom.endswith("; rho^2 = 100 against 121")
+    assert bottom.routes["collocation"] == pytest.approx(100.1670804873, abs=1e-10)
+    assert bottom.claim["collocation"] == pytest.approx(bottom.routes["collocation"], rel=1e-14)
+    assert (bottom.routes["rho^2"], bottom.claim["rho^2"], bottom.residual) == (100.0, 121.0, 21.0 / 121.0)
+    assert bottom.evidence == {"R": 10.0, "nodes": 64, "N/2N gap": bottom.evidence["N/2N gap"],
+                               "converged": True}
+    assert "rho^2: 121}; collocation 100.167080487, rho^2 100; R 10, nodes 64" in bottom.note
     with monkeypatch.context() as patch:
         patch.setattr(suites.geodesy, "dirichlet_value",
                       lambda r: suites.geodesy.DirichletValue(r, 64, 125.0 + r, 125.0 + r))
         (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(6.0, 4.0)))).checks
                     if c.check == "geodesy.spectrum-domain-monotone"]
-    assert check.note == ("collocation (N <= 64, N/2N gaps <= 0.0e+00) does not decrease with R; "
-                          "lowest 129.000000000000, above rho^2 = 121; inf q - rho^2 = 0.0e+00 (McKean)")
+    assert check.routes == {"decreases with R": False, "above rho^2": True, "McKean": True}
+    assert check.evidence == {"lowest": 129.0, "rho^2": 121.0, "inf q - rho^2": 0.0, "nodes": [64, 64],
+                              "N/2N gaps": [0.0, 0.0], "converged": True}
+    assert check.note == ("claim True; decreases with R False, above rho^2 True, McKean True; lowest 129, "
+                          "rho^2 121, inf q - rho^2 0, nodes [64, 64], N/2N gaps [0, 0], converged True")
     real_certify = suites.kernels.certify_ratio
     claims = []
 
@@ -271,8 +333,9 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
 
     monkeypatch.setattr(suites.kernels, "certify_ratio", refuse_the_claim)
     failed = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks if not c.passed]
-    assert [(c.check, c.residual, c.note) for c in failed] == [
-        ("kernels.sharpness", 1.0, "8/7 is above the minimum: refused")]
+    assert [(c.check, c.residual, c.evidence) for c in failed] == [
+        ("kernels.sharpness", 1.0, {"refused": "8/7 is above the minimum: refused"})]
+    assert failed[0].note.endswith(" singular False; 8/7 is above the minimum: refused")
 
 
 def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
@@ -401,20 +464,50 @@ def test_quadrature_depth_cap_fails_the_index_form(monkeypatch):
     failed = [c for c in result.checks if not c.passed]
     assert [c.check for c in failed] == ["geodesy.consistency-triangle", "geodesy.jacobi-index-form"]
     assert failed[1].residual == 1.0
-    gap = float(failed[1].note.split()[2])
-    assert failed[1].note == f"2-node Gauss-Legendre, {gap:.1e} off 4 nodes" and gap > 1e-3
+    assert failed[1].evidence["nodes"] == 2 and failed[1].evidence["converged"] is False
+    assert failed[1].evidence["N/2N gap"] > 1e-3
 
 
 def test_check_bookkeeping():
     suite = SuiteResult("demo")
-    at_tolerance = suite.add("demo.on-the-line", 1e-10, 1e-10)
-    failing = suite.add("demo.too-big", 2e-10, 1e-10, "context note")
+    at_tolerance = suite.add("demo.on-the-line", 1e-10, {"gap": 1e-10}, claim=0.0)
+    failing = suite.add("demo.too-big", 1e-10, {"gap": 2e-10}, claim=0.0, evidence={"samples": 3})
     assert at_tolerance.passed and not failing.passed
     assert not suite.passed
     assert suite.max_residual == 2e-10
     d = suite.as_dict()
     assert [c["check"] for c in d["checks"]] == ["demo.on-the-line", "demo.too-big"]
-    assert "note" not in d["checks"][0] and d["checks"][1]["note"] == "context note"
+    assert d["checks"][1] == {"check": "demo.too-big", "residual": 2e-10, "tolerance": 1e-10,
+                              "passed": False, "claim": 0.0, "routes": {"gap": 2e-10}, "relative": False,
+                              "evidence": {"samples": 3}, "note": "claim 0; gap 2e-10; samples 3"}
+
+
+def test_a_check_scores_its_worst_route():
+    s = SuiteResult("demo")
+    assert s.add("demo.relative", 1.0, {"x": 11.0, "y": 8.0}, claim=10.0, relative=True).residual == 0.2
+    # a Fraction is exact, and the report writes it as such
+    ratio = s.add("demo.fraction", 1e-9, {"certified": Fraction(16, 15), "eigen": 8 / 7}, claim=Fraction(8, 7))
+    assert ratio.residual == float(Fraction(8, 105)) and not ratio.passed
+    assert (ratio.as_dict()["claim"], ratio.as_dict()["routes"]["certified"]) == ("8/7", "16/15")
+    # bools and other non-numbers score 0 when they equal their claim, else 1
+    exact = {"holds": True, "rows": [1, 2]}
+    assert s.add("demo.exact", 0.5, exact, claim=dict(exact)).residual == 0.0
+    assert s.add("demo.inexact", 0.5, dict(exact, rows=[1, 3]), claim=exact).residual == 1.0
+    assert s.add("demo.false", 0.5, {"holds": np.False_}, claim=True).residual == 1.0
+    # an interval claim scores the distance outside it
+    assert s.add("demo.interval", 1e-9, {"lowest": -4.5, "highest": -1.0}, claim=(-4.0, -1.0)).residual == 0.5
+    # an array is kept at its worst entry, with the claim there; where all agree, the largest claim
+    worst = s.add("demo.array", 1e-9, {"m": np.array([[1.0, 2.0], [3.0, 4.5]])}, claim=np.array([1.0, 2.0]))
+    assert (worst.residual, worst.routes, worst.claim) == (2.5, {"m": 4.5}, {"m": 2.0})
+    agree = s.add("demo.agree", 1e-9, {"v": np.array([0.0, -1.0, 0.5])}, claim=np.array([0.0, -1.0, 0.5]))
+    assert (agree.residual, agree.routes, agree.claim) == (0.0, {"v": -1.0}, {"v": -1.0})
+    # a NaN fails, and so do an unconverged route and a check with no routes
+    for nan in ({"v": np.array([1.0, np.nan])}, {"v": np.nan}):
+        assert not s.add("demo.nan", 1.0, nan, claim=0.0).passed
+    assert not s.add("demo.nan-interval", 1.0, {"v": np.nan}, claim=(-4.0, -1.0)).passed
+    assert s.add("demo.unconverged", 1.0, {"v": 0.0}, claim=0.0, evidence={"converged": False}).residual == 1.0
+    crashed = s.add("demo.crashed", 0.5, {}, claim=None, evidence={"error": "ValueError: no"})
+    assert (crashed.residual, crashed.passed, crashed.note) == (1.0, False, "ValueError: no")
 
 
 def test_table_path_failure_is_localized(tmp_path):
@@ -434,7 +527,7 @@ def test_table_path_failure_is_localized(tmp_path):
         failed = [c for c in result.checks if not c.passed]
         assert [c.check for c in failed] == [f"octonion.{check}" for check in
                                              ("table-closure", *sampled, *witness)]
-        assert failed[0].note == first
+        assert failed[0].evidence["first break"] == first and failed[0].note.endswith(first)
 
 
 def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
