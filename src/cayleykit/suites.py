@@ -235,8 +235,46 @@ def _octonion_residuals(a, b, table, work) -> dict[str, float]:
     }
 
 
-def suite_octonion(cfg: RunConfig) -> SuiteResult:
-    rng = cfg.suite_rng("octonion")
+OCTONION_CHUNK_BLOCKS = 16  # row blocks per octonion chunk, the unit of work any worker claims
+
+
+def _octonion_chunks(trials: int) -> list[range]:
+    """The first rows of the octonion suite's row blocks, in chunks of consecutive blocks.  A very
+    large ``trials`` widens the chunks, so there are at most 255 and ``run_suites`` can write a
+    one-byte index for each to one pipe before it forks."""
+    starts = range(0, trials, octonion.MUL_BLOCK_ROWS)
+    width = max(OCTONION_CHUNK_BLOCKS, -(-len(starts) // 255))
+    return [starts[first:first + width] for first in range(0, len(starts), width)]
+
+
+def _octonion_blocks(cfg: RunConfig, starts: range) -> list[dict]:
+    """The residuals of the row blocks that begin at ``starts``.  a and b each continue their own
+    stream across blocks, so no residual depends on the block or chunk size; a chunk's streams
+    start 8 draws per row in, as ``Generator.random`` takes one 64-bit draw per double.  Every
+    block reuses the arrays of the first."""
+    a_rng, b_rng = cfg.suite_rng("octonion").spawn(2)
+    for stream in (a_rng, b_rng):
+        stream.bit_generator.advance(8 * starts.start)
+    draws = np.empty((2, min(starts.step, cfg.trials - starts.start), 8))
+    work = np.empty((11, *draws.shape[1:]))
+    blocks = []
+    for start in starts:
+        rows = min(starts.step, cfg.trials - start)
+        a, b = draws[:, :rows]
+        a_rng.random(out=a)
+        b_rng.random(out=b)
+        draws[:, :rows] *= 2.0
+        draws[:, :rows] -= 1.0  # uniform in [-1, 1)
+        blocks.append(_octonion_residuals(a, b, cfg.table, work[:, :rows]))
+    return blocks
+
+
+def suite_octonion(cfg: RunConfig, blocks: list[dict] | None = None) -> SuiteResult:
+    """The table's structure, the sampled identities and an association witness.  ``blocks``
+    holds the residuals of every row block, in order, as ``run_suites`` gathers them from the
+    chunks its workers ran; None runs every block here, as one chunk."""
+    if blocks is None:
+        blocks = _octonion_blocks(cfg, range(0, cfg.trials, octonion.MUL_BLOCK_ROWS))
     out = SuiteResult("octonion")
     table = cfg.table
 
@@ -260,21 +298,6 @@ def suite_octonion(cfg: RunConfig) -> SuiteResult:
     out.add("octonion.table-closure", 0.5, {"no breakage": not breaks}, claim=True,
             evidence={"first break": breaks[0] if breaks else None})
 
-    # a and b each continue their own stream across blocks, so no residual depends on the
-    # block size; every block reuses the arrays of the first
-    a_rng, b_rng = rng.spawn(2)
-    step = octonion.MUL_BLOCK_ROWS
-    draws = np.empty((2, min(step, cfg.trials), 8))
-    work = np.empty((11, min(step, cfg.trials), 8))
-    blocks = []
-    for start in range(0, cfg.trials, step):
-        rows = min(step, cfg.trials - start)
-        a, b = draws[:, :rows]
-        a_rng.random(out=a)
-        b_rng.random(out=b)
-        draws[:, :rows] *= 2.0
-        draws[:, :rows] -= 1.0  # uniform in [-1, 1)
-        blocks.append(_octonion_residuals(a, b, table, work[:, :rows]))
     for name in blocks[0]:
         out.add(f"octonion.{name}", TOL_IDENTITY,
                 {"relative deviation": np.array([block[name] for block in blocks])}, claim=0.0,
@@ -435,17 +458,21 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.volume-growth-rate", 0.01, {"log A(50) / 50": g.log_area(50.0) / 50.0},
             claim=22.0, relative=True)
 
+    # both routes once at R = 10 and at each other radius of the run
+    by_radius = {r: (g.dirichlet_value(r), g.jacobi_dirichlet(r))
+                 for r in dict.fromkeys((10.0, *cfg.radii))}
+
     # the paper's bottom 121 against rho^2, and collocation against the Jacobi closed form at
     # R = 10; both routes read CLASSES, so only the claim sees a class fault
     rho2 = g.spectrum_bottom()
-    at10 = g.dirichlet_value(10.0)
+    at10, exact10 = by_radius[10.0]
     out.add("geodesy.spectrum-bottom", g.TOL_DIRICHLET, {"collocation": at10.value, "rho^2": rho2},
-            claim={"collocation": g.jacobi_dirichlet(10.0), "rho^2": 121.0}, relative=True,
+            claim={"collocation": exact10, "rho^2": 121.0}, relative=True,
             evidence={"R": 10.0, "nodes": at10.nodes, "N/2N gap": at10.error_estimate,
                       "converged": at10.converged})
 
-    # both routes at each radius of the run, in its order, which report writes to spectrum.csv
-    pairs = [(g.dirichlet_value(r), g.jacobi_dirichlet(r)) for r in cfg.radii]
+    # the pairs at each radius of the run, in its order, which report writes to spectrum.csv
+    pairs = [by_radius[r] for r in cfg.radii]
     out.artifacts = {"spectrum": pairs}
     solved = {"nodes": [v.nodes for v, _ in pairs], "N/2N gaps": [v.error_estimate for v, _ in pairs],
               "converged": all(v.converged for v, _ in pairs)}
@@ -590,24 +617,30 @@ def _crashed(name: str, error: str) -> SuiteResult:
     return result
 
 
-def _run_each(chosen: list[str], cfg: RunConfig, indices) -> list[tuple[int, SuiteResult, float]]:
-    """Run the suite at each of ``indices`` into ``chosen`` in turn, timing each one; a suite that
-    raises is one failed check ``<suite>.crashed``."""
-    done = []
-    for index in indices:
-        start = time.monotonic()
-        try:
-            result = SUITES[chosen[index]](cfg)
-        except Exception as exc:
-            result = _crashed(chosen[index], f"{type(exc).__name__}: {exc}")
-        done.append((index, result, time.monotonic() - start))
+def _timed(name: str, run, *args) -> tuple:
+    """``run(*args)``, or the failed check ``<name>.crashed`` if it raises, and its wall time."""
+    start = time.monotonic()
+    try:
+        value = run(*args)
+    except Exception as exc:
+        value = _crashed(name, f"{type(exc).__name__}: {exc}")
+    return value, time.monotonic() - start
+
+
+def _work(chosen: list[str], cfg: RunConfig, share, queue: int, chunks: list[range]) -> list[tuple]:
+    """One worker's part as (key, result, seconds): the suites at ``share`` into ``chosen`` in turn,
+    keyed by name, then the octonion chunk of each index it reads from ``queue``, one byte at a
+    time until the queue is empty, keyed by that index."""
+    done = [(chosen[i], *_timed(chosen[i], SUITES[chosen[i]], cfg)) for i in share]
+    while index := os.read(queue, 1):
+        done.append((index[0], *_timed("octonion", _octonion_blocks, cfg, chunks[index[0]])))
     return done
 
 
 def _worker_of(index: int, workers: int) -> int:
     """The worker that runs suite ``index``, dealt out 0, 1, ..., w - 1, w - 1, ..., 0, 0, 1, ...;
     dealing back and forth evens the shares more than round robin when an early suite is
-    the largest, as octonion is at a large ``trials``."""
+    the largest."""
     turn = index % (2 * workers)
     return min(turn, 2 * workers - 1 - turn)
 
@@ -622,22 +655,32 @@ def _usable_cpus() -> int:
 def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, float]]:
     """Run the named suites, timing each one, and return them in ``SUITE_ORDER``.
 
-    The suites share no state, so they run on one worker per usable CPU, at most one per suite:
-    this process (worker 0) and ``workers - 1`` forked children, each dealt a fixed share
-    (``_worker_of``), so each process's memory is the same on every run.  A child sends its
-    results back in one pickle and exits, and is reaped before this returns.  A suite that
-    raises fails its check ``<suite>.crashed``, and so does every suite of a dead worker.  The
-    one-thread BLAS policy (see ``__init__``) leaves no thread to fork past.
+    The suites share no state, so they run on one worker per usable CPU, at most one per unit of
+    work: this process (worker 0) and ``workers - 1`` forked children.  The units are the whole
+    suites and the octonion suite's chunks of row blocks (``_octonion_chunks``).  Each worker
+    first runs a fixed share of the suites (``_worker_of``), so the same suites share a process
+    and each process's memory is the same on every run; octonion's slot in that deal is always
+    this process, which builds its record last.  Then every worker claims octonion chunks, one
+    index byte at a time from one pipe, until the pipe is empty, so one sampled suite keeps every
+    worker busy.  A child sends its results back in one pickle and exits, and is reaped before
+    this returns.  A suite or a chunk that raises fails its check ``<suite>.crashed``, and so does
+    every suite of a dead worker, octonion too if it held any chunk.  The one-thread BLAS policy
+    (see ``__init__``) leaves no thread to fork past.
     """
     chosen = [name for name in SUITE_ORDER if name in names]
-    workers = min(len(chosen), _usable_cpus()) if hasattr(os, "fork") else 1
+    whole = [index for index, name in enumerate(chosen) if name != "octonion"]
+    chunks = _octonion_chunks(cfg.trials) if "octonion" in chosen else []
+    workers = min(len(whole) + len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(chunks))))  # at most 255 bytes, which any pipe holds
+    os.close(fill)
     children, pipes = [], []
     try:
         for worker in range(1, workers):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: this one runs the workers not forked
+            except OSError:  # no process to spare: this one runs the shares not forked
                 os.close(read_end)
                 os.close(write_end)
                 break
@@ -646,18 +689,19 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as out:
-                        share = [i for i in range(len(chosen)) if _worker_of(i, workers) == worker]
-                        pickle.dump(_run_each(chosen, cfg, share), out)
+                        share = [i for i in whole if _worker_of(i, workers) == worker]
+                        pickle.dump(_work(chosen, cfg, share, queue, chunks), out)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_end)
             children.append(pid)
             pipes.append(open(read_end, "rb"))
-        done = _run_each(chosen, cfg, [index for index in range(len(chosen))
-                                       if not 0 < _worker_of(index, workers) <= len(children)])
+        share = [i for i in whole if not 0 < _worker_of(i, workers) <= len(children)]
+        done = _work(chosen, cfg, share, queue, chunks)
         outputs = [pipe.read() for pipe in pipes]
     finally:
+        os.close(queue)
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
@@ -665,12 +709,18 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
     for status, output in zip(statuses, outputs):
         if status == 0:
             done += pickle.loads(output)
-    held = {index: (result, seconds) for index, result, seconds in done}
+    held = {key: (result, seconds) for key, result, seconds in done}
+    if chunks and all(i in held for i in range(len(chunks))):  # else octonion is lost with a worker
+        parts = [held.pop(i) for i in range(len(chunks))]
+        crashed = [blocks for blocks, _ in parts if isinstance(blocks, SuiteResult)]
+        result, own = (crashed[0], 0.0) if crashed else _timed(
+            "octonion", SUITES["octonion"], cfg, [block for blocks, _ in parts for block in blocks])
+        held["octonion"] = result, own + sum(chunk_seconds for _, chunk_seconds in parts)
     results: list[SuiteResult] = []
     timings: dict[str, float] = {}
-    for index, name in enumerate(chosen):
-        if index in held:
-            result, timings[name] = held[index]
+    for name in chosen:
+        if name in held:
+            result, timings[name] = held[name]
         else:
             result = _crashed(name, f"worker exited with status {', '.join(lost)}")
         results.append(result)

@@ -321,8 +321,8 @@ def test_report_with_crashed_geodesy_suite(tmp_path, monkeypatch):
 
 
 def test_report_solves_each_radius_once(tmp_path, monkeypatch):
-    # both spectrum routes run inside the geodesy suite, at R = 10 and at each --radius, and
-    # report writes what they found; each call appends a line, as the suite may run in a worker
+    # both spectrum routes run inside the geodesy suite, once at R = 10 and at each other --radius,
+    # and report writes what they found; each call appends a line, as the suite may run in a worker
     calls = tmp_path / "calls.log"
     for name in ("dirichlet_value", "jacobi_dirichlet"):
         def counted(radius, _real=getattr(geodesy, name), _name=name):
@@ -330,10 +330,13 @@ def test_report_solves_each_radius_once(tmp_path, monkeypatch):
                 log.write(f"{_name} {radius:g}\n")
             return _real(radius)
         monkeypatch.setattr(geodesy, name, counted)
-    assert cli.main(["report", *REPORT_FAST, "--radius", "4,6", "--out", str(tmp_path / "out")]) == 0
-    assert sorted(calls.read_text().splitlines()) == [
-        f"{name} {radius}" for name in ("dirichlet_value", "jacobi_dirichlet") for radius in (10, 4, 6)]
-    assert spectrum_column(tmp_path / "out", "radius") == [4.0, 6.0]
+    for radii, solved in (("4,6", (10, 4, 6)), ("4,10", (10, 4))):
+        calls.write_text("")
+        out = tmp_path / radii
+        assert cli.main(["report", *REPORT_FAST, "--radius", radii, "--out", str(out)]) == 0
+        assert sorted(calls.read_text().splitlines()) == sorted(
+            f"{name} {radius}" for name in ("dirichlet_value", "jacobi_dirichlet") for radius in solved)
+        assert spectrum_column(out, "radius") == [float(r) for r in radii.split(",")]
 
 
 def spectrum_column(out_dir, column):

@@ -88,10 +88,12 @@ def test_two_workers_and_one_give_the_same_results(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
     # which suites share a process sets each process's peak memory, so it may not depend
-    # on timing: four workers are dealt the six suites 0, 1, 2, 3, 3, 2
-    def fake(name, cfg):
+    # on timing: four workers are dealt the six suites 0, 1, 2, 3, 3, 2.  Octonion's slot is
+    # this process, which builds its record from the blocks of the chunks any worker claimed
+    def fake(name, cfg, blocks=None):
         result = SuiteResult(name)
-        result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True, evidence={"pid": os.getpid()})
+        result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True,
+                   evidence={"pid": os.getpid(), "blocks": blocks and len(blocks)})
         return result
 
     for name in SUITE_ORDER:
@@ -103,6 +105,7 @@ def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
         pids = [r.checks[0].evidence["pid"] for r in results]
         assert pids[0] == os.getpid() and pids[2] == pids[5] and pids[3] == pids[4]
         assert len(set(pids)) == 4
+        assert [r.checks[0].evidence["blocks"] for r in results] == [2, None, None, None, None, None]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
@@ -135,6 +138,54 @@ def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
     assert list(timings) == ["forms"]
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_a_dead_worker_loses_the_octonion_chunks_it_claimed(monkeypatch, tmp_path):
+    # this process claims the first of two one-block chunks and waits in it until the worker,
+    # after its forms, has claimed the second and exited
+    parent, exited = os.getpid(), tmp_path / "exited"
+    real = suites._octonion_residuals
+
+    def residuals(*args):
+        if os.getpid() != parent:
+            exited.touch()
+            os._exit(3)
+        deadline = time.monotonic() + 60
+        while not exited.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real(*args)
+
+    def forms_ran(cfg):
+        result = SuiteResult("forms")
+        result.add("forms.ran", 1.0, {"ran": True}, claim=True)
+        return result
+
+    monkeypatch.setattr(suites, "_octonion_residuals", residuals)
+    monkeypatch.setattr(suites, "OCTONION_CHUNK_BLOCKS", 1)
+    monkeypatch.setitem(SUITES, "forms", forms_ran)
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results, timings = run_suites(["octonion", "forms"], RunConfig(**FAST))
+    no_child_left()
+    assert exited.exists()
+    assert [[c.check for c in r.checks] for r in results] == [["octonion.crashed"], ["forms.crashed"]]
+    assert {r.checks[0].note for r in results} == {"worker exited with status 3"}
+    assert timings == {}
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+def test_a_raising_octonion_chunk_fails_the_suite(monkeypatch, cpus):
+    def residuals(*args):
+        raise FloatingPointError("block diverged")
+
+    monkeypatch.setattr(suites, "_octonion_residuals", residuals)
+    monkeypatch.setattr(suites, "OCTONION_CHUNK_BLOCKS", 1)
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    (octonion_result, kernels_result), timings = run_suites(["octonion", "kernels"], RunConfig(**FAST))
+    no_child_left()
+    assert [c.check for c in octonion_result.checks] == ["octonion.crashed"]
+    assert octonion_result.checks[0].note == "FloatingPointError: block diverged"
+    assert kernels_result.passed and set(timings) == {"octonion", "kernels"}
+
+
 def test_a_single_suite_runs_in_this_process(monkeypatch):
     def fork():
         raise AssertionError("forked for a single suite")
@@ -143,17 +194,23 @@ def test_a_single_suite_runs_in_this_process(monkeypatch):
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     (result,), _ = run_suites(["kernels"], RunConfig(**FAST))
     assert result.passed
+    # one block is one octonion chunk, a single unit of work too
+    (result,), _ = run_suites(["octonion"], RunConfig(**dict(FAST, trials=1000)))
+    assert result.passed
 
 
 def test_a_failed_fork_leaves_the_suites_to_this_process(monkeypatch):
+    # and the octonion chunks still queued, here two of one block each
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(suites.os, "fork", fork, raising=False)
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    results, timings = run_suites(["forms", "kernels"], RunConfig(**FAST))
-    assert [r.suite for r in results] == ["forms", "kernels"] and all(r.passed for r in results)
-    assert set(timings) == {"forms", "kernels"}
+    monkeypatch.setattr(suites, "OCTONION_CHUNK_BLOCKS", 1)
+    results, timings = run_suites(["octonion", "forms", "kernels"], RunConfig(**FAST))
+    assert [r.suite for r in results] == ["octonion", "forms", "kernels"] and all(r.passed for r in results)
+    assert results[0].as_dict() == SUITES["octonion"](RunConfig(**FAST)).as_dict()
+    assert set(timings) == {"octonion", "forms", "kernels"}
 
 
 def test_geodesy_results_ignore_wall_clock(monkeypatch):
@@ -537,6 +594,29 @@ def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
         monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
         runs.append(SUITES["octonion"](RunConfig(trials=trials)).as_dict())
     assert runs[0] == runs[1]
+
+
+def test_octonion_chunks_do_not_change_the_residuals(monkeypatch):
+    # 50 blocks of 1000 rows, in chunks of 1 block, of 16 and of all 50, claimed by one worker
+    # or two, against the suite run here in one piece
+    monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", 1000)
+    cfg = RunConfig(**dict(FAST, trials=3 * 16384 + 7))
+    expected = SUITES["octonion"](cfg).as_dict()
+    for blocks, cpus in itertools.product((1, 16, 50), ({0, 1}, {0})):
+        monkeypatch.setattr(suites, "OCTONION_CHUNK_BLOCKS", blocks)
+        monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        (result,), timings = run_suites(["octonion"], cfg)
+        no_child_left()
+        assert result.as_dict() == expected and list(timings) == ["octonion"], (blocks, cpus)
+
+
+def test_octonion_chunks_fit_one_pipe():
+    # a one-byte index per chunk, all written before the fork: a large budget widens the chunks
+    for trials in (1, 16 * octonion.MUL_BLOCK_ROWS + 1, 300 * 16 * octonion.MUL_BLOCK_ROWS + 1):
+        chunks = suites._octonion_chunks(trials)
+        assert len(chunks) <= 255
+        assert [start for chunk in chunks for start in chunk] == list(range(0, trials, octonion.MUL_BLOCK_ROWS))
+    assert len(suites._octonion_chunks(16 * octonion.MUL_BLOCK_ROWS + 1)) == 2
 
 
 def test_curvature_blocks_do_not_change_the_residuals(monkeypatch):
