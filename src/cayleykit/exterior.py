@@ -22,12 +22,12 @@ any identity check is pure float roundoff.
 ``hessian_action`` applies ``T(a, w) = sum_ij a_ij eps(theta^i) l(e_j) w``,
 the constant-coefficient surrogate for a covariant Hessian paired with a
 parallel form; ``duality_report`` checks the codifferential-style sign
-identities that reduce such pairings to T.  Each pair expansion takes
-terms of one grade p and builds only the p (n - p + 1) index pairs of a
-term that can be nonzero, not the n^2 of the full grid.  A single form,
-such as a candidate parallel form, is a one-row batch (B = 1); ``collect``
-sums the terms of a batch into one, and ``to_text`` / ``from_text``
-serialize it.
+identities that reduce such pairings to T, one sort per block of rows.  Each
+pair expansion takes terms of one grade p and builds only the p (n - p + 1)
+index pairs of a term that can be nonzero, not the n^2 of the full grid.
+A single form, such as a candidate parallel form, is a one-row batch
+(B = 1); ``collect`` sums the terms of a batch into one, and ``to_text`` /
+``from_text`` serialize it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 MAX_DIM = 16
 RANDOM_FORM_TERMS = 8  # monomials of a random sparse form, if the grade has that many
-DUALITY_BLOCK_ROWS = 8  # rows of ``duality_report`` expanded at a time
+DUALITY_BLOCK_TERMS = 8192  # terms per chain of a ``duality_report`` block
 
 
 def mask_of(indices) -> int:
@@ -110,18 +110,27 @@ def inner(masks_a, coeffs_a, masks_b, coeffs_b):
     return np.sum(same * coeffs_a[..., :, None] * coeffs_b[..., None, :], axis=(-2, -1))
 
 
-def sum_terms(keys, coeffs):
-    """Distinct keys, ascending, and the summed coefficient of each, added in input order.
-
-    One stable sort lines each key's terms up in input order, and ``bincount``
-    over the run numbers adds them one after the other in that order.
-    """
-    keys = np.ravel(keys)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+def _runs(keys):
+    """The first entry of each run of equal keys of an ascending array, and each entry's run number."""
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first], np.bincount(np.cumsum(first) - 1, weights=np.ravel(coeffs)[order])
+    return first, np.cumsum(first) - 1
+
+
+def sum_terms(keys, coeffs):
+    """Distinct keys, ascending, and the summed coefficient of each, added in input order: a
+    stable sort lines each key's terms up in that order, and ``bincount`` adds them so."""
+    order = np.argsort(np.ravel(keys), kind="stable")
+    keys = np.ravel(keys)[order]
+    first, runs = _runs(keys)
+    return keys[first], np.bincount(runs, weights=np.ravel(coeffs)[order])
+
+
+def _live_terms(batches):
+    """Keys (row, mask) and coefficients of the nonzero terms, batch after batch, and the
+    number of terms of each batch."""
+    terms = [(np.nonzero(c)[0] << MAX_DIM | m[c != 0.0], c[c != 0.0]) for m, c in batches]
+    return *map(np.concatenate, zip(*terms)), [c.size for _, c in terms]
 
 
 def residual(*batches) -> float:
@@ -130,12 +139,7 @@ def residual(*batches) -> float:
     Terms are keyed by (row, mask), so a fault in one row cannot cancel
     against another row.
     """
-    keys, values = [], []
-    for masks, coeffs in batches:
-        live = coeffs != 0.0
-        keys.append(np.nonzero(live)[0] << MAX_DIM | masks[live])
-        values.append(coeffs[live])
-    keys, values = np.concatenate(keys), np.concatenate(values)  # frees the parts before the sum
+    keys, values, _ = _live_terms(batches)
     _, sums = sum_terms(keys, values)
     return float(np.abs(sums).max(initial=0.0))
 
@@ -206,17 +210,19 @@ def random_forms(n: int, grades, rng: np.random.Generator):
     Row b holds min(RANDOM_FORM_TERMS, C(n, p_b)) distinct monomials, uniform
     over the masks of grade p_b, with coefficients uniform in [-1, 1]; the
     rest of the row is padding with zero coefficients.  A mask repeating an
-    earlier one in its row is drawn again.
+    earlier one in its row is drawn again; only rows just redrawn are retested.
     """
     grades = np.broadcast_to(np.asarray(grades)[:, None], (len(grades), RANDOM_FORM_TERMS))
     counts = np.array([min(RANDOM_FORM_TERMS, comb(n, int(p))) for p in grades[:, 0]])
     live = np.arange(RANDOM_FORM_TERMS) < counts[:, None]
-    masks = _random_masks(n, grades, rng)
+    masks, rows = _random_masks(n, grades, rng), np.arange(len(grades))
     while True:
-        repeat = np.tril(masks[:, :, None] == masks[:, None, :], -1).any(axis=-1) & live
-        if not repeat.any():
+        repeat = np.tril(masks[rows, :, None] == masks[rows, None, :], -1).any(axis=-1) & live[rows]
+        r, c = np.nonzero(repeat)
+        if not r.size:
             break
-        masks[repeat] = _random_masks(n, grades[repeat], rng)
+        masks[rows[r], c] = _random_masks(n, grades[rows[r], c], rng)
+        rows = rows[repeat.any(axis=-1)]
     return masks, np.where(live, rng.uniform(-1.0, 1.0, masks.shape), 0.0)
 
 
@@ -279,25 +285,30 @@ def duality_report(n: int, p: int, trials: int, rng: np.random.Generator) -> dic
 
     Returns the maximal absolute residual of each identity over random
     trace-free symmetric coefficients and random sparse forms, all drawn first,
-    then compared ``DUALITY_BLOCK_ROWS`` rows at a time.  Any sign discrepancy
-    shows up as an O(1) residual rather than being absorbed.
+    then compared in blocks of about ``DUALITY_BLOCK_TERMS`` terms per chain.  One
+    stable sort lines up each (row, mask) key's terms of a block batch by batch,
+    so each identity adds its two batches' terms in the order ``residual`` would.
+    Any sign discrepancy shows up as an O(1) residual rather than being absorbed.
     """
     if not 1 <= p <= n - 1:
         raise ValueError("grade must be between 1 and n-1 for the chain")
-    sign_direct = -1 if (p * (n - p - 1) + 1) % 2 else 1
-    sign_codiff = -1 if ((p - 1) * (n - p)) % 2 else 1
-    sign_link = -1 if (n - 1) % 2 else 1
+    # each identity's weights on the direct chain, the codifferential chain and T
+    weights = np.array([[1, 0, 1 if (p * (n - p - 1) + 1) % 2 else -1],
+                        [0, 1, 1 if ((p - 1) * (n - p)) % 2 else -1],
+                        [1, 1 if (n - 1) % 2 else -1, 0]], dtype=float)
     drawn = (random_trace_free(n, trials, rng), *random_forms(n, np.full(trials, p), rng))
+    step = max(1, DUALITY_BLOCK_TERMS // (RANDOM_FORM_TERMS * max(p * (n - p + 1), (n - p) * (p + 1))))
     worst = [0.0, 0.0, 0.0]
-    for start in range(0, trials, DUALITY_BLOCK_ROWS):
-        a, masks, coeffs = (x[start:start + DUALITY_BLOCK_ROWS] for x in drawn)
-        t_masks, t_coeffs = hessian_action(a, masks, coeffs)
-        direct = hodge(n, *_star_chain(a, masks, coeffs))
-        codiff = _star_chain(a, *hodge(n, masks, coeffs))
-        worst = [max(w, r) for w, r in zip(worst, (
-            residual(direct, (t_masks, -sign_direct * t_coeffs)),
-            residual(codiff, (t_masks, -sign_codiff * t_coeffs)),
-            residual(direct, (codiff[0], -sign_link * codiff[1]))))]
+    for start in range(0, trials, step):
+        a, masks, coeffs = (x[start:start + step] for x in drawn)
+        keys, values, counts = _live_terms((hodge(n, *_star_chain(a, masks, coeffs)),
+                                            _star_chain(a, *hodge(n, masks, coeffs)),
+                                            hessian_action(a, masks, coeffs)))
+        order = np.argsort(keys, kind="stable")
+        _, runs = _runs(keys[order])
+        for k, w in enumerate(weights):  # the batch an identity leaves out adds zeros
+            sums = np.bincount(runs, weights=np.take(np.repeat(w, counts) * values, order))
+            worst[k] = max(worst[k], float(np.abs(sums).max(initial=0.0)))
     res = dict(zip(("direct_vs_T", "codiff_vs_T", "direct_vs_codiff"), worst))
     res["max"] = max(res.values())
     return res

@@ -191,9 +191,11 @@ def monomial_functionals(n: int, masks, coeffs, targets) -> np.ndarray:
     """The functional in a of each target output monomial of T(a, omega), omega on R^n.
 
     Returns one row per target.  The coefficient of the coordinate (i, j)
-    sums the terms of both a_ij and a_ji.
+    sums the terms of both a_ij and a_ji.  Only the terms one index swap from
+    a target (popcount(m ^ t) <= 2) can reach it, so only they are expanded.
     """
-    masks, coeffs, i, j = pair_action(n, masks, coeffs)
+    near = (np.bitwise_count(masks[..., None] ^ np.array(targets, dtype=masks.dtype)) <= 2).any(axis=-1)
+    masks, coeffs, i, j = pair_action(n, masks[near][None], coeffs[near][None])
     cols = _columns(n)[i, j]
     rows = np.zeros((len(targets), n * (n + 1) // 2))
     for row, target in zip(rows, targets):
@@ -270,12 +272,15 @@ class ConstraintSet:
 
     @classmethod
     def from_functionals(cls, n: int, functionals: np.ndarray) -> "ConstraintSet":
-        """Canonicalize raw functional rows: a row within ROUND_TOL of zero is dropped,
-        the others are eliminated exactly as the floats they are, and then each entry is
-        rounded once and snapped to a small fraction within ROUND_TOL (zero among them).
-        Being exact, the elimination counts a row that depends on the others only up to
-        rounding as independent."""
-        mat = functionals[np.abs(functionals).max(axis=1) > ROUND_TOL]
+        """Canonicalize raw functional rows: a row off zero by more than ROUND_TOL is kept
+        if it raises the float rank of the rows kept before it, at tolerance ROUND_TOL times
+        the largest singular value; the kept rows are eliminated exactly as the floats they
+        are, and each entry is rounded once and snapped to a small fraction within ROUND_TOL."""
+        kept = []
+        for i in np.flatnonzero(np.abs(functionals).max(axis=1) > ROUND_TOL):
+            if np.linalg.matrix_rank(functionals[kept + [i]], rtol=ROUND_TOL) > len(kept):
+                kept.append(i)
+        mat = functionals[kept]
         rows = [[Fraction(x) if x else 0 for x in row] for row in mat.tolist()]
         rank = len(row_reduce(rows, mat.shape[1]))
         canon = np.array(rows[:rank], dtype=float).reshape(rank, mat.shape[1])

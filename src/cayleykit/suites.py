@@ -580,8 +580,8 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
         out.add(f"kernels.ratio-{kind}", TOL_MODEL,
                 {f"n = {n}": [r, *k.kato_transform(r)] for n, r in zip(ns, ratios)}, claim=claim)
 
-    # the claim itself, not the eigen route's candidate
-    reason = k.certify_ratio(cs9, sharp)
+    # the claim itself, not the eigen route's candidate, which min_bochner_ratio certified
+    reason = None if r9.rational == sharp else k.certify_ratio(cs9, sharp)
     out.add("kernels.sharpness", 0.0, {"P - 8/7 Q semidefinite and singular": reason is None},
             claim=True, evidence={"refused": reason})
 

@@ -16,6 +16,10 @@ numpy, independent of LAPACK.
 The pair expansions of ``hessian_action`` and ``_star_chain`` are restated
 over the full n x n grid of index pairs, dead terms included: an oracle for
 which terms the live-pair enumeration keeps, on the same sign kernels.
+``duality_report_by_rows``, ``random_forms_whole_batch`` and
+``monomial_functionals_unfiltered`` are the plain forms of three exterior
+loops: eight rows and one sort per identity, every row retested for repeats,
+every term of a form expanded; the fast forms must match them bit for bit.
 The batched kernels (octonion product, curvature operator forms) are
 restated as single three-operand ``einsum`` contractions with no BLAS call
 and no blocking.  ``sharpness_full_draw`` samples the feasible space of a
@@ -35,7 +39,10 @@ import numpy as np
 import scipy.linalg
 
 from cayleykit.curvature import CurvatureOperator
-from cayleykit.exterior import epsilon, hodge, indices_of, interior, mask_of, residual, wedge
+from cayleykit.exterior import (RANDOM_FORM_TERMS, _random_masks, _star_chain, epsilon, hessian_action,
+                                hodge, indices_of, interior, mask_of, pair_action, random_trace_free,
+                                residual, wedge)
+from cayleykit.forms import _columns
 from cayleykit.geodesy import log_area
 from cayleykit.kernels import nullspace, quadratic_weights
 from cayleykit.octonion import DEFAULT_TABLE, conj_arrays
@@ -157,6 +164,54 @@ def star_chain_grid(a, masks, coeffs):
     m, c = hodge(n, *epsilon(idx, masks[..., None], coeffs[..., None]))
     m, c = epsilon(idx[:, None], m[..., None, :], c[..., None, :])
     return m.reshape(len(m), -1), (c * np.swapaxes(a, -1, -2)[..., None, :, :]).reshape(len(m), -1)
+
+
+def duality_report_by_rows(n: int, p: int, trials: int, rng):
+    """``exterior.duality_report`` with blocks of 8 rows and one ``residual`` call, so one
+    sort, per identity and block."""
+    sign_direct = -1 if (p * (n - p - 1) + 1) % 2 else 1
+    sign_codiff = -1 if ((p - 1) * (n - p)) % 2 else 1
+    sign_link = -1 if (n - 1) % 2 else 1
+    drawn = (random_trace_free(n, trials, rng), *random_forms_whole_batch(n, np.full(trials, p), rng))
+    worst = [0.0, 0.0, 0.0]
+    for start in range(0, trials, 8):
+        a, masks, coeffs = (x[start:start + 8] for x in drawn)
+        t_masks, t_coeffs = hessian_action(a, masks, coeffs)
+        direct = hodge(n, *_star_chain(a, masks, coeffs))
+        codiff = _star_chain(a, *hodge(n, masks, coeffs))
+        worst = [max(w, r) for w, r in zip(worst, (
+            residual(direct, (t_masks, -sign_direct * t_coeffs)),
+            residual(codiff, (t_masks, -sign_codiff * t_coeffs)),
+            residual(direct, (codiff[0], -sign_link * codiff[1]))))]
+    res = dict(zip(("direct_vs_T", "codiff_vs_T", "direct_vs_codiff"), worst))
+    res["max"] = max(res.values())
+    return res
+
+
+def random_forms_whole_batch(n: int, grades, rng):
+    """``exterior.random_forms`` that tests every row for a repeated mask in each round."""
+    grades = np.broadcast_to(np.asarray(grades)[:, None], (len(grades), RANDOM_FORM_TERMS))
+    counts = np.array([min(RANDOM_FORM_TERMS, math.comb(n, int(p))) for p in grades[:, 0]])
+    live = np.arange(RANDOM_FORM_TERMS) < counts[:, None]
+    masks = _random_masks(n, grades, rng)
+    while True:
+        repeat = np.tril(masks[:, :, None] == masks[:, None, :], -1).any(axis=-1) & live
+        if not repeat.any():
+            break
+        masks[repeat] = _random_masks(n, grades[repeat], rng)
+    return masks, np.where(live, rng.uniform(-1.0, 1.0, masks.shape), 0.0)
+
+
+def monomial_functionals_unfiltered(n: int, masks, coeffs, targets):
+    """``forms.monomial_functionals`` expanding every term of the form, not only those one
+    index swap away from a target."""
+    masks, coeffs, i, j = pair_action(n, masks, coeffs)
+    cols = _columns(n)[i, j]
+    rows = np.zeros((len(targets), n * (n + 1) // 2))
+    for row, target in zip(rows, targets):
+        hit = masks == target
+        row[:] = np.bincount(cols[hit], weights=coeffs[hit], minlength=row.size)
+    return rows
 
 
 def evaluate(constraints, a):

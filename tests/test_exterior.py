@@ -230,6 +230,29 @@ def test_duality_chain_signs_and_residuals():
         assert rep["max"] <= 1e-12, (n, p, rep)
 
 
+@pytest.mark.parametrize("n", (4, 8, 16))
+def test_duality_report_matches_the_eight_row_oracle(n):
+    # one sort per term-budget block reads the same maxima, bit for bit, as one sort per
+    # identity and 8-row block, at every grade of the chain
+    for p in range(1, n):
+        for seed in range(3):
+            got = duality_report(n, p, 40, np.random.default_rng(seed))
+            assert repr(got) == repr(oracles.duality_report_by_rows(n, p, 40, np.random.default_rng(seed)))
+
+
+def test_random_forms_match_the_whole_batch_oracle():
+    # redrawing only the rows still holding a repeat makes the same draws in the same order
+    for seed in range(4):
+        for n, grades in ((16, np.arange(17)), (16, np.full(300, 1)), (4, np.full(200, 2))):
+            got = random_forms(n, grades, np.random.default_rng(seed))
+            want = oracles.random_forms_whole_batch(n, grades, np.random.default_rng(seed))
+            assert repr([x.tolist() for x in got]) == repr([x.tolist() for x in want]), (seed, n)
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    random_forms(16, np.arange(17), rng)
+    oracles.random_forms_whole_batch(16, np.arange(17), oracle_rng)
+    assert rng.random() == oracle_rng.random()  # the generators are left in one state
+
+
 def test_duality_chain_antisymmetric_matrix():
     # the chain never used symmetry of a, so the 2-form-symbol case
     # (antisymmetric coefficients) must satisfy the same identities

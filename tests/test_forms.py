@@ -185,6 +185,36 @@ def test_monomial_functionals_single_pass_table():
     assert np.array_equal(table, diagonal_rows(SPIN9_DIM, [range(8), range(8, 16)]) * [[-1.0], [1.0]])
 
 
+def test_monomial_functionals_expand_every_term_that_reaches_a_target():
+    # the expansion skips terms more than one index swap from every target; on Phi and on
+    # an 8-form whose (7, 1) and (1, 7) terms leak into the tops, the rows equal those of
+    # the expansion of every term, bit for bit
+    (masks,), (coeffs,) = spin9_form()
+    leaks = [mask_of((*range(7), 8)), mask_of((*range(1, 8), 15)), mask_of((0, *range(9, 16))),
+             mask_of((7, *range(8, 15))), mask_of((*range(6), 8, 9))]
+    leaky = np.append(masks, leaks)[None], np.append(coeffs, [0.5, -0.25, 1.5, 0.75, 2.0])[None]
+    for omega in (spin9_form(), leaky):
+        for targets in ([V_TOP], [W_TOP, V_TOP]):
+            got = monomial_functionals(SPIN9_DIM, *omega, targets).tolist()
+            want = oracles.monomial_functionals_unfiltered(SPIN9_DIM, *omega, targets).tolist()
+            assert repr(got) == repr(want)
+    assert not np.array_equal(monomial_functionals(SPIN9_DIM, *leaky, [V_TOP]),
+                              monomial_functionals(SPIN9_DIM, *spin9_form(), [V_TOP]))
+    # and on the Kahler and quaternionic forms with their targets
+    for n, omega, targets in ((8, kahler_form(4), kahler_targets(4)),
+                              (8, quaternionic_form(2), quaternionic_targets(2))):
+        got = monomial_functionals(n, *omega, targets).tolist()
+        assert repr(got) == repr(oracles.monomial_functionals_unfiltered(n, *omega, targets).tolist())
+
+
+def test_rows_dependent_up_to_rounding_are_dropped():
+    # r0 + r1 in floats is off the span of r0 and r1 only by rounding: one constraint less
+    r0, r1 = np.random.default_rng(5).standard_normal((2, 6))
+    assert len(ConstraintSet.from_functionals(3, np.array([r0, r1, r0 + r1])).rows) == 2
+    assert ConstraintSet.from_functionals(3, np.array([r0, r1, r0 + r1])) == \
+        ConstraintSet.from_functionals(3, np.array([r0, r1]))
+
+
 def test_extracted_constraints_match_targets():
     cs = standard_constraints("spin9")
     assert cs.n == 16

@@ -381,18 +381,30 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
     real_certify = suites.kernels.certify_ratio
     claims = []
 
-    def refuse_the_claim(problem, r):
-        # min_bochner_ratio certifies its candidate 8/7 first; kernels.sharpness asks again
+    def counted(problem, r):
         claims.append(r)
-        if r == Fraction(8, 7) and claims.count(r) == 2:
-            return "8/7 is above the minimum: refused"
         return real_certify(problem, r)
 
-    monkeypatch.setattr(suites.kernels, "certify_ratio", refuse_the_claim)
-    failed = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks if not c.passed]
-    assert [(c.check, c.residual, c.evidence) for c in failed] == [
-        ("kernels.sharpness", 1.0, {"refused": "8/7 is above the minimum: refused"})]
-    assert failed[0].note.endswith(" singular False; 8/7 is above the minimum: refused")
+    def sharpness():
+        (check,) = [c for c in SUITES["kernels"](RunConfig(**FAST)).checks if c.check == "kernels.sharpness"]
+        return check
+
+    # min_bochner_ratio certifies its candidate 8/7, and kernels.sharpness reads that proof
+    with monkeypatch.context() as patch:
+        patch.setattr(suites.kernels, "certify_ratio", counted)
+        check = sharpness()
+    assert (check.passed, check.residual, check.evidence) == (True, 0.0, {"refused": None})
+    assert claims.count(Fraction(8, 7)) == 1
+    # the trace alone in place of Spin(9)'s rows: the eigen route's candidate is 16/15, so
+    # the claim 8/7 is put to the certificate on its own, which refuses it
+    real_standard = forms.standard_constraints
+    monkeypatch.setattr(forms, "standard_constraints",
+                        lambda kind, n=None: (forms.ConstraintSet(16, real_standard(kind).rows[:0])
+                                              if kind == "spin9" else real_standard(kind, n)))
+    check = sharpness()
+    refused = "8/7 is above the minimum: pivot 21 of B^T (P - r Q) B is zero, its row not"
+    assert (check.passed, check.residual, check.evidence) == (False, 1.0, {"refused": refused})
+    assert check.note.endswith(f" singular False; {refused}")
 
 
 def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
