@@ -319,7 +319,7 @@ def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
 
 def cmd_pinch(args, cfg: suites.RunConfig) -> int:
     out = Path(cfg.out or ".")
-    result = curvature.pinch_extremes(curvature.assemble_operator(), starts=cfg.starts,
+    result = curvature.pinch_extremes(curvature.assemble_operator(cfg.table), starts=cfg.starts,
                                       seed=cfg.seed)
     write_pinch_artifacts(out, result)
     print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")

@@ -17,9 +17,9 @@ is the independent route it is checked against.  Ricci, the radial Jacobi
 operator and the pinch extremes (eigenvalues of the Jacobi operators) are
 linear algebra against that matrix.
 
-``ALPHA`` is the model's curvature scale, not a setting: the formula and
-the operator read it at call time, so a test injects a scale fault by
-patching it.
+Both routes take the multiplication table a run verifies.  ``ALPHA`` is the
+model's curvature scale, not a setting: the formula and the operator read it
+at call time, so a test injects a scale fault by patching it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _orthonormalize(x, y):
 
 @dataclass(frozen=True)
 class SectionalCurvature:
-    """The orthonormal-pair curvature formula with scale ``ALPHA``.
+    """The orthonormal-pair curvature formula with scale ``ALPHA`` and the products of ``table``.
 
     ``swap_products`` evaluates the mirrored product order
     (<ba, dc>, <da, bc>) instead; the verification suite uses it to report
@@ -101,6 +101,7 @@ class SectionalCurvature:
     """
 
     swap_products: bool = False
+    table: octonion.MultiplicationTable = field(default=octonion.DEFAULT_TABLE, repr=False)
 
     def orthonormal_value(self, u, v) -> np.ndarray:
         """Curvature of the plane of an orthonormal pair (batched)."""
@@ -111,21 +112,14 @@ class SectionalCurvature:
         # two stacked products per pair of planes: [b, d] against the matrices of a and of c
         # give ab, ad and cb, cd; the mirrored reading takes the right-hand matrices instead
         bd = np.stack([b, d], axis=-2)
-        with_a = bd @ octonion.product_matrices(a, left=not self.swap_products)
-        with_c = bd @ octonion.product_matrices(c, left=not self.swap_products)
+        with_a = bd @ octonion.product_matrices(a, self.table, not self.swap_products)
+        with_c = bd @ octonion.product_matrices(c, self.table, not self.swap_products)
         ab, ad = with_a[..., 0, :], with_a[..., 1, :]
         cb, cd = with_c[..., 0, :], with_c[..., 1, :]
         wedge_ac = _dot(a, a) * _dot(c, c) - _dot(a, c) ** 2
         wedge_bd = _dot(b, b) * _dot(d, d) - _dot(b, d) ** 2
-        value = (
-            wedge_ac
-            + wedge_bd
-            + 0.25 * _dot(a, a) * _dot(d, d)
-            + 0.25 * _dot(b, b) * _dot(c, c)
-            + 0.5 * _dot(ab, cd)
-            - _dot(ad, cb)
-        )
-        return ALPHA * value
+        return ALPHA * (wedge_ac + wedge_bd + 0.25 * _dot(a, a) * _dot(d, d)
+                        + 0.25 * _dot(b, b) * _dot(c, c) + 0.5 * _dot(ab, cd) - _dot(ad, cb))
 
     def plane_value(self, x, y):
         """Sectional curvature of span(x, y); NaN for a degenerate plane."""
@@ -162,10 +156,10 @@ class CurvatureOperator:
         np.savetxt(path, self.matrix, delimiter=",", fmt="%.17g")
 
 
-def assemble_operator() -> CurvatureOperator:
-    """(ALPHA / 4) sum_{i<j} c_ij c_ij^T over the bivectors c_ij of I_i I_j; at ALPHA = -4,
-    -8 times the projector onto spin(9), spectrum {-8 x 36, 0 x 84}."""
-    inv = octonion.clifford_involutions()
+def assemble_operator(table: octonion.MultiplicationTable = octonion.DEFAULT_TABLE):
+    """(ALPHA / 4) sum_{i<j} c_ij c_ij^T over the bivectors c_ij of I_i I_j, the Clifford system
+    of ``table``; at ALPHA = -4, -8 times the projector onto spin(9), spectrum {-8 x 36, 0 x 84}."""
+    inv = octonion.clifford_involutions(table)
     i, j = np.triu_indices(len(inv), 1)
     c = (inv[i] @ inv[j])[:, _ROWS, _COLS]
     return CurvatureOperator(ALPHA / 4.0 * (c.T @ c))
@@ -198,28 +192,19 @@ class PlaneSweep:
     roundtrip: float
 
 
-def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -> PlaneSweep:
-    """The formula and its mirrored reading on ``planes`` random planes, and the
-    assembled operator against the formula on the same planes.
+def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int,
+                 table: octonion.MultiplicationTable = octonion.DEFAULT_TABLE) -> PlaneSweep:
+    """The formula of ``table`` and its mirrored reading on ``planes`` random planes, and
+    the assembled operator against the formula on the same planes.
 
-    The planes are drawn a block of rows at a time, x and y each from a stream
-    spawned off ``rng`` that continues across blocks, so the result does not
-    depend on the block size and no array grows with ``planes``.
+    The planes are drawn by ``octonion.uniform_blocks``, so the result does not depend
+    on the block size and no array grows with ``planes``.
     """
-    formula, mirrored = SectionalCurvature(), SectionalCurvature(swap_products=True)
-    x_rng, y_rng = rng.spawn(2)
+    formula, mirrored = SectionalCurvature(table=table), SectionalCurvature(True, table)
     count, worst = 0, 0.0
     low, high = np.full(2, np.inf), np.full(2, -np.inf)  # the formula, the mirrored reading
-    step = min(octonion.MUL_BLOCK_ROWS, planes)
-    draws = np.empty((2, step, N))
-    work = np.empty((2, step, len(PAIRS)))  # a block's bivectors and their operator product
-    for start in range(0, planes, step):
-        rows = min(step, planes - start)
-        x, y = draws[:, :rows]
-        x_rng.random(out=x)
-        y_rng.random(out=y)
-        draws[:, :rows] *= 2.0
-        draws[:, :rows] -= 1.0  # uniform in [-1, 1), bit for bit as ``uniform(-1, 1)`` draws it
+    work = np.empty((2, min(octonion.MUL_BLOCK_ROWS, planes), len(PAIRS)))  # bivectors, products
+    for x, y in octonion.uniform_blocks(rng, range(0, planes, octonion.MUL_BLOCK_ROWS), planes, N):
         gram, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
         frame = _orthonormalize(x, y)
         direct = np.where(good, formula.orthonormal_value(*frame), np.nan)
@@ -227,7 +212,7 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int) -
         count += values.shape[1]
         low = np.minimum(low, values.min(axis=1, initial=np.inf))
         high = np.maximum(high, values.max(axis=1, initial=-np.inf))
-        worst = max(worst, roundtrip_residual(op, x, y, gram, direct, work[:, :rows]))
+        worst = max(worst, roundtrip_residual(op, x, y, gram, direct, work[:, :len(x)]))
     return PlaneSweep(count, (float(low[0]), float(high[0])), (float(low[1]), float(high[1])),
                       float(worst))
 

@@ -43,23 +43,14 @@ DUALITY_BLOCK_TERMS = 8192  # terms per chain of a ``duality_report`` block
 
 def mask_of(indices) -> int:
     """Bitmask of strictly ascending 0-based indices."""
-    m = 0
-    prev = -1
-    for i in indices:
-        if i <= prev:
-            raise ValueError("indices must be strictly ascending")
-        m |= 1 << i
-        prev = i
-    return m
+    indices = list(indices)
+    if any(i <= prev for prev, i in zip([-1] + indices, indices)):
+        raise ValueError("indices must be strictly ascending")
+    return sum(1 << i for i in indices)
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def wedge_sign(a, b):

@@ -8,7 +8,7 @@ This module builds the three candidates
 * ``kahler_form(n)``        -- -sum_i theta^i ^ theta^{n+i} on R^{2n};
 * ``quaternionic_form(n)``  -- om1^om1 + om2^om2 + om3^om3 on R^{4n} for
   the three almost-complex structures of the block frame (e, Ie, Je, Ke);
-* ``spin9_form()``          -- the Cayley 8-form Phi on R^16 = O^2,
+* ``spin9_form(table)``     -- the Cayley 8-form Phi on R^16 = O^2,
 
 each a one-row ``exterior`` batch (masks, coeffs), and extracts the
 constraint functionals of designated target monomials (the diagonal pair,
@@ -25,8 +25,9 @@ fraction through ``small_fraction``.
 
 Phi is Parton and Piccinni's tau_4(psi) (Ann. Global Anal. Geom. 2012):
 the sum over i<j<k<l of (om_ij ^ om_kl - om_ik ^ om_jl + om_il ^ om_jk)^2,
-with om_ij = <I_i I_j ., .> for ``octonion.clifford_involutions``.  It has
-no (7,1) or (1,7) terms, so the top functionals read the tops alone.
+with om_ij = <I_i I_j ., .> for ``octonion.clifford_involutions`` of the
+table a run verifies.  It has no (7,1) or (1,7) terms, so the top
+functionals read the tops alone.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import collect, mask_of, pair_action, sum_terms, wedge, wedge_sign
-from .octonion import clifford_involutions
+from .octonion import DEFAULT_TABLE, MultiplicationTable, clifford_involutions
 
 SPIN9_DIM = 16
 V_TOP = (1 << 8) - 1              # v_0 ^ ... ^ v_7
@@ -93,15 +94,15 @@ def quaternionic_targets(n: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _cayley_terms():
-    """Phi / CAYLEY_SCALE as read-only (masks, coeffs), built once per process.
+def _cayley_terms(table: MultiplicationTable):
+    """Phi / CAYLEY_SCALE of ``table`` as read-only (masks, coeffs), built once per process.
 
     One ``wedge`` call gives the 8 x 8 terms of each of the 126 x 3 products
     in psi.  A 4-form commutes with itself, so psi ^ psi is twice the sum over
     the disjoint term pairs s < t of psi, each signed by ``wedge_sign``; one
     psi at a time.
     """
-    inv = clifford_involutions()
+    inv = clifford_involutions(table)
     p, q = np.triu_indices(SPIN9_DIM, 1)
     omega = (inv[:, None] @ inv)[..., q, p]  # omega_ij(e_p, e_q) = <I_i I_j e_p, e_q>
     # the eight terms of each omega_ij, i != j (I_i I_j is a signed permutation)
@@ -126,9 +127,9 @@ def _cayley_terms():
     return masks, coeffs
 
 
-def spin9_form():
-    """The Cayley form Phi / CAYLEY_SCALE, read-only: top coefficients -1 (v) and +1 (w)."""
-    masks, coeffs = _cayley_terms()
+def spin9_form(table: MultiplicationTable = DEFAULT_TABLE):
+    """The Cayley form Phi / CAYLEY_SCALE of ``table``, read-only: tops -1 (v) and +1 (w)."""
+    masks, coeffs = _cayley_terms(table)
     return masks[None], coeffs[None]
 
 
@@ -153,14 +154,22 @@ def spin9_targets() -> tuple[int, int]:
     return V_TOP, W_TOP
 
 
+def _near_terms(masks, coeffs, targets):
+    """The terms of a one-row form one index swap or less from a target (popcount(m ^ t) <= 2),
+    as a one-row form: the only terms eps(theta^i) l(e_j) can carry onto a target."""
+    near = (np.bitwise_count(masks[..., None] ^ np.array(targets, dtype=masks.dtype)) <= 2).any(axis=-1)
+    return masks[near][None], coeffs[near][None]
+
+
 def no_leak_report(masks, coeffs) -> float:
     """Max coefficient the non-top terms of an 8-form on R^16 contribute to either top monomial.
 
     Sums the terms of eps(theta^i) l(e_j) that land on a top monomial, per
     index pair (i, j) and top, over all 256 pairs; without (7,1) or (1,7)
-    terms every sum is zero.
+    terms every sum is zero.  Only the ``_near_terms`` of the tops are expanded.
     """
     n = SPIN9_DIM
+    masks, coeffs = _near_terms(masks, coeffs, spin9_targets())
     masks, coeffs, i, j = pair_action(n, masks, np.where(np.isin(masks, spin9_targets()), 0.0, coeffs))
     top = ((masks == V_TOP) | (masks == W_TOP)) & (coeffs != 0.0)
     keys = (masks == W_TOP) * n * n + i * n + j
@@ -191,11 +200,10 @@ def monomial_functionals(n: int, masks, coeffs, targets) -> np.ndarray:
     """The functional in a of each target output monomial of T(a, omega), omega on R^n.
 
     Returns one row per target.  The coefficient of the coordinate (i, j)
-    sums the terms of both a_ij and a_ji.  Only the terms one index swap from
-    a target (popcount(m ^ t) <= 2) can reach it, so only they are expanded.
+    sums the terms of both a_ij and a_ji.  Only the ``_near_terms`` of the
+    targets are expanded.
     """
-    near = (np.bitwise_count(masks[..., None] ^ np.array(targets, dtype=masks.dtype)) <= 2).any(axis=-1)
-    masks, coeffs, i, j = pair_action(n, masks[near][None], coeffs[near][None])
+    masks, coeffs, i, j = pair_action(n, *_near_terms(masks, coeffs, targets))
     cols = _columns(n)[i, j]
     rows = np.zeros((len(targets), n * (n + 1) // 2))
     for row, target in zip(rows, targets):
@@ -299,12 +307,12 @@ def extract_constraints(n: int, masks, coeffs, targets) -> ConstraintSet:
     return ConstraintSet.from_functionals(n, monomial_functionals(n, masks, coeffs, targets))
 
 
-def standard_constraints(kind: str, n: int | None = None) -> ConstraintSet:
-    """Extraction with the designated targets for each geometry."""
+def standard_constraints(kind: str, n: int | None = None, table: MultiplicationTable = DEFAULT_TABLE):
+    """Extraction with the designated targets for each geometry; Spin(9)'s from ``table``'s Phi."""
     if kind == "kahler":
         return extract_constraints(2 * n, *kahler_form(n), kahler_targets(n))
     if kind == "quaternionic":
         return extract_constraints(4 * n, *quaternionic_form(n), quaternionic_targets(n))
     if kind == "spin9":
-        return extract_constraints(SPIN9_DIM, *spin9_form(), spin9_targets())
+        return extract_constraints(SPIN9_DIM, *spin9_form(table), spin9_targets())
     raise ValueError(f"unknown geometry kind: {kind}")

@@ -132,6 +132,11 @@ def spectrum_bottom() -> float:
     return (sum(m * c for c, m in CLASSES) / 2.0) ** 2
 
 
+def ricci_norm() -> float:
+    """sum m c^2: |Ric| of the model and |Hess t|^2 of the warped metric's height function t."""
+    return sum(m * c * c for c, m in CLASSES)
+
+
 def liouville_potential(r):
     """q = (Delta r)^2 / 4 + (Delta r)' / 2 of the Liouville form -v'' + q v, v = sqrt(A) u.
 

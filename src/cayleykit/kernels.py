@@ -24,7 +24,8 @@ nothing is averaged away.  The sharp ratio 1 + b, 0 < b <= 1, sets the
 exponent of the Kato-type transform g = h^{1-b}, the one exponent for which
 the gradient term of the Bochner inequality vanishes identically; what
 remains is the drift constant |Ric| (1 - b), for the 16-dimensional model
-36 * 6/7 = 216/7.  ``kato_transform`` gives both as exact fractions.
+36 * 6/7 = 216/7.  ``kato_transform`` gives both as exact fractions, for the
+|Ric| it is given: the model states it once, by the classes of ``geodesy``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import MAX_DENOMINATOR, ROUND_TOL, ConstraintSet, row_reduce, small_fraction
-
-MODEL_RICCI = -36.0
 
 
 def quadratic_weights(constraints: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +161,9 @@ def vanishing_threshold(b: float, lam1: float) -> float:
     return -(b + 1.0) * lam1
 
 
-def kato_transform(ratio: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact exponent k and drift k |MODEL_RICCI| of g = h^{1-b} for the sharp ratio 1 + b.
+def kato_transform(ratio: Fraction, ricci_norm: float) -> tuple[Fraction, Fraction]:
+    """Exact exponent k and drift k |Ric| of g = h^{1-b} for the sharp ratio 1 + b and
+    ``ricci_norm`` = |Ric|.
 
     Substituting Delta h >= b |grad h|^2 / h - |Ric| h into
     Delta(h^k) = k h^{k-1} Delta h + k (k-1) h^{k-2} |grad h|^2 gives
@@ -176,4 +176,4 @@ def kato_transform(ratio: Fraction) -> tuple[Fraction, Fraction]:
     if not 1 < ratio <= 2:
         raise ValueError("ratio must lie in (1, 2]")
     k = 2 - ratio
-    return k, k * abs(Fraction(MODEL_RICCI))
+    return k, k * abs(Fraction(ricci_norm))

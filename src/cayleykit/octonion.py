@@ -117,6 +117,24 @@ DEFAULT_TABLE = MultiplicationTable.generate()
 MUL_BLOCK_ROWS = 1024
 
 
+def uniform_blocks(rng: np.random.Generator, starts: range, stop: int, dim: int):
+    """Row pairs (x, y) uniform in [-1, 1)^dim as ``uniform(-1, 1)`` draws them, one (2, rows, dim)
+    view per first row in ``starts``, which the next block overwrites; the last ends at ``stop``.
+    x and y each continue a stream spawned off ``rng``, started ``dim`` draws (one per double)
+    per row in at ``starts.start``, so no value depends on the block size."""
+    streams = rng.spawn(2)
+    for stream in streams:
+        stream.bit_generator.advance(dim * starts.start)
+    draws = np.empty((2, min(starts.step, stop - starts.start), dim))
+    for start in starts:
+        block = draws[:, :min(starts.step, stop - start)]
+        for stream, out in zip(streams, block):
+            stream.random(out=out)
+        block *= 2.0
+        block -= 1.0
+        yield block
+
+
 def product_matrices(x, table: MultiplicationTable | None = None, left: bool = False) -> np.ndarray:
     """The 8 x 8 matrices of y -> y x (or y -> x y with ``left``), one per row of ``x``.
 

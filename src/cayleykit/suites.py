@@ -47,7 +47,8 @@ class RunConfig:
     forms suite draws nothing.  The octonion pairs and the random planes
     are drawn a block of rows at a time, so no array of theirs grows with
     ``trials``.  Every value is checked here, before any suite runs, and
-    the multiplication table file is read here, once, into ``table``.
+    the multiplication table file is read here, once, into ``table``, which
+    every suite that builds the model reads.
     ``out`` None means no report file for ``verify`` and the current
     directory elsewhere; otherwise ``out``, or the nearest of its
     ancestors that exists, must be a directory.
@@ -248,24 +249,13 @@ def _octonion_chunks(trials: int) -> list[range]:
 
 
 def _octonion_blocks(cfg: RunConfig, starts: range) -> list[dict]:
-    """The residuals of the row blocks that begin at ``starts``.  a and b each continue their own
-    stream across blocks, so no residual depends on the block or chunk size; a chunk's streams
-    start 8 draws per row in, as ``Generator.random`` takes one 64-bit draw per double.  Every
-    block reuses the arrays of the first."""
-    a_rng, b_rng = cfg.suite_rng("octonion").spawn(2)
-    for stream in (a_rng, b_rng):
-        stream.bit_generator.advance(8 * starts.start)
-    draws = np.empty((2, min(starts.step, cfg.trials - starts.start), 8))
-    work = np.empty((11, *draws.shape[1:]))
-    blocks = []
-    for start in starts:
-        rows = min(starts.step, cfg.trials - start)
-        a, b = draws[:, :rows]
-        a_rng.random(out=a)
-        b_rng.random(out=b)
-        draws[:, :rows] *= 2.0
-        draws[:, :rows] -= 1.0  # uniform in [-1, 1)
-        blocks.append(_octonion_residuals(a, b, cfg.table, work[:, :rows]))
+    """The residuals of the row blocks that begin at ``starts``, drawn by
+    ``octonion.uniform_blocks``, so no residual depends on the block or chunk size.  Every
+    block reuses the work arrays of the first, the largest."""
+    blocks, work = [], None
+    for a, b in octonion.uniform_blocks(cfg.suite_rng("octonion"), starts, cfg.trials, 8):
+        work = np.empty((11, *a.shape)) if work is None else work
+        blocks.append(_octonion_residuals(a, b, cfg.table, work[:, :len(a)]))
     return blocks
 
 
@@ -283,17 +273,13 @@ def suite_octonion(cfg: RunConfig, blocks: list[dict] | None = None) -> SuiteRes
     for i in range(1, 8):
         if table.product(i, i) != (-1, 0):
             breaks.append(f"square of basis {i}")
-        for j in range(1, 8):
-            if i == j:
-                continue
+        for j in [j for j in range(1, 8) if j != i]:
             s, k = table.product(i, j)
-            s2, k2 = table.product(j, i)
-            if (s2, k2) != (-s, k):
+            if table.product(j, i) != (-s, k):
                 breaks.append(f"antisymmetry at ({i}, {j})")
             if k in (0, i, j):
                 breaks.append(f"closure at ({i}, {j})")
-    ref = octonion.MultiplicationTable.generate()
-    if not (np.array_equal(table.sign, ref.sign) and np.array_equal(table.index, ref.index)):
+    if not np.array_equal(table.structure_tensor(), octonion.DEFAULT_TABLE.structure_tensor()):
         breaks.append("table deviates from the seven triples")
     out.add("octonion.table-closure", 0.5, {"no breakage": not breaks}, claim=True,
             evidence={"first break": breaks[0] if breaks else None})
@@ -378,7 +364,7 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
 def suite_curvature(cfg: RunConfig) -> SuiteResult:
     rng = cfg.suite_rng("curvature")
     out = SuiteResult("curvature")
-    formula = curvature.SectionalCurvature()
+    formula = curvature.SectionalCurvature(table=cfg.table)
 
     # adapted planes: same-slot pairs sit at -4, opposite-slot pairs at -1
     a, c = rng.standard_normal((2, 200, 8))
@@ -390,8 +376,9 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
 
     # one pass over at least the 5,440 planes the operator roundtrip needs, so a small --trials
     # still tests; the pinch range, the mirrored reading <ba,dc> and the roundtrip share it
-    op = curvature.assemble_operator()
-    sweep = curvature.sweep_planes(op, rng, max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10))
+    op = curvature.assemble_operator(cfg.table)
+    sweep = curvature.sweep_planes(op, rng, max(curvature.CURVATURE_TENSOR_DIM, cfg.trials // 10),
+                                   cfg.table)
     planes = {"planes": sweep.planes}
     for name, (low, high) in (("pinch-range", sweep.formula_range),
                               ("product-order-reading", sweep.mirrored_range)):
@@ -491,7 +478,7 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     # the warped metric's mean curvature and Hessian are sums over CLASSES, per class
     blocks = [-c * m for c, m in g.CLASSES]
     out.add("geodesy.warped-constants", TOL_IDENTITY,
-            {"mean curvature": sum(blocks), "Hessian norm": sum(c * c * m for c, m in g.CLASSES),
+            {"mean curvature": sum(blocks), "Hessian norm": g.ricci_norm(),
              "per class": np.array(blocks)},
             claim={"mean curvature": -22.0, "Hessian norm": 36.0, "per class": np.array([-14.0, -8.0])})
     out.add("geodesy.warped-curvature-fd", TOL_SEARCH, {"-f''/f off c^2": g.warped_curvature_residual()},
@@ -516,10 +503,10 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
             claim={"n = 1": f.ConstraintSet(4, f.diagonal_rows(4, [range(4)])),
                    "n = 2": f.ConstraintSet(8, f.diagonal_rows(8, [range(i, 8, 2) for i in range(2)]))})
 
-    phi = f.spin9_form()
+    phi = f.spin9_form(cfg.table)
     (masks,), (coeffs,) = phi
     (rows, cols, values), (size, width) = f.so_action(f.SPIN9_DIM, *phi)
-    inv = octonion.clifford_involutions()
+    inv = octonion.clifford_involutions(cfg.table)
     i, j = np.triu_indices(9, 1)
     p, q = np.triu_indices(f.SPIN9_DIM, 1)
     spin9 = (inv[i] @ inv[j])[:, p, q]
@@ -560,7 +547,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
     f = forms
 
     sharp = Fraction(8, 7)
-    cs9 = f.standard_constraints("spin9")
+    cs9 = f.standard_constraints("spin9", table=cfg.table)
     r9 = k.min_bochner_ratio(cs9)
     out.add("kernels.ratio-spin9", TOL_MODEL, {"certified": r9.rational, "eigen": r9.eigen_ratio},
             claim=sharp)
@@ -574,11 +561,12 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
                    "its ratio": r9.rational})
 
     # the sharp ratio and its transform (exponent, drift): Kahler's is degenerate
+    ricci = geodesy.ricci_norm()
     for kind, ns, claim in (("kahler", (2, 4), [2, 0, 0]),
                             ("quaternionic", (1, 2), [Fraction(4, 3), Fraction(2, 3), 24])):
         ratios = [k.min_bochner_ratio(f.standard_constraints(kind, n)).rational for n in ns]
         out.add(f"kernels.ratio-{kind}", TOL_MODEL,
-                {f"n = {n}": [r, *k.kato_transform(r)] for n, r in zip(ns, ratios)}, claim=claim)
+                {f"n = {n}": [r, *k.kato_transform(r, ricci)] for n, r in zip(ns, ratios)}, claim=claim)
 
     # the claim itself, not the eigen route's candidate, which min_bochner_ratio certified
     reason = None if r9.rational == sharp else k.certify_ratio(cs9, sharp)
@@ -595,7 +583,7 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
              "one more row >= Spin(9)": tightened >= float(r9.rational) - 1e-12},
             claim=True, evidence={"trace alone": alone, "one more row": tightened})
 
-    exponent, drift = k.kato_transform(r9.rational)
+    exponent, drift = k.kato_transform(r9.rational, ricci)
     out.add("kernels.kato-transform", TOL_IDENTITY, {"exponent": exponent, "drift": drift},
             claim={"exponent": Fraction(6, 7), "drift": Fraction(216, 7)})
 

@@ -254,7 +254,7 @@ def test_bochner_kernel_ratios():
     off = np.abs(canon - np.diag([-7.0] + [1.0] * 7 + [0.0] * 8)).max()
     assert off <= 1e-9
 
-    assert kernels.kato_transform(Fraction(8, 7)) == (Fraction(6, 7), Fraction(216, 7))
+    assert kernels.kato_transform(Fraction(8, 7), geodesy.ricci_norm()) == (Fraction(6, 7), Fraction(216, 7))
     print(f"PASS kernel ratios: 2, 4/3, 8/7 certified exactly, eigen route off by {gap:.2e} "
           f"(tol 1e-9); minimizer diag(-7, 1 x7, 0 x8) off by {off:.2e}; "
           f"transform exponent 6/7 with drift 216/7")

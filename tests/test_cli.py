@@ -106,16 +106,59 @@ def test_openblas_runs_on_one_thread_unless_the_caller_sets_it():
     assert threads > 1  # the count sees OpenBLAS workers when the caller asks for them
 
 
-def test_corrupted_table_fails_named_check(tmp_path):
-    path = tmp_path / "table.csv"
+def flipped_table(path):
+    """The builtin table saved to ``path`` with the sign of e_2 e_4 flipped: still a valid
+    signed index, the wrong product."""
     DEFAULT_TABLE.save(path)
     rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[3][5] = str(-int(rows[3][5]))  # still a valid signed index, wrong product
+    rows[3][5] = str(-int(rows[3][5]))
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-    proc = run_cli("verify", "--mul-table", path, *FAST)
+    return path
+
+
+def test_corrupted_table_fails_named_check(tmp_path):
+    # the table reaches every builder of the model: the octonion products, the curvature
+    # operator and formula, and Phi
+    proc = run_cli("verify", "--mul-table", flipped_table(tmp_path / "table.csv"), *FAST)
     assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
-    assert "octonion.table-closure" in proc.stdout
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed == ["octonion.table-closure", "octonion.alternative-laws",
+                      "octonion.conjugation-reversal", "octonion.norm-multiplicativity",
+                      "octonion.conjugate-square-norm", "curvature.first-bianchi",
+                      "curvature.operator-roundtrip", "curvature.radial-spectrum",
+                      "curvature.pinch-search", "forms.spin9-base-form",
+                      "forms.spin9-top-functional"]
+
+
+def test_saved_builtin_table_gives_the_builtin_report(tmp_path):
+    # every suite, through --mul-table and forked workers, reads the same model as the builtin
+    table = tmp_path / "builtin.csv"
+    DEFAULT_TABLE.save(table)
+    reports = []
+    for extra in ((), ("--mul-table", table)):
+        out = tmp_path / f"out{len(extra)}"
+        assert run_cli("verify", *FAST, "--out", out, *extra).returncode == 0
+        report = read_report(out)
+        report.pop("timing")
+        reports.append(report)
+    assert reports[1]["config"].pop("table") == str(table)
+    assert reports[0]["config"].pop("table") == "builtin"
+    assert reports[0] == reports[1]
+
+
+def test_pinch_reads_the_table(tmp_path):
+    table = tmp_path / "builtin.csv"
+    DEFAULT_TABLE.save(table)
+    runs = {}
+    for name, extra in (("builtin", ()), ("saved", ("--mul-table", table)),
+                        ("flipped", ("--mul-table", flipped_table(tmp_path / "flipped.csv")))):
+        proc = run_cli("pinch", "--out", tmp_path / name, *extra)
+        assert proc.returncode == 0
+        runs[name] = (tmp_path / name / "pinch.csv").read_text()
+    assert runs["saved"] == runs["builtin"]
+    # the flipped sign breaks the pinching: the range found leaves [-4, -1] on both sides
+    values = [float(row["sectional"]) for row in csv.DictReader(runs["flipped"].splitlines())]
+    assert (min(values), max(values)) == (pytest.approx(-5.388, abs=1e-3), pytest.approx(-0.231, abs=1e-3))
 
 
 def test_malformed_table_is_usage_error(tmp_path):
@@ -299,7 +342,7 @@ def test_report_pinch_note_describes_pinch_csv(tmp_path, monkeypatch):
 
 
 def test_report_with_crashed_curvature_suite(tmp_path, monkeypatch):
-    def crash():
+    def crash(table):
         raise ArithmeticError("assembly diverged")
     monkeypatch.setattr(curvature, "assemble_operator", crash)
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path), "--export-operator"]) == 1

@@ -295,6 +295,22 @@ def test_swapped_reading_is_isometric(mirrored_oracle):
     assert gap > 0.1
 
 
+def test_operator_and_formula_take_the_table():
+    # a flipped table sign reaches both routes, so they no longer agree and Bianchi fails
+    sign = octonion.DEFAULT_TABLE.sign.copy()
+    sign[3, 5] = -sign[3, 5]
+    table = octonion.MultiplicationTable(sign, octonion.DEFAULT_TABLE.index)
+    assert np.array_equal(assemble_operator(octonion.DEFAULT_TABLE).matrix, OP.matrix)
+    op = assemble_operator(table)
+    assert np.abs(op.matrix - OP.matrix).max() > 0.1
+    assert bianchi_residual(op, np.random.default_rng(2), trials=50) > 0.1
+    x, y = RNG.standard_normal((2, 200, N))
+    assert np.nanmax(np.abs(SectionalCurvature(table=table).plane_value(x, y)
+                            - FORMULA.plane_value(x, y))) > 0.1
+    assert sweep_planes(op, np.random.default_rng(3), 2000, table).roundtrip > 0.1
+    assert sweep_planes(OP, np.random.default_rng(3), 2000).roundtrip <= 1e-9
+
+
 def test_operator_export_roundtrip(tmp_path):
     path = tmp_path / "operator.csv"
     OP.export_csv(path)

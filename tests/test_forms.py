@@ -24,6 +24,7 @@ from cayleykit.forms import (
     spin9_targets,
     standard_constraints,
 )
+from cayleykit.octonion import DEFAULT_TABLE, MultiplicationTable
 from oracles import deviation
 
 TOPS = np.array([[V_TOP, W_TOP]]), np.array([[-1.0, 1.0]])  # Phi's two top terms
@@ -116,7 +117,7 @@ def test_cayley_form_is_built_once():
     spin9_form()
     standard_constraints("spin9")
     assert forms._cayley_terms.cache_info().misses == 1
-    masks, coeffs = forms._cayley_terms()
+    masks, coeffs = forms._cayley_terms(DEFAULT_TABLE)
     assert not masks.flags.writeable and not coeffs.flags.writeable
     # spin9_form shares the cached arrays, which no caller can write into
     phi_masks, phi_coeffs = spin9_form()
@@ -126,6 +127,19 @@ def test_cayley_form_is_built_once():
     with pytest.raises(ValueError):
         phi_masks[0, 0] = 0
     assert spin9_form()[1][0, 0] == coeffs[0] != 0.0
+
+
+def test_cayley_form_follows_the_table():
+    # one Phi per table in the cache; a flipped table sign gives another form
+    sign = DEFAULT_TABLE.sign.copy()
+    sign[3, 5] = -sign[3, 5]
+    table = MultiplicationTable(sign, DEFAULT_TABLE.index)
+    forms._cayley_terms.cache_clear()
+    (masks,), _ = spin9_form()
+    (flipped_masks,), _ = spin9_form(table)
+    spin9_form(table)
+    assert forms._cayley_terms.cache_info()[:2] == (1, 2)  # hits, misses
+    assert (masks.size, flipped_masks.size) == (702, 770)
 
 
 def test_cayley_form_stabilizer_is_spin9():

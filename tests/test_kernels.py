@@ -74,7 +74,7 @@ def test_quaternionic_ratio():
         res = min_bochner_ratio(prob)
         assert res.rational == Fraction(4, 3)
         # with the Ricci constant of the Spin(9) model, not that of HH^n
-        assert kato_transform(res.rational) == (Fraction(2, 3), 24)
+        assert kato_transform(res.rational, 36) == (Fraction(2, 3), 24)
 
 
 def test_objective_matches_definition():
@@ -193,16 +193,18 @@ def test_trace_only_problem_hits_closed_form():
 
 def test_kato_transform_values():
     # exact ratios give exact fractions; the Kahler ratio 2 gives exponent 0 and no drift
-    assert kato_transform(Fraction(8, 7)) == (Fraction(6, 7), Fraction(216, 7))
-    assert kato_transform(Fraction(4, 3)) == (Fraction(2, 3), 24)
-    assert kato_transform(Fraction(2)) == (0, 0)
+    assert kato_transform(Fraction(8, 7), 36) == (Fraction(6, 7), Fraction(216, 7))
+    assert kato_transform(Fraction(4, 3), 36) == (Fraction(2, 3), 24)
+    assert kato_transform(Fraction(2), 36) == (0, 0)
+    # the drift scales with the |Ric| it is given
+    assert kato_transform(Fraction(8, 7), 32.0) == (Fraction(6, 7), Fraction(192, 7))
 
 
 def test_kato_transform_validation():
     with pytest.raises(ValueError):
-        kato_transform(Fraction(1))
+        kato_transform(Fraction(1), 36)
     with pytest.raises(ValueError):
-        kato_transform(Fraction(5, 2))
+        kato_transform(Fraction(5, 2), 36)
 
 
 def test_vanishing_thresholds():

@@ -15,6 +15,7 @@ from cayleykit.octonion import (
     conj_arrays,
     mul_arrays,
     product_matrices,
+    uniform_blocks,
 )
 
 RNG = np.random.default_rng(20260823)
@@ -227,6 +228,18 @@ def test_clifford_involutions():
     flipped = clifford_involutions(table)
     assert np.array_equal(flipped, oracles.clifford_by_products(table))
     assert np.abs(_anticommutators(flipped) - want).max() >= 2.0
+
+
+def test_uniform_blocks_draw_as_uniform_does():
+    # from any first block, and at any block size, the blocks continue two spawned streams
+    # bit for bit as uniform(-1, 1) draws them
+    stop = 2 * MUL_BLOCK_ROWS + 5
+    want = np.stack([rng.uniform(-1.0, 1.0, (stop, 3)) for rng in np.random.default_rng(7).spawn(2)])
+    for starts in (range(0, stop, MUL_BLOCK_ROWS), range(MUL_BLOCK_ROWS, stop, MUL_BLOCK_ROWS),
+                   range(0, stop, 100), range(300, stop, 100)):
+        blocks = [block.copy() for block in uniform_blocks(np.random.default_rng(7), starts, stop, 3)]
+        assert [len(x) for x, _ in blocks] == [min(starts.step, stop - s) for s in starts]
+        assert np.array_equal(np.concatenate(blocks, axis=1), want[:, starts.start:]), starts
 
 
 def test_mul_arrays_rejects_bad_shapes():

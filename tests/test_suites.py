@@ -262,9 +262,9 @@ def test_model_faults_fail_named_checks(monkeypatch):
         return "".join(",".join(map(str, exterior.indices_of(m))) + f":{c:.6g}\n"
                        for m, c in zip(masks.tolist(), coeffs.tolist()))
 
-    def kato_halved(ratio):
+    def kato_halved(ratio, ricci_norm):
         k = (3 - ratio) / 2
-        return k, k * abs(Fraction(suites.kernels.MODEL_RICCI))
+        return k, k * Fraction(ricci_norm)
 
     def index_form_without_potential(c, L, nodes):
         # int_0^L f'^2 dt alone: the c^2 f^2 term of the index form dropped
@@ -274,11 +274,12 @@ def test_model_faults_fail_named_checks(monkeypatch):
 
     faults = (
         # rho^2 = 100: both spectrum routes follow the classes, so the claim 121 and the
-        # vanishing thresholds built on rho^2 catch it
+        # vanishing thresholds built on rho^2 catch it; |Ric| = 32 moves every nonzero drift
         (suites.geodesy, "CLASSES", ((2.0, 6), (1.0, 8)), ("geodesy", "kernels"),
          ("geodesy.distance-laplacian-value", "geodesy.distance-laplacian-limits",
           "geodesy.area-volume", "geodesy.volume-growth-rate", "geodesy.spectrum-bottom",
-          "geodesy.warped-constants", "kernels.vanishing-thresholds")),
+          "geodesy.warped-constants", "kernels.ratio-quaternionic", "kernels.kato-transform",
+          "kernels.vanishing-thresholds")),
         # route C on a potential 1 too low: below McKean's bound and off route J
         (suites.geodesy, "liouville_potential", lambda r: real_potential(r) - 1.0, ("geodesy",),
          ("geodesy.spectrum-bottom", "geodesy.spectrum-domain-monotone", "geodesy.sturm-crosscheck")),
@@ -291,13 +292,11 @@ def test_model_faults_fail_named_checks(monkeypatch):
         # Phi without its v-top term: the w-top block sum and the trace still force the
         # v-top one, so the kernels keep 8/7
         (forms, "spin9_form",
-         lambda: (phi_masks[without_v_top][None], phi_coeffs[without_v_top][None]),
+         lambda table: (phi_masks[without_v_top][None], phi_coeffs[without_v_top][None]),
          ("forms", "kernels"), ("forms.spin9-base-form", "forms.spin9-top-functional")),
         (suites.curvature, "ALPHA", -3.0, ("curvature",),
          tuple(f"curvature.{c}" for c in ("adapted-sectional", "pinch-range", "product-order-reading",
                                           "einstein-constant", "radial-spectrum", "pinch-search"))),
-        (suites.kernels, "MODEL_RICCI", -30.0, ("kernels",),
-         ("kernels.ratio-quaternionic", "kernels.kato-transform")),
         # the trace row dropped: every standard set holds the trace already, so only the
         # trace-only set moves, from 16/15 to 1
         (forms.ConstraintSet, "trace_free_rows", lambda self: self.rows, ("kernels",),
@@ -309,7 +308,7 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("curvature",), ("curvature.operator-roundtrip", "curvature.pinch-search")),
         # an antisymmetric part, which no quadratic form sees: the roundtrip passes, and what
         # reads the matrix itself fails
-        (suites.curvature, "assemble_operator", lambda: suites.curvature.CurvatureOperator(twisted),
+        (suites.curvature, "assemble_operator", lambda table: suites.curvature.CurvatureOperator(twisted),
          ("curvature",), tuple(f"curvature.{c}" for c in ("operator-pair-symmetry", "first-bianchi",
                                                          "einstein-constant", "radial-spectrum",
                                                          "pinch-search"))),
@@ -326,7 +325,7 @@ def test_model_faults_fail_named_checks(monkeypatch):
          classmethod(lambda cls, n, rows: cls(n, rows[np.abs(rows).max(axis=1) > forms.ROUND_TOL])),
          ("forms",), ("forms.kahler-constraints", "forms.quaternionic-constraints",
                       "forms.extraction-invariance")),
-        (forms, "spin9_form", lambda: (leaky_masks[leaky][None], leaky_coeffs[leaky][None]),
+        (forms, "spin9_form", lambda table: (leaky_masks[leaky][None], leaky_coeffs[leaky][None]),
          ("forms",), ("forms.spin9-base-form", "forms.spin9-top-functional", "forms.spin9-no-leak")),
         (suites.kernels, "kato_transform", kato_halved, ("kernels",),
          ("kernels.ratio-kahler", "kernels.ratio-quaternionic", "kernels.kato-transform")),
@@ -337,8 +336,8 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (exterior, "to_text", to_text_to_six_digits, ("exterior",), ("exterior.serialization-roundtrip",)),
         # last, as its results are read below: the trace alone is left, with ratio 16/15
         (forms, "standard_constraints",
-         lambda kind, n=None: (forms.ConstraintSet(16, real_standard(kind).rows[:0]) if kind == "spin9"
-                               else real_standard(kind, n)),
+         lambda kind, n=None, **table: (forms.ConstraintSet(16, real_standard(kind, **table).rows[:0])
+                                        if kind == "spin9" else real_standard(kind, n)),
          ("kernels",), ("kernels.ratio-spin9", "kernels.spin9-minimizer", "kernels.sharpness",
                         "kernels.kato-transform")),
     )
@@ -399,8 +398,8 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
     # the claim 8/7 is put to the certificate on its own, which refuses it
     real_standard = forms.standard_constraints
     monkeypatch.setattr(forms, "standard_constraints",
-                        lambda kind, n=None: (forms.ConstraintSet(16, real_standard(kind).rows[:0])
-                                              if kind == "spin9" else real_standard(kind, n)))
+                        lambda kind, n=None, **table: (forms.ConstraintSet(16, real_standard(kind).rows[:0])
+                                                       if kind == "spin9" else real_standard(kind, n)))
     check = sharpness()
     refused = "8/7 is above the minimum: pivot 21 of B^T (P - r Q) B is zero, its row not"
     assert (check.passed, check.residual, check.evidence) == (False, 1.0, {"refused": refused})
