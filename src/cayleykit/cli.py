@@ -2,13 +2,11 @@
 
 Subcommands
     verify    run verification suites, print one line per check
-    spectrum  tabulate the bottom of the Dirichlet spectrum over R by two routes
-    pinch     extreme sectional values from the Jacobi operators
-    report    everything above plus artifacts in one output directory
+    report    every suite, plus report.json and the artifacts in one output directory
 
 Exit status: 0 all checks passed, 1 at least one check failed (a suite
 that raises fails its ``<suite>.crashed`` check), 2 usage error (bad
-flags, unreadable config or table file).
+flags, unknown suite, unreadable table file).
 
 Reports are deterministic for a fixed seed: rerunning with the same
 flags reproduces ``report.json`` byte for byte except for the isolated
@@ -33,50 +31,25 @@ import numpy as np
 from . import __version__, curvature, geodesy
 
 
-def load_config(path: str) -> dict[str, str]:
-    """Flat ``key = value`` pairs; blank lines and # comments ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
 def _float_tuple(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-# flag (also the config-file key) -> (RunConfig field, parser, help)
+# flag -> (RunConfig field, parser, help)
 _OPTIONS = {
     "seed": ("seed", int, "master RNG seed (default 0)"),
     "trials": ("trials", int, "sampling budget (default 100000)"),
     "radius": ("radii", _float_tuple, "comma separated domain radii, each finite and at least 1"),
     "starts": ("starts", int, "unit directions whose Jacobi operators give the pinch extremes"),
     "out": ("out", str, "output directory for artifacts"),
-    "format": ("fmt", str, "report format: json (default) or csv"),
     "mul_table": ("table_path", str, "CSV multiplication table to verify instead of the builtin"),
 }
 
 
 def build_config(args: argparse.Namespace) -> suites.RunConfig:
-    """Defaults, overridden by --config file entries, overridden by flags."""
-    values = {}
-    if args.config:
-        for key, raw in load_config(args.config).items():
-            if key not in _OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
-            field, parse, _ = _OPTIONS[key]
-            values[field] = parse(raw)
-    for flag, (field, _, _) in _OPTIONS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            values[field] = value
-    return suites.RunConfig(**values)
+    """The flags given over the defaults of ``RunConfig``."""
+    return suites.RunConfig(**{field: getattr(args, flag) for flag, (field, _, _) in _OPTIONS.items()
+                               if getattr(args, flag) is not None})
 
 
 def config_echo(cfg: suites.RunConfig) -> dict:
@@ -123,18 +96,8 @@ def print_results(results) -> None:
     print(f"{total - len(bad)}/{total} checks passed" + (f"; failed: {', '.join(bad)}" if bad else ""))
 
 
-def write_report(report: dict, out: Path, fmt: str) -> Path:
+def write_report(report: dict, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out / "report.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["suite", "check", "residual", "tolerance", "passed"])
-            for suite in report["suites"]:
-                for c in suite["checks"]:
-                    writer.writerow([suite["suite"], c["check"], repr(c["residual"]),
-                                     repr(c["tolerance"]), c["passed"]])
-        return path
     path = out / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -259,7 +222,6 @@ def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     for flag, (_, parse, help_text) in _OPTIONS.items():
         sub.add_argument("--" + flag.replace("_", "-"), dest=flag, type=parse, help=help_text)
-    sub.add_argument("--config", help="key=value config file; flags take precedence")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -274,20 +236,18 @@ def make_parser() -> argparse.ArgumentParser:
                         metavar="suite", help="all or any of: %s" % ", ".join(suites.SUITE_ORDER))
     _add_common(verify)
 
-    spectrum = subs.add_parser("spectrum", help="Dirichlet spectrum sweep with artifacts")
-    _add_common(spectrum)
-
-    pinch = subs.add_parser("pinch", help="extreme sectional curvatures from the Jacobi operators")
-    _add_common(pinch)
-
     report = subs.add_parser("report", help="full verification with artifacts")
     report.add_argument("--export-operator", action="store_true",
                         help="also write the assembled 120 x 120 operator matrix")
+    report.set_defaults(suites=["all"])
     _add_common(report)
     return parser
 
 
-def cmd_verify(args, cfg: suites.RunConfig) -> int:
+def run_command(args, cfg: suites.RunConfig) -> int:
+    """Both commands: run the chosen suites, print one line per check and write report.json
+    to ``out`` (``report``'s default is .); ``report`` then writes its artifacts beside it,
+    from what the geodesy and curvature suites computed (a crashed suite holds nothing)."""
     unknown = set(args.suites) - {"all", *suites.SUITE_ORDER}
     if unknown:
         print(f"error: unknown suite: {', '.join(sorted(unknown))}", file=sys.stderr)
@@ -295,69 +255,26 @@ def cmd_verify(args, cfg: suites.RunConfig) -> int:
     names = [n for n in suites.SUITE_ORDER if n in args.suites or "all" in args.suites]
     results, timings = suites.run_suites(names, cfg)
     print_results(results)
-    if cfg.out is not None:
-        path = write_report(build_report(results, cfg, timings), Path(cfg.out), cfg.fmt)
+    out = Path(cfg.out or ".")
+    if cfg.out is not None or args.command == "report":
+        path = write_report(build_report(results, cfg, timings), out)
         print(f"report written to {path}")
+    if args.command == "report":
+        held = {r.suite: r.artifacts for r in results}
+        if held["geodesy"]:
+            write_spectrum_artifacts(out, held["geodesy"]["spectrum"])
+        write_laplacian_artifacts(out, cfg.radii)
+        if held["curvature"]:
+            write_pinch_artifacts(out, held["curvature"]["pinch"])
+            if args.export_operator:
+                held["curvature"]["operator"].export_csv(out / "operator.csv")
     return 0 if all(r.passed for r in results) else 1
-
-
-def cmd_spectrum(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out or ".")
-    rows = [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r)) for r in cfg.radii]
-    write_spectrum_artifacts(out, rows)
-    write_laplacian_artifacts(out, cfg.radii)
-    bottom = geodesy.spectrum_bottom()
-    print(f"{'radius':>8} {'nodes':>5} {'collocation':>16} {'Jacobi':>16} {'gap':>10}")
-    for v, exact in rows:
-        flag = "" if v.converged else "  unconverged"
-        print(f"{v.radius:8.2f} {v.nodes:5d} {v.value:16.12f} {exact:16.12f} "
-              f"{v.value - bottom:+10.6f}{flag}")
-    print(f"gap = collocation - rho^2, with rho^2 = {bottom:g} the bottom as R grows")
-    print(f"artifacts in {out}: spectrum.csv spectrum.svg laplacian.csv laplacian.svg")
-    return 0
-
-
-def cmd_pinch(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out or ".")
-    result = curvature.pinch_extremes(curvature.assemble_operator(cfg.table), starts=cfg.starts,
-                                      seed=cfg.seed)
-    write_pinch_artifacts(out, result)
-    print(f"sectional range found: [{result.minimum:.12f}, {result.maximum:.12f}]")
-    print(f"model bounds are [-4, -1]; per-start values in {out / 'pinch.csv'}")
-    return 0
-
-
-def cmd_report(args, cfg: suites.RunConfig) -> int:
-    out = Path(cfg.out or ".")
-    results, timings = suites.run_suites(list(suites.SUITE_ORDER), cfg)
-    print_results(results)
-    # what the geodesy and curvature suites computed (a crashed suite holds nothing)
-    held = {r.suite: r.artifacts for r in results}
-    if held["geodesy"]:
-        write_spectrum_artifacts(out, held["geodesy"]["spectrum"])
-    write_laplacian_artifacts(out, cfg.radii)
-    if held["curvature"]:
-        write_pinch_artifacts(out, held["curvature"]["pinch"])
-        if args.export_operator:
-            held["curvature"]["operator"].export_csv(out / "operator.csv")
-    path = write_report(build_report(results, cfg, timings), out, cfg.fmt)
-    print(f"report written to {path}")
-    return 0 if all(r.passed for r in results) else 1
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "pinch": cmd_pinch,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, build_config(args))
+        return run_command(args, build_config(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

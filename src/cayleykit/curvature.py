@@ -159,9 +159,7 @@ class CurvatureOperator:
 def assemble_operator(table: octonion.MultiplicationTable = octonion.DEFAULT_TABLE):
     """(ALPHA / 4) sum_{i<j} c_ij c_ij^T over the bivectors c_ij of I_i I_j, the Clifford system
     of ``table``; at ALPHA = -4, -8 times the projector onto spin(9), spectrum {-8 x 36, 0 x 84}."""
-    inv = octonion.clifford_involutions(table)
-    i, j = np.triu_indices(len(inv), 1)
-    c = (inv[i] @ inv[j])[:, _ROWS, _COLS]
+    c = octonion.spin9_generators(table)
     return CurvatureOperator(ALPHA / 4.0 * (c.T @ c))
 
 

@@ -187,6 +187,16 @@ def clifford_involutions(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarr
     return out
 
 
+def spin9_generators(table: MultiplicationTable = DEFAULT_TABLE) -> np.ndarray:
+    """The 36 generators I_i I_j (i < j) of spin(9) in so(16), each as its 120 coordinates
+    (I_i I_j)[p, q] (p < q) on the bivectors e_p ^ e_q: a (36, 120) array, both pairs in
+    ``np.triu_indices`` order."""
+    inv = clifford_involutions(table)
+    i, j = np.triu_indices(len(inv), 1)
+    p, q = np.triu_indices(2 * DIM, 1)
+    return (inv[i] @ inv[j])[:, p, q]
+
+
 def conj_arrays(a, out: np.ndarray | None = None) -> np.ndarray:
     """x -> x*, the imaginary part negated; written into ``out`` if given."""
     return np.multiply(a, np.repeat([1.0, -1.0], [1, DIM - 1]), out=out)

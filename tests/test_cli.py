@@ -147,13 +147,14 @@ def test_saved_builtin_table_gives_the_builtin_report(tmp_path):
 
 
 def test_pinch_reads_the_table(tmp_path):
+    # report's pinch.csv holds the extremes of the operator assembled from the table under test
     table = tmp_path / "builtin.csv"
     DEFAULT_TABLE.save(table)
     runs = {}
-    for name, extra in (("builtin", ()), ("saved", ("--mul-table", table)),
-                        ("flipped", ("--mul-table", flipped_table(tmp_path / "flipped.csv")))):
-        proc = run_cli("pinch", "--out", tmp_path / name, *extra)
-        assert proc.returncode == 0
+    for name, extra, status in (("builtin", (), 0), ("saved", ("--mul-table", table), 0),
+                                ("flipped", ("--mul-table", flipped_table(tmp_path / "flipped.csv")), 1)):
+        proc = run_cli("report", *FAST, "--radius", 4, "--out", tmp_path / name, *extra)
+        assert proc.returncode == status
         runs[name] = (tmp_path / name / "pinch.csv").read_text()
     assert runs["saved"] == runs["builtin"]
     # the flipped sign breaks the pinching: the range found leaves [-4, -1] on both sides
@@ -169,7 +170,7 @@ def test_malformed_table_is_usage_error(tmp_path):
     for args in (("verify", "octonion", "--mul-table", path),
                  ("verify", "forms", "--mul-table", path),
                  ("verify", "forms", "--mul-table", missing),
-                 ("pinch", "--mul-table", missing)):
+                 ("report", "--mul-table", missing)):
         proc = run_cli(*args, "--out", tmp_path / "out")
         assert proc.returncode == 2
         assert "error" in proc.stderr
@@ -221,8 +222,13 @@ def test_out_below_an_existing_file_is_usage_error(tmp_path):
 
 def test_unknown_flag_and_command_are_usage_errors():
     assert run_cli("verify", "--bogus").returncode == 2
-    assert run_cli("spectrum", "--grid", "2000").returncode == 2  # the spectrum has no grid
     assert run_cli("frobnicate").returncode == 2
+    # report writes every file spectrum and pinch wrote, and each setting has one flag
+    help_text = run_cli("--help").stdout
+    assert "{verify,report}" in help_text and "spectrum" not in help_text
+    for args in (("spectrum",), ("pinch",), ("verify", "--config", "run.cfg"),
+                 ("verify", "--format", "csv")):
+        assert run_cli(*args).returncode == 2, args
 
 
 def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
@@ -245,9 +251,8 @@ def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_spectrum_artifacts(tmp_path):
-    proc = run_cli("spectrum", "--radius", "4,6", "--out", tmp_path)
+    proc = run_cli("report", *FAST, "--radius", "4,6", "--starts", 8, "--out", tmp_path)
     assert proc.returncode == 0
-    assert "rho^2 = 121" in proc.stdout and "unconverged" not in proc.stdout
 
     with open(tmp_path / "spectrum.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -273,17 +278,29 @@ def test_spectrum_artifacts(tmp_path):
     assert ">collocation<" in (tmp_path / "spectrum.svg").read_text()
     assert ">Jacobi closed form<" in (tmp_path / "spectrum.svg").read_text()
 
+    # the files hold the geodesy suite's route pairs: those of each radius solved afresh
+    cli.write_spectrum_artifacts(tmp_path / "each", [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r))
+                                                     for r in (4.0, 6.0)])
+    cli.write_laplacian_artifacts(tmp_path / "each", (4.0, 6.0))
+    for name in ("spectrum.csv", "spectrum.svg", "laplacian.csv", "laplacian.svg"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), name
+
 
 def test_pinch_artifacts(tmp_path):
-    proc = run_cli("pinch", "--starts", 5, "--seed", 2, "--out", tmp_path)
-    assert proc.returncode == 0
-    assert "sectional range" in proc.stdout
-    with open(tmp_path / "pinch.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["start", "direction", "sectional"]
-    assert len(rows) == 10
-    assert {r["direction"] for r in rows} == {"min", "max"}
-    assert all(-4.0 - 1e-9 <= float(r["sectional"]) <= -1.0 + 1e-9 for r in rows)
+    runs = {}
+    for seed in (2, 3):
+        proc = run_cli("report", *FAST, "--radius", 4, "--starts", 5, "--seed", seed,
+                       "--out", tmp_path / str(seed))
+        assert proc.returncode == 0
+        with open(tmp_path / str(seed) / "pinch.csv", newline="") as fh:
+            runs[seed] = rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["start", "direction", "sectional"]
+        # one row per start and direction: the minima of starts 0..4, then their maxima
+        assert [(r["start"], r["direction"]) for r in rows] == [
+            (str(i), direction) for direction in ("min", "max") for i in range(5)]
+        assert all(-4.0 - 1e-9 <= float(r["sectional"]) <= -1.0 + 1e-9 for r in rows)
+    # --seed draws the start directions
+    assert runs[2] != runs[3]
 
 
 def test_report_command_with_operator_export(tmp_path):
@@ -291,9 +308,6 @@ def test_report_command_with_operator_export(tmp_path):
     proc = run_cli("report", "--trials", 2000, "--radius", "4,6", *search, "--out", tmp_path,
                    "--export-operator")
     assert proc.returncode == 0
-    # report shares one operator between pinch.csv and operator.csv; same search as pinch
-    assert run_cli("pinch", *search, "--out", tmp_path / "pinch").returncode == 0
-    assert (tmp_path / "pinch.csv").read_bytes() == (tmp_path / "pinch" / "pinch.csv").read_bytes()
     for name in ("report.json", "spectrum.csv", "spectrum.svg", "laplacian.csv",
                  "laplacian.svg", "pinch.csv", "operator.csv"):
         assert (tmp_path / name).exists()
@@ -387,19 +401,6 @@ def spectrum_column(out_dir, column):
         return [float(row[column]) for row in csv.DictReader(fh)]
 
 
-def test_report_and_spectrum_write_the_same_spectrum_files(tmp_path):
-    # report writes the geodesy suite's route pairs, spectrum solves its own
-    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path / "report")]) == 0
-    assert cli.main(["spectrum", *REPORT_FAST, "--out", str(tmp_path / "spectrum")]) == 0
-    cli.write_spectrum_artifacts(tmp_path / "each", [(geodesy.dirichlet_value(4.0),
-                                                      geodesy.jacobi_dirichlet(4.0))])
-    cli.write_laplacian_artifacts(tmp_path / "each", (4.0,))
-    for name in ("spectrum.csv", "spectrum.svg", "laplacian.csv", "laplacian.svg"):
-        each = (tmp_path / "each" / name).read_bytes()
-        assert (tmp_path / "report" / name).read_bytes() == each, name
-        assert (tmp_path / "spectrum" / name).read_bytes() == each, name
-
-
 def test_ground_values_are_solved_again_in_each_run(tmp_path, monkeypatch):
     # nothing is kept between runs: a route patched between two runs in one process
     # reaches the second run's checks and its spectrum.csv
@@ -438,8 +439,7 @@ def test_commands_run_without_scipy(tmp_path):
     assert blocked.returncode == 1 and "not a runtime dependency" in blocked.stderr
     expected = {"verify": ["report.json"],
                 "report": ["laplacian.csv", "laplacian.svg", "operator.csv", "pinch.csv",
-                           "report.json", "spectrum.csv", "spectrum.svg"],
-                "spectrum": ["laplacian.csv", "laplacian.svg", "spectrum.csv", "spectrum.svg"]}
+                           "report.json", "spectrum.csv", "spectrum.svg"]}
     for command, names in expected.items():
         extra = ["--export-operator"] if command == "report" else []
         proc = subprocess.run(
@@ -448,38 +448,3 @@ def test_commands_run_without_scipy(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in (tmp_path / command).iterdir()) == names
 
-
-def test_config_file_with_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed = 3\ntrials = 1500\n# comment line\nradius = 4\nout = {tmp_path}\n")
-    proc = run_cli("verify", "octonion", "--config", cfg, "--seed", 5)
-    assert proc.returncode == 0
-    report = read_report(tmp_path)             # verify honours out from the file
-    assert report["config"]["seed"] == 5       # explicit flag wins
-    assert report["config"]["trials"] == 1500  # file overrides the default
-    assert report["config"]["radii"] == [4.0]
-
-
-def test_malformed_config_is_usage_error(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    # a line without "=", a value only the flag would have rejected, a field name as key
-    # the pinch extremes are eigenvalues, with no iteration to cap: steps is no key
-    for text, message in (("seed 3\n", "bad.cfg:1"), ("format = xml\n", "format"),
-                          ("radii = 4\n", "unknown config key 'radii'"),
-                          ("steps = 10\n", "unknown config key 'steps'"),
-                          # the spectrum routes pick their own node counts: grid is no key
-                          ("grid = 400, 800\n", "unknown config key 'grid'")):
-        cfg.write_text(text)
-        proc = run_cli("verify", "octonion", "--config", cfg, "--out", tmp_path)
-        assert proc.returncode == 2
-        assert message in proc.stderr
-    assert not (tmp_path / "report.json").exists()
-
-
-def test_csv_report_format(tmp_path):
-    proc = run_cli("verify", "forms", "--format", "csv", "--out", tmp_path)
-    assert proc.returncode == 0
-    with open(tmp_path / "report.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["suite", "check", "residual", "tolerance", "passed"]
-    assert all(r["suite"] == "forms" and r["passed"] == "True" for r in rows)

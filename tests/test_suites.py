@@ -33,11 +33,13 @@ def test_suite_registry_matches_order():
 def test_config_validation():
     for bad in (dict(trials=0), dict(starts=0), dict(radii=()), dict(radii=(0.5,)),
                 dict(radii=(float("nan"),)), dict(radii=(float("inf"),)),
-                dict(seed=-1), dict(fmt="xml")):
+                dict(seed=-1)):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     with pytest.raises(TypeError):
         RunConfig(grids=(2000,))  # the spectrum routes pick their own node counts
+    with pytest.raises(TypeError):
+        RunConfig(fmt="csv")  # report.json is the one report format
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().starts = 0  # construction is the only place values are checked
 
@@ -579,11 +581,13 @@ def test_a_check_scores_its_worst_route():
 
 
 def test_table_path_failure_is_localized(tmp_path):
-    # the closure note names the first breakage in (i, j) order, not the last
+    # the closure note names the first entry (i, j) in row-major order where the table differs
+    # from the one closed from the seven triples, with both signed products
     sampled = ("alternative-laws", "conjugation-reversal", "norm-multiplicativity",
                "conjugate-square-norm")
-    for (i, j), first, witness in (((4, 1), "antisymmetry at (1, 4)", ()),
-                                   ((1, 2), "antisymmetry at (1, 2)", ("association-witness",))):
+    for (i, j), first, witness in (((4, 1), "at (4, 1): -e1 against +e1 from the seven triples", ()),
+                                   ((1, 2), "at (1, 2): -e3 against +e3 from the seven triples",
+                                    ("association-witness",))):
         path = tmp_path / f"table-{i}{j}.csv"
         DEFAULT_TABLE.save(path)
         rows = [line.split(",") for line in path.read_text().splitlines()]
