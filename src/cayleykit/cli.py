@@ -22,25 +22,18 @@ import json
 import sys
 from pathlib import Path
 
-# suites, the largest module, before numpy: compiled from source (no bytecode cache), its parse
-# frees memory that numpy's import then reuses; compiled after numpy, it left about 1 MiB of
-# the heap unused at every command's peak
+# suites, the largest module, before numpy (which curvature and geodesy import): compiled from
+# source (no bytecode cache), its parse frees memory that numpy's import then reuses; compiled
+# after numpy, it left about 1 MiB of the heap unused at every command's peak
 from . import suites  # isort: skip
-import numpy as np
 
 from . import __version__, curvature, geodesy
-
-
-def _float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
 
 
 # flag -> (RunConfig field, parser, help)
 _OPTIONS = {
     "seed": ("seed", int, "master RNG seed (default 0)"),
     "trials": ("trials", int, "sampling budget (default 100000)"),
-    "radius": ("radii", _float_tuple, "comma separated domain radii, each finite and at least 1"),
-    "starts": ("starts", int, "unit directions whose Jacobi operators give the pinch extremes"),
     "out": ("out", str, "output directory for artifacts"),
     "mul_table": ("table_path", str, "CSV multiplication table to verify instead of the builtin"),
 }
@@ -56,16 +49,14 @@ def config_echo(cfg: suites.RunConfig) -> dict:
     return {
         "seed": cfg.seed,
         "trials": cfg.trials,
-        "radii": list(cfg.radii),
         "table": cfg.table_path or "builtin",
-        "starts": cfg.starts,
     }
 
 
 def build_report(results, cfg: suites.RunConfig, timings: dict) -> dict:
     failed = [c.check for r in results for c in r.checks if not c.passed]
     return {
-        "schema": 3,
+        "schema": 4,
         "generator": {"package": "cayleykit", "version": __version__},
         "config": config_echo(cfg),
         "suites": [r.as_dict() for r in results],
@@ -190,22 +181,6 @@ def write_spectrum_artifacts(out: Path, rows) -> None:
                    "radius R", "lowest eigenvalue", hline=bottom)
 
 
-def write_laplacian_artifacts(out: Path, radii) -> None:
-    """laplacian.csv and .svg: the radial Laplacian curve out to the largest radius."""
-    out.mkdir(parents=True, exist_ok=True)
-    rs = np.linspace(0.2, max(radii), 240)
-    lap = geodesy.distance_laplacian(rs).tolist()
-    svg_line_chart(out / "laplacian.svg",
-                   [("14 coth 2r + 8 coth r", list(rs), lap)],
-                   "Radial Laplacian of the distance function",
-                   "r", "Laplacian", hline=22.0)
-    with open(out / "laplacian.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "laplacian"])
-        for r, value in zip(rs, lap):
-            writer.writerow([repr(float(r)), repr(value)])
-
-
 def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "pinch.csv", "w", newline="") as fh:
@@ -263,7 +238,6 @@ def run_command(args, cfg: suites.RunConfig) -> int:
         held = {r.suite: r.artifacts for r in results}
         if held["geodesy"]:
             write_spectrum_artifacts(out, held["geodesy"]["spectrum"])
-        write_laplacian_artifacts(out, cfg.radii)
         if held["curvature"]:
             write_pinch_artifacts(out, held["curvature"]["pinch"])
             if args.export_operator:

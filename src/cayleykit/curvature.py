@@ -18,8 +18,9 @@ operator and the pinch extremes (eigenvalues of the Jacobi operators) are
 linear algebra against that matrix.
 
 Both routes take the multiplication table a run verifies.  ``ALPHA`` is the
-model's curvature scale, not a setting: the formula and the operator read it
-at call time, so a test injects a scale fault by patching it.
+model's curvature scale and ``PINCH_STARTS`` the number of directions the
+pinch search tries, not settings: the functions read them at call time, so a
+test injects a scale fault, or shortens the search, by patching one name.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from . import octonion
 
 N = 16
 ALPHA = -4.0
+# unit directions whose Jacobi operators give the pinch extremes
+PINCH_STARTS = 64
 
-# bitmask-free index bookkeeping for the 120 bivector monomials
-PAIRS = [(a, b) for a in range(N) for b in range(a + 1, N)]
-_ROWS = np.array([a for a, _ in PAIRS])
-_COLS = np.array([b for _, b in PAIRS])
+# the 120 bivector monomials e_A ^ e_B (A < B), in the triu order of ``octonion.spin9_generators``
+_ROWS, _COLS = np.triu_indices(N, 1)
 
 # n^2 (n^2 - 1) / 12: the dimension of the curvature-type tensors on R^n
 CURVATURE_TENSOR_DIM = N * N * (N * N - 1) // 12
@@ -201,7 +202,7 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int,
     formula, mirrored = SectionalCurvature(table=table), SectionalCurvature(True, table)
     count, worst = 0, 0.0
     low, high = np.full(2, np.inf), np.full(2, -np.inf)  # the formula, the mirrored reading
-    work = np.empty((2, min(octonion.MUL_BLOCK_ROWS, planes), len(PAIRS)))  # bivectors, products
+    work = np.empty((2, min(octonion.MUL_BLOCK_ROWS, planes), len(_ROWS)))  # bivectors, products
     for x, y in octonion.uniform_blocks(rng, range(0, planes, octonion.MUL_BLOCK_ROWS), planes, N):
         gram, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
         frame = _orthonormalize(x, y)
@@ -217,7 +218,7 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int,
 
 @dataclass
 class PinchResult:
-    """Extreme sectional values from the Jacobi operators of ``starts`` unit directions x.
+    """Extreme sectional values from the Jacobi operators of ``PINCH_STARTS`` unit directions x.
 
     ``final_values`` holds the smallest eigenvalue of each J_x, then the largest on x⊥;
     ``witnesses`` holds the planes (x, eigenvector) they belong to, in the same order.
@@ -229,11 +230,11 @@ class PinchResult:
     witnesses: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-def pinch_extremes(op: CurvatureOperator, starts: int, seed: int) -> PinchResult:
+def pinch_extremes(op: CurvatureOperator, rng: np.random.Generator) -> PinchResult:
     """For unit y ⊥ x the sectional curvature K(x, y) is the Rayleigh quotient of J_x,
-    so its extremes over y are eigenvalues of J_x restricted to x⊥."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((starts, N))
+    so its extremes over y are eigenvalues of J_x restricted to x⊥; ``PINCH_STARTS``
+    directions x are drawn from ``rng``."""
+    x = rng.standard_normal((PINCH_STARTS, N))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     # the last 15 columns of a complete QR of x are an orthonormal basis of x⊥
     perp = np.linalg.qr(x[:, :, None], mode="complete")[0][:, :, 1:]

@@ -22,7 +22,8 @@ of the height function are sums over ``CLASSES``, which the suite reads.
 
 The radial classes are the model, not a setting: every function reads the
 module constant ``CLASSES`` when it is called, so a test can inject a model
-fault (say multiplicity 7 -> 6) by patching that one name.
+fault (say multiplicity 7 -> 6) by patching that one name.  ``RADII``, the
+domain radii the suite solves both routes at, is read the same way.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import numpy as np
 # radial curvature classes (c, multiplicity), K = -c^2 on each
 CLASSES = ((2.0, 7), (1.0, 8))
 
+# domain radii of the Dirichlet values, ascending; the last is where the bottom 121 is checked
+RADII = (4.0, 6.0, 8.0, 10.0)
 # Chebyshev interval counts of ``dirichlet_value``, tried in turn
 COLLOCATION_NODES = (32, 64, 128, 256)
 # relative gap between two of them below which a Dirichlet value has converged

@@ -3,8 +3,7 @@ the value of each route and the evidence, from which ``SuiteResult.add`` compute
 residual against a pinned tolerance and ``CheckResult.note`` renders the note.
 
 Each suite draws from its own deterministic substream of the master seed (stable across
-suite selection; the pinch directions alone are seeded with the master seed, as
-``cayleykit pinch`` is).  The CLI renders the records into ``report.json``; byte-for-byte
+suite selection).  The CLI renders the records into ``report.json``; byte-for-byte
 determinism of that file (timing aside) is part of the contract, so no check may embed a
 wall time.
 """
@@ -39,7 +38,9 @@ PINCH = (-4.0, -1.0)  # the sectional curvatures, an interval claim
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The settings of one run; each field but ``table`` is set by one flag.
+    """The settings of one run; each field but ``table`` is set by one flag.  How many radii
+    the spectrum is solved at and how many directions the pinch search tries are part of the
+    checks, not settings: ``geodesy.RADII`` and ``curvature.PINCH_STARTS``.
 
     ``trials`` is the master sampling budget; suites derive their own
     counts from it (octonion pairs = trials, random planes = trials / 10
@@ -56,16 +57,13 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 100000
-    radii: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0)
     out: str | None = None
     table_path: str | None = None
-    starts: int = 64
     table: octonion.MultiplicationTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("trials", "starts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.out is not None:
@@ -75,10 +73,6 @@ class RunConfig:
                 nearest = os.path.dirname(nearest)
             if not os.path.isdir(nearest):
                 raise ValueError(f"out {self.out!r}: {nearest!r} exists and is not a directory")
-        if not self.radii:
-            raise ValueError("radii must be nonempty")
-        if not all(math.isfinite(r) and r >= 1.0 for r in self.radii):
-            raise ValueError("radius must be finite and at least 1")
         table = (octonion.MultiplicationTable.load(self.table_path)
                  if self.table_path else octonion.DEFAULT_TABLE)
         object.__setattr__(self, "table", table)
@@ -156,7 +150,7 @@ class CheckResult:
 class SuiteResult:
     """The checks of one suite; ``artifacts``, not part of the report, holds what the CLI
     writes or reuses (curvature: ``operator`` and ``pinch``; geodesy: ``spectrum``, the
-    (route C, route J) pair at each radius of the run)."""
+    (route C, route J) pair at each of ``geodesy.RADII``)."""
 
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
@@ -395,14 +389,16 @@ def suite_curvature(cfg: RunConfig) -> SuiteResult:
             claim=np.array([-4.0] * 7 + [-1.0] * 8 + [0.0]),  # ascending, as eigvalsh returns them
             evidence={"directions": len(u)})
 
-    # seeded like ``cayleykit pinch``, so report's pinch.csv is this very search; the formula
-    # at the witness planes is the second route to the eigenvalues
-    pinch = curvature.pinch_extremes(op, starts=cfg.starts, seed=cfg.seed)
+    # the last draws of the suite, so the other records do not move with PINCH_STARTS; report's
+    # pinch.csv is this very search, and the formula at the witness planes is the second route
+    # to the eigenvalues
+    pinch = curvature.pinch_extremes(op, rng)
     out.add("curvature.pinch-search", TOL_MODEL,
             {"minimum": pinch.minimum, "maximum": pinch.maximum,
              "formula at the witness planes": formula.plane_value(*pinch.witnesses)},
             claim={"minimum": PINCH[0], "maximum": PINCH[1],
-                   "formula at the witness planes": pinch.final_values}, evidence={"starts": cfg.starts})
+                   "formula at the witness planes": pinch.final_values},
+            evidence={"starts": curvature.PINCH_STARTS})
     out.artifacts = {"operator": op, "pinch": pinch}
     return out
 
@@ -439,25 +435,22 @@ def suite_geodesy(cfg: RunConfig) -> SuiteResult:
     out.add("geodesy.volume-growth-rate", 0.01, {"log A(50) / 50": g.log_area(50.0) / 50.0},
             claim=22.0, relative=True)
 
-    # both routes once at R = 10 and at each other radius of the run
-    by_radius = {r: (g.dirichlet_value(r), g.jacobi_dirichlet(r))
-                 for r in dict.fromkeys((10.0, *cfg.radii))}
+    # both routes once at each of RADII, which report writes to spectrum.csv
+    pairs = [(g.dirichlet_value(r), g.jacobi_dirichlet(r)) for r in g.RADII]
+    out.artifacts = {"spectrum": pairs}
 
     # the paper's bottom 121 against rho^2, and collocation against the Jacobi closed form at
-    # R = 10; both routes read CLASSES, so only the claim sees a class fault
+    # the largest radius; both routes read CLASSES, so only the claim sees a class fault
     rho2 = g.spectrum_bottom()
-    at10, exact10 = by_radius[10.0]
-    out.add("geodesy.spectrum-bottom", g.TOL_DIRICHLET, {"collocation": at10.value, "rho^2": rho2},
-            claim={"collocation": exact10, "rho^2": 121.0}, relative=True,
-            evidence={"R": 10.0, "nodes": at10.nodes, "N/2N gap": at10.error_estimate,
-                      "converged": at10.converged})
+    far, exact_far = pairs[-1]
+    out.add("geodesy.spectrum-bottom", g.TOL_DIRICHLET, {"collocation": far.value, "rho^2": rho2},
+            claim={"collocation": exact_far, "rho^2": 121.0}, relative=True,
+            evidence={"R": far.radius, "nodes": far.nodes, "N/2N gap": far.error_estimate,
+                      "converged": far.converged})
 
-    # the pairs at each radius of the run, in its order, which report writes to spectrum.csv
-    pairs = [by_radius[r] for r in cfg.radii]
-    out.artifacts = {"spectrum": pairs}
     solved = {"nodes": [v.nodes for v, _ in pairs], "N/2N gaps": [v.error_estimate for v, _ in pairs],
               "converged": all(v.converged for v, _ in pairs)}
-    lams = [v.value for v in sorted((v for v, _ in pairs), key=lambda v: v.radius)]
+    lams = [v.value for v, _ in pairs]
     # McKean: q >= rho^2 gives lambda(R) > rho^2 at every R; far out q rounds to rho^2 within ulps
     bound = min(0.0, float((g.liouville_potential(np.linspace(1e-3, 60.0, 6000)) - rho2).min()))
     out.add("geodesy.spectrum-domain-monotone", 0.5,

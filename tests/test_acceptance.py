@@ -125,7 +125,7 @@ def test_curvature_model():
     vals = formula.plane_value(x, y)
     assert np.all(vals >= -4.0 - 1e-9) and np.all(vals <= -1.0 + 1e-9)
 
-    pinch = curvature.pinch_extremes(op, starts=16, seed=0)
+    pinch = curvature.pinch_extremes(op, np.random.default_rng(0))
     assert abs(pinch.minimum + 4.0) <= 1e-9
     assert abs(pinch.maximum + 1.0) <= 1e-9
     witness = float(np.abs(formula.plane_value(*pinch.witnesses) - pinch.final_values).max())

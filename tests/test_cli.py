@@ -43,14 +43,14 @@ def test_verify_writes_report(tmp_path):
     proc = run_cli("verify", "octonion", "forms", "--seed", 3, "--out", tmp_path, *FAST)
     assert proc.returncode == 0
     report = read_report(tmp_path)
-    assert report["schema"] == 3
+    assert report["schema"] == 4
     assert report["passed"] is True
     # every check is a record: its claim, each route's value and the evidence, with the note
     # rendered from them
     for check in (c for s in report["suites"] for c in s["checks"]):
         assert {"claim", "routes", "relative", "evidence", "note"} <= set(check), check["check"]
         assert check["routes"] and check["note"], check["check"]
-    assert report["config"]["seed"] == 3
+    assert report["config"] == {"seed": 3, "trials": 2000, "table": "builtin"}
     assert [s["suite"] for s in report["suites"]] == ["octonion", "forms"]
     assert report["summary"]["checks"] == sum(len(s["checks"]) for s in report["suites"])
     assert report["summary"]["failed"] == []
@@ -153,13 +153,13 @@ def test_pinch_reads_the_table(tmp_path):
     runs = {}
     for name, extra, status in (("builtin", (), 0), ("saved", ("--mul-table", table), 0),
                                 ("flipped", ("--mul-table", flipped_table(tmp_path / "flipped.csv")), 1)):
-        proc = run_cli("report", *FAST, "--radius", 4, "--out", tmp_path / name, *extra)
+        proc = run_cli("report", *FAST, "--out", tmp_path / name, *extra)
         assert proc.returncode == status
         runs[name] = (tmp_path / name / "pinch.csv").read_text()
     assert runs["saved"] == runs["builtin"]
     # the flipped sign breaks the pinching: the range found leaves [-4, -1] on both sides
     values = [float(row["sectional"]) for row in csv.DictReader(runs["flipped"].splitlines())]
-    assert (min(values), max(values)) == (pytest.approx(-5.388, abs=1e-3), pytest.approx(-0.231, abs=1e-3))
+    assert (min(values), max(values)) == (pytest.approx(-5.308, abs=1e-3), pytest.approx(-0.183, abs=1e-3))
 
 
 def test_malformed_table_is_usage_error(tmp_path):
@@ -175,14 +175,6 @@ def test_malformed_table_is_usage_error(tmp_path):
         assert proc.returncode == 2
         assert "error" in proc.stderr
     assert not (tmp_path / "out").exists()
-
-
-def test_non_finite_radius_is_usage_error(tmp_path):
-    # NaN passes "radius < 1"; it must be rejected before any suite runs
-    proc = run_cli("verify", "octonion", "--radius", "nan", "--out", tmp_path)
-    assert proc.returncode == 2
-    assert "finite" in proc.stderr
-    assert not (tmp_path / "report.json").exists()
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -223,11 +215,13 @@ def test_out_below_an_existing_file_is_usage_error(tmp_path):
 def test_unknown_flag_and_command_are_usage_errors():
     assert run_cli("verify", "--bogus").returncode == 2
     assert run_cli("frobnicate").returncode == 2
-    # report writes every file spectrum and pinch wrote, and each setting has one flag
+    # report writes every file spectrum and pinch wrote, and each setting has one flag; the
+    # radii and the pinch directions are the model's constants, not settings
     help_text = run_cli("--help").stdout
     assert "{verify,report}" in help_text and "spectrum" not in help_text
     for args in (("spectrum",), ("pinch",), ("verify", "--config", "run.cfg"),
-                 ("verify", "--format", "csv")):
+                 ("verify", "--format", "csv"), ("verify", "--radius", "4"),
+                 ("report", "--starts", "8")):
         assert run_cli(*args).returncode == 2, args
 
 
@@ -251,66 +245,53 @@ def test_crash_inside_a_suite_is_a_failed_check(tmp_path, monkeypatch):
 
 
 def test_spectrum_artifacts(tmp_path):
-    proc = run_cli("report", *FAST, "--radius", "4,6", "--starts", 8, "--out", tmp_path)
+    proc = run_cli("report", *FAST, "--out", tmp_path)
     assert proc.returncode == 0
 
     with open(tmp_path / "spectrum.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["radius", "nodes", "value", "coarse_value", "error_estimate",
                              "jacobi", "gap", "converged"]
-    assert [(float(r["radius"]), int(r["nodes"])) for r in rows] == [(4.0, 64), (6.0, 64)]
+    assert [(float(r["radius"]), int(r["nodes"])) for r in rows] == [(r, 64) for r in geodesy.RADII]
     for r in rows:
         assert 121.0 < float(r["value"]) < 124.0 and r["converged"] == "True"
         assert float(r["value"]) == pytest.approx(float(r["jacobi"]), rel=1e-10)
         assert float(r["gap"]) == pytest.approx(float(r["value"]) - 121.0)
         assert float(r["error_estimate"]) <= 1e-10 * float(r["value"])
 
-    with open(tmp_path / "laplacian.csv", newline="") as fh:
-        curve = list(csv.DictReader(fh))
-    assert list(curve[0]) == ["r", "laplacian"]
-    assert len(curve) == 240
-    assert float(curve[-1]["laplacian"]) == pytest.approx(22.0, abs=0.01)
-
-    for name in ("spectrum.svg", "laplacian.svg"):
-        text = (tmp_path / name).read_text()
-        assert text.startswith("<svg")
-        assert 'width="800" height="600"' in text
-    assert ">collocation<" in (tmp_path / "spectrum.svg").read_text()
-    assert ">Jacobi closed form<" in (tmp_path / "spectrum.svg").read_text()
+    text = (tmp_path / "spectrum.svg").read_text()
+    assert text.startswith("<svg")
+    assert 'width="800" height="600"' in text
+    assert ">collocation<" in text and ">Jacobi closed form<" in text
 
     # the files hold the geodesy suite's route pairs: those of each radius solved afresh
     cli.write_spectrum_artifacts(tmp_path / "each", [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r))
-                                                     for r in (4.0, 6.0)])
-    cli.write_laplacian_artifacts(tmp_path / "each", (4.0, 6.0))
-    for name in ("spectrum.csv", "spectrum.svg", "laplacian.csv", "laplacian.svg"):
+                                                     for r in geodesy.RADII])
+    for name in ("spectrum.csv", "spectrum.svg"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), name
 
 
 def test_pinch_artifacts(tmp_path):
     runs = {}
     for seed in (2, 3):
-        proc = run_cli("report", *FAST, "--radius", 4, "--starts", 5, "--seed", seed,
-                       "--out", tmp_path / str(seed))
+        proc = run_cli("report", *FAST, "--seed", seed, "--out", tmp_path / str(seed))
         assert proc.returncode == 0
         with open(tmp_path / str(seed) / "pinch.csv", newline="") as fh:
             runs[seed] = rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["start", "direction", "sectional"]
-        # one row per start and direction: the minima of starts 0..4, then their maxima
+        # one row per start and direction: the minima of every start, then their maxima
         assert [(r["start"], r["direction"]) for r in rows] == [
-            (str(i), direction) for direction in ("min", "max") for i in range(5)]
+            (str(i), direction) for direction in ("min", "max") for i in range(curvature.PINCH_STARTS)]
         assert all(-4.0 - 1e-9 <= float(r["sectional"]) <= -1.0 + 1e-9 for r in rows)
-    # --seed draws the start directions
+    # --seed draws the start directions, from the curvature suite's substream
     assert runs[2] != runs[3]
 
 
 def test_report_command_with_operator_export(tmp_path):
-    search = ("--starts", 8, "--seed", 5)
-    proc = run_cli("report", "--trials", 2000, "--radius", "4,6", *search, "--out", tmp_path,
-                   "--export-operator")
+    proc = run_cli("report", *FAST, "--seed", 5, "--out", tmp_path, "--export-operator")
     assert proc.returncode == 0
-    for name in ("report.json", "spectrum.csv", "spectrum.svg", "laplacian.csv",
-                 "laplacian.svg", "pinch.csv", "operator.csv"):
-        assert (tmp_path / name).exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["operator.csv", "pinch.csv", "report.json",
+                                                         "spectrum.csv", "spectrum.svg"]
     report = read_report(tmp_path)
     assert report["passed"] is True
     assert len(report["suites"]) == 6
@@ -319,7 +300,7 @@ def test_report_command_with_operator_export(tmp_path):
     assert all(len(line.split(",")) == 120 for line in operator)
 
 
-REPORT_FAST = ("--trials", "2000", "--radius", "4", "--starts", "8")
+REPORT_FAST = ("--trials", "2000")
 
 
 def test_report_assembles_once_and_searches_once(tmp_path, monkeypatch):
@@ -340,7 +321,8 @@ def test_report_pinch_note_describes_pinch_csv(tmp_path, monkeypatch):
     # a scale fault moves the extremes off [-4, -1]; the record gives the ones pinch.csv holds,
     # and the note renders them
     monkeypatch.setattr(curvature, "ALPHA", -3.0)
-    assert cli.main(["report", *REPORT_FAST, "--starts", "2", "--out", str(tmp_path)]) == 1
+    monkeypatch.setattr(curvature, "PINCH_STARTS", 2)
+    assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path)]) == 1
     report = read_report(tmp_path)
     assert "curvature.pinch-search" in report["summary"]["failed"]
     curv = next(s for s in report["suites"] if s["suite"] == "curvature")
@@ -373,13 +355,13 @@ def test_report_with_crashed_geodesy_suite(tmp_path, monkeypatch):
     monkeypatch.setattr(geodesy, "dirichlet_value", crash)
     assert cli.main(["report", *REPORT_FAST, "--out", str(tmp_path)]) == 1
     assert read_report(tmp_path)["summary"]["failed"] == ["geodesy.crashed"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["laplacian.csv", "laplacian.svg",
-                                                         "pinch.csv", "report.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pinch.csv", "report.json"]
 
 
 def test_report_solves_each_radius_once(tmp_path, monkeypatch):
-    # both spectrum routes run inside the geodesy suite, once at R = 10 and at each other --radius,
-    # and report writes what they found; each call appends a line, as the suite may run in a worker
+    # both spectrum routes run inside the geodesy suite, once at each of RADII, read when the
+    # suite runs, and report writes what they found; each call appends a line, as the suite may
+    # run in a worker
     calls = tmp_path / "calls.log"
     for name in ("dirichlet_value", "jacobi_dirichlet"):
         def counted(radius, _real=getattr(geodesy, name), _name=name):
@@ -387,13 +369,14 @@ def test_report_solves_each_radius_once(tmp_path, monkeypatch):
                 log.write(f"{_name} {radius:g}\n")
             return _real(radius)
         monkeypatch.setattr(geodesy, name, counted)
-    for radii, solved in (("4,6", (10, 4, 6)), ("4,10", (10, 4))):
+    for radii in (geodesy.RADII, (5.0, 10.0)):
+        monkeypatch.setattr(geodesy, "RADII", radii)
         calls.write_text("")
-        out = tmp_path / radii
-        assert cli.main(["report", *REPORT_FAST, "--radius", radii, "--out", str(out)]) == 0
+        out = tmp_path / str(len(radii))
+        assert cli.main(["report", *REPORT_FAST, "--out", str(out)]) == 0
         assert sorted(calls.read_text().splitlines()) == sorted(
-            f"{name} {radius}" for name in ("dirichlet_value", "jacobi_dirichlet") for radius in solved)
-        assert spectrum_column(out, "radius") == [float(r) for r in radii.split(",")]
+            f"{name} {radius:g}" for name in ("dirichlet_value", "jacobi_dirichlet") for radius in radii)
+        assert spectrum_column(out, "radius") == list(radii)
 
 
 def spectrum_column(out_dir, column):
@@ -438,8 +421,7 @@ def test_commands_run_without_scipy(tmp_path):
                              capture_output=True, text=True, timeout=60)
     assert blocked.returncode == 1 and "not a runtime dependency" in blocked.stderr
     expected = {"verify": ["report.json"],
-                "report": ["laplacian.csv", "laplacian.svg", "operator.csv", "pinch.csv",
-                           "report.json", "spectrum.csv", "spectrum.svg"]}
+                "report": ["operator.csv", "pinch.csv", "report.json", "spectrum.csv", "spectrum.svg"]}
     for command, names in expected.items():
         extra = ["--export-operator"] if command == "report" else []
         proc = subprocess.run(

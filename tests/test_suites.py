@@ -22,7 +22,7 @@ from cayleykit.suites import (
     run_suites,
 )
 
-FAST = dict(trials=2000, radii=(4.0,), starts=8)
+FAST = dict(trials=2000)
 
 
 def test_suite_registry_matches_order():
@@ -31,17 +31,18 @@ def test_suite_registry_matches_order():
 
 
 def test_config_validation():
-    for bad in (dict(trials=0), dict(starts=0), dict(radii=()), dict(radii=(0.5,)),
-                dict(radii=(float("nan"),)), dict(radii=(float("inf"),)),
-                dict(seed=-1)):
+    for bad in (dict(trials=0), dict(seed=-1)):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     with pytest.raises(TypeError):
         RunConfig(grids=(2000,))  # the spectrum routes pick their own node counts
+    for constant in (dict(radii=(4.0,)), dict(starts=8)):  # geodesy.RADII, curvature.PINCH_STARTS
+        with pytest.raises(TypeError):
+            RunConfig(**constant)
     with pytest.raises(TypeError):
         RunConfig(fmt="csv")  # report.json is the one report format
     with pytest.raises(dataclasses.FrozenInstanceError):
-        RunConfig().starts = 0  # construction is the only place values are checked
+        RunConfig().trials = 0  # construction is the only place values are checked
 
 
 def test_suite_rng_substreams_are_stable_and_distinct():
@@ -234,7 +235,7 @@ def test_unconverged_spectrum_fails(monkeypatch):
     assert all(c.residual == 1.0 and c.evidence["converged"] is False for c in failed)
     assert failed[0].evidence["R"] == 10.0 and failed[0].evidence["nodes"] == 16
     assert failed[0].evidence["N/2N gap"] > suites.geodesy.TOL_DIRICHLET * failed[0].routes["collocation"]
-    assert failed[1].evidence["nodes"] == [16] and failed[2].evidence["nodes"] == [16]
+    assert failed[1].evidence["nodes"] == failed[2].evidence["nodes"] == [16] * len(suites.geodesy.RADII)
 
 
 def test_model_faults_fail_named_checks(monkeypatch):
@@ -372,13 +373,15 @@ def test_failing_notes_give_what_was_measured(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(suites.geodesy, "dirichlet_value",
                       lambda r: suites.geodesy.DirichletValue(r, 64, 125.0 + r, 125.0 + r))
-        (check,) = [c for c in SUITES["geodesy"](RunConfig(**dict(FAST, radii=(6.0, 4.0)))).checks
+        (check,) = [c for c in SUITES["geodesy"](RunConfig(**FAST)).checks
                     if c.check == "geodesy.spectrum-domain-monotone"]
+    assert suites.geodesy.RADII == (4.0, 6.0, 8.0, 10.0)
     assert check.routes == {"decreases with R": False, "above rho^2": True, "McKean": True}
-    assert check.evidence == {"lowest": 129.0, "rho^2": 121.0, "inf q - rho^2": 0.0, "nodes": [64, 64],
-                              "N/2N gaps": [0.0, 0.0], "converged": True}
+    assert check.evidence == {"lowest": 129.0, "rho^2": 121.0, "inf q - rho^2": 0.0, "nodes": [64] * 4,
+                              "N/2N gaps": [0.0] * 4, "converged": True}
     assert check.note == ("claim True; decreases with R False, above rho^2 True, McKean True; lowest 129, "
-                          "rho^2 121, inf q - rho^2 0, nodes [64, 64], N/2N gaps [0, 0], converged True")
+                          "rho^2 121, inf q - rho^2 0, nodes [64, 64, 64, 64], N/2N gaps [0, 0, 0, 0], "
+                          "converged True")
     real_certify = suites.kernels.certify_ratio
     claims = []
 
