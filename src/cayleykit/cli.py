@@ -6,7 +6,8 @@ Subcommands
 
 Exit status: 0 all checks passed, 1 at least one check failed (a suite
 that raises fails its ``<suite>.crashed`` check), 2 usage error (bad
-flags, unknown suite, unreadable table file).
+flags, unknown suite, unreadable table file, an output directory that
+cannot be made).
 
 Reports are deterministic for a fixed seed: rerunning with the same
 flags reproduces ``report.json`` byte for byte except for the isolated
@@ -88,7 +89,6 @@ def print_results(results) -> None:
 
 
 def write_report(report: dict, out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
@@ -98,72 +98,8 @@ def write_report(report: dict, out: Path) -> Path:
 # artifacts
 
 
-_PALETTE = ("#1f6fb2", "#c0392b", "#1e8449", "#8e44ad", "#b7950b", "#34495e")
-
-
-def svg_line_chart(path: Path, series, title: str, x_label: str, y_label: str,
-                   hline: float) -> None:
-    """Hand-rolled 800 x 600 line chart; ``series`` is (label, xs, ys) triples."""
-    width, height = 800, 600
-    left, right, top, bottom = 80, 24, 48, 56
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys] + [hline]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    pad = 0.06 * (y1 - y0) or 1.0
-    y0, y1 = y0 - pad, y1 + pad
-
-    def px(x):
-        return left + (x - x0) / (x1 - x0) * (width - left - right)
-
-    def py(y):
-        return height - bottom - (y - y0) / (y1 - y0) * (height - top - bottom)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="17">{title}</text>',
-    ]
-    axis = f'stroke="#333" stroke-width="1"'
-    parts.append(f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-                 f'y2="{height - bottom}" {axis}/>')
-    parts.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" {axis}/>')
-    for i in range(6):
-        xv = x0 + i * (x1 - x0) / 5
-        yv = y0 + i * (y1 - y0) / 5
-        parts.append(f'<line x1="{px(xv):.2f}" y1="{height - bottom}" x2="{px(xv):.2f}" '
-                     f'y2="{height - bottom + 5}" {axis}/>')
-        parts.append(f'<text x="{px(xv):.2f}" y="{height - bottom + 20}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="12">{xv:.4g}</text>')
-        parts.append(f'<line x1="{left - 5}" y1="{py(yv):.2f}" x2="{left}" '
-                     f'y2="{py(yv):.2f}" {axis}/>')
-        parts.append(f'<text x="{left - 9}" y="{py(yv) + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="12">{yv:.5g}</text>')
-    parts.append(f'<text x="{(left + width - right) / 2:.0f}" y="{height - 14}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="14">{x_label}</text>')
-    parts.append(f'<text x="22" y="{(top + height - bottom) / 2:.0f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="14" '
-                 f'transform="rotate(-90 22 {(top + height - bottom) / 2:.0f})">{y_label}</text>')
-    parts.append(f'<line x1="{left}" y1="{py(hline):.2f}" x2="{width - right}" '
-                 f'y2="{py(hline):.2f}" stroke="#888" stroke-width="1" '
-                 f'stroke-dasharray="6 4"/>')
-    for k, (label, xs, ys) in enumerate(series):
-        color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{width - right - 8}" y="{top + 18 + 18 * k}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="13" fill="{color}">{label}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-
-
 def write_spectrum_artifacts(out: Path, rows) -> None:
-    """spectrum.csv and .svg from the (route C, route J) pair at each radius."""
-    out.mkdir(parents=True, exist_ok=True)
+    """spectrum.csv from the (route C, route J) pair at each radius."""
     bottom = geodesy.spectrum_bottom()
     with open(out / "spectrum.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -173,16 +109,9 @@ def write_spectrum_artifacts(out: Path, rows) -> None:
             writer.writerow([repr(v.radius), v.nodes, repr(v.value), repr(v.coarse_value),
                              repr(v.error_estimate), repr(exact), repr(v.value - bottom),
                              v.converged])
-    rs_routes = [v.radius for v, _ in rows]
-    svg_line_chart(out / "spectrum.svg",
-                   [("collocation", rs_routes, [v.value for v, _ in rows]),
-                    ("Jacobi closed form", rs_routes, [exact for _, exact in rows])],
-                   "Bottom of the Dirichlet spectrum vs domain radius",
-                   "radius R", "lowest eigenvalue", hline=bottom)
 
 
 def write_pinch_artifacts(out: Path, result: curvature.PinchResult) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "pinch.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["start", "direction", "sectional"])
@@ -221,17 +150,21 @@ def make_parser() -> argparse.ArgumentParser:
 
 def run_command(args, cfg: suites.RunConfig) -> int:
     """Both commands: run the chosen suites, print one line per check and write report.json
-    to ``out`` (``report``'s default is .); ``report`` then writes its artifacts beside it,
-    from what the geodesy and curvature suites computed (a crashed suite holds nothing)."""
+    to ``out`` (``report``'s default is .), made before any suite runs; ``report`` then writes
+    its artifacts beside it, from what the geodesy and curvature suites computed (a crashed
+    suite holds nothing)."""
     unknown = set(args.suites) - {"all", *suites.SUITE_ORDER}
     if unknown:
         print(f"error: unknown suite: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    out = Path(cfg.out or ".")
+    writes = cfg.out is not None or args.command == "report"
+    if writes:
+        out.mkdir(parents=True, exist_ok=True)
     names = [n for n in suites.SUITE_ORDER if n in args.suites or "all" in args.suites]
     results, timings = suites.run_suites(names, cfg)
     print_results(results)
-    out = Path(cfg.out or ".")
-    if cfg.out is not None or args.command == "report":
+    if writes:
         path = write_report(build_report(results, cfg, timings), out)
         print(f"report written to {path}")
     if args.command == "report":

@@ -544,13 +544,17 @@ def suite_kernels(cfg: RunConfig) -> SuiteResult:
             claim={"minimizer at a_11 = -7": np.diag([-7.0] + [1.0] * 7 + [0.0] * 8),
                    "its ratio": r9.rational})
 
-    # the sharp ratio and its transform (exponent, drift): Kahler's is degenerate
+    # each sharp ratio, certified and by eigenvalue, and its transform: Kahler's is degenerate
     ricci = geodesy.ricci_norm()
     for kind, ns, claim in (("kahler", (2, 4), [2, 0, 0]),
                             ("quaternionic", (1, 2), [Fraction(4, 3), Fraction(2, 3), 24])):
-        ratios = [k.min_bochner_ratio(f.standard_constraints(kind, n)).rational for n in ns]
-        out.add(f"kernels.ratio-{kind}", TOL_MODEL,
-                {f"n = {n}": [r, *k.kato_transform(r, ricci)] for n, r in zip(ns, ratios)}, claim=claim)
+        routes = {}
+        for n in ns:
+            r = k.min_bochner_ratio(f.standard_constraints(kind, n))
+            routes[f"n = {n}"] = [r.rational, *k.kato_transform(r.rational, ricci)]
+            routes[f"eigen at n = {n}"] = r.eigen_ratio
+        out.add(f"kernels.ratio-{kind}", TOL_MODEL, routes,
+                claim={name: claim[0] if name.startswith("eigen") else claim for name in routes})
 
     # the claim itself, not the eigen route's candidate, which min_bochner_ratio certified
     reason = None if r9.rational == sharp else k.certify_ratio(cs9, sharp)

@@ -177,14 +177,15 @@ def test_malformed_table_is_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_suite_is_usage_error(capsys):
+def test_unknown_suite_is_usage_error(tmp_path, capsys):
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2
     assert "unknown suite" in proc.stderr
-    # "all" next to an unknown name does not hide it, and nothing runs
-    assert cli.main(["verify", "forms", "all", "bogus"]) == 2
+    # "all" next to an unknown name does not hide it, and nothing runs or is made
+    assert cli.main(["verify", "forms", "all", "bogus", "--out", str(tmp_path / "new")]) == 2
     captured = capsys.readouterr()
     assert "unknown suite: bogus" in captured.err and captured.out == ""
+    assert not (tmp_path / "new").exists()
 
 
 def test_out_naming_an_existing_file_is_usage_error(tmp_path):
@@ -210,6 +211,18 @@ def test_out_below_an_existing_file_is_usage_error(tmp_path):
     # a missing chain of directories below a directory is fine
     assert run_cli("verify", "forms", "--out", tmp_path / "new" / "sub").returncode == 0
     assert (tmp_path / "new" / "sub" / "report.json").exists()
+
+
+def test_out_that_cannot_be_made_is_usage_error(tmp_path):
+    # a dangling symlink passes the ancestor check, which follows the link, but no directory
+    # can be made there; the directory is made before any suite runs
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "gone")
+    for command in ("verify", "report"):
+        proc = run_cli(command, *FAST, "--out", dangling)
+        assert proc.returncode == 2, command
+        assert "error" in proc.stderr and proc.stdout == "", command
+    assert not (tmp_path / "gone").exists() and dangling.is_symlink()
 
 
 def test_unknown_flag_and_command_are_usage_errors():
@@ -259,16 +272,21 @@ def test_spectrum_artifacts(tmp_path):
         assert float(r["gap"]) == pytest.approx(float(r["value"]) - 121.0)
         assert float(r["error_estimate"]) <= 1e-10 * float(r["value"])
 
-    text = (tmp_path / "spectrum.svg").read_text()
-    assert text.startswith("<svg")
-    assert 'width="800" height="600"' in text
-    assert ">collocation<" in text and ">Jacobi closed form<" in text
+    # each row is the data of geodesy.sturm-crosscheck at its radius, float for float: JSON and
+    # repr both round-trip floats
+    geo = next(s for s in read_report(tmp_path)["suites"] if s["suite"] == "geodesy")
+    check = next(c for c in geo["checks"] if c["check"] == "geodesy.sturm-crosscheck")
+    for r, nodes in zip(rows, check["evidence"]["nodes"], strict=True):
+        route = f"collocation, R = {float(r['radius']):g}"
+        assert float(r["value"]) == check["routes"][route]
+        assert float(r["jacobi"]) == check["claim"][route]
+        assert int(r["nodes"]) == nodes
 
-    # the files hold the geodesy suite's route pairs: those of each radius solved afresh
+    # the file holds the geodesy suite's route pairs: those of each radius solved afresh
+    (tmp_path / "each").mkdir()
     cli.write_spectrum_artifacts(tmp_path / "each", [(geodesy.dirichlet_value(r), geodesy.jacobi_dirichlet(r))
                                                      for r in geodesy.RADII])
-    for name in ("spectrum.csv", "spectrum.svg"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / "each" / name).read_bytes(), name
+    assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "each" / "spectrum.csv").read_bytes()
 
 
 def test_pinch_artifacts(tmp_path):
@@ -291,7 +309,7 @@ def test_report_command_with_operator_export(tmp_path):
     proc = run_cli("report", *FAST, "--seed", 5, "--out", tmp_path, "--export-operator")
     assert proc.returncode == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["operator.csv", "pinch.csv", "report.json",
-                                                         "spectrum.csv", "spectrum.svg"]
+                                                         "spectrum.csv"]
     report = read_report(tmp_path)
     assert report["passed"] is True
     assert len(report["suites"]) == 6
@@ -421,7 +439,7 @@ def test_commands_run_without_scipy(tmp_path):
                              capture_output=True, text=True, timeout=60)
     assert blocked.returncode == 1 and "not a runtime dependency" in blocked.stderr
     expected = {"verify": ["report.json"],
-                "report": ["operator.csv", "pinch.csv", "report.json", "spectrum.csv", "spectrum.svg"]}
+                "report": ["operator.csv", "pinch.csv", "report.json", "spectrum.csv"]}
     for command, names in expected.items():
         extra = ["--export-operator"] if command == "report" else []
         proc = subprocess.run(

@@ -336,6 +336,10 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (suites.kernels, "min_bochner_ratio",
          lambda cs: dataclasses.replace(r := real_min_ratio(cs), minimizer=-np.abs(r.minimizer)),
          ("kernels",), ("kernels.spin9-minimizer",)),
+        # the eigen route alone off the certified ratio: every ratio record keeps that route
+        (suites.kernels, "min_bochner_ratio",
+         lambda cs: dataclasses.replace(r := real_min_ratio(cs), eigen_ratio=r.eigen_ratio + 1e-6),
+         ("kernels",), ("kernels.ratio-spin9", "kernels.ratio-kahler", "kernels.ratio-quaternionic")),
         (exterior, "to_text", to_text_to_six_digits, ("exterior",), ("exterior.serialization-roundtrip",)),
         # last, as its results are read below: the trace alone is left, with ratio 16/15
         (forms, "standard_constraints",
