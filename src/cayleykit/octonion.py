@@ -153,10 +153,15 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
     """Batched octonion product on trailing axes of length 8.
 
-    Leading axes broadcast.  Each block of rows builds the matrices of
-    x -> x b with ``product_matrices``; the products are then one batched
-    (1, 8) @ (8, 8) matmul per block.  ``out`` is a C-contiguous array of
-    the broadcast shape to fill.
+    Leading axes broadcast.  One operand is shared and the other is a stack
+    on it: each block of rows builds the shared operand's matrices with
+    ``product_matrices``, once, and multiplies the stack's rows of the block
+    by them in one batched (k, 8) @ (8, 8) matmul.  A (rows, 8) operand
+    against a (k, rows, 8) stack is shared, as left matrices when it is the
+    left factor; the stack and ``out`` are read as (rows, k, 8) views, so
+    ``out`` may be any (k, rows, 8) array, a slab of a larger one too.
+    Otherwise b is shared by a stack of one, and ``out`` is a C-contiguous
+    array of the broadcast shape.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -164,14 +169,21 @@ def mul_arrays(a, b, table: MultiplicationTable | None = None,
         raise ValueError(f"octonion arrays need a trailing axis of 8, got {a.shape} and {b.shape}")
     shape = np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape) if out is None else out
-    if out.shape != shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous array of shape {shape}")
-    if a.shape != b.shape or a.ndim != 2:  # otherwise the rows of a, b and out line up already
-        a, b = (np.broadcast_to(x, shape).reshape(-1, DIM) for x in (a, b))
-    flat = out.reshape(-1, DIM)
-    for start in range(0, len(flat), MUL_BLOCK_ROWS):
+    left = a.ndim == 2 and b.ndim == 3 and b.shape[1:] == a.shape
+    stacked = left or (a.ndim == 3 and b.ndim == 2 and a.shape[1:] == b.shape)
+    if out.shape != shape or not (stacked or out.flags.c_contiguous):
+        raise ValueError(f"out must be an array of shape {shape}, C-contiguous unless one operand"
+                         " is shared by a stack")
+    if stacked:
+        shared, stack = (a, b) if left else (b, a)
+        stack, products = stack.transpose(1, 0, 2), out.transpose(1, 0, 2)
+    else:
+        if a.shape != b.shape or a.ndim != 2:  # otherwise the rows of a, b and out line up already
+            a, b = (np.broadcast_to(x, shape).reshape(-1, DIM) for x in (a, b))
+        shared, stack, products = b, a[:, None, :], out.reshape(-1, 1, DIM)
+    for start in range(0, len(shared), MUL_BLOCK_ROWS):
         rows = slice(start, start + MUL_BLOCK_ROWS)
-        np.matmul(a[rows, None, :], product_matrices(b[rows], table), out=flat[rows, None, :])
+        np.matmul(stack[rows], product_matrices(shared[rows], table, left), out=products[rows])
     return out
 
 

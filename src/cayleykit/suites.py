@@ -194,31 +194,32 @@ def _relative(delta, scale) -> float:
 def _octonion_residuals(a, b, table, work) -> dict[str, float]:
     """Worst relative residual of each sampled octonion identity on one block of rows.
 
-    The suite reuses ``work``, an (11, rows, 8) array, from block to block: it takes the nine
-    products, conj(a) and conj(b), then the three product differences in its first rows.
+    The suite reuses ``work``, an (11, rows, 8) array, from block to block.  Its slots are
+    b, a, bb, ab, aa, a(bb), a(ab), (ab)b, (aa)b, b* a*, a a*, so each stack of operands that
+    shares one factor is a slice, and the nine products take four ``mul_arrays`` passes, each
+    building one set of matrices: R(b) on [b, a], L(a) on [a, bb, ab], R(b) again on [ab, aa],
+    and R(a*) on [b*, a].  b* and a* overwrite b and bb, which are read no more, and the three
+    product differences land in slots 7 to 9.
     """
     mul, conj = partial(octonion.mul_arrays, table=table), octonion.conj_arrays
-    a_ab, ab_b, conj_b_conj_a, ab, aa, bb, aa_b, a_bb, a_conj_a, conj_a, conj_b = work
-    mul(a, b, out=ab)
-    mul(a, a, out=aa)
-    mul(b, b, out=bb)
-    mul(a, ab, out=a_ab)
-    mul(aa, b, out=aa_b)
-    mul(ab, b, out=ab_b)
-    mul(a, bb, out=a_bb)
-    mul(a, conj(a, out=conj_a), out=a_conj_a)
-    mul(conj(b, out=conj_b), conj_a, out=conj_b_conj_a)
+    work[0], work[1] = b, a
+    b, a, bb, ab, aa, a_bb, a_ab, ab_b, aa_b, conj_b_conj_a, a_conj_a = work
+    mul(work[0:2], b, out=work[2:4])
+    mul(a, work[1:4], out=work[4:7])
+    mul(work[3:5], b, out=work[7:9])
     na = np.linalg.norm(a, axis=-1)
     nb = np.linalg.norm(b, axis=-1)
+    conj(b, out=b)
+    mul(work[0:2], conj(a, out=bb), out=work[9:11])
     norm_gap = np.linalg.norm(ab, axis=-1) - na * nb
     # row maxima as elementwise maxima of the columns: max(axis=-1) over rows of eight is slower
     square_gap = (reduce(np.maximum, np.abs(a_conj_a[:, 1:], out=a_conj_a[:, 1:]).T)
                   + np.abs(a_conj_a[:, 0] - na**2))
-    np.subtract(a_ab, aa_b, out=a_ab)
     np.subtract(ab_b, a_bb, out=ab_b)
+    np.subtract(aa_b, a_ab, out=aa_b)
     np.subtract(conj(ab, out=aa), conj_b_conj_a, out=conj_b_conj_a)  # aa is read no more
     scale = reduce(np.maximum, np.abs(ab, out=ab).T)[:, None] + 1.0
-    deviations = np.divide(np.abs(work[:3], out=work[:3]), scale, out=work[:3])
+    deviations = np.divide(np.abs(work[7:10], out=work[7:10]), scale, out=work[7:10])
     return {
         "alternative-laws": float(deviations[:2].max()),
         "conjugation-reversal": float(deviations[2].max()),

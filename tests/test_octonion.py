@@ -168,6 +168,9 @@ def _reorder_bound(a, b):
     ((2, 3, 8), (3, 8)),
     ((0, 8), (0, 8)),
     ((MUL_BLOCK_ROWS + 1, 8), (MUL_BLOCK_ROWS + 1, 8)),
+    # one operand shared by a stack, on the right and on the left, ending in a partial block
+    ((3, MUL_BLOCK_ROWS + 1, 8), (MUL_BLOCK_ROWS + 1, 8)),
+    ((MUL_BLOCK_ROWS + 1, 8), (2, MUL_BLOCK_ROWS + 1, 8)),
 ])
 def test_mul_arrays_matches_einsum_oracle(shape_a, shape_b):
     a = RNG.uniform(-1.0, 1.0, shape_a)
@@ -177,6 +180,11 @@ def test_mul_arrays_matches_einsum_oracle(shape_a, shape_b):
     assert np.all(np.abs(got - want) <= _reorder_bound(a, b))
     out = np.empty(want.shape)
     assert mul_arrays(a, b, out=out) is out and np.array_equal(out, got)
+    if {len(shape_a), len(shape_b)} == {2, 3}:
+        # a stack writes through a (rows, k, 8) view of out, so a slab of a larger array will do
+        k, rows, _ = want.shape
+        slab = np.empty((k + 1, rows + 3, 8))[1:, :rows]
+        assert mul_arrays(a, b, out=slab) is slab and np.array_equal(slab, got)
     # multiples of 1/8 in [-1, 1]: every product and partial sum is exact, so
     # any summation order gives the same bits
     a, b = (RNG.integers(-8, 9, shape) / 8.0 for shape in (shape_a, shape_b))

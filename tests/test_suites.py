@@ -309,6 +309,11 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (octonion, "product_matrices",
          lambda x, table=None, left=False: real_matrices(x, table, not left),
          ("curvature",), ("curvature.operator-roundtrip", "curvature.pinch-search")),
+        # right matrices where left ones are asked for: the octonion suite's L(a) pass turns
+        # a(ab) and a(bb) into (ab)a and (bb)a, and the curvature formula reads the mirror
+        (octonion, "product_matrices", lambda x, table=None, left=False: real_matrices(x, table),
+         ("octonion", "curvature"),
+         ("octonion.alternative-laws", "curvature.operator-roundtrip", "curvature.pinch-search")),
         # an antisymmetric part, which no quadratic form sees: the roundtrip passes, and what
         # reads the matrix itself fails
         (suites.curvature, "assemble_operator", lambda table: suites.curvature.CurvatureOperator(twisted),
@@ -616,6 +621,29 @@ def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
         monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
         runs.append(SUITES["octonion"](RunConfig(trials=trials)).as_dict())
     assert runs[0] == runs[1]
+
+
+def test_octonion_suite_takes_four_passes_per_block(monkeypatch):
+    # per block, one build of product matrices for each of the four shared operands, and nine
+    # products per pair; the association witness adds four builds and four products
+    trials = 3 * octonion.MUL_BLOCK_ROWS + 7
+    counts = dict.fromkeys(("builds", "products"), 0)
+    real_mul, real_matrices = octonion.mul_arrays, octonion.product_matrices
+
+    def mul(*args, **kwargs):
+        out = real_mul(*args, **kwargs)
+        counts["products"] += out.size // 8
+        return out
+
+    def matrices(*args, **kwargs):
+        counts["builds"] += 1
+        return real_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(octonion, "mul_arrays", mul)
+    monkeypatch.setattr(octonion, "product_matrices", matrices)
+    assert SUITES["octonion"](RunConfig(**dict(FAST, trials=trials))).passed
+    blocks = 4
+    assert counts == {"builds": 4 * blocks + 4, "products": 9 * trials + 4}
 
 
 def test_octonion_chunks_do_not_change_the_residuals(monkeypatch):
