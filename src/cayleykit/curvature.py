@@ -1,13 +1,14 @@
 """Curvature model of the rank-one symmetric space built on octonion pairs.
 
-Tangent vectors are elements of O^2 = R^16.  For an orthonormal pair
-(a, b), (c, d) the sectional curvature is
+Tangent vectors are elements of O^2 = R^16.  For any pair u = (a, b), v = (c, d)
+the curvature quadratic form <R(u ^ v), u ^ v> is
 
-    K = ALPHA * ( |a ^ c|^2 + |b ^ d|^2 + |a|^2 |d|^2 / 4 + |b|^2 |c|^2 / 4
+    B = ALPHA * ( |a ^ c|^2 + |b ^ d|^2 + |a|^2 |d|^2 / 4 + |b|^2 |c|^2 / 4
                   + <ab, cd> / 2 - <ad, cb> )
 
 with ALPHA = -4, products taken in the octonion algebra and |x ^ y|^2 the
-Gram determinant.
+Gram determinant.  B has bidegree (2, 2), so the sectional curvature of the
+plane is K = B / |u ^ v|^2, and B = K on an orthonormal pair.
 
 ``assemble_operator`` builds the symmetric operator on the 120 monomial
 bivectors e_A ^ e_B (A < B) in closed form: (ALPHA / 4) sum_{i<j} c_ij c_ij^T,
@@ -83,18 +84,10 @@ def _gram(x, y):
     return gram, gram > DEGENERATE_GRAM * norms
 
 
-def _orthonormalize(x, y):
-    """Gram-Schmidt frame of (x, y), batched; a vector of zero norm is left as it is."""
-    nx = np.linalg.norm(x, axis=-1, keepdims=True)
-    x = x / np.where(nx > 0, nx, 1.0)
-    y = y - np.sum(y * x, axis=-1, keepdims=True) * x
-    ny = np.linalg.norm(y, axis=-1, keepdims=True)
-    return x, y / np.where(ny > 0, ny, 1.0)
-
-
 @dataclass(frozen=True)
 class SectionalCurvature:
-    """The orthonormal-pair curvature formula with scale ``ALPHA`` and the products of ``table``.
+    """The curvature quadratic form B of the formula, with scale ``ALPHA`` and the products of
+    ``table``, and the sectional curvature B / |x ^ y|^2 it gives.
 
     ``swap_products`` evaluates the mirrored product order
     (<ba, dc>, <da, bc>) instead; the verification suite uses it to report
@@ -104,19 +97,18 @@ class SectionalCurvature:
     swap_products: bool = False
     table: octonion.MultiplicationTable = field(default=octonion.DEFAULT_TABLE, repr=False)
 
-    def orthonormal_value(self, u, v) -> np.ndarray:
-        """Curvature of the plane of an orthonormal pair (batched)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def quadratic(self, u, v) -> np.ndarray:
+        """<R(u ^ v), u ^ v> for any pair (batched): the curvature itself on an orthonormal pair."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         a, b = u[..., :8], u[..., 8:]
         c, d = v[..., :8], v[..., 8:]
-        # two stacked products per pair of planes: [b, d] against the matrices of a and of c
-        # give ab, ad and cb, cd; the mirrored reading takes the right-hand matrices instead
-        bd = np.stack([b, d], axis=-2)
-        with_a = bd @ octonion.product_matrices(a, self.table, not self.swap_products)
-        with_c = bd @ octonion.product_matrices(c, self.table, not self.swap_products)
-        ab, ad = with_a[..., 0, :], with_a[..., 1, :]
-        cb, cd = with_c[..., 0, :], with_c[..., 1, :]
+        # a, then c, is the operand shared by the stack [b, d]: ab, ad and cb, cd; the mirrored
+        # reading multiplies on the other side, ba, da and bc, dc
+        bd = np.stack([b, d])
+        if self.swap_products:
+            (ab, ad), (cb, cd) = (octonion.mul_arrays(bd, x, self.table) for x in (a, c))
+        else:
+            (ab, ad), (cb, cd) = (octonion.mul_arrays(x, bd, self.table) for x in (a, c))
         wedge_ac = _dot(a, a) * _dot(c, c) - _dot(a, c) ** 2
         wedge_bd = _dot(b, b) * _dot(d, d) - _dot(b, d) ** 2
         return ALPHA * (wedge_ac + wedge_bd + 0.25 * _dot(a, a) * _dot(d, d)
@@ -124,10 +116,9 @@ class SectionalCurvature:
 
     def plane_value(self, x, y):
         """Sectional curvature of span(x, y); NaN for a degenerate plane."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        _, good = _gram(x, y)
-        return np.where(good, self.orthonormal_value(*_orthonormalize(x, y)), np.nan)
+        gram, good = _gram(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        q = self.quadratic(x, y)
+        return np.divide(q, gram, out=np.full_like(q, np.nan), where=good)
 
 
 @dataclass
@@ -172,13 +163,12 @@ def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: in
     return float(np.abs(total).max())
 
 
-def roundtrip_residual(op: CurvatureOperator, x, y, gram, direct, work) -> float:
-    """Worst gap between the operator and the formula values ``direct`` on the planes
-    span(x, y) of Gram determinants ``gram``, skipping the degenerate ones (``direct`` NaN);
+def roundtrip_residual(op: CurvatureOperator, x, y, quadratic, gram, good, work) -> float:
+    """Worst gap between the operator's quadratic form and the formula's ``quadratic`` on the
+    planes span(x, y) the Gram mask ``good`` keeps, over their Gram determinants ``gram``;
     ``work`` holds two arrays of the bivectors' shape for ``CurvatureOperator.quadratic``."""
-    good = ~np.isnan(direct)
-    quadratic = op.quadratic(x, y, *work)
-    return float(np.abs(direct[good] - quadratic[good] / gram[good]).max(initial=0.0))
+    gap = np.abs(quadratic - op.quadratic(x, y, *work))
+    return float((gap[good] / gram[good]).max(initial=0.0))
 
 
 @dataclass
@@ -204,14 +194,13 @@ def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int,
     low, high = np.full(2, np.inf), np.full(2, -np.inf)  # the formula, the mirrored reading
     work = np.empty((2, min(octonion.MUL_BLOCK_ROWS, planes), len(_ROWS)))  # bivectors, products
     for x, y in octonion.uniform_blocks(rng, range(0, planes, octonion.MUL_BLOCK_ROWS), planes, N):
-        gram, good = _gram(x, y)  # one frame per plane for both readings, as in ``plane_value``
-        frame = _orthonormalize(x, y)
-        direct = np.where(good, formula.orthonormal_value(*frame), np.nan)
-        values = np.stack([direct[good], mirrored.orthonormal_value(*frame)[good]])
+        gram, good = _gram(x, y)
+        quadratic = formula.quadratic(x, y)
+        values = np.stack([quadratic, mirrored.quadratic(x, y)])[:, good] / gram[good]
         count += values.shape[1]
         low = np.minimum(low, values.min(axis=1, initial=np.inf))
         high = np.maximum(high, values.max(axis=1, initial=-np.inf))
-        worst = max(worst, roundtrip_residual(op, x, y, gram, direct, work[:, :len(x)]))
+        worst = np.maximum(worst, roundtrip_residual(op, x, y, quadratic, gram, good, work[:, :len(x)]))
     return PlaneSweep(count, (float(low[0]), float(high[0])), (float(low[1]), float(high[1])),
                       float(worst))
 

@@ -135,21 +135,21 @@ def uniform_blocks(rng: np.random.Generator, starts: range, stop: int, dim: int)
         yield block
 
 
-def product_matrices(x, table: MultiplicationTable | None = None, left: bool = False) -> np.ndarray:
+def product_matrices(x, table: MultiplicationTable = DEFAULT_TABLE, left: bool = False) -> np.ndarray:
     """The 8 x 8 matrices of y -> y x (or y -> x y with ``left``), one per row of ``x``.
 
     They act on row vectors: ``y @ product_matrices(x)`` is the product y x.  One GEMM
     against the flattened structure tensor builds them all; every entry is a signed
-    copy of one x_i, so exact.  Every product of the package goes through here, so
-    one patch reaches them all.
+    copy of one x_i, so exact.  Every product of the package is taken by ``mul_arrays``,
+    which builds its matrices here, so one patch reaches them all.
     """
-    c = (table or DEFAULT_TABLE).structure_tensor()
+    c = table.structure_tensor()
     flat = (c if left else c.transpose(1, 0, 2)).reshape(DIM, DIM * DIM)
     x = np.asarray(x, dtype=float)
     return (x @ flat).reshape(x.shape[:-1] + (DIM, DIM))
 
 
-def mul_arrays(a, b, table: MultiplicationTable | None = None,
+def mul_arrays(a, b, table: MultiplicationTable = DEFAULT_TABLE,
                out: np.ndarray | None = None) -> np.ndarray:
     """Batched octonion product on trailing axes of length 8.
 

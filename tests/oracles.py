@@ -330,12 +330,15 @@ def cayley_form_by_wedge():
 
 
 def biquadratic(formula, x, y):
-    """B(x, y) = K(span(x, y)) |x ^ y|^2 at a QR frame of the span, 0 on degenerate pairs."""
+    """B(x, y) = K(span(x, y)) |x ^ y|^2 at a QR frame of the span, 0 on degenerate pairs.
+
+    The package takes B on the pair itself, with no frame; this route through an
+    orthonormal frame is the reference that formula is checked against."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     frame = np.linalg.qr(np.stack([x, y], axis=-1))[0]
     norms = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1)
     gram = norms - np.sum(x * y, axis=-1) ** 2
-    k = formula.orthonormal_value(frame[..., 0], frame[..., 1])
+    k = formula.quadratic(frame[..., 0], frame[..., 1])
     return np.where(gram > 1e-14 * norms, k * gram, 0.0)
 
 

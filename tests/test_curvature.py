@@ -229,12 +229,26 @@ def test_warm_octonion_suite_reuses_its_block_arrays():
     assert warm_minor_faults(setup, "assert suite_octonion(cfg).passed") < 5000
 
 
+def test_formula_is_the_operator_quadratic_form_exactly():
+    # on integer pairs in [-64, 64] every value stays below 2^53, so both routes are exact:
+    # the formula has bidegree (2, 2) and needs no orthonormal frame to be <R(x ^ y), x ^ y>
+    x, y = np.random.default_rng(6).integers(-64, 65, (2, 10_000, N)).astype(float)
+    assert np.array_equal(FORMULA.quadratic(x, y), OP.quadratic(x, y))
+    # one flipped table sign reaches both routes, and they part
+    sign = octonion.DEFAULT_TABLE.sign.copy()
+    sign[1, 2] = -sign[1, 2]
+    table = octonion.MultiplicationTable(sign, octonion.DEFAULT_TABLE.index)
+    assert not np.array_equal(SectionalCurvature(table=table).quadratic(x, y),
+                              assemble_operator(table).quadratic(x, y))
+
+
 def test_sectional_from_operator_matches_formula():
     x, y = RNG.standard_normal((2, 200, N))
     direct = FORMULA.plane_value(x, y)
     gram = np.sum(x * x, axis=-1) * np.sum(y * y, axis=-1) - np.sum(x * y, axis=-1) ** 2
     assert np.nanmax(np.abs(direct - OP.quadratic(x, y) / gram)) <= 1e-9
-    assert roundtrip_residual(OP, x, y, gram, direct, np.empty((2, 200, len(PAIRS)))) <= 1e-9
+    work = np.empty((2, 200, len(PAIRS)))
+    assert roundtrip_residual(OP, x, y, FORMULA.quadratic(x, y), gram, gram > 0, work) <= 1e-9
 
 
 def test_operator_forms_match_einsum_oracle():

@@ -240,7 +240,7 @@ def test_unconverged_spectrum_fails(monkeypatch):
 
 def test_model_faults_fail_named_checks(monkeypatch):
     # each model fault is one patched constant or function and must fail exactly these checks
-    real_matrices = octonion.product_matrices
+    real_matrices, real_quadratic = octonion.product_matrices, suites.curvature.SectionalCurvature.quadratic
     twisted = suites.curvature.assemble_operator().matrix.copy()
     twisted[0, 1] += 1e-6
     twisted[1, 0] -= 1e-6
@@ -264,6 +264,14 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (masks,), (coeffs,) = exterior.collect(masks, coeffs)
         return "".join(",".join(map(str, exterior.indices_of(m))) + f":{c:.6g}\n"
                        for m, c in zip(masks.tolist(), coeffs.tolist()))
+
+    def nan_in_full_sweep_blocks(self, u, v):
+        # the formula's NaN at the first plane of each full block of the sweep, planes the
+        # Gram mask keeps; the mirrored reading and the smaller batches stay as they are
+        q = real_quadratic(self, u, v)
+        if len(q) == octonion.MUL_BLOCK_ROWS and not self.swap_products:
+            q[0] = np.nan
+        return q
 
     def kato_halved(ratio, ricci_norm):
         k = (3 - ratio) / 2
@@ -307,12 +315,12 @@ def test_model_faults_fail_named_checks(monkeypatch):
         # the mirrored product reading is pinched too; only the spin(9) closed form tells it
         # apart, in the roundtrip and at the witness planes of its Jacobi eigenvalues
         (octonion, "product_matrices",
-         lambda x, table=None, left=False: real_matrices(x, table, not left),
+         lambda x, table=DEFAULT_TABLE, left=False: real_matrices(x, table, not left),
          ("curvature",), ("curvature.operator-roundtrip", "curvature.pinch-search")),
         # right matrices where left ones are asked for: the octonion suite's L(a) pass turns
         # a(ab) and a(bb) into (ab)a and (bb)a, and the curvature formula reads the mirror
-        (octonion, "product_matrices", lambda x, table=None, left=False: real_matrices(x, table),
-         ("octonion", "curvature"),
+        (octonion, "product_matrices",
+         lambda x, table=DEFAULT_TABLE, left=False: real_matrices(x, table), ("octonion", "curvature"),
          ("octonion.alternative-laws", "curvature.operator-roundtrip", "curvature.pinch-search")),
         # an antisymmetric part, which no quadratic form sees: the roundtrip passes, and what
         # reads the matrix itself fails
@@ -320,6 +328,9 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("curvature",), tuple(f"curvature.{c}" for c in ("operator-pair-symmetry", "first-bianchi",
                                                          "einstein-constant", "radial-spectrum",
                                                          "pinch-search"))),
+        # only the Gram mask marks a plane degenerate, so a NaN on a plane it keeps fails
+        (suites.curvature.SectionalCurvature, "quadratic", nan_in_full_sweep_blocks, ("curvature",),
+         ("curvature.pinch-range", "curvature.operator-roundtrip")),
         # a second difference at h = 0.1 is off by its truncation term, 4.4e-6
         (suites.geodesy, "WARP_STEP", 0.1, ("geodesy",), ("geodesy.warped-curvature-fd",)),
         # theta^i ^ theta^{n+i+1}: another form with another set of n pair functionals
@@ -424,7 +435,7 @@ def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
     # a curvature-type tensor on R^16 is fixed by its values on 5,440 generic planes
     planes = []
     real_sweep = suites.curvature.sweep_planes
-    real_value = suites.curvature.SectionalCurvature.orthonormal_value
+    real_value = suites.curvature.SectionalCurvature.quadratic
 
     def counted(self, u, v):
         if not self.swap_products:
@@ -433,7 +444,7 @@ def test_roundtrip_covers_the_curvature_tensors_at_any_trials(monkeypatch):
 
     def sweep(*args):
         with monkeypatch.context() as patch:
-            patch.setattr(suites.curvature.SectionalCurvature, "orthonormal_value", counted)
+            patch.setattr(suites.curvature.SectionalCurvature, "quadratic", counted)
             return real_sweep(*args)
 
     monkeypatch.setattr(suites.curvature, "sweep_planes", sweep)
@@ -623,10 +634,9 @@ def test_octonion_blocks_do_not_change_the_residuals(monkeypatch):
     assert runs[0] == runs[1]
 
 
-def test_octonion_suite_takes_four_passes_per_block(monkeypatch):
-    # per block, one build of product matrices for each of the four shared operands, and nine
-    # products per pair; the association witness adds four builds and four products
-    trials = 3 * octonion.MUL_BLOCK_ROWS + 7
+def count_products(monkeypatch) -> dict:
+    """Wrap ``mul_arrays`` and ``product_matrices``; the dict returned counts their products
+    and matrix builds."""
     counts = dict.fromkeys(("builds", "products"), 0)
     real_mul, real_matrices = octonion.mul_arrays, octonion.product_matrices
 
@@ -641,9 +651,28 @@ def test_octonion_suite_takes_four_passes_per_block(monkeypatch):
 
     monkeypatch.setattr(octonion, "mul_arrays", mul)
     monkeypatch.setattr(octonion, "product_matrices", matrices)
+    return counts
+
+
+def test_octonion_suite_takes_four_passes_per_block(monkeypatch):
+    # per block, one build of product matrices for each of the four shared operands, and nine
+    # products per pair; the association witness adds four builds and four products
+    trials = 3 * octonion.MUL_BLOCK_ROWS + 7
+    counts = count_products(monkeypatch)
     assert SUITES["octonion"](RunConfig(**dict(FAST, trials=trials))).passed
     blocks = 4
     assert counts == {"builds": 4 * blocks + 4, "products": 9 * trials + 4}
+
+
+def test_sweep_takes_every_product_through_mul_arrays(monkeypatch):
+    # per block, each reading builds the matrices of a, then of c, and multiplies the stack
+    # [b, d] by them: four builds, and eight products per plane
+    planes = 3 * octonion.MUL_BLOCK_ROWS + 7
+    counts = count_products(monkeypatch)
+    op = suites.curvature.assemble_operator()
+    assert suites.curvature.sweep_planes(op, np.random.default_rng(3), planes).roundtrip <= 1e-9
+    blocks = 4
+    assert counts == {"builds": 4 * blocks, "products": 8 * planes}
 
 
 def test_octonion_chunks_do_not_change_the_residuals(monkeypatch):
@@ -713,8 +742,8 @@ def test_octonion_scores_take_the_absolute_deviation(monkeypatch):
     # here (0, -0.5, 0, -0.25, 0, 0, 0, 0), nonpositive in every component
     offset = np.array([0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0, 0.0])
     real = octonion.mul_arrays
-    monkeypatch.setattr(octonion, "mul_arrays",
-                        lambda a, b, table=None, out=None: np.add(real(a, b, table), offset, out=out))
+    monkeypatch.setattr(octonion, "mul_arrays", lambda a, b, table=DEFAULT_TABLE, out=None:
+                        np.add(real(a, b, table), offset, out=out))
     zero = np.zeros((3, 8))
     scores = suites._octonion_residuals(zero, zero, DEFAULT_TABLE, np.empty((11, 3, 8)))
     assert scores["conjugation-reversal"] == 0.5 / (1.0 + 0.25)
