@@ -155,7 +155,7 @@ def assemble_operator(table: octonion.MultiplicationTable = octonion.DEFAULT_TAB
     return CurvatureOperator(ALPHA / 4.0 * (c.T @ c))
 
 
-def bianchi_residual(op: CurvatureOperator, rng: np.random.Generator, trials: int) -> float:
+def bianchi_residual(op: CurvatureOperator, rng: octonion.Stream, trials: int) -> float:
     """Max norm of the cyclic sum R(x,y)z + R(z,x)y + R(y,z)x."""
     x, y, z = np.moveaxis(rng.uniform(-1.0, 1.0, (trials, 3, N)), 1, 0)
     total = sum(np.einsum("sab,sa->sb", bivector_matrix(bivector(u, v) @ op.matrix), t)
@@ -181,7 +181,7 @@ class PlaneSweep:
     roundtrip: float
 
 
-def sweep_planes(op: CurvatureOperator, rng: np.random.Generator, planes: int,
+def sweep_planes(op: CurvatureOperator, rng: octonion.Stream, planes: int,
                  table: octonion.MultiplicationTable = octonion.DEFAULT_TABLE) -> PlaneSweep:
     """The formula of ``table`` and its mirrored reading on ``planes`` random planes, and
     the assembled operator against the formula on the same planes.
@@ -219,7 +219,7 @@ class PinchResult:
     witnesses: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-def pinch_extremes(op: CurvatureOperator, rng: np.random.Generator) -> PinchResult:
+def pinch_extremes(op: CurvatureOperator, rng: octonion.Stream) -> PinchResult:
     """For unit y ⊥ x the sectional curvature K(x, y) is the Rayleigh quotient of J_x,
     so its extremes over y are eigenvalues of J_x restricted to x⊥; ``PINCH_STARTS``
     directions x are drawn from ``rng``."""

@@ -36,6 +36,8 @@ from math import comb
 
 import numpy as np
 
+from .octonion import Stream
+
 MAX_DIM = 16
 RANDOM_FORM_TERMS = 8  # monomials of a random sparse form, if the grade has that many
 DUALITY_BLOCK_TERMS = 8192  # terms per chain of a ``duality_report`` block
@@ -181,7 +183,7 @@ def from_text(text: str, n: int, grade: int | None = None):
     return collect(np.array(masks, dtype=np.int64), np.array(coeffs, dtype=float))
 
 
-def random_trace_free(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def random_trace_free(n: int, count: int, rng: Stream) -> np.ndarray:
     """``count`` random symmetric trace-free n x n matrices, Hessian surrogates in the harmonic case."""
     a = rng.uniform(-1.0, 1.0, (count, n, n))
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
@@ -189,13 +191,13 @@ def random_trace_free(n: int, count: int, rng: np.random.Generator) -> np.ndarra
     return a
 
 
-def _random_masks(n: int, grades, rng: np.random.Generator):
+def _random_masks(n: int, grades, rng: Stream):
     """Uniform random masks of the given grades: the p smallest of n uniform keys."""
     ranks = rng.random((*np.shape(grades), n)).argsort(axis=-1).argsort(axis=-1)
     return ((ranks < np.asarray(grades)[..., None]) << np.arange(n)).sum(axis=-1)
 
 
-def random_forms(n: int, grades, rng: np.random.Generator):
+def random_forms(n: int, grades, rng: Stream):
     """One random sparse form per entry of ``grades``, as a (B, RANDOM_FORM_TERMS) batch.
 
     Row b holds min(RANDOM_FORM_TERMS, C(n, p_b)) distinct monomials, uniform
@@ -271,7 +273,7 @@ def _star_chain(a, masks, coeffs):
     return _weigh(a, j, i, *epsilon(i, m[..., None], c[..., None]))
 
 
-def duality_report(n: int, p: int, trials: int, rng: np.random.Generator) -> dict:
+def duality_report(n: int, p: int, trials: int, rng: Stream) -> dict:
     """Check the three sign identities tying the two star chains to T(a, w).
 
     Returns the maximal absolute residual of each identity over random

@@ -117,21 +117,111 @@ DEFAULT_TABLE = MultiplicationTable.generate()
 MUL_BLOCK_ROWS = 1024
 
 
-def uniform_blocks(rng: np.random.Generator, starts: range, stop: int, dim: int):
-    """Row pairs (x, y) uniform in [-1, 1)^dim as ``uniform(-1, 1)`` draws them, one (2, rows, dim)
-    view per first row in ``starts``, which the next block overwrites; the last ends at ``stop``.
-    x and y each continue a stream spawned off ``rng``, started ``dim`` draws (one per double)
-    per row in at ``starts.start``, so no value depends on the block size."""
-    streams = rng.spawn(2)
-    for stream in streams:
-        stream.bit_generator.advance(dim * starts.start)
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: 2^64 over the golden ratio, made odd
+# the finalizer's steps: z ^= z >> shift, then z *= multiplier, the last without one
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)), (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+        (np.uint64(31), None))
+_RAMP = np.arange(1, 8193, dtype=np.uint64) * np.uint64(_GAMMA)  # (i + 1) gamma for one piece
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's finalizer on one 64-bit word."""
+    for shift, mult in _MIX:
+        z = (z ^ z >> int(shift)) * int(mult or 1) & _MASK64
+    return z
+
+
+class Stream:
+    """Counter-based draws: SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) as a counter.
+
+    Output i of the stream keyed k is SplitMix64's finalizer of k + (i + 1) gamma; its low,
+    then its high 32 bits are draws 2i and 2i + 1.  ``draw`` is the next draw taken: set it,
+    and the stream starts there, so draws taken at an offset are a slice of one long draw.
+    The key folds in ``words``, 64 bits at a time, as (seed, suite) keys a suite's stream.
+    Each double is one draw: unsigned over 2^32 in [0, 1), or signed over 2^31 in [-1, 1).
+    """
+
+    def __init__(self, *words: int):
+        self.key, self.draw, self.spawned = 0, 0, 0
+        for word in words:
+            while True:
+                self.key = _mix(_mix(self.key + _GAMMA & _MASK64) ^ word & _MASK64)
+                word >>= 64
+                if not word:
+                    break
+
+    def spawn(self, n: int) -> list["Stream"]:
+        """``n`` streams keyed by (this key, the count spawned before each)."""
+        self.spawned += n
+        return [Stream(self.key, child) for child in range(self.spawned - n, self.spawned)]
+
+    def _doubles(self, size, out, dtype: str, scale: float) -> np.ndarray:
+        """The next draws, read as ``dtype`` and times ``scale``, into ``out`` or a new array,
+        one piece of up to 2 len(_RAMP) draws at a time."""
+        out = np.empty(size) if out is None else out
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        flat, done = out.reshape(-1), 0
+        while done < flat.size:
+            first, skip = divmod(self.draw, 2)
+            z = _RAMP[:min(len(_RAMP), (skip + flat.size - done + 1) // 2)] + np.uint64(
+                self.key + first * _GAMMA & _MASK64)
+            shifted = np.empty_like(z)
+            for shift, mult in _MIX:
+                z ^= np.right_shift(z, shift, out=shifted)
+                if mult is not None:
+                    z *= mult
+            bits = z.astype("<u8", copy=False).view(dtype)[skip:skip + flat.size - done]
+            np.multiply(bits, scale, out=flat[done:done + len(bits)])
+            done += len(bits)
+            self.draw += len(bits)
+        return out
+
+    def random(self, size=(), out: np.ndarray | None = None) -> np.ndarray:
+        """Doubles in [0, 1), each a draw over 2^32, into a C-contiguous ``out`` if given."""
+        return self._doubles(size, out, "<u4", 2.0**-32)
+
+    def uniform(self, low: float, high: float, size=(), out: np.ndarray | None = None) -> np.ndarray:
+        """Doubles in [low, high): the midpoint plus the half width times a signed draw over
+        2^31, so ``uniform(-1, 1)`` is one pass."""
+        out = self._doubles(size, out, "<i4", 2.0**-31)
+        if high - low != 2.0:
+            out *= (high - low) / 2.0
+        if low + high != 0.0:
+            out += (low + high) / 2.0
+        return out
+
+    def integers(self, low, high, size=()) -> np.ndarray:
+        """Integers in [low, high), the bounds broadcast against ``size``: each is low plus the
+        floor of a ``random`` draw times high - low, so its bias is under (high - low) / 2^32."""
+        return low + np.floor(self.random(size) * np.subtract(high, low)).astype(np.int64)
+
+    def standard_normal(self, size=()) -> np.ndarray:
+        """Box-Muller on pairs of ``random`` draws: radii from the first half, angles from the
+        second."""
+        count = int(np.prod(size))
+        u = self.random((2, -(-count // 2)))
+        radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+        return np.concatenate([radius * np.cos(2.0 * np.pi * u[1]),
+                               radius * np.sin(2.0 * np.pi * u[1])])[:count].reshape(size)
+
+
+def uniform_blocks(stream: Stream, starts: range, stop: int, dim: int):
+    """Row pairs (x, y) uniform in [-1, 1)^dim, one (2, rows, dim) view per first row in
+    ``starts``, which the next block overwrites; the last ends at ``stop``.  x and y each draw
+    from a stream spawned off ``stream`` as ``uniform(-1, 1)`` does, started at the block's
+    first row, ``dim`` draws per row, so no value depends on the block size or the first block."""
+    if not isinstance(stream, Stream):
+        raise TypeError(f"uniform_blocks draws from a Stream, not a {type(stream).__name__}")
+    streams = stream.spawn(2)
+    for child in streams:
+        child.draw = dim * starts.start
     draws = np.empty((2, min(starts.step, stop - starts.start), dim))
     for start in starts:
         block = draws[:, :min(starts.step, stop - start)]
-        for stream, out in zip(streams, block):
-            stream.random(out=out)
-        block *= 2.0
-        block -= 1.0
+        for child, out in zip(streams, block):
+            child.uniform(-1.0, 1.0, out=out)
         yield block
 
 

@@ -2,10 +2,10 @@
 the value of each route and the evidence, from which ``SuiteResult.add`` computes the
 residual against a pinned tolerance and ``CheckResult.note`` renders the note.
 
-Each suite draws from its own deterministic substream of the master seed (stable across
-suite selection).  The CLI renders the records into ``report.json``; byte-for-byte
-determinism of that file (timing aside) is part of the contract, so no check may embed a
-wall time.
+Each suite draws from its own ``octonion.Stream``, keyed by the master seed and the suite's
+index in ``SUITE_ORDER``, so its draws do not depend on which suites run.  The CLI renders
+the records into ``report.json``; byte-for-byte determinism of that file (timing aside) is
+part of the contract, so no check may embed a wall time.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class RunConfig:
                  if self.table_path else octonion.DEFAULT_TABLE)
         object.__setattr__(self, "table", table)
 
-    def suite_rng(self, name: str) -> np.random.Generator:
-        key = SUITE_ORDER.index(name)
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(key,)))
+    def suite_rng(self, name: str) -> octonion.Stream:
+        """The stream keyed by (seed, the suite's index in ``SUITE_ORDER``)."""
+        return octonion.Stream(self.seed, SUITE_ORDER.index(name))
 
 
 def _score(value, claim, relative: bool):
@@ -325,16 +325,27 @@ def suite_exterior(cfg: RunConfig) -> SuiteResult:
 
     rows = max(1, cfg.trials // 100)
     p = rng.integers(1, 16, rows)
-    k, m, j = rng.integers(0, 16, (3, rows, 1))
+    k, m = rng.integers(0, 16, (2, rows, 1))
     eta = ex.random_forms(16, p, rng)
     xi = ex.random_forms(16, p - 1, rng)
     sampled = _identity_residuals(16, p[:, None], k, m, eta)
     for name, value in monomials.items():
         out.add(f"exterior.{name}", TOL_IDENTITY, {"monomials": value, "random forms": sampled[name]},
                 claim=0.0, evidence={"monomial cases": len(cases), "random forms": rows})
-    out.add("exterior.epsilon-interior-adjoint", TOL_IDENTITY,
-            {"<eps_j xi, eta>": ex.inner(*ex.epsilon(j, *xi), *eta)},
-            claim=ex.inner(*xi, *ex.interior(j, *eta)), evidence={"random forms": rows})
+
+    # <eps_j xi, eta> is 0 unless a term of xi plus bit j is a term of eta, so every row makes
+    # one: j is a random bit of eta's first term, and xi's first term is that term without bit
+    # j; a term of xi that already was trades places with xi's first term
+    first = eta[0][:, :1]
+    bits = np.argsort(first >> np.arange(16) & 1 == 0, axis=-1, kind="stable")  # its bits first
+    j = np.take_along_axis(bits, rng.integers(0, p[:, None], (rows, 1)), axis=-1)
+    target, masks = first ^ 1 << j, xi[0]
+    np.put_along_axis(masks, np.argmax(masks == target, axis=-1)[:, None], masks[:, :1], axis=-1)
+    masks[:, :1] = target
+    adjoint = ex.inner(*ex.epsilon(j, *xi), *eta)
+    out.add("exterior.epsilon-interior-adjoint", TOL_IDENTITY, {"<eps_j xi, eta>": adjoint},
+            claim=ex.inner(*xi, *ex.interior(j, *eta)),
+            evidence={"random forms": rows, "nonzero rows": int(np.count_nonzero(adjoint))})
 
     out.add("exterior.duality-chain", TOL_IDENTITY,
             {f"grades {grades}": ex.duality_report(*grades, 100, rng)["max"]

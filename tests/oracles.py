@@ -29,7 +29,8 @@ Cayley form Phi from them through plain dicts and ``wedge`` on one-row
 batches, squaring each psi over all its term pairs.  The curvature operator
 is recovered from the sectional formula alone: its Gram-weighted
 biquadratic B(x, y) = <R(x ^ y), x ^ y> is polynomial of bidegree (2, 2),
-so a four-point difference stencil polarizes it exactly.
+so a four-point difference stencil polarizes it exactly.  ``splitmix64`` is the
+generator behind ``octonion.Stream`` as a plain loop on Python integers.
 """
 
 import itertools
@@ -395,3 +396,13 @@ def sharpness_full_draw(constraints, ratio, rng, samples):
         "violations": int(np.sum(num[good] / den[good] < ratio - 1e-12)),
     }
 
+
+def splitmix64(state: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 seeded ``state``: add gamma, then the finalizer."""
+    outputs = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        outputs.append(z ^ z >> 31)
+    return outputs

@@ -158,7 +158,7 @@ def test_bianchi_residual_sees_a_non_curvature_operator():
 
 
 def test_operator_roundtrip_against_formula():
-    sweep = sweep_planes(OP, RNG, planes=10000)
+    sweep = sweep_planes(OP, octonion.Stream(1), planes=10000)
     assert sweep.roundtrip <= 1e-9
     assert 9990 < sweep.planes <= 10000
     # both readings are pinched in [-4, -1], and random planes come close to neither end
@@ -171,7 +171,7 @@ def test_roundtrip_blocks_do_not_change_the_residual(monkeypatch):
     sweeps = []
     for rows in (1000, trials + 1):
         monkeypatch.setattr(octonion, "MUL_BLOCK_ROWS", rows)
-        sweeps.append(sweep_planes(OP, np.random.default_rng(3), trials))
+        sweeps.append(sweep_planes(OP, octonion.Stream(3), trials))
     assert sweeps[0] == sweeps[1]
     assert sweeps[0].roundtrip > 0.0
 
@@ -179,7 +179,7 @@ def test_roundtrip_blocks_do_not_change_the_residual(monkeypatch):
 def test_roundtrip_skips_degenerate_blocks(monkeypatch):
     # no Gram determinant exceeds |x|^2 |y|^2: every plane counts as degenerate
     monkeypatch.setattr(curvature, "DEGENERATE_GRAM", 2.0)
-    sweep = sweep_planes(OP, RNG, planes=100)
+    sweep = sweep_planes(OP, octonion.Stream(1), planes=100)
     assert sweep.roundtrip == 0.0 and sweep.planes == 0
     assert sweep.formula_range == sweep.mirrored_range == (np.inf, -np.inf)
 
@@ -187,7 +187,7 @@ def test_roundtrip_skips_degenerate_blocks(monkeypatch):
 def test_roundtrip_peak_memory():
     tracemalloc.start()
     try:
-        sweep_planes(OP, np.random.default_rng(4), planes=40_000)
+        sweep_planes(OP, octonion.Stream(4), planes=40_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,10 +212,10 @@ def test_warm_sweep_reuses_its_block_arrays():
     # a warm 40,000-plane sweep takes about 500 minor faults; one taking a new (2, 1024, 120)
     # work array in every block took about 2,000, and one allocating all its (rows, 120)
     # arrays anew in every block about 34,000, its freed blocks going back to the system
-    setup = ("import numpy as np\n"
-             "from cayleykit.curvature import assemble_operator, sweep_planes\n"
+    setup = ("from cayleykit.curvature import assemble_operator, sweep_planes\n"
+             "from cayleykit.octonion import Stream\n"
              "op = assemble_operator()")
-    call = "sweep_planes(op, np.random.default_rng(4), planes=40_000)"
+    call = "sweep_planes(op, Stream(4), planes=40_000)"
     assert warm_minor_faults(setup, call) < 1000
 
 
@@ -323,8 +323,8 @@ def test_operator_and_formula_take_the_table():
     x, y = RNG.standard_normal((2, 200, N))
     assert np.nanmax(np.abs(SectionalCurvature(table=table).plane_value(x, y)
                             - FORMULA.plane_value(x, y))) > 0.1
-    assert sweep_planes(op, np.random.default_rng(3), 2000, table).roundtrip > 0.1
-    assert sweep_planes(OP, np.random.default_rng(3), 2000).roundtrip <= 1e-9
+    assert sweep_planes(op, octonion.Stream(3), 2000, table).roundtrip > 0.1
+    assert sweep_planes(OP, octonion.Stream(3), 2000).roundtrip <= 1e-9
 
 
 def test_operator_export_roundtrip(tmp_path):

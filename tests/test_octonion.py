@@ -11,6 +11,7 @@ from cayleykit.octonion import (
     FANO_TRIPLES,
     MUL_BLOCK_ROWS,
     MultiplicationTable,
+    Stream,
     clifford_involutions,
     conj_arrays,
     mul_arrays,
@@ -238,16 +239,82 @@ def test_clifford_involutions():
     assert np.abs(_anticommutators(flipped) - want).max() >= 2.0
 
 
-def test_uniform_blocks_draw_as_uniform_does():
+def test_stream_is_splitmix64():
+    # the published first outputs of SplitMix64 seeded 1234567, each as two draws, low half first
+    assert oracles.splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973,
+                                              9817491932198370423]
+    for key, count in ((1234567, 3), (Stream(9, 2).key, 9000)):  # 9,000 outputs: two pieces
+        stream = Stream()
+        stream.key = key
+        draws = np.rint(stream.random(2 * count) * 2**32).astype(np.uint64)
+        want = [half for z in oracles.splitmix64(key, count) for half in (z % 2**32, z >> 32)]
+        assert draws.tolist() == want
+        assert stream.draw == 2 * count
+
+
+def test_stream_starts_at_any_draw():
+    # draws taken from any offset, odd ones and those past a piece of 16,384 draws too, are a
+    # slice of one long draw, and so are draws taken a part at a time
+    whole = Stream(3).uniform(-1.0, 1.0, 40_000)
+    for offset in (0, 1, 2, 16_383, 16_384, 16_385, 33_001):
+        stream = Stream(3)
+        stream.draw = offset
+        assert np.array_equal(stream.uniform(-1.0, 1.0, 40_000 - offset), whole[offset:])
+    stream, parts = Stream(3), []
+    for size in (1, 16_384, 7, 20_000, 3_608):
+        parts.append(stream.uniform(-1.0, 1.0, size))
+    assert np.array_equal(np.concatenate(parts), whole)
+    # every draw kind reads the same draws: random is the unsigned reading of uniform's
+    unsigned = Stream(3).random(40_000)
+    assert np.array_equal(np.where(whole < 0.0, whole + 2.0, whole) / 2.0, unsigned)
+
+
+def test_stream_spawns_new_keys():
+    parent = Stream(5)
+    first, second = parent.spawn(2), parent.spawn(1)
+    keys = {stream.key for stream in (parent, *first, *second)}
+    assert len(keys) == 4
+    assert [child.key for child in Stream(5).spawn(3)] == [child.key for child in (*first, *second)]
+    assert all(child.draw == 0 for child in first)
+
+
+def test_stream_draws_stay_in_range_with_sane_moments():
+    stream = Stream(11, 4)
+    u = stream.random(1_000_000)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 2e-3 and abs(u.var() - 1.0 / 12.0) < 2e-3
+    v = stream.uniform(-1.0, 1.0, (1000, 1000))
+    assert v.shape == (1000, 1000) and -1.0 <= v.min() and v.max() < 1.0
+    assert abs(v.mean()) < 4e-3 and abs(v.var() - 1.0 / 3.0) < 4e-3
+    w = stream.uniform(3.0, 5.0, 100_000)
+    assert 3.0 <= w.min() and w.max() < 5.0 and abs(w.mean() - 4.0) < 2e-2
+    k = stream.integers(1, 16, (3, 100_000, 1))
+    assert k.shape == (3, 100_000, 1) and k.dtype == np.int64
+    counts = np.bincount(k.ravel(), minlength=16)
+    assert counts[0] == 0 and np.abs(counts[1:] / 20_000 - 1.0).max() < 0.03
+    high = np.arange(1, 6)[:, None]  # per-row bounds
+    rows = stream.integers(0, high, (5, 10_000))
+    assert (rows.min(axis=1) == 0).all() and (rows.max(axis=1) == high[:, 0] - 1).all()
+    z = stream.standard_normal((500_001,))
+    assert z.shape == (500_001,) and np.isfinite(z).all()
+    assert abs(z.mean()) < 1e-2 and abs(z.std() - 1.0) < 1e-2 and abs((z**4).mean() - 3.0) < 5e-2
+    assert abs((z > 1.959964).mean() - 0.025) < 2e-3
+    assert stream.standard_normal((2, 3, 8)).shape == (2, 3, 8)
+
+
+def test_uniform_blocks_continue_the_flat_draws():
     # from any first block, and at any block size, the blocks continue two spawned streams
-    # bit for bit as uniform(-1, 1) draws them
+    # draw for draw as one flat uniform(-1, 1) call on each takes them
     stop = 2 * MUL_BLOCK_ROWS + 5
-    want = np.stack([rng.uniform(-1.0, 1.0, (stop, 3)) for rng in np.random.default_rng(7).spawn(2)])
+    want = np.stack([child.uniform(-1.0, 1.0, (stop, 3)) for child in Stream(7).spawn(2)])
     for starts in (range(0, stop, MUL_BLOCK_ROWS), range(MUL_BLOCK_ROWS, stop, MUL_BLOCK_ROWS),
-                   range(0, stop, 100), range(300, stop, 100)):
-        blocks = [block.copy() for block in uniform_blocks(np.random.default_rng(7), starts, stop, 3)]
+                   range(0, stop, 100), range(300, stop, 100), range(1, stop, 2)):
+        blocks = [block.copy() for block in uniform_blocks(Stream(7), starts, stop, 3)]
         assert [len(x) for x, _ in blocks] == [min(starts.step, stop - s) for s in starts]
         assert np.array_equal(np.concatenate(blocks, axis=1), want[:, starts.start:]), starts
+    # a numpy generator has no stream to start at a row: it is refused, not drawn from
+    with pytest.raises(TypeError):
+        next(uniform_blocks(np.random.default_rng(7), range(0, 10, 5), 10, 3))
 
 
 def test_mul_arrays_rejects_bad_shapes():

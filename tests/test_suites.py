@@ -49,11 +49,14 @@ def test_suite_rng_substreams_are_stable_and_distinct():
     cfg = RunConfig(seed=9)
     first = cfg.suite_rng("octonion").integers(0, 1 << 30, 6)
     again = cfg.suite_rng("octonion").integers(0, 1 << 30, 6)
-    other = cfg.suite_rng("kernels").integers(0, 1 << 30, 6)
-    reseeded = RunConfig(seed=10).suite_rng("octonion").integers(0, 1 << 30, 6)
     assert np.array_equal(first, again)
-    assert not np.array_equal(first, other)
-    assert not np.array_equal(first, reseeded)
+    # every (seed, suite) key draws its own stream, and so do their spawned streams, the
+    # seeds past 64 bits too
+    streams = [RunConfig(seed=seed).suite_rng(name) for seed in (0, 1, 9, 10, 2**64, 2**64 + 9)
+               for name in SUITE_ORDER]
+    streams += [child for stream in streams[:12] for child in stream.spawn(2)]
+    draws = {tuple(stream.integers(0, 1 << 30, 6).tolist()) for stream in streams}
+    assert len({stream.key for stream in streams}) == len(draws) == len(streams) == 60
 
 
 def test_run_suites_fixed_order_and_timings():
@@ -520,6 +523,16 @@ def test_exterior_faults_fail_named_checks(monkeypatch):
         assert failed == [f"exterior.{check}" for check in expected], name
 
 
+def test_every_adjoint_row_tests_something():
+    # <eps_j xi, eta> is 0 unless a term of xi plus bit j is a term of eta; drawn at random,
+    # about one row in ten made one, so the check passed faults on rows that tested nothing
+    for seed, trials in ((0, 2000), (1, 2000), (7, 100), (0, 30_000)):
+        result = SUITES["exterior"](RunConfig(seed=seed, trials=trials))
+        (adjoint,) = [c for c in result.checks if c.check == "exterior.epsilon-interior-adjoint"]
+        assert adjoint.passed
+        assert adjoint.evidence["nonzero rows"] == adjoint.evidence["random forms"] == trials // 100
+
+
 def test_exterior_suite_call_count_and_peak_do_not_grow_with_trials(monkeypatch):
     names = ("epsilon", "interior", "hodge", "inner", "residual", "sum_terms",
              "hessian_action", "random_forms")
@@ -670,7 +683,7 @@ def test_sweep_takes_every_product_through_mul_arrays(monkeypatch):
     planes = 3 * octonion.MUL_BLOCK_ROWS + 7
     counts = count_products(monkeypatch)
     op = suites.curvature.assemble_operator()
-    assert suites.curvature.sweep_planes(op, np.random.default_rng(3), planes).roundtrip <= 1e-9
+    assert suites.curvature.sweep_planes(op, octonion.Stream(3), planes).roundtrip <= 1e-9
     blocks = 4
     assert counts == {"builds": 4 * blocks, "products": 8 * planes}
 
