@@ -50,6 +50,8 @@ PSI_SIGNS = (1.0, -1.0, 1.0)      # psi_ijkl = om_ij ^ om_kl - om_ik ^ om_jl + o
 # canonical row entry (zero included) and the eigen route's ratio in ``kernels``
 ROUND_TOL = 1e-9
 MAX_DENOMINATOR = 64
+ACTION_CHUNK_TERMS = 64     # terms of a form ``so_action`` expands at a time
+GRAM_BLOCK_COLUMNS = 256    # columns of the action matrix per dense block of ``action_gram``
 
 
 def kahler_form(n: int):
@@ -95,12 +97,13 @@ def quaternionic_targets(n: int) -> tuple[int, ...]:
 
 @functools.cache
 def _cayley_terms(table: MultiplicationTable):
-    """Phi / CAYLEY_SCALE of ``table`` as read-only (masks, coeffs), built once per process.
+    """Phi / CAYLEY_SCALE of ``table`` as read-only (masks, coeffs), built once per process:
+    int64 masks, ascending, and float64 coeffs.
 
     One ``wedge`` call gives the 8 x 8 terms of each of the 126 x 3 products
     in psi.  A 4-form commutes with itself, so psi ^ psi is twice the sum over
     the disjoint term pairs s < t of psi, each signed by ``wedge_sign``; one
-    psi at a time.
+    psi at a time, added in place into one table (integer sums, so their order cannot matter).
     """
     inv = clifford_involutions(table)
     p, q = np.triu_indices(SPIN9_DIM, 1)
@@ -119,8 +122,7 @@ def _cayley_terms(table: MultiplicationTable):
     phi = np.zeros(1 << SPIN9_DIM)
     for m, w in zip(np.split(keys & phi.size - 1, bounds), np.split(sums, bounds)):
         s, t = np.nonzero(np.triu(m[:, None] & m == 0, 1))
-        phi += np.bincount(m[s] | m[t], weights=2.0 * w[s] * w[t] * wedge_sign(m[s], m[t]),
-                           minlength=phi.size)
+        np.add.at(phi, m[s] | m[t], 2.0 * w[s] * w[t] * wedge_sign(m[s], m[t]))
     masks = np.flatnonzero(phi)
     coeffs = phi[masks] / CAYLEY_SCALE
     masks.flags.writeable = coeffs.flags.writeable = False
@@ -137,17 +139,39 @@ def so_action(n: int, masks, coeffs):
     """The matrix of a -> T(a, form) on so(n): one row per basis element
     e_p e_q^T - e_q e_p^T (p < q), one column per monomial it can produce.
 
-    Returns its (row, column, value) triplets, where a repeated (row, column)
-    adds up, and its shape.
+    Returns its (row, column, value) triplets, where a repeated (row, column) adds
+    up, and its shape: int32 rows and columns, the columns in ascending output-mask
+    order.  The terms are expanded in order, ACTION_CHUNK_TERMS at a time.
     """
     p, q = np.triu_indices(n, 1)
-    row = np.zeros((n, n), dtype=np.int64)
+    row = np.zeros((n, n), dtype=np.int32)
     row[p, q] = row[q, p] = np.arange(p.size)
-    masks, coeffs, i, j = pair_action(n, masks, coeffs)
-    coeffs = np.sign(j - i) * coeffs  # a_ij = +1 for i < j, -1 for i > j, 0 on the diagonal
-    live = coeffs != 0.0
-    cols, inverse = np.unique(masks[live], return_inverse=True)
-    return (row[i, j][live], inverse, coeffs[live]), (p.size, cols.size)
+    parts, bounds = [], range(ACTION_CHUNK_TERMS, np.size(masks), ACTION_CHUNK_TERMS)
+    for m, c in zip(np.split(np.ravel(masks), bounds), np.split(np.ravel(coeffs), bounds)):
+        m, c, i, j = pair_action(n, m, c)
+        live = (c := np.sign(j - i) * c) != 0.0  # a_ij = +1 for i < j, -1 for i > j, 0 on the diagonal
+        parts.append((row[i, j][live], m[live].astype(np.int32), c[live]))
+    rows, outputs, values = map(np.concatenate, zip(*parts))
+    del parts  # the chunks' arrays go before the column table comes
+    present = np.zeros(1 << n, dtype=bool)
+    present[outputs] = True
+    return (rows, np.cumsum(present, dtype=np.int32)[outputs] - 1, values), (p.size, int(present.sum()))
+
+
+def action_gram(triplets, shape, generators):
+    """A A^T for the action matrix A of ``so_action``'s triplets, and max |G A| over the rows G of
+    ``generators``, from dense blocks of GRAM_BLOCK_COLUMNS columns of A, the last zero-padded."""
+    (rows, cols, values), (size, width) = triplets, shape
+    gram, annihilation = np.zeros((size, size)), 0.0
+    action, image = np.empty((size, GRAM_BLOCK_COLUMNS)), np.empty((len(generators), GRAM_BLOCK_COLUMNS))
+    for start in range(0, width, GRAM_BLOCK_COLUMNS):
+        live = (cols >= start) & (cols < start + GRAM_BLOCK_COLUMNS)
+        action.fill(0.0)
+        np.add.at(action, (rows[live], cols[live] - start), values[live])  # in input order
+        gram += action @ action.T
+        np.abs(np.matmul(generators, action, out=image), out=image)
+        annihilation = max(annihilation, float(image.max()))
+    return gram, annihilation
 
 
 def spin9_targets() -> tuple[int, int]:

@@ -504,22 +504,13 @@ def suite_forms(cfg: RunConfig) -> SuiteResult:
 
     phi = f.spin9_form(cfg.table)
     (masks,), (coeffs,) = phi
-    (rows, cols, values), (size, width) = f.so_action(f.SPIN9_DIM, *phi)
-    spin9 = octonion.spin9_generators(cfg.table)
-    gram, annihilated, step = np.zeros((size, size)), 0.0, octonion.MUL_BLOCK_ROWS
-    # Gram matrix and I_i I_j products over dense blocks of ``step`` columns, the last zero-padded
-    for start in range(0, width, step):
-        live = (cols >= start) & (cols < start + step)
-        action = np.bincount(rows[live] * step + cols[live] - start, values[live],
-                             minlength=size * step).reshape(size, step)
-        gram += action @ action.T
-        annihilated = max(annihilated, float(np.abs(spin9 @ action).max()))
+    gram, annihilated = f.action_gram(*f.so_action(f.SPIN9_DIM, *phi), octonion.spin9_generators(cfg.table))
     out.add("forms.spin9-base-form", 0.5,
             {"tops": coeffs[np.isin(masks, f.spin9_targets())].tolist(),
              "terms by size": Counter(np.rint(np.abs(coeffs) * -f.CAYLEY_SCALE).astype(int).tolist()),
              "terms by type": Counter(zip(np.bitwise_count(masks & f.V_TOP).tolist(),
                                           np.bitwise_count(masks & f.W_TOP).tolist())),
-             "stabilizer in so(16)": size - int(np.linalg.matrix_rank(gram)),
+             "stabilizer in so(16)": len(gram) - int(np.linalg.matrix_rank(gram)),
              "every I_i I_j annihilates": annihilated <= TOL_ALGEBRA},
             claim={"tops": [-1.0, 1.0], "terms by size": {360: 448, 720: 252, 5040: 2},
                    "terms by type": {(8, 0): 1, (6, 2): 112, (4, 4): 476, (2, 6): 112, (0, 8): 1},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cayleykit import forms
+from cayleykit import forms, octonion
 from cayleykit.exterior import collect, hessian_action, inner, mask_of, random_forms, wedge
 from cayleykit.forms import (
     SPIN9_DIM,
@@ -154,6 +154,37 @@ def test_cayley_form_stabilizer_is_spin9():
     # a generic element of so(16) moves Phi
     a = np.random.default_rng(9).standard_normal((16, 16))
     assert np.abs((a - a.T)[p, q] @ dense).max() > 0.1
+
+
+def test_so_action_equals_one_expansion_of_every_term():
+    # the chunked expansion against all 702 terms of Phi at once on the full 16 x 16 pair grid,
+    # one column per output mask in ascending order; a cell's terms add in term order in both
+    (masks,), (coeffs,) = spin9_form()
+    triplets, shape = forms.so_action(SPIN9_DIM, masks[None], coeffs[None])
+    m, c = oracles.pair_grid(SPIN9_DIM, masks, coeffs)  # (702, 16, 16), indexed [t, i, j]
+    i, j = np.indices((SPIN9_DIM, SPIN9_DIM))
+    c = np.sign(j - i) * c
+    live = c != 0.0
+    p, q = np.triu_indices(SPIN9_DIM, 1)
+    row = np.zeros((SPIN9_DIM, SPIN9_DIM), dtype=int)
+    row[p, q] = row[q, p] = np.arange(p.size)
+    outputs = np.unique(m[live])
+    whole = np.zeros((p.size, outputs.size))
+    np.add.at(whole, (np.broadcast_to(row, m.shape)[live], np.searchsorted(outputs, m[live])), c[live])
+    assert shape == whole.shape == (120, 11328)
+    assert masks.size % forms.ACTION_CHUNK_TERMS  # a partial last chunk, too
+    assert np.array_equal(oracles.dense_action(triplets, shape), whole)
+
+
+def test_action_gram_reaches_every_column():
+    # 11,328 columns: 44 full blocks and a last one of 64 columns, zero-padded
+    triplets, shape = forms.so_action(SPIN9_DIM, *spin9_form())
+    assert shape[1] % forms.GRAM_BLOCK_COLUMNS
+    dense = oracles.dense_action(triplets, shape)
+    spin9 = octonion.spin9_generators()
+    gram, annihilation = forms.action_gram(triplets, shape, spin9)
+    assert np.abs(gram - dense @ dense.T).max() <= 1e-12
+    assert annihilation == np.abs(spin9 @ dense).max()
 
 
 def test_so_action_matches_hessian_action():

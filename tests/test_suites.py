@@ -253,6 +253,7 @@ def test_model_faults_fail_named_checks(monkeypatch):
 
     real_kahler_forms, real_to_text = forms.quaternionic_kahler_forms, exterior.to_text
     real_standard, real_min_ratio = forms.standard_constraints, suites.kernels.min_bochner_ratio
+    real_so_action = forms.so_action
     # Phi with a (7,1) term 0.5 theta^{0..6,8}, in ascending mask order as Phi's terms are
     leaky_masks, leaky_coeffs = np.append(phi_masks, 0x17F), np.append(phi_coeffs, 0.5)
     leaky = np.argsort(leaky_masks)
@@ -308,6 +309,9 @@ def test_model_faults_fail_named_checks(monkeypatch):
         (forms, "spin9_form",
          lambda table: (phi_masks[without_v_top][None], phi_coeffs[without_v_top][None]),
          ("forms", "kernels"), ("forms.spin9-base-form", "forms.spin9-top-functional")),
+        # the so(16) action alone of Phi without its last term: the stabilizer reads 28, not 36
+        (forms, "so_action", lambda n, masks, coeffs: real_so_action(n, masks[..., :-1], coeffs[..., :-1]),
+         ("forms",), ("forms.spin9-base-form",)),
         (suites.curvature, "ALPHA", -3.0, ("curvature",),
          tuple(f"curvature.{c}" for c in ("adapted-sectional", "pinch-range", "product-order-reading",
                                           "einstein-constant", "radial-spectrum", "pinch-search"))),
@@ -741,8 +745,22 @@ def test_curvature_suite_peak_does_not_grow_with_trials(trials):
 
 
 def test_forms_suite_peak():
-    # Phi expanded at its live pairs only; the full 16 x 16 pair grid took about 10 MiB per expansion
-    assert _traced_peak("forms", 2000) < 8 * 2**20
+    # Phi's so(16) action expanded at its live pairs, 64 terms at a time, and its Gram matrix
+    # filled into two buffers of 256 columns: about 1.8 MiB, Phi's build included. One expansion
+    # of all 702 terms, and a new 120 x 1024 block per step, took 3.5 MiB
+    assert _traced_peak("forms", 2000) < 2.5 * 2**20
+
+
+def test_so_action_peak():
+    # int32 rows and columns and a presence table over the 2^16 masks: about 1.5 MiB, against
+    # 3.5 MiB for one expansion of all 702 terms and np.unique
+    phi = forms.spin9_form()
+    tracemalloc.start()
+    try:
+        forms.so_action(forms.SPIN9_DIM, *phi)
+        assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("trials", [20_000, 200_000])
