@@ -422,7 +422,7 @@ import sys
 
 class NotAtRuntime:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy" or name.startswith("numpy.random"):
+        if name.partition(".")[0] == "scipy" or name.startswith(("numpy.random", "numpy.polynomial")):
             raise ImportError(f"{name} is not a runtime dependency")
 
 
@@ -431,13 +431,14 @@ sys.meta_path.insert(0, NotAtRuntime())
 
 
 def test_commands_run_without_scipy_or_numpy_random(tmp_path):
-    # the runtime needs numpy's core only: scipy is a test oracle and the draws are the
-    # package's own streams, so each import of scipy or numpy.random fails here, in the forked
-    # workers too, where it would fail a suite as <suite>.crashed
+    # the runtime needs numpy's core only: scipy is a test oracle, the draws are the package's
+    # own streams and the Gauss-Legendre rule is its own Newton solve, so each import of scipy,
+    # numpy.random or numpy.polynomial fails here, in the forked workers too, where it would
+    # fail a suite as <suite>.crashed
     (tmp_path / "sitecustomize.py").write_text(NOT_AT_RUNTIME)
     path = [str(tmp_path), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    for module in ("scipy.linalg", "numpy.random"):
+    for module in ("scipy.linalg", "numpy.random", "numpy.polynomial"):
         blocked = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
                                  capture_output=True, text=True, timeout=60)
         assert blocked.returncode == 1 and "not a runtime dependency" in blocked.stderr
@@ -450,12 +451,12 @@ def test_commands_run_without_scipy_or_numpy_random(tmp_path):
              "--out", str(tmp_path / command)], env=env, capture_output=True, text=True, timeout=240)
         assert proc.returncode == 0, proc.stderr
         assert sorted(p.name for p in (tmp_path / command).iterdir()) == names
-    # unblocked, a command leaves numpy.random and OpenSSL's _hashlib, which numpy.random's
-    # seeding loads through secrets, unimported
+    # unblocked, a command leaves numpy.random, OpenSSL's _hashlib, which numpy.random's
+    # seeding loads through secrets, and numpy.polynomial unimported
     script = ("import contextlib, io, sys\nfrom cayleykit import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    assert cli.main(['verify', '--trials', '1']) == 0\n"
-              "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n")
+              "print(sorted({'numpy.random', '_hashlib', 'numpy.polynomial'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=240)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

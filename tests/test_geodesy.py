@@ -87,8 +87,17 @@ def test_index_form_builds_each_rule_once_read_only():
     rule = geodesy._gauss_legendre(geodesy.QUAD_NODES)
     assert geodesy._gauss_legendre(geodesy.QUAD_NODES) is rule
     assert not any(a.flags.writeable for a in rule)
-    fresh = np.polynomial.legendre.leggauss(geodesy.QUAD_NODES)
-    assert all(np.array_equal(a, b) for a, b in zip(rule, fresh))
+    eps = np.finfo(float).eps
+    for n in (geodesy.QUAD_NODES, 2 * geodesy.QUAD_NODES):
+        x, w = geodesy._gauss_legendre(n)
+        # numpy's Golub-Welsch rule as the oracle: Newton's zeros agree to within a few ulps
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - ref_x).max() <= 4 * eps and np.abs(w - ref_w).max() <= 16 * eps
+        # exact on every monomial of degree below 2n, the defining property of the rule
+        for k in range(2 * n):
+            assert abs(w @ x**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-14, (n, k)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+        assert np.all(w > 0) and np.array_equal(w, w[::-1])
 
 
 def test_jacobi_profile_solves_the_ode():

@@ -283,9 +283,14 @@ def test_model_faults_fail_named_checks(monkeypatch):
 
     def index_form_without_potential(c, L, nodes):
         # int_0^L f'^2 dt alone: the c^2 f^2 term of the index form dropped
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = suites.geodesy._gauss_legendre(nodes)
         slope = c * np.cosh(c * 0.5 * L * (x + 1.0)) / np.sinh(c * L)
         return 0.5 * L * float(w @ slope**2)
+
+    def gauss_legendre_without_newton(nodes):
+        # the cosine guesses taken as the points, with the recurrence's weights at them
+        x = -np.cos(np.pi * (np.arange(nodes) + 0.75) / (nodes + 0.5))
+        return x, 2.0 / ((1.0 - x * x) * suites.geodesy._legendre(nodes, x)[1] ** 2)
 
     faults = (
         # rho^2 = 100: both spectrum routes follow the classes, so the claim 121 and the
@@ -303,6 +308,11 @@ def test_model_faults_fail_named_checks(monkeypatch):
          ("geodesy.spectrum-bottom", "geodesy.sturm-crosscheck")),
         # the quadrature is the second route of the consistency triangle as well
         (suites.geodesy, "index_form", index_form_without_potential, ("geodesy",),
+         ("geodesy.consistency-triangle", "geodesy.jacobi-index-form")),
+        # points off the zeros of P_n, so the rule is not exact to degree 2n - 1: the 12 and 24
+        # point sums differ by far more than the tolerance, and the 24 point one is off the
+        # closed form
+        (suites.geodesy, "_gauss_legendre", gauss_legendre_without_newton, ("geodesy",),
          ("geodesy.consistency-triangle", "geodesy.jacobi-index-form")),
         # Phi without its v-top term: the w-top block sum and the trace still force the
         # v-top one, so the kernels keep 8/7
