@@ -36,6 +36,8 @@ N = 16
 ALPHA = -4.0
 # unit directions whose Jacobi operators give the pinch extremes
 PINCH_STARTS = 64
+# directions per block of ``CurvatureOperator.jacobi_matrix``
+JACOBI_BLOCK = 8
 
 # the 120 bivector monomials e_A ^ e_B (A < B), in the triu order of ``octonion.spin9_generators``
 _ROWS, _COLS = np.triu_indices(N, 1)
@@ -137,9 +139,16 @@ class CurvatureOperator:
         return sum(self.jacobi_matrix(e) for e in np.eye(N))
 
     def jacobi_matrix(self, u) -> np.ndarray:
-        """Radial curvature operator X -> <R(X, u, Y, u)> in the basis, batched on the left."""
-        vecs = bivector(np.eye(N), np.asarray(u, dtype=float)[..., None, :])
-        return vecs @ self.matrix @ np.swapaxes(vecs, -1, -2)
+        """Radial curvature operator X -> <R(X, u, Y, u)> in the basis, batched on the left,
+        JACOBI_BLOCK directions at a time, so no array but the result grows with the batch."""
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1, N)
+        out = np.empty((len(flat), N, N))
+        for start in range(0, len(flat), JACOBI_BLOCK):
+            rows = slice(start, start + JACOBI_BLOCK)
+            vecs = bivector(np.eye(N), flat[rows, None, :])
+            np.matmul(vecs @ self.matrix, np.swapaxes(vecs, -1, -2), out=out[rows])
+        return out.reshape(u.shape + (N,))
 
     def jacobi_spectrum(self, u) -> np.ndarray:
         return np.linalg.eigvalsh(self.jacobi_matrix(u))

@@ -162,12 +162,17 @@ def action_gram(triplets, shape, generators):
     """A A^T for the action matrix A of ``so_action``'s triplets, and max |G A| over the rows G of
     ``generators``, from dense blocks of GRAM_BLOCK_COLUMNS columns of A, the last zero-padded."""
     (rows, cols, values), (size, width) = triplets, shape
+    starts = range(0, width, GRAM_BLOCK_COLUMNS)
+    # the triplets' indices grouped by block: the sort is stable, so np.add.at adds each cell's
+    # terms in input order; numpy sorts keys this narrow (8 or 16 bits) by radix
+    block = (cols // GRAM_BLOCK_COLUMNS).astype(np.min_scalar_type(len(starts)))
+    order, ends = np.argsort(block, kind="stable"), np.cumsum(np.bincount(block, minlength=len(starts)))
     gram, annihilation = np.zeros((size, size)), 0.0
     action, image = np.empty((size, GRAM_BLOCK_COLUMNS)), np.empty((len(generators), GRAM_BLOCK_COLUMNS))
-    for start in range(0, width, GRAM_BLOCK_COLUMNS):
-        live = (cols >= start) & (cols < start + GRAM_BLOCK_COLUMNS)
+    for start, first, end in zip(starts, [0, *ends[:-1]], ends):
+        live = order[first:end]
         action.fill(0.0)
-        np.add.at(action, (rows[live], cols[live] - start), values[live])  # in input order
+        np.add.at(action, (rows[live], cols[live] - start), values[live])
         gram += action @ action.T
         np.abs(np.matmul(generators, action, out=image), out=image)
         annihilation = max(annihilation, float(image.max()))

@@ -635,16 +635,19 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
     """Run the named suites, timing each one, and return them in ``SUITE_ORDER``.
 
     The suites share no state, so they run on one worker per usable CPU, at most one per unit of
-    work: this process (worker 0) and ``workers - 1`` forked children.  The units are the whole
-    suites and the octonion suite's chunks of row blocks (``_octonion_chunks``).  Each worker
-    first runs a fixed share of the suites (``_worker_of``), so the same suites share a process
-    and each process's memory is the same on every run; octonion's slot in that deal is always
-    this process, which builds its record last.  Then every worker claims octonion chunks, one
-    index byte at a time from one pipe, until the pipe is empty, so one sampled suite keeps every
+    work.  The units are the whole suites and the octonion suite's chunks of row blocks
+    (``_octonion_chunks``).  With two or more workers every worker is a forked child, and this
+    process only deals, gathers and reaps: a fresh child does not hold the file pages this
+    process touched while importing, so the children peak lower.  Each worker first runs a fixed
+    share of the suites (``_worker_of``), so the same suites share a process and each process's
+    memory is the same on every run; octonion's slot in that deal runs no suite, as this process
+    builds octonion's record last from the chunks' blocks.  Then every worker claims octonion chunks, one index
+    byte at a time from one pipe, until the pipe is empty, so one sampled suite keeps every
     worker busy.  A child sends its results back in one pickle and exits, and is reaped before
-    this returns.  A suite or a chunk that raises fails its check ``<suite>.crashed``, and so does
-    every suite of a dead worker, octonion too if it held any chunk.  The one-thread BLAS policy
-    (see ``__init__``) leaves no thread to fork past.
+    this returns.  This process runs a share, and claims chunks, only for a worker it could not
+    fork, and with one worker it runs everything.  A suite or a chunk that raises fails its check
+    ``<suite>.crashed``, and so does every suite of a dead worker, octonion too if it held any
+    chunk.  The one-thread BLAS policy (see ``__init__``) leaves no thread to fork past.
     """
     chosen = [name for name in SUITE_ORDER if name in names]
     whole = [index for index, name in enumerate(chosen) if name != "octonion"]
@@ -655,7 +658,7 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
     os.close(fill)
     children, pipes = [], []
     try:
-        for worker in range(1, workers):
+        for worker in range(workers if workers > 1 else 0):
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
@@ -676,8 +679,10 @@ def run_suites(names, cfg: RunConfig) -> tuple[list[SuiteResult], dict[str, floa
             os.close(write_end)
             children.append(pid)
             pipes.append(open(read_end, "rb"))
-        share = [i for i in whole if not 0 < _worker_of(i, workers) <= len(children)]
-        done = _work(chosen, cfg, share, queue, chunks)
+        done = []
+        if len(children) < workers:  # the workers from len(children) on were not forked
+            share = [i for i in whole if _worker_of(i, workers) >= len(children)]
+            done = _work(chosen, cfg, share, queue, chunks)
         outputs = [pipe.read() for pipe in pipes]
     finally:
         os.close(queue)

@@ -194,6 +194,24 @@ def test_roundtrip_peak_memory():
     assert peak < 4 * 2**20
 
 
+def traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jacobi_peak_memory():
+    # the Jacobi operators come JACOBI_BLOCK directions at a time: about 0.7 MiB for 100
+    # directions, and for the pinch search's 64, where the (n, 16, 120) bivectors of every
+    # direction at once took 4.6 and 3.1 MiB
+    u = RNG.standard_normal((100, N))
+    assert traced_peak(OP.jacobi_spectrum, u) < 1.5 * 2**20
+    assert traced_peak(pinch_extremes, OP, octonion.Stream(2)) < 1.5 * 2**20
+
+
 def warm_minor_faults(setup: str, call: str) -> int:
     """Minor faults of a second ``call`` after ``setup`` and a first one, in a fresh
     interpreter: once larger arrays have been freed the allocator keeps such blocks, and
@@ -285,11 +303,15 @@ def test_jacobi_spectrum_structure():
 
 
 def test_jacobi_matrix_batches_over_directions():
-    u = RNG.standard_normal((5, N))
-    stacked = OP.jacobi_matrix(u)
-    assert stacked.shape == (5, N, N)
-    for row, mat in zip(u, stacked):
-        assert np.abs(mat - OP.jacobi_matrix(row)).max() <= 1e-13
+    # batches within one block, across a block boundary and across many give each
+    # direction's own matrix exactly: every block makes the same products per direction
+    u = RNG.standard_normal((100, N))
+    single = np.stack([OP.jacobi_matrix(row) for row in u])
+    for count in (5, curvature.JACOBI_BLOCK + 1, 17, 100):
+        stacked = OP.jacobi_matrix(u[:count])
+        assert stacked.shape == (count, N, N)
+        assert np.array_equal(stacked, single[:count])
+    assert np.array_equal(OP.jacobi_matrix(u.reshape(4, 25, N)), single.reshape(4, 25, N, N))
 
 
 def test_alpha_scaling_linearity(monkeypatch):

@@ -94,48 +94,68 @@ def test_two_workers_and_one_give_the_same_results(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 def test_each_worker_runs_a_fixed_share_of_the_suites(monkeypatch):
     # which suites share a process sets each process's peak memory, so it may not depend
-    # on timing: four workers are dealt the six suites 0, 1, 2, 3, 3, 2.  Octonion's slot is
-    # this process, which builds its record from the blocks of the chunks any worker claimed
+    # on timing: four workers, all forked, are dealt the six suites 0, 1, 2, 3, 3, 2.  Octonion's
+    # slot runs no suite, and this process runs no suite and none of the sixteen one-block
+    # chunks, which take long enough that a process free after its forks would claim some:
+    # it only builds octonion's record from the blocks of the chunks the workers claimed
     def fake(name, cfg, blocks=None):
         result = SuiteResult(name)
         result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True,
-                   evidence={"pid": os.getpid(), "blocks": blocks and len(blocks)})
+                   evidence={"pid": os.getpid(), "blocks": blocks and len(blocks),
+                             "chunk pids": blocks and {block["pid"] for block in blocks}})
         return result
 
     for name in SUITE_ORDER:
         monkeypatch.setitem(SUITES, name, partial(fake, name))
+    def residuals(*args):
+        time.sleep(0.01)
+        return {"pid": os.getpid()}
+
+    monkeypatch.setattr(suites, "_octonion_residuals", residuals)
+    monkeypatch.setattr(suites, "OCTONION_CHUNK_BLOCKS", 1)
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     for _ in range(2):
-        results, _ = run_suites(SUITE_ORDER, RunConfig(**FAST))
+        results, _ = run_suites(SUITE_ORDER, RunConfig(trials=16 * octonion.MUL_BLOCK_ROWS))
         no_child_left()
         pids = [r.checks[0].evidence["pid"] for r in results]
         assert pids[0] == os.getpid() and pids[2] == pids[5] and pids[3] == pids[4]
-        assert len(set(pids)) == 4
-        assert [r.checks[0].evidence["blocks"] for r in results] == [2, None, None, None, None, None]
+        assert len(set(pids)) == 4 and os.getpid() not in pids[1:]
+        assert [r.checks[0].evidence["blocks"] for r in results] == [16, None, None, None, None, None]
+        assert os.getpid() not in results[0].checks[0].evidence["chunk pids"]
+
+
+def wait_for(path):
+    deadline = time.monotonic() + 60
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
-    # each fake suite exits in a forked worker; in this process it waits for that exit.
-    # forms comes first in SUITE_ORDER, so this process runs it and the worker kernels
+    # two forked workers: the first runs forms and waits in it until the second, which runs
+    # kernels, has exited; the calling process runs neither
     parent, exited = os.getpid(), tmp_path / "exited"
 
-    def fake(name, cfg):
-        if os.getpid() != parent:
-            exited.touch()
-            os._exit(3)
-        deadline = time.monotonic() + 60
-        while not exited.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        result = SuiteResult(name)
-        result.add(f"{name}.ran", 1.0, {"ran": True}, claim=True)
+    def kernels_exits(cfg):
+        if os.getpid() == parent:
+            raise AssertionError("kernels ran in the calling process")
+        exited.touch()
+        os._exit(3)
+
+    def forms_ran(cfg):
+        if os.getpid() == parent:
+            raise AssertionError("forms ran in the calling process")
+        wait_for(exited)
+        result = SuiteResult("forms")
+        result.add("forms.ran", 1.0, {"ran": True}, claim=True)
         return result
 
-    for name in ("forms", "kernels"):
-        monkeypatch.setitem(SUITES, name, partial(fake, name))
+    monkeypatch.setitem(SUITES, "kernels", kernels_exits)
+    monkeypatch.setitem(SUITES, "forms", forms_ran)
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     results, timings = run_suites(["kernels", "forms"], RunConfig(**FAST))
     no_child_left()
+    assert exited.exists()
     assert [r.suite for r in results] == ["forms", "kernels"]
     ran, dead = results
     assert [c.check for c in dead.checks] == ["kernels.crashed"]
@@ -146,21 +166,24 @@ def test_a_dead_worker_fails_its_suites(monkeypatch, tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 def test_a_dead_worker_loses_the_octonion_chunks_it_claimed(monkeypatch, tmp_path):
-    # this process claims the first of two one-block chunks and waits in it until the worker,
-    # after its forms, has claimed the second and exited
+    # two one-block chunks and two forked workers.  The first runs no suite; the second runs
+    # forms, then claims a chunk and exits in it.  Whichever chunk the first claims, it waits in
+    # it until the second has exited, and then completes it: octonion is lost with the chunk
+    # the dead worker held, and forms with its worker
     parent, exited = os.getpid(), tmp_path / "exited"
-    real = suites._octonion_residuals
+    real, ran_forms = suites._octonion_residuals, []
 
     def residuals(*args):
-        if os.getpid() != parent:
+        if os.getpid() == parent:
+            raise AssertionError("a chunk ran in the calling process")
+        if ran_forms:
             exited.touch()
             os._exit(3)
-        deadline = time.monotonic() + 60
-        while not exited.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_for(exited)
         return real(*args)
 
     def forms_ran(cfg):
+        ran_forms.append(os.getpid())
         result = SuiteResult("forms")
         result.add("forms.ran", 1.0, {"ran": True}, claim=True)
         return result
@@ -171,7 +194,7 @@ def test_a_dead_worker_loses_the_octonion_chunks_it_claimed(monkeypatch, tmp_pat
     monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     results, timings = run_suites(["octonion", "forms"], RunConfig(**FAST))
     no_child_left()
-    assert exited.exists()
+    assert exited.exists() and not ran_forms
     assert [[c.check for c in r.checks] for r in results] == [["octonion.crashed"], ["forms.crashed"]]
     assert {r.checks[0].note for r in results} == {"worker exited with status 3"}
     assert timings == {}
